@@ -24,7 +24,6 @@ from .krawtchouk import (
 from .linalg import (
     DEFAULT_TOL,
     NumericalError,
-    RealLinearOperator,
     Tolerance,
     eig_hermitian,
     hermitian_to_real_vector,
@@ -32,7 +31,6 @@ from .linalg import (
     kernel_basis,
     range_projection,
     rank_tol,
-    real_operator_matrix,
     real_vector_to_hermitian,
 )
 from .maps import (

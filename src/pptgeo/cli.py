@@ -7,14 +7,13 @@ error, 3 numerical/contract failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import extremality as ext
 from . import krawtchouk as kw
@@ -142,32 +141,14 @@ def cmd_state(args) -> int:
 
 
 def cmd_extremality(args) -> int:
+    if args.verify_appendix and (args.infile or args.family != "rho"):
+        _note("usage error: --verify-appendix needs --family rho with --b and --theta, not --in")
+        return EXIT_USAGE
     X, theta = _state_from_args(args)
     rep = ext.is_extreme_in_T(X)
     out = ser.report_to_json(rep)
     if args.verify_appendix:
-        if args.family != "rho" or args.b is None or theta is None:
-            raise ValueError("--verify-appendix needs --family rho with --b and --theta")
-        b = args.b
-        xs = ext.appendix_basis_X(b, theta)
-        ys = ext.appendix_basis_Y(b, theta)
-        face = ext.face_of(X)
-        op_D = ext.phi_D_operator(face.D)
-        op_E = ext.phi_E_operator(face.E, X.m, X.n)
-        from .linalg import hermitian_to_real_vector
-
-        x_res = max(float(np.linalg.norm(op_D.matrix @ hermitian_to_real_vector(M))) for M in xs)
-        y_res = max(float(np.linalg.norm(op_E.matrix @ hermitian_to_real_vector(M))) for M in ys)
-        ident = ext.verify_combination_identity(b, theta)
-        out["appendix"] = {
-            "x_membership_max_residual": x_res,
-            "y_membership_max_residual": y_res,
-            "x_span_rank": ext.basis_span_rank(xs),
-            "y_span_rank": ext.basis_span_rank(ys),
-            "x_combination_residual": ident.x_residual,
-            "y_combination_residual_last_x7": ident.y_residual_last_x7,
-            "y_combination_residual_last_y7": ident.y_residual_last_y7,
-        }
+        out["appendix"] = dataclasses.asdict(ext.verify_appendix(args.b, theta))
     _emit(out)
     _note(f"extreme={rep.is_extreme} dims=({rep.dim_ker_D},{rep.dim_ker_E},{rep.dim_intersection})")
     return EXIT_OK

@@ -1,11 +1,14 @@
-"""Extreme-point test for the PPT convex body via real kernel intersections.
+"""Extreme-point test for the PPT convex body, solved in face coordinates.
 
 A PPT state X determines the face given by the range D of X and the range E
-of its partial transpose.  The face is an extreme point iff the real solution
-space of {P_D Z P_D = Z, (P_E Z^Gamma P_E)^Gamma = Z} on hermitian matrices is
-one-dimensional.  Both maps are materialized as real 81x81 matrices on the
-vectorized hermitian space and the intersection is read off a single SVD of
-the stacked 162x81 operator.
+of its partial transpose.  X is an extreme point iff the real space of
+hermitian Z with Z supported on D and Z^Gamma supported on E is
+one-dimensional (Leinaas, Myrheim & Ovrum, PRA 76, 034304, 2007).  Writing
+Z = D H D^dagger with H hermitian on the p = dim D coordinates leaves one
+condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the complement
+of E; the intersection is the kernel of that real (2 mn (mn - q)) x p^2
+system.  The 81-dimensional operators phi_D and phi_E on all of Herm(9) are
+kept as an independent test oracle.
 """
 from __future__ import annotations
 
@@ -16,14 +19,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    RealLinearOperator,
     Tolerance,
     as_hermitian,
+    hermitian_basis,
     numerical_kernel,
     numerical_rank,
     range_basis,
-    real_operator_matrix,
-    real_vector_to_hermitian,
 )
 from .states import BipartiteMatrix, is_ppt, partial_transpose, rho
 
@@ -58,48 +59,31 @@ def face_of(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> FaceSpec:
     return FaceSpec(range_basis(X.data, tol), range_basis(partial_transpose(X).data, tol))
 
 
-def phi_D_operator(D: np.ndarray) -> RealLinearOperator:
-    """Real matrix of Z -> P_D Z P_D - Z; its kernel is the hermitian matrices
-    supported on D, of real dimension (dim D)^2."""
-    D = np.asarray(D, dtype=complex)
-    dim = D.shape[0]
-    P = D @ D.conj().T
-    return real_operator_matrix(lambda Z: P @ Z @ P - Z, dim, check_linearity=False)
-
-
-def phi_E_operator(E: np.ndarray, m: int, n: int) -> RealLinearOperator:
-    """Real matrix of Z -> (P_E Z^Gamma P_E)^Gamma - Z on the m*n system."""
-    E = np.asarray(E, dtype=complex)
-    dim = E.shape[0]
-    if dim != m * n:
-        raise ValueError("subspace lives in the wrong dimension")
-    P = E @ E.conj().T
-
-    def pt(Z):
-        return Z.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(dim, dim)
-
-    return real_operator_matrix(lambda Z: pt(P @ pt(Z) @ P) - Z, dim, check_linearity=False)
-
-
-def _kernel_dim(op: RealLinearOperator, rel_cutoff: float) -> int:
-    return op.dim - numerical_rank(op.matrix, rel_cutoff)
+def _pt(Z: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Partial transpose on the first factor of every matrix in a stack."""
+    return Z.reshape(-1, m, n, m, n).transpose(0, 3, 2, 1, 4).reshape(Z.shape)
 
 
 def is_extreme_in_T(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> ExtremalityReport:
-    """Extremality of a nonzero PPT state in the PPT convex body."""
+    """Extremality of a nonzero PPT state in the PPT convex body.
+
+    dim_ker_D and dim_ker_E are p^2 and q^2, the real dimensions of the
+    hermitian matrices supported on D and on E."""
     if np.max(np.abs(X.data)) == 0:
         raise ValueError("the zero matrix has no extremality report")
     face = face_of(X, tol)
-    op_D = phi_D_operator(face.D)
-    op_E = phi_E_operator(face.E, X.m, X.n)
-    dim_D = _kernel_dim(op_D, tol.rank_rel)
-    dim_E = _kernel_dim(op_E, tol.rank_rel)
-    stacked = np.vstack([op_D.matrix, op_E.matrix])
-    ker = numerical_kernel(stacked, tol.rank_rel)
-    dim_int = ker.shape[1]
+    p, q = face.D.shape[1], face.E.shape[1]
+    F = numerical_kernel(face.E.conj().T)
+    Z = face.D @ hermitian_basis(p) @ face.D.conj().T
+    W = F.conj().T @ _pt(Z, X.m, X.n)
+    M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T
+    # D, F and the Herm(p) basis are orthonormal, so ||M|| <= 1: the cutoff is absolute.
+    _, s, Vh = np.linalg.svd(M)
+    ker = Vh[np.count_nonzero(s > tol.rank_rel):]
+    dim_int = ker.shape[0]
     generator = None
     if dim_int == 1:
-        G = real_vector_to_hermitian(ker[:, 0].real, X.dim)
+        G = np.tensordot(ker[0], Z, axes=1)
         tr = float(np.trace(G).real)
         if abs(tr) < 1e-12:
             raise ValueError("intersection generator is traceless; cannot normalize")
@@ -108,16 +92,42 @@ def is_extreme_in_T(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> Extrema
         ref = X.data / float(np.trace(X.data).real)
         if np.max(np.abs(G - ref)) > 1e-7 * max(1.0, float(np.max(np.abs(ref)))):
             raise ValueError("unique intersection element is not proportional to the input")
-    return ExtremalityReport(dim_D, dim_E, dim_int, dim_int == 1, generator)
+    return ExtremalityReport(p * p, q * q, dim_int, dim_int == 1, generator)
+
+
+def _operator(f, dim: int) -> np.ndarray:
+    """Real dim^2 x dim^2 matrix of a real-linear map f on Herm(dim), with f
+    applied to the whole basis stack at once."""
+    B = hermitian_basis(dim)
+    return np.einsum("jab,kba->jk", B, f(B)).real
+
+
+def phi_D_operator(D: np.ndarray) -> np.ndarray:
+    """Real matrix of Z -> P_D Z P_D - Z; its kernel is the hermitian matrices
+    supported on D, of real dimension (dim D)^2.  Test oracle only."""
+    D = np.asarray(D, dtype=complex)
+    P = D @ D.conj().T
+    return _operator(lambda Z: P @ Z @ P - Z, D.shape[0])
+
+
+def phi_E_operator(E: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Real matrix of Z -> (P_E Z^Gamma P_E)^Gamma - Z on the m*n system.
+    Test oracle only."""
+    E = np.asarray(E, dtype=complex)
+    if E.shape[0] != m * n:
+        raise ValueError("subspace lives in the wrong dimension")
+    P = E @ E.conj().T
+    return _operator(lambda Z: _pt(P @ _pt(Z, m, n) @ P, m, n) - Z, m * n)
 
 
 def kernel_intersection_dim_oracle(
-    op_a: RealLinearOperator, op_b: RealLinearOperator, rel_cutoff: float = 1e-9
+    op_a: np.ndarray, op_b: np.ndarray, rel_cutoff: float = 1e-9
 ) -> int:
     """Independent route to dim(ker A & ker B): intersect the two kernel bases
-    (dim sum minus rank of the concatenation).  Test oracle for the stacked SVD."""
-    Ka = numerical_kernel(op_a.matrix, rel_cutoff)
-    Kb = numerical_kernel(op_b.matrix, rel_cutoff)
+    (dim sum minus rank of the concatenation).  Test oracle for
+    :func:`is_extreme_in_T`, valid when both kernels are proper subspaces."""
+    Ka = numerical_kernel(op_a, rel_cutoff)
+    Kb = numerical_kernel(op_b, rel_cutoff)
     if Ka.shape[1] == 0 or Kb.shape[1] == 0:
         return 0
     return Ka.shape[1] + Kb.shape[1] - numerical_rank(np.hstack([Ka, Kb]), rel_cutoff)
@@ -288,3 +298,44 @@ def verify_combination_identity(
     ry_x7 = float(np.linalg.norm(target - (y_head - xs[6])) / scale)
     ry_y7 = float(np.linalg.norm(target - (y_head - ys[6])) / scale)
     return CombinationIdentityReport(rx, ry_x7, ry_y7, rx <= tol_rel)
+
+
+@dataclass(frozen=True)
+class AppendixReport:
+    """Membership residuals, span ranks and combination-identity residuals of
+    the appendix bases at the face of rho(b, theta)."""
+
+    x_membership_max_residual: float
+    y_membership_max_residual: float
+    x_span_rank: int
+    y_span_rank: int
+    x_combination_residual: float
+    y_combination_residual_last_x7: float
+    y_combination_residual_last_y7: float
+
+
+def verify_appendix(b: float, theta: float) -> AppendixReport:
+    """Check the appendix bases against the face of rho(b, theta).
+
+    The membership residuals are max ||P_D M P_D - M||_F over the X basis and
+    max ||(P_E M^Gamma P_E)^Gamma - M||_F over the Y basis; the real
+    vectorization is an isometry, so they equal the norms of phi_D and phi_E
+    applied to the basis elements."""
+    X = rho(b, theta)
+    face = face_of(X)
+    P_D = face.D @ face.D.conj().T
+    P_E = face.E @ face.E.conj().T
+    xs = np.array(appendix_basis_X(b, theta))
+    ys = np.array(appendix_basis_Y(b, theta))
+    x_res = np.linalg.norm(P_D @ xs @ P_D - xs, axis=(1, 2)).max()
+    y_res = np.linalg.norm(_pt(P_E @ _pt(ys, X.m, X.n) @ P_E, X.m, X.n) - ys, axis=(1, 2)).max()
+    ident = verify_combination_identity(b, theta)
+    return AppendixReport(
+        float(x_res),
+        float(y_res),
+        basis_span_rank(xs),
+        basis_span_rank(ys),
+        ident.x_residual,
+        ident.y_residual_last_x7,
+        ident.y_residual_last_y7,
+    )

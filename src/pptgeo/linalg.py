@@ -1,9 +1,9 @@
 """Dense complex hermitian linear algebra with explicit tolerances.
 
-All matrices are small (at most 81x81 here, operators up to 162x81), so
-everything is plain dense numpy.  The real vectorization of hermitian space
-uses a fixed orthonormal basis, documented at :func:`hermitian_to_real_vector`,
-so that operator matrices are reproducible.
+All matrices are small (at most 81x81 here), so everything is plain dense
+numpy.  The real vectorization of hermitian space uses a fixed orthonormal
+basis, documented at :func:`hermitian_to_real_vector` and available as a
+stack from :func:`hermitian_basis`, so that real coordinates are reproducible.
 """
 from __future__ import annotations
 
@@ -134,60 +134,23 @@ def real_vector_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (dim * dim,):
         raise ValueError(f"expected vector of length {dim * dim}, got {v.shape}")
-    H = np.zeros((dim, dim), dtype=complex)
-    H[np.diag_indices(dim)] = v[:dim]
-    iu = np.triu_indices(dim, k=1)
-    noff = iu[0].size
-    off = (v[dim:dim + noff] + 1j * v[dim + noff:]) / np.sqrt(2.0)
-    H[iu] = off
-    H[(iu[1], iu[0])] = off.conj()
-    return H
+    return np.tensordot(v, hermitian_basis(dim), axes=1)
 
 
-def _real_basis_matrices(dim: int):
-    for k in range(dim * dim):
-        e = np.zeros(dim * dim)
-        e[k] = 1.0
-        yield real_vector_to_hermitian(e, dim)
-
-
-@dataclass(frozen=True)
-class RealLinearOperator:
-    """A real matrix acting on the real vectorization of hermitian space."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.dim, self.dim):
-            raise ValueError("operator matrix has wrong shape")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("operator entries must be finite")
-
-
-def real_operator_matrix(f, dim: int, check_linearity: bool = True) -> RealLinearOperator:
-    """Matrix of a real-linear map on hermitian matrices of size dim.
-
-    f takes and returns a hermitian ndarray.  A spot check of real linearity
-    on random samples guards against accidentally nonlinear callables.
-    """
-    if check_linearity:
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            X = as_hermitian(_random_hermitian(dim, rng))
-            Y = as_hermitian(_random_hermitian(dim, rng))
-            lhs = f(X + Y)
-            rhs = f(X) + f(Y)
-            scale = max(1.0, float(np.max(np.abs(rhs))))
-            if np.max(np.abs(lhs - rhs)) > 1e-8 * scale:
-                raise NumericalError("map is not real-linear on hermitian space")
-    cols = [hermitian_to_real_vector(f(B)) for B in _real_basis_matrices(dim)]
-    return RealLinearOperator(dim * dim, np.column_stack(cols))
-
-
-def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (A + A.conj().T) / 2
+def hermitian_basis(dim: int) -> np.ndarray:
+    """The basis of :func:`hermitian_to_real_vector` as a (dim^2, dim, dim)
+    stack: element k is the hermitian matrix with coordinate vector e_k."""
+    B = np.zeros((dim * dim, dim, dim), dtype=complex)
+    d = np.arange(dim)
+    B[d, d, d] = 1.0
+    r, c = np.triu_indices(dim, k=1)
+    sym = dim + np.arange(r.size)
+    anti = sym + r.size
+    h = 1 / np.sqrt(2.0)
+    B[sym, r, c] = B[sym, c, r] = h
+    B[anti, r, c] = 1j * h
+    B[anti, c, r] = -1j * h
+    return B
 
 
 def numerical_kernel(M: np.ndarray, rel_cutoff: float = 1e-9) -> np.ndarray:

@@ -71,20 +71,6 @@ def spec_from_json(obj: dict) -> DecomposableSpec:
     )
 
 
-def decomposition_to_json(parts) -> list:
-    return [
-        {"xi": vector_to_json(xi), "eta": vector_to_json(eta), "weight": float(w)}
-        for xi, eta, w in parts
-    ]
-
-
-def decomposition_from_json(obj) -> list:
-    return [
-        (vector_from_json(p["xi"]), vector_from_json(p["eta"]), float(p["weight"]))
-        for p in obj
-    ]
-
-
 def report_to_json(rep: ExtremalityReport) -> dict:
     return {
         "dim_ker_D": rep.dim_ker_D,

@@ -17,6 +17,7 @@ from pptgeo.extremality import (
     kernel_intersection_dim_oracle,
     phi_D_operator,
     phi_E_operator,
+    verify_appendix,
     verify_combination_identity,
 )
 from pptgeo.krawtchouk import nu_summary, solve
@@ -110,13 +111,18 @@ def test_criterion_04_appendix():
     op_E = phi_E_operator(face.E, 3, 3)
     xs = appendix_basis_X(b, th)
     ys = appendix_basis_Y(b, th)
-    x_res = max(np.linalg.norm(op_D.matrix @ hermitian_to_real_vector(M)) for M in xs)
-    y_res = max(np.linalg.norm(op_E.matrix @ hermitian_to_real_vector(M)) for M in ys)
+    x_res = max(np.linalg.norm(op_D @ hermitian_to_real_vector(M)) for M in xs)
+    y_res = max(np.linalg.norm(op_E @ hermitian_to_real_vector(M)) for M in ys)
     x_rank = basis_span_rank(xs)
     y_rank = basis_span_rank(ys)
     ident = verify_combination_identity(b, th)
+    # the direct residuals of verify_appendix agree with the operator oracle
+    app = verify_appendix(b, th)
     ok = (x_res <= 1e-9 and y_res <= 1e-9 and x_rank == 25
-          and ident.x_residual <= 1e-10)
+          and ident.x_residual <= 1e-10
+          and abs(app.x_membership_max_residual - x_res) <= 1e-12
+          and abs(app.y_membership_max_residual - y_res) <= 1e-12
+          and (app.x_span_rank, app.y_span_rank) == (x_rank, y_rank))
     report(4, f"appendix: memberships {x_res:.1e}/{y_res:.1e}, X-span {x_rank}, "
               f"Y-span {y_rank}, combination residual {ident.x_residual:.1e}; "
               f"Y variants (last term as 7th X / as 7th Y): "
@@ -245,7 +251,7 @@ def test_criterion_12_property_suites():
             op = phi_D_operator(Q)
         else:
             op = phi_E_operator(Q, 3, 3)
-        ok &= (81 - numerical_rank(op.matrix, 1e-9)) == d * d
+        ok &= (81 - numerical_rank(op, 1e-9)) == d * d
     # partial transpose: hermitian trace-preserving involution
     for _ in range(100):
         m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -255,7 +261,7 @@ def test_criterion_12_property_suites():
         ok &= bool(np.max(np.abs(Y.data - Y.data.conj().T)) <= 1e-13)
         ok &= abs(np.trace(Y.data).real - np.trace(X.data).real) <= 1e-12
         ok &= bool(np.max(np.abs(partial_transpose(Y).data - X.data)) == 0.0)
-    # stacked SVD vs. kernel-basis intersection oracle
+    # face-coordinate solve vs. kernel-basis intersection oracle
     for b in (0.5, 1.0, 2.0):
         for th in (math.pi / 12, -math.pi / 4, 5 * math.pi / 12):
             X = rho(b, th)

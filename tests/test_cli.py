@@ -145,6 +145,16 @@ class TestExtremalityCommand:
         assert ax["y_combination_residual_last_x7"] > 1e-2
         assert "extreme=True" in err
 
+    def test_verify_appendix_usage_errors(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(bipartite_to_json(rho(2, math.pi / 6))))
+        for source in (["--in", str(path)],
+                       ["--family", "sigma", "--b", "2", "--theta", "pi/6"]):
+            code, out, err = run(capsys, "extremality", *source, "--verify-appendix")
+            assert code == 2
+            assert out == ""
+            assert "--verify-appendix" in err
+
     def test_sigma_not_extreme(self, capsys):
         code, out, _ = run(capsys, "extremality", "--family", "sigma",
                            "--b", "2", "--theta", "pi/6")

@@ -21,6 +21,7 @@ from pptgeo.states import (
     combine,
     kernel_vectors_w,
     partial_transpose,
+    product_state,
     rho,
     sigma,
 )
@@ -28,6 +29,17 @@ from pptgeo.states import (
 GENERIC = [(2.0, math.pi / 6), (0.5, -1.1), (1.3, 2.0), (4.0, 5 * math.pi / 12)]
 # the appendix bases are written for angles on the open arc (0, pi/3)
 ZERO_ARC = [(2.0, math.pi / 6), (0.5, 0.3), (1.3, 1.0)]
+
+
+def random_separable(rng, rank):
+    """Sum of `rank` random product projectors on C^3 (x) C^3; for rank <= 8 it
+    and its partial transpose both have rank `rank`, so the oracle applies."""
+    X = np.zeros((9, 9), dtype=complex)
+    for _ in range(rank):
+        a, b = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        v = np.kron(a, b)
+        X += np.outer(v, v.conj())
+    return BipartiteMatrix(3, 3, X)
 
 
 class TestFace:
@@ -50,22 +62,22 @@ class TestPhiOperators:
             X = rho(b, th)
             op = phi_D_operator(face_of(X).D)
             v = hermitian_to_real_vector(X.data)
-            assert np.linalg.norm(op.matrix @ v) <= 1e-9 * np.linalg.norm(v)
+            assert np.linalg.norm(op @ v) <= 1e-9 * np.linalg.norm(v)
 
     def test_phi_e_kills_state(self):
         for b, th in GENERIC:
             X = rho(b, th)
             op = phi_E_operator(face_of(X).E, 3, 3)
             v = hermitian_to_real_vector(X.data)
-            assert np.linalg.norm(op.matrix @ v) <= 1e-9 * np.linalg.norm(v)
+            assert np.linalg.norm(op @ v) <= 1e-9 * np.linalg.norm(v)
 
     def test_kernel_dims_generic(self):
         for b, th in GENERIC:
             face = face_of(rho(b, th))
             opD = phi_D_operator(face.D)
             opE = phi_E_operator(face.E, 3, 3)
-            sD = np.linalg.svd(opD.matrix, compute_uv=False)
-            sE = np.linalg.svd(opE.matrix, compute_uv=False)
+            sD = np.linalg.svd(opD, compute_uv=False)
+            sE = np.linalg.svd(opE, compute_uv=False)
             assert np.sum(sD <= 1e-9 * sD[0]) == 25
             assert np.sum(sE <= 1e-9 * sE[0]) == 25
 
@@ -77,7 +89,7 @@ class TestPhiOperators:
         op = phi_D_operator(D)
         A = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         H = (A + A.conj().T) / 2
-        lhs = op.matrix @ hermitian_to_real_vector(H)
+        lhs = op @ hermitian_to_real_vector(H)
         rhs = hermitian_to_real_vector(P @ H @ P - H)
         assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -95,14 +107,24 @@ class TestExtremality:
         assert np.max(np.abs(g - target)) <= 1e-8
 
     def test_matches_oracle(self):
-        for b, th in GENERIC:
-            X = rho(b, th)
+        rng = np.random.default_rng(11)
+        states = [rho(b, th) for b, th in GENERIC]
+        states += [family(b, k * math.pi / 12)
+                   for family in (rho, sigma) for b in (0.25, 4.0) for k in range(24)]
+        for rank in range(1, 9):
+            X = random_separable(rng, rank)
+            states += [BipartiteMatrix(3, 3, X.data * 10.0**e) for e in (-6, 6)]
+        for X in states:
             face = face_of(X)
             rep = is_extreme_in_T(X)
+            p, q = face.D.shape[1], face.E.shape[1]
             oracle = kernel_intersection_dim_oracle(
                 phi_D_operator(face.D), phi_E_operator(face.E, 3, 3)
             )
-            assert rep.dim_intersection == oracle
+            assert (p * p, q * q, oracle) == (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection)
+            if rep.is_extreme:
+                target = X.data / np.trace(X.data).real
+                assert np.max(np.abs(rep.generator.data - target)) <= 1e-8
 
     def test_sigma_not_extreme(self):
         rep = is_extreme_in_T(sigma(2, math.pi / 6))
@@ -117,6 +139,16 @@ class TestExtremality:
     def test_mixture_not_extreme(self):
         X = combine([rho(2, math.pi / 6), rho(1, 5 * math.pi / 6)], [0.5, 0.5])
         assert not is_extreme_in_T(X).is_extreme
+
+    def test_full_rank_and_product_faces(self):
+        mixture = combine([rho(2, math.pi / 6), rho(1, 5 * math.pi / 6)], [0.5, 0.5])
+        for X in (mixture, BipartiteMatrix(3, 3, np.eye(9) / 9)):
+            rep = is_extreme_in_T(X)
+            assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == (81, 81, 81)
+            assert not rep.is_extreme
+        rep = is_extreme_in_T(product_state([1, 1j, 0.5], [2, -1, 1j]))
+        assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == (1, 1, 1)
+        assert rep.is_extreme
 
     def test_boundary_angle_rho_extreme(self):
         rep = is_extreme_in_T(rho(1, math.pi))
@@ -135,7 +167,7 @@ class TestAppendixBases:
         op = phi_D_operator(face.D)
         for k, X in enumerate(appendix_basis_X(b, theta)):
             v = hermitian_to_real_vector(X)
-            r = np.linalg.norm(op.matrix @ v) / np.linalg.norm(v)
+            r = np.linalg.norm(op @ v) / np.linalg.norm(v)
             assert r <= 1e-9, f"X{k + 1} residual {r:.3e}"
 
     @pytest.mark.parametrize("b,theta", ZERO_ARC)
@@ -144,7 +176,7 @@ class TestAppendixBases:
         op = phi_E_operator(face.E, 3, 3)
         for k, Y in enumerate(appendix_basis_Y(b, theta)):
             v = hermitian_to_real_vector(Y)
-            r = np.linalg.norm(op.matrix @ v) / np.linalg.norm(v)
+            r = np.linalg.norm(op @ v) / np.linalg.norm(v)
             assert r <= 1e-9, f"Y{k + 1} residual {r:.3e}"
 
     def test_span_ranks(self):
@@ -160,7 +192,7 @@ class TestAppendixBases:
         )
         # every appendix vector already checked in-kernel; rank 25 = dim Ker
         assert numerical_rank(cols, 1e-9) == 25
-        s = np.linalg.svd(op.matrix, compute_uv=False)
+        s = np.linalg.svd(op, compute_uv=False)
         assert np.sum(s <= 1e-9 * s[0]) == 25
 
     def test_hermitian(self):

@@ -6,16 +6,15 @@ from numpy.testing import assert_allclose
 
 from pptgeo.linalg import (
     DEFAULT_TOL,
-    NumericalError,
     Tolerance,
     as_hermitian,
     eig_hermitian,
+    hermitian_basis,
     hermitian_to_real_vector,
     is_psd,
     kernel_basis,
     range_projection,
     rank_tol,
-    real_operator_matrix,
     real_vector_to_hermitian,
 )
 from pptgeo.states import p_theta, rho
@@ -168,19 +167,13 @@ class TestVectorization:
             tr = np.trace(X @ Y).real
             assert abs(tr - dot) <= 1e-10 * np.linalg.norm(X) * np.linalg.norm(Y)
 
-
-class TestRealOperatorMatrix:
-    def test_identity_map_exact(self):
-        op = real_operator_matrix(lambda X: X, 3)
-        assert np.array_equal(op.matrix, np.eye(9))
-
-    def test_negation(self):
-        op = real_operator_matrix(lambda X: -X, 2)
-        assert np.array_equal(op.matrix, -np.eye(4))
-
-    def test_nonlinear_rejected(self):
-        with pytest.raises(NumericalError):
-            real_operator_matrix(lambda X: X @ X, 3)
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_basis_stack(self, d):
+        B = hermitian_basis(d)
+        for k, e in enumerate(np.eye(d * d)):
+            assert_allclose(hermitian_to_real_vector(B[k]), e, atol=1e-15)
+        gram = np.einsum("jab,kba->jk", B, B)
+        assert_allclose(gram, np.eye(d * d), atol=1e-15)
 
 
 class TestIsPsd:
