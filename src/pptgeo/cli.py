@@ -40,6 +40,8 @@ def parse_theta(text: str) -> float:
     if m:
         num = m.group("num") or "1"
         den = m.group("den") or "1"
+        if int(den) == 0:
+            raise argparse.ArgumentTypeError(f"angle {text!r} divides by zero")
         frac = Fraction(num) / Fraction(den)
         val = float(frac) * math.pi
         return -val if m.group("sign") == "-" else val
@@ -64,7 +66,23 @@ def format_theta(theta: float) -> str:
 
 
 def default_seed() -> int:
-    return int(os.environ.get("PPTGEO_SEED", "0"))
+    """PPTGEO_SEED as an integer, 0 when unset."""
+    text = os.environ.get("PPTGEO_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"PPTGEO_SEED must be an integer, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def _emit(obj, out_path=None):
@@ -159,6 +177,8 @@ def cmd_combine(args) -> int:
         spec = json.loads(args.spec)
     except json.JSONDecodeError:
         spec = _load_json(args.spec)
+    if not isinstance(spec, list) or not all(isinstance(s, dict) for s in spec):
+        raise argparse.ArgumentTypeError("--spec must be a JSON list of objects")
     states = [_construct(s["family"], float(s["b"]), parse_theta(str(s["theta"]))) for s in spec]
     weights = [float(s["weight"]) for s in spec]
     X = st.combine(states, weights)
@@ -294,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--map", required=True, metavar="FILE")
     pm = msub.add_parser("boundary-witness")
     pm.add_argument("--spec", required=True, metavar="FILE")
-    pm.add_argument("--restarts", type=int, default=1000)
+    pm.add_argument("--restarts", type=_positive_int, default=1000)
     pm.add_argument("--seed", type=int, default=default_seed())
     p.set_defaults(func=cmd_map)
 
@@ -309,7 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    try:
+        ap = build_parser()
+    except argparse.ArgumentTypeError as exc:
+        _note(f"usage error: {exc}")
+        return EXIT_USAGE
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -318,7 +342,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError, KeyError, argparse.ArgumentTypeError) as exc:
         _note(f"input error: {exc}")
         return EXIT_USAGE
     except (ValueError, NumericalError) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import NumericalError
-from .states import BipartiteMatrix, p_theta
+from .states import BipartiteMatrix, _gram_rows, _product_starts, _seesaw, p_theta
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,16 @@ def product_pairing(spec: DecomposableSpec, xi, eta) -> float:
     return float(total)
 
 
+def _pairing_form(spec: DecomposableSpec) -> np.ndarray:
+    """Q[i,a,j,b] = sum V_ia conj(V_jb) + sum W_ja conj(W_ib), the (m, n, m, n)
+    form with <xi (x) eta| Q |xi (x) eta> = product_pairing(spec, xi, eta);
+    it equals the conjugated Choi matrix of decomposable_map(spec)."""
+    m, n = spec.shape
+    V = np.array(spec.Vs).reshape(-1, m, n)
+    W = np.array(spec.Ws).reshape(-1, m, n)
+    return np.einsum("kia,kjb->iajb", V, V.conj()) + np.einsum("kja,kib->iajb", W, W.conj())
+
+
 def boundary_witness_search(
     spec: DecomposableSpec,
     restarts: int = 1000,
@@ -209,50 +219,20 @@ def boundary_witness_search(
     <xi_bar|W_j|eta_bar> = 0 for every generator: a numerical certificate that
     the map sits on the boundary of the positive-map cone.
 
-    Multi-start alternating minimization: for fixed eta the objective is a
-    hermitian quadratic form in xi (take the bottom eigenvector), and
-    symmetrically for eta.  Returns (xi, eta, residual) or None; no result is
-    inconclusive.
+    The product pairing is the hermitian form <xi (x) eta| Q |xi (x) eta> with
+    Q = conj(C) for the Choi matrix C of the decomposable map.  Multi-start
+    alternating minimization (restart 0 first, then the others as one batch)
+    takes bottom eigenvectors in xi and eta in turn.  Returns
+    (xi, eta, residual), the residual recomputed by :func:`product_pairing`,
+    or None; no result is inconclusive.
     """
     m, n = spec.shape
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        xi = rng.normal(size=m) + 1j * rng.normal(size=m)
-        eta = rng.normal(size=n) + 1j * rng.normal(size=n)
-        xi /= np.linalg.norm(xi)
-        eta /= np.linalg.norm(eta)
-        prev = np.inf
-        for _ in range(200):
-            M = np.zeros((m, m), dtype=complex)
-            for V in spec.Vs:
-                a = V @ eta.conj()
-                M += np.outer(a, a.conj())
-            for W in spec.Ws:
-                c = (W @ eta.conj()).conj()
-                M += np.outer(c, c.conj())
-            w, U = np.linalg.eigh((M + M.conj().T) / 2)
-            xi = U[:, 0]
-            N = np.zeros((n, n), dtype=complex)
-            for V in spec.Vs:
-                a = V.conj().T @ xi
-                N += np.outer(a, a.conj())
-            for W in spec.Ws:
-                c = W.conj().T @ xi.conj()
-                N += np.outer(c, c.conj())
-            w, U = np.linalg.eigh((N + N.conj().T) / 2)
-            eta = U[:, 0].conj()
-            val = float(w[0].real)
-            if prev - val < 1e-16:
-                break
-            prev = val
-        residual = product_pairing(spec, xi, eta)
-        if best is None or residual < best[2]:
-            best = (xi, eta, residual)
-        if residual <= residual_tol:
-            return best
-    if best is not None and best[2] <= residual_tol:
-        return best
+    _, eta = _product_starts(restarts, m, n, seed)
+    xi, eta, _ = _seesaw(_pairing_form(spec), eta, maximize=False, gain_tol=1e-16,
+                         target=residual_tol)
+    residual = product_pairing(spec, xi, eta)
+    if residual <= residual_tol:
+        return xi, eta, residual
     return None
 
 
@@ -287,41 +267,19 @@ def trace_map_decomposition_33() -> DecomposableSpec:
 
 
 def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -> float:
-    """Minimum of <eta| phi(|xi><xi|) |eta> over sampled unit product vectors,
-    refined by alternating bottom-eigenvector descent from the best sample.
-    Deterministic per seed; a negative value certifies non-positivity."""
+    """Minimum of <eta| phi(|xi><xi|) |eta> = <xi_bar (x) eta| C |xi_bar (x) eta>
+    over sampled unit product vectors, refined from the best sample by
+    alternating bottom-eigenvector descent on that same form.  Deterministic
+    per seed; a negative value certifies non-positivity."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
     m, n = phi.m, phi.n
-    Cr = phi.choi.data.reshape(m, n, m, n)
-
-    def value(xi, eta):
-        s = np.einsum("a,iajb,b->ij", eta.conj(), Cr, eta)
-        return float((xi.conj() @ s @ xi).real)
-
-    best_val = np.inf
-    best = None
-    for _ in range(samples):
-        xi = rng.normal(size=m) + 1j * rng.normal(size=m)
-        eta = rng.normal(size=n) + 1j * rng.normal(size=n)
-        xi /= np.linalg.norm(xi)
-        eta /= np.linalg.norm(eta)
-        v = value(xi, eta)
-        if v < best_val:
-            best_val = v
-            best = (xi, eta)
-    xi, eta = best
-    for _ in range(100):
-        s = np.einsum("a,iajb,b->ij", eta.conj(), Cr, eta)
-        w, U = np.linalg.eigh((s + s.conj().T) / 2)
-        xi = U[:, 0]
-        img = apply_map(phi, np.outer(xi, xi.conj()))
-        w, U = np.linalg.eigh((img + img.conj().T) / 2)
-        eta = U[:, 0]
-        v = float(w[0].real)
-        if best_val - v < 1e-15:
-            best_val = min(best_val, v)
-            break
-        best_val = v
-    return best_val
+    C = phi.choi.data.reshape(m, n, m, n)
+    xi, eta = _product_starts(samples, m, n, seed)
+    # <xi (x) eta| C |xi (x) eta> for every sample at once, the value above at
+    # (xi_bar, eta); xi and xi_bar are equally distributed.
+    vals = np.einsum("sk,sk->s", _gram_rows(xi) @ C.transpose(0, 2, 1, 3).reshape(m * m, n * n),
+                     _gram_rows(eta)).real
+    vals /= (np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1)) ** 2
+    k = int(np.argmin(vals))
+    return float(_seesaw(C, eta[k:k + 1], maximize=False, gain_tol=1e-15, max_iter=100)[2])

@@ -261,6 +261,72 @@ def product_decomposition_rho_1_pi() -> list[tuple[np.ndarray, np.ndarray, float
     return [(np.array(s, dtype=complex), np.array(s, dtype=complex), 0.25) for s in signs]
 
 
+def _product_starts(restarts: int, m: int, n: int, seed: int):
+    """All start pairs of a multi-start search, drawn up front from
+    default_rng(seed): complex gaussian rows xi (restarts, m) and
+    eta (restarts, n), not normalized (their directions are uniform)."""
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    z = np.random.default_rng(seed).normal(size=(restarts, m + n, 2)).view(complex)[..., 0]
+    return z[:, :m], z[:, m:]
+
+
+def _gram_rows(v: np.ndarray) -> np.ndarray:
+    """conj(v_r) v_r^T for each row v_r of v, flattened: (R, k) -> (R, k*k)."""
+    return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+
+
+def _seesaw(Q: np.ndarray, eta: np.ndarray, maximize: bool, gain_tol: float,
+            target: float | None = None, max_iter: int = 200):
+    """Extremise <xi (x) eta| Q |xi (x) eta> over unit product vectors by
+    alternating eigenvector updates, all restarts advanced as one stack.
+
+    Q is a hermitian form of shape (m, n, m, n) and eta (R, n) holds the
+    starts; each step sets xi from eta, then eta from xi, so the xi of a
+    start pair is never read.  A restart stops after max_iter steps or once
+    a step gains less than gain_tol; steps never lose (up to rounding), so
+    its last value is its best.  Restart 0 runs alone, then the rest run
+    together; everything stops as soon as a stopped restart's value reaches
+    target (a restart is only judged once it has stopped, so a caller's
+    re-evaluation is not left at the edge of target).  Returns the best
+    (xi, eta, value) among the restarts that ran.
+    """
+    m, n = Q.shape[:2]
+    # Minimize sign * Q throughout, so maximizing Q is minimizing -Q.
+    sign = -1.0 if maximize else 1.0
+    reach = -np.inf if target is None else sign * target
+    # The xi-form for fixed eta is _gram_rows(eta) @ to_xi, and symmetrically.
+    to_xi = sign * Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
+    to_eta = sign * Q.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    best = (None, None, np.inf)
+    for e in (eta[:1], eta[1:]):
+        if not len(e):
+            break
+        v = np.full(len(e), np.inf)
+        for _ in range(max_iter):
+            x = np.linalg.eigh((_gram_rows(e) @ to_xi).reshape(-1, m, m))[1][:, :, 0]
+            w, U = np.linalg.eigh((_gram_rows(x) @ to_eta).reshape(-1, n, n))
+            e, gain, v = U[:, :, 0], v - w[:, 0], w[:, 0]
+            stopped = gain < gain_tol
+            if stopped.any():
+                best = _lowest(best, x[stopped], e[stopped], v[stopped])
+                live = ~stopped
+                x, e, v = x[live], e[live], v[live]
+                if best[2] <= reach or not len(e):
+                    break
+        else:
+            best = _lowest(best, x, e, v)
+        if best[2] <= reach:
+            break
+    return best[0], best[1], sign * best[2]
+
+
+def _lowest(best, x, e, v):
+    """best, or the row of (x, e, v) with the lowest value if that is lower."""
+    k = int(np.argmin(v))
+    return (x[k], e[k], v[k]) if v[k] < best[2] else best
+
+
 def search_product_vector_in_subspace(
     D: np.ndarray,
     m: int,
@@ -273,7 +339,8 @@ def search_product_vector_in_subspace(
     orthonormal columns D of C^m (x) C^n.
 
     Multi-start alternating maximization of <xi (x) eta| P |xi (x) eta> by
-    top-eigenvector updates in xi and eta.  Returns (xi, eta) with
+    top-eigenvector updates in xi and eta (restart 0 first, then the others
+    as one batch).  Returns (xi, eta) with
     ||(I - P)(xi (x) eta)|| <= residual_tol, or None.  A None result is not a
     proof that no product vector exists.
     """
@@ -281,32 +348,8 @@ def search_product_vector_in_subspace(
     if D.ndim != 2 or D.shape[0] != m * n:
         raise ValueError("D must have m*n rows of orthonormal columns")
     P = (D @ D.conj().T).reshape(m, n, m, n)
-    rng = np.random.default_rng(seed)
-    best = None
-    best_val = -1.0
-    for _ in range(restarts):
-        xi = rng.normal(size=m) + 1j * rng.normal(size=m)
-        eta = rng.normal(size=n) + 1j * rng.normal(size=n)
-        xi /= np.linalg.norm(xi)
-        eta /= np.linalg.norm(eta)
-        val = 0.0
-        for _ in range(200):
-            A = np.einsum("j,ijkl,l->ik", eta.conj(), P, eta)
-            w, V = np.linalg.eigh((A + A.conj().T) / 2)
-            xi = V[:, -1]
-            B = np.einsum("i,ijkl,k->jl", xi.conj(), P, xi)
-            w, V = np.linalg.eigh((B + B.conj().T) / 2)
-            eta = V[:, -1]
-            new_val = float(w[-1].real)
-            if new_val - val < 1e-15:
-                val = new_val
-                break
-            val = new_val
-        if val > best_val:
-            best_val = val
-            best = (xi, eta)
-        if 1.0 - best_val <= residual_tol**2:
-            return best
-    if best is not None and 1.0 - best_val <= residual_tol**2:
-        return best
+    _, eta = _product_starts(restarts, m, n, seed)
+    xi, eta, val = _seesaw(P, eta, maximize=True, gain_tol=1e-15, target=1.0 - residual_tol**2)
+    if 1.0 - val <= residual_tol**2:
+        return xi, eta
     return None

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pptgeo.cli import format_theta, main, parse_theta
+from pptgeo.cli import build_parser, format_theta, main, parse_theta
 from pptgeo.serialize import (
     bipartite_from_json,
     bipartite_to_json,
@@ -15,7 +15,7 @@ from pptgeo.serialize import (
     vector_from_json,
     vector_to_json,
 )
-from pptgeo.maps import DecomposableSpec, trace_map
+from pptgeo.maps import DecomposableSpec, trace_map, trace_map_decomposition_33
 from pptgeo.states import rho
 
 
@@ -47,6 +47,18 @@ class TestParseTheta:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_theta("two pies")
+
+    def test_rejects_zero_denominator(self):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_theta("pi/0")
+
+    def test_zero_denominator_is_usage(self, capsys):
+        code, out, err = run(capsys, "state", "classify", "--family", "rho",
+                             "--b", "1", "--theta", "pi/0")
+        assert code == 2
+        assert out == "" and "divides by zero" in err
 
 
 class TestSerialize:
@@ -186,6 +198,14 @@ class TestCombineCommand:
         assert rep["classification"]["type"] == [5, 5]
         assert rep["classification"]["arc"] == "zero"
 
+    @pytest.mark.parametrize("spec", ['{"a": 1}', '[1, 2]', '"rho"'])
+    def test_spec_not_a_list_of_objects_is_usage(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code, out, err = run(capsys, "combine", "--spec", str(path))
+        assert code == 2
+        assert out == "" and "list of objects" in err
+
     def test_bad_weights(self, capsys):
         spec = json.dumps([{"family": "rho", "b": 1, "theta": "0", "weight": 2.0}])
         code, _, _ = run(capsys, "combine", "--spec", spec)
@@ -251,6 +271,15 @@ class TestMapCommands:
         assert rep["found"] is True
         assert rep["residual"] <= 1e-12
 
+    @pytest.mark.parametrize("restarts", ["0", "-3", "many"])
+    def test_boundary_witness_bad_restarts_is_usage(self, capsys, tmp_path, restarts):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(trace_map_decomposition_33())))
+        code, out, err = run(capsys, "map", "boundary-witness",
+                             "--spec", str(path), "--restarts", restarts)
+        assert code == 2
+        assert out == "" and "positive integer" in err
+
     def test_missing_file_is_usage(self, capsys, tmp_path):
         code, _, _ = run(capsys, "map", "pair",
                          "--state", str(tmp_path / "no.json"),
@@ -274,6 +303,17 @@ class TestKrawtchoukCommands:
     def test_invalid_dims_usage(self, capsys):
         code, _, _ = run(capsys, "krawtchouk", "solve", "--m", "1", "--n", "3")
         assert code == 2
+
+    def test_bad_seed_variable_is_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("PPTGEO_SEED", "abc")
+        code, out, err = run(capsys, "krawtchouk", "solve", "--m", "2", "--n", "4")
+        assert code == 2
+        assert out == "" and "PPTGEO_SEED" in err
+
+    def test_seed_variable_sets_witness_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("PPTGEO_SEED", "7")
+        assert build_parser().parse_args(
+            ["map", "boundary-witness", "--spec", "f.json"]).seed == 7
 
 
 def test_no_subcommand_is_usage(capsys):

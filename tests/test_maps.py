@@ -250,6 +250,11 @@ class TestBoundaryWitness:
         assert_allclose(a[0], b[0])
         assert_allclose(a[1], b[1])
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_nonpositive_restarts(self, restarts):
+        with pytest.raises(ValueError):
+            boundary_witness_search(trace_map_decomposition_33(), restarts=restarts)
+
 
 class TestBlockPositivity:
     def test_identity_map(self):
@@ -258,6 +263,17 @@ class TestBlockPositivity:
     def test_negative_for_nonpositive_map(self):
         phi = choi_of(lambda E: -E, 3, 3)
         assert block_positivity_sample(phi, samples=500) < 0
+
+    def test_refine_reaches_rank_one_dip(self):
+        # C = I - 2|a (x) b><a (x) b| has product-vector minimum -1 at (a_bar, b);
+        # the refine must descend one form, not alternate xi and xi_bar
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=3) + 1j * rng.normal(size=3)
+        b = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        phi = ChoiMap(3, 3, BipartiteMatrix(3, 3, np.eye(9) - 2 * np.outer(v, v.conj())))
+        for seed in range(5):
+            assert block_positivity_sample(phi, samples=500, seed=seed) == pytest.approx(-1.0, abs=1e-9)
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,141 @@
+"""The batched product-vector seesaw against a plain per-restart loop."""
+import math
+
+import numpy as np
+import pytest
+
+from pptgeo.maps import (
+    DecomposableSpec,
+    _pairing_form,
+    decomposable_map,
+    phi_theta_t,
+    product_pairing,
+    trace_map_decomposition_2n,
+)
+from pptgeo.states import _product_starts, _seesaw
+
+
+def seesaw_oracle(Q, eta_starts, maximize, gain_tol, max_iter=200):
+    """One restart at a time, one 3-operand einsum and one eigh per half-step:
+    the reference for the batched kernel (no early stop on a target)."""
+    pick = -1 if maximize else 0
+    best = None
+    for eta in eta_starts:
+        prev = -np.inf if maximize else np.inf
+        for _ in range(max_iter):
+            A = np.einsum("a,iajb,b->ij", eta.conj(), Q, eta)
+            xi = np.linalg.eigh(A)[1][:, pick]
+            B = np.einsum("i,iajb,j->ab", xi.conj(), Q, xi)
+            w, U = np.linalg.eigh(B)
+            eta, val = U[:, pick], w[pick]
+            gain = val - prev if maximize else prev - val
+            prev = val
+            if gain < gain_tol:
+                break
+        if best is None or (val > best[2] if maximize else val < best[2]):
+            best = (xi, eta, val)
+    return best
+
+
+def form_value(Q, xi, eta):
+    v = np.kron(xi, eta)
+    m, n = len(xi), len(eta)
+    return float((v.conj() @ Q.reshape(m * n, m * n) @ v).real)
+
+
+def random_projector(m, n, k, rng):
+    A = rng.normal(size=(m * n, k)) + 1j * rng.normal(size=(m * n, k))
+    D = np.linalg.qr(A)[0]
+    return (D @ D.conj().T).reshape(m, n, m, n)
+
+
+def generic_spec(rng):
+    g = lambda: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))  # noqa: E731
+    return DecomposableSpec((g(),), (g(), g()))
+
+
+def trace_2n_plus_v(rng):
+    """trace_map_decomposition_2n(2) with one extra random V, so the 2 (x) 4
+    form is no longer a multiple of the identity."""
+    spec = trace_map_decomposition_2n(2)
+    V = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    return DecomposableSpec(spec.Vs + (V,), spec.Ws)
+
+
+def choi_form(phi):
+    return phi.choi.data.reshape(phi.m, phi.n, phi.m, phi.n)
+
+
+# (name, form builder from an rng, maximize, gain_tol)
+CASES = [
+    ("max projector 3x3", lambda rng: random_projector(3, 3, 4, rng), True, 1e-15),
+    ("max projector 2x4", lambda rng: random_projector(2, 4, 3, rng), True, 1e-15),
+    ("min witness 3x3", lambda rng: _pairing_form(generic_spec(rng)), False, 1e-16),
+    ("min witness 2x4", lambda rng: _pairing_form(trace_2n_plus_v(rng)), False, 1e-16),
+    ("min witness trace 2x4", lambda rng: _pairing_form(trace_map_decomposition_2n(2)), False, 1e-16),
+    ("min Choi 3x3", lambda rng: choi_form(phi_theta_t(math.pi / 6, 1.0)), False, 1e-15),
+    ("min Choi 2x4", lambda rng: -choi_form(decomposable_map(trace_2n_plus_v(rng))), False, 1e-15),
+]
+
+
+class TestSeesawKernel:
+    @pytest.mark.parametrize("restarts", [1, 7])
+    @pytest.mark.parametrize("name,build,maximize,gain_tol", CASES, ids=[c[0] for c in CASES])
+    def test_matches_oracle(self, name, build, maximize, gain_tol, restarts):
+        rng = np.random.default_rng(17)
+        Q = build(rng)
+        m, n = Q.shape[:2]
+        _, eta = _product_starts(restarts, m, n, seed=3)
+        xi_k, eta_k, val_k = _seesaw(Q, eta, maximize, gain_tol)
+        xi_o, eta_o, val_o = seesaw_oracle(Q, eta, maximize, gain_tol)
+        assert val_k == pytest.approx(val_o, abs=1e-10)
+        assert np.linalg.norm(xi_k) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(eta_k) == pytest.approx(1.0, abs=1e-12)
+        assert form_value(Q, xi_k, eta_k) == pytest.approx(val_k, abs=1e-10)
+
+    def test_restart_schedule(self, monkeypatch):
+        # a projector onto a space holding a product vector: restart 0 reaches
+        # the target alone; without a target the other 49 run as one stack,
+        # which empties as they converge, long before max_iter
+        v = np.kron([1.0, 1j, 0.0], [0.0, 1.0, 1.0]) / 2
+        Q = np.outer(v, v.conj()).reshape(3, 3, 3, 3)
+        _, eta = _product_starts(50, 3, 3, seed=0)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting(A):
+            sizes.append(len(A))
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        val = _seesaw(Q, eta, True, 1e-15, target=1.0 - 1e-14)[2]
+        assert val >= 1.0 - 1e-14
+        assert set(sizes) == {1}
+        sizes.clear()
+        _seesaw(Q, eta, True, 1e-15)
+        assert sizes[0] == 1 and 49 in sizes
+        assert len(sizes) < 2 * 200
+
+    def test_target_judges_stopped_restarts(self):
+        # a witness value is only accepted once its restart has converged, so
+        # it lands far below the target instead of just under it, where
+        # product_pairing's re-evaluation could round it back above
+        rng = np.random.default_rng(2)
+        for seed in range(5):
+            spec = generic_spec(rng)
+            _, eta = _product_starts(20, 3, 3, seed)
+            xi, eta, val = _seesaw(_pairing_form(spec), eta, False, 1e-16, target=1e-12)
+            assert abs(val) <= 1e-14
+            assert product_pairing(spec, xi, eta) <= 1e-14
+
+
+class TestPairingForm:
+    @pytest.mark.parametrize("spec", [
+        generic_spec(np.random.default_rng(5)),
+        trace_map_decomposition_2n(2),
+        trace_2n_plus_v(np.random.default_rng(6)),
+    ], ids=["generic 3x3", "trace 2x4", "trace+V 2x4"])
+    def test_equals_conjugated_choi(self, spec):
+        m, n = spec.shape
+        Q = _pairing_form(spec).reshape(m * n, m * n)
+        assert np.max(np.abs(Q - decomposable_map(spec).choi.data.conj())) <= 1e-12

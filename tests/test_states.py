@@ -315,6 +315,11 @@ class TestProductVectorSearch:
         found = search_product_vector_in_subspace(np.eye(4), 2, 2, restarts=5)
         assert found is not None
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_nonpositive_restarts(self, restarts):
+        with pytest.raises(ValueError):
+            search_product_vector_in_subspace(np.eye(4), 2, 2, restarts=restarts)
+
     def test_antisymmetric_subspace_empty(self):
         v = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
         found = search_product_vector_in_subspace(v[:, None], 2, 2, restarts=100)
