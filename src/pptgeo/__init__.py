@@ -29,7 +29,6 @@ from .linalg import (
     hermitian_to_real_vector,
     is_psd,
     kernel_basis,
-    range_projection,
     rank_tol,
     real_vector_to_hermitian,
 )

@@ -115,7 +115,9 @@ def _state_from_args(args) -> tuple[st.BipartiteMatrix, float | None]:
     """Resolve a state plus (when known) its theta from --in or family flags."""
     if getattr(args, "infile", None):
         return ser.bipartite_from_json(_load_json(args.infile)), None
-    if args.family is None or args.b is None or args.theta is None:
+    missing = [f"--{name}" for name in ("family", "b", "theta") if getattr(args, name) is None]
+    if missing:
+        _note(f"usage error: give --in FILE, or --family, --b and --theta (missing {', '.join(missing)})")
         raise SystemExit(EXIT_USAGE)
     return _construct(args.family, args.b, args.theta), args.theta
 
@@ -172,18 +174,31 @@ def cmd_extremality(args) -> int:
     return EXIT_OK
 
 
+def _spec_entry(i: int, s: dict) -> tuple[str, float, float, float]:
+    """(family, b, theta, weight) of the i-th --spec entry."""
+    if s["family"] not in ("rho", "sigma"):
+        raise argparse.ArgumentTypeError(f"--spec entry {i}: unknown family {s['family']!r}")
+    try:
+        b, weight = float(s["b"]), float(s["weight"])
+    except (TypeError, ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(
+            f"--spec entry {i}: b and weight must be numbers, got {s['b']!r} and {s['weight']!r}"
+        ) from None
+    return s["family"], b, parse_theta(str(s["theta"])), weight
+
+
 def cmd_combine(args) -> int:
     try:
         spec = json.loads(args.spec)
     except json.JSONDecodeError:
         spec = _load_json(args.spec)
-    if not isinstance(spec, list) or not all(isinstance(s, dict) for s in spec):
-        raise argparse.ArgumentTypeError("--spec must be a JSON list of objects")
-    states = [_construct(s["family"], float(s["b"]), parse_theta(str(s["theta"]))) for s in spec]
-    weights = [float(s["weight"]) for s in spec]
-    X = st.combine(states, weights)
-    thetas = [parse_theta(str(s["theta"])) for s in spec]
-    theta = thetas[0] if len(set(thetas)) == 1 else None
+    if not spec or not isinstance(spec, list) or not all(isinstance(s, dict) for s in spec):
+        raise argparse.ArgumentTypeError("--spec must be a non-empty JSON list of objects")
+    entries = [_spec_entry(i, s) for i, s in enumerate(spec)]
+    X = st.combine([_construct(family, b, theta) for family, b, theta, _ in entries],
+                   [weight for *_, weight in entries])
+    thetas = {theta for _, _, theta, _ in entries}
+    theta = thetas.pop() if len(thetas) == 1 else None
     out = {
         "state": ser.bipartite_to_json(X),
         "classification": _classification(X, theta),
@@ -342,7 +357,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, argparse.ArgumentTypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, ser.FormatError,
+            argparse.ArgumentTypeError) as exc:
         _note(f"input error: {exc}")
         return EXIT_USAGE
     except (ValueError, NumericalError) as exc:

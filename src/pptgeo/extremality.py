@@ -6,9 +6,9 @@ hermitian Z with Z supported on D and Z^Gamma supported on E is
 one-dimensional (Leinaas, Myrheim & Ovrum, PRA 76, 034304, 2007).  Writing
 Z = D H D^dagger with H hermitian on the p = dim D coordinates leaves one
 condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the complement
-of E; the intersection is the kernel of that real (2 mn (mn - q)) x p^2
-system.  The 81-dimensional operators phi_D and phi_E on all of Herm(9) are
-kept as an independent test oracle.
+of E (the kernel eigenvectors of X^Gamma); the intersection is the kernel of
+that real (2 mn (mn - q)) x p^2 system.  The 81-dimensional operators phi_D
+and phi_E on all of Herm(9) are kept as an independent test oracle.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .linalg import (
     hermitian_basis,
     numerical_kernel,
     numerical_rank,
-    range_basis,
+    range_mask,
 )
 from .states import BipartiteMatrix, is_ppt, partial_transpose, rho
 
@@ -56,7 +56,13 @@ def face_of(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> FaceSpec:
     """Range bases of X and of its partial transpose."""
     if not is_ppt(X, tol):
         raise ValueError("face_of requires a PPT input")
-    return FaceSpec(range_basis(X.data, tol), range_basis(partial_transpose(X).data, tol))
+    return FaceSpec(_range(X, tol), _range(partial_transpose(X), tol))
+
+
+def _range(X: BipartiteMatrix, tol: Tolerance) -> np.ndarray:
+    """The eigenvectors of X's cached spectrum that span its numerical range."""
+    w, V = X.spectrum
+    return V[:, range_mask(w, tol)]
 
 
 def _pt(Z: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -73,7 +79,9 @@ def is_extreme_in_T(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> Extrema
         raise ValueError("the zero matrix has no extremality report")
     face = face_of(X, tol)
     p, q = face.D.shape[1], face.E.shape[1]
-    F = numerical_kernel(face.E.conj().T)
+    # F, the complement of E, is the kernel half of the same cached spectrum.
+    w, V = partial_transpose(X).spectrum
+    F = V[:, ~range_mask(w, tol)]
     Z = face.D @ hermitian_basis(p) @ face.D.conj().T
     W = F.conj().T @ _pt(Z, X.m, X.n)
     M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T

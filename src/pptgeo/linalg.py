@@ -7,6 +7,7 @@ stack from :func:`hermitian_basis`, so that real coordinates are reproducible.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,8 @@ class Tolerance:
     """Thresholds for rank decisions and PSD checks.
 
     rank_rel is relative to the largest eigenvalue magnitude; psd_atol is the
-    absolute slack allowed below zero (scaled by max(1, spectral norm)).
+    slack allowed below zero, also relative to the largest eigenvalue
+    magnitude.
     """
 
     rank_rel: float = 1e-9
@@ -51,12 +53,17 @@ def as_hermitian(A, atol: float = 1e-12) -> np.ndarray:
 
 
 def eig_hermitian(H: np.ndarray):
-    """Eigendecomposition of a hermitian matrix.
+    """Eigendecomposition of a hermitian matrix, validated by :func:`as_hermitian`.
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in descending
     order and the matching orthonormal eigenvectors as columns.
     """
-    H = as_hermitian(H)
+    return eigh_descending(as_hermitian(H))
+
+
+def eigh_descending(H: np.ndarray):
+    """:func:`eig_hermitian` of an already exactly hermitian H, without the
+    validation: one ``np.linalg.eigh``, reordered to descending eigenvalues."""
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
@@ -64,47 +71,46 @@ def eig_hermitian(H: np.ndarray):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
+# The cutoff rules, each a function of a descending spectrum w, so that a
+# decision read from a cached spectrum and one computed from a matrix agree.
+
+def range_mask(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Which eigenvalues span the numerical range: |w| > rank_rel * max |w|.
+    None do when w is all zero; the kernel is the complement."""
+    return np.abs(w) > tol.rank_rel * (np.max(np.abs(w)) if w.size else 0.0)
+
+
+def spectrum_rank(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Numerical rank: the number of eigenvalues in :func:`range_mask`."""
+    return int(np.count_nonzero(range_mask(w, tol)))
+
+
+def spectrum_is_psd(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff the smallest eigenvalue is >= -psd_atol * max |w|.  The slack
+    is relative, so the verdict does not change when H is rescaled."""
+    return bool(w.size == 0 or w[-1] >= -tol.psd_atol * np.max(np.abs(w)))
+
+
 def rank_tol(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank: eigenvalues above rank_rel * max |eigenvalue|."""
-    w, _ = eig_hermitian(H)
-    amax = np.max(np.abs(w)) if w.size else 0.0
-    if amax == 0.0:
-        return 0
-    return int(np.count_nonzero(np.abs(w) > tol.rank_rel * amax))
+    """Numerical rank of hermitian H (:func:`spectrum_rank`)."""
+    return spectrum_rank(eig_hermitian(H)[0], tol)
 
 
 def kernel_basis(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of hermitian H."""
     w, V = eig_hermitian(H)
-    amax = np.max(np.abs(w)) if w.size else 0.0
-    keep = np.abs(w) <= tol.rank_rel * amax if amax > 0 else np.ones(w.shape, bool)
-    return V[:, keep]
-
-
-def range_projection(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the numerical range of hermitian H."""
-    w, V = eig_hermitian(H)
-    amax = np.max(np.abs(w)) if w.size else 0.0
-    keep = np.abs(w) > tol.rank_rel * amax if amax > 0 else np.zeros(w.shape, bool)
-    R = V[:, keep]
-    return as_hermitian(R @ R.conj().T)
+    return V[:, ~range_mask(w, tol)]
 
 
 def range_basis(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical range of hermitian H."""
     w, V = eig_hermitian(H)
-    amax = np.max(np.abs(w)) if w.size else 0.0
-    keep = np.abs(w) > tol.rank_rel * amax if amax > 0 else np.zeros(w.shape, bool)
-    return V[:, keep]
+    return V[:, range_mask(w, tol)]
 
 
 def is_psd(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -psd_atol * max(1, spectral norm)."""
-    w, _ = eig_hermitian(H)
-    if w.size == 0:
-        return True
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(w[-1] >= -tol.psd_atol * scale)
+    """PSD verdict of hermitian H (:func:`spectrum_is_psd`)."""
+    return spectrum_is_psd(eig_hermitian(H)[0], tol)
 
 
 def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
@@ -137,9 +143,11 @@ def real_vector_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
     return np.tensordot(v, hermitian_basis(dim), axes=1)
 
 
+@functools.lru_cache(maxsize=16)
 def hermitian_basis(dim: int) -> np.ndarray:
     """The basis of :func:`hermitian_to_real_vector` as a (dim^2, dim, dim)
-    stack: element k is the hermitian matrix with coordinate vector e_k."""
+    stack: element k is the hermitian matrix with coordinate vector e_k.
+    Memoised per dim and returned read-only."""
     B = np.zeros((dim * dim, dim, dim), dtype=complex)
     d = np.arange(dim)
     B[d, d, d] = 1.0
@@ -150,6 +158,7 @@ def hermitian_basis(dim: int) -> np.ndarray:
     B[sym, r, c] = B[sym, c, r] = h
     B[anti, r, c] = 1j * h
     B[anti, c, r] = -1j * h
+    B.flags.writeable = False
     return B
 
 

@@ -2,8 +2,11 @@
 
 Complex matrices are serialized as row-major [re, im] pairs; Python's float
 repr is shortest-round-trip, so doubles survive a JSON round trip bit-exactly.
+The readers accept only that layout and raise :class:`FormatError` otherwise.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,13 +26,49 @@ def matrix_to_json(M: np.ndarray) -> dict:
     }
 
 
+class FormatError(ValueError):
+    """JSON input that does not have the documented layout."""
+
+
+def _count(obj, key: str) -> int:
+    """obj[key] of a JSON object, a nonnegative integer (a missing key raises KeyError)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"expected a JSON object with {key!r}, got {type(obj).__name__}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"{key!r} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _real(x) -> float:
+    """A finite JSON number as a float (bools are not numbers here)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise FormatError(f"expected a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:
+        raise FormatError("a number is out of the floating-point range") from None
+    if not math.isfinite(value):
+        raise FormatError(f"expected a finite number, got {x!r}")
+    return value
+
+
+def _complex_entries(entries) -> np.ndarray:
+    """A JSON list of [re, im] pairs of finite numbers as a complex array."""
+    if not isinstance(entries, list):
+        raise FormatError("entries must be a JSON list of [re, im] pairs")
+    for k, e in enumerate(entries):
+        if not isinstance(e, list) or len(e) != 2:
+            raise FormatError(f"entry {k} is not a [re, im] pair: {e!r}")
+    return np.array([complex(_real(re), _real(im)) for re, im in entries], dtype=complex)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
+    rows, cols = _count(obj, "rows"), _count(obj, "cols")
+    entries = _complex_entries(obj["entries"])
     if len(entries) != rows * cols:
-        raise ValueError("entry count does not match rows * cols")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(rows, cols)
+        raise FormatError("entry count does not match rows * cols")
+    return entries.reshape(rows, cols)
 
 
 def vector_to_json(v: np.ndarray) -> list:
@@ -38,7 +77,7 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj])
+    return _complex_entries(obj)
 
 
 def bipartite_to_json(X: BipartiteMatrix) -> dict:
@@ -46,7 +85,7 @@ def bipartite_to_json(X: BipartiteMatrix) -> dict:
 
 
 def bipartite_from_json(obj: dict) -> BipartiteMatrix:
-    return BipartiteMatrix(int(obj["m"]), int(obj["n"]), matrix_from_json(obj["matrix"]))
+    return BipartiteMatrix(_count(obj, "m"), _count(obj, "n"), matrix_from_json(obj["matrix"]))
 
 
 def choi_to_json(phi: ChoiMap) -> dict:
@@ -54,7 +93,7 @@ def choi_to_json(phi: ChoiMap) -> dict:
 
 
 def choi_from_json(obj: dict) -> ChoiMap:
-    return ChoiMap(int(obj["m"]), int(obj["n"]), bipartite_from_json(obj["choi"]))
+    return ChoiMap(_count(obj, "m"), _count(obj, "n"), bipartite_from_json(obj["choi"]))
 
 
 def spec_to_json(spec: DecomposableSpec) -> dict:
@@ -65,10 +104,12 @@ def spec_to_json(spec: DecomposableSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> DecomposableSpec:
-    return DecomposableSpec(
-        tuple(matrix_from_json(V) for V in obj.get("Vs", [])),
-        tuple(matrix_from_json(W) for W in obj.get("Ws", [])),
-    )
+    if not isinstance(obj, dict):
+        raise FormatError(f"a spec must be a JSON object, got {type(obj).__name__}")
+    lists = [obj.get(key, []) for key in ("Vs", "Ws")]
+    if not all(isinstance(mats, list) for mats in lists):
+        raise FormatError("'Vs' and 'Ws' must be JSON lists of matrices")
+    return DecomposableSpec(*(tuple(matrix_from_json(M) for M in mats) for mats in lists))
 
 
 def report_to_json(rep: ExtremalityReport) -> dict:

@@ -7,6 +7,7 @@ is needed.  Composite indexing is A-major: |i> tensor |j> sits at i*n + j.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,16 +17,20 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_hermitian,
-    eig_hermitian,
-    is_psd,
-    kernel_basis,
-    rank_tol,
+    eigh_descending,
+    spectrum_is_psd,
+    spectrum_rank,
 )
 
 
 @dataclass(frozen=True)
 class BipartiteMatrix:
-    """An mn x mn hermitian matrix tagged with its local dimensions."""
+    """An mn x mn hermitian matrix tagged with its local dimensions.
+
+    data is a read-only, exactly hermitian copy and the class is frozen, so
+    the spectrum and the partial transpose are computed at most once per
+    object and cached.
+    """
 
     m: int
     n: int
@@ -45,6 +50,20 @@ class BipartiteMatrix:
     @property
     def dim(self) -> int:
         return self.m * self.n
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V): eigenvalues descending and the matching orthonormal
+        eigenvectors as columns, both read-only."""
+        w, V = eigh_descending(self.data)
+        w.flags.writeable = V.flags.writeable = False
+        return w, V
+
+    @functools.cached_property
+    def _partial_transpose(self) -> BipartiteMatrix:
+        m, n = self.m, self.n
+        T = self.data.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
+        return BipartiteMatrix(m, n, T)
 
 
 class Arc(enum.Enum):
@@ -110,23 +129,24 @@ def partial_transpose(X: BipartiteMatrix) -> BipartiteMatrix:
     (k, i) with its interior unchanged.  With this convention rho(b, theta) is
     fixed and rho = sigma + sigma^Gamma - Diag(sigma) holds entrywise.
     Transposing the other factor instead gives the entrywise conjugate, so
-    spectra, ranks and PPT verdicts are identical either way.
+    spectra, ranks and PPT verdicts are identical either way.  Every call
+    on the same X returns the same (cached) object.
     """
-    m, n = X.m, X.n
-    T = X.data.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
-    return BipartiteMatrix(m, n, T)
+    return X._partial_transpose
 
 
 def state_type(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> StateType:
     """Rank pair of a PPT state and its partial transpose."""
-    if not is_psd(X.data, tol):
+    if not spectrum_is_psd(X.spectrum[0], tol):
         raise ValueError("state_type requires a PSD input")
-    return StateType(rank_tol(X.data, tol), rank_tol(partial_transpose(X).data, tol))
+    return StateType(spectrum_rank(X.spectrum[0], tol),
+                     spectrum_rank(partial_transpose(X).spectrum[0], tol))
 
 
 def is_ppt(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """PSD together with PSD partial transpose."""
-    return is_psd(X.data, tol) and is_psd(partial_transpose(X).data, tol)
+    return (spectrum_is_psd(X.spectrum[0], tol)
+            and spectrum_is_psd(partial_transpose(X).spectrum[0], tol))
 
 
 def reduce_theta(theta: float) -> float:
@@ -221,13 +241,14 @@ def is_interior_of_T(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def is_interior_of_S_sufficient(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Sufficient interior test for the separable body: diagonal with strictly
-    positive diagonal entries.  False means undecided, not "boundary"."""
+    positive diagonal entries (above psd_atol relative to the largest entry).
+    False means undecided, not "boundary"."""
     A = X.data
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     off = A - np.diag(np.diag(A))
     if np.max(np.abs(off)) > 1e-12 * max(scale, 1e-300):
         return False
-    return bool(np.all(np.diag(A).real > tol.psd_atol))
+    return bool(np.all(np.diag(A).real > tol.psd_atol * scale))
 
 
 def product_state(xi, eta) -> BipartiteMatrix:

@@ -138,6 +138,28 @@ class TestStateCommands:
         code, _, _ = run(capsys, "state", "classify", "--family", "rho")
         assert code == 2
 
+    @pytest.mark.parametrize("missing", ["--family", "--b", "--theta"])
+    def test_missing_flag_is_named(self, capsys, missing):
+        flags = {"--family": "rho", "--b": "2", "--theta": "pi/6"}
+        del flags[missing]
+        code, out, err = run(capsys, "state", "classify", *(x for kv in flags.items() for x in kv))
+        assert code == 2
+        assert out == "" and f"missing {missing}" in err
+
+    @pytest.mark.parametrize("entry,message", [
+        (["a", 1], "expected a number"),
+        ([1, 2, 3], "not a [re, im] pair"),
+        ([math.nan, 0], "finite"),
+    ])
+    def test_bad_json_entry_is_usage(self, capsys, tmp_path, entry, message):
+        obj = bipartite_to_json(rho(2, math.pi / 6))
+        obj["matrix"]["entries"][0] = entry
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "state", "classify", "--in", str(path))
+        assert code == 2
+        assert out == "" and message in err
+
 
 class TestExtremalityCommand:
     def test_extreme_with_appendix(self, capsys):
@@ -198,7 +220,7 @@ class TestCombineCommand:
         assert rep["classification"]["type"] == [5, 5]
         assert rep["classification"]["arc"] == "zero"
 
-    @pytest.mark.parametrize("spec", ['{"a": 1}', '[1, 2]', '"rho"'])
+    @pytest.mark.parametrize("spec", ['{"a": 1}', '[1, 2]', '"rho"', '[]'])
     def test_spec_not_a_list_of_objects_is_usage(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
         path.write_text(spec)
@@ -210,6 +232,14 @@ class TestCombineCommand:
         spec = json.dumps([{"family": "rho", "b": 1, "theta": "0", "weight": 2.0}])
         code, _, _ = run(capsys, "combine", "--spec", spec)
         assert code == 3
+
+    @pytest.mark.parametrize("field,value", [("b", "x"), ("weight", "heavy"), ("b", None)])
+    def test_non_numeric_b_or_weight_is_usage(self, capsys, field, value):
+        entry = {"family": "rho", "b": 1, "theta": "0", "weight": 1}
+        entry[field] = value
+        code, out, err = run(capsys, "combine", "--spec", json.dumps([entry]))
+        assert code == 2
+        assert out == "" and "must be numbers" in err
 
 
 class TestMapCommands:

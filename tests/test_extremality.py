@@ -15,15 +15,27 @@ from pptgeo.extremality import (
     phi_E_operator,
     verify_combination_identity,
 )
-from pptgeo.linalg import hermitian_to_real_vector, numerical_rank
+from pptgeo.linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    hermitian_basis,
+    hermitian_to_real_vector,
+    is_psd,
+    numerical_rank,
+    range_basis,
+    rank_tol,
+)
 from pptgeo.states import (
     BipartiteMatrix,
+    StateType,
     combine,
+    is_ppt,
     kernel_vectors_w,
     partial_transpose,
     product_state,
     rho,
     sigma,
+    state_type,
 )
 
 GENERIC = [(2.0, math.pi / 6), (0.5, -1.1), (1.3, 2.0), (4.0, 5 * math.pi / 12)]
@@ -40,6 +52,29 @@ def random_separable(rng, rank):
         v = np.kron(a, b)
         X += np.outer(v, v.conj())
     return BipartiteMatrix(3, 3, X)
+
+
+def oracle_states():
+    """Fresh states for the oracle comparisons: both families at k*pi/12 for
+    b in {0.25, 4}, seeded random separable states of rank 1-9 scaled by
+    10^-6 and 10^6, and the entrywise conjugate of each."""
+    rng = np.random.default_rng(11)
+    states = [family(b, k * math.pi / 12)
+              for family in (rho, sigma) for b in (0.25, 4.0) for k in range(24)]
+    for rank in range(1, 10):
+        X = random_separable(rng, rank)
+        states += [BipartiteMatrix(3, 3, X.data * 10.0**e) for e in (-6, 6)]
+    return states + [BipartiteMatrix(X.m, X.n, X.data.conj()) for X in states]
+
+
+def pt_oracle(X):
+    """Partial transpose on the first factor, entry by entry:
+    <i j| X^Gamma |k l> = <k j| X |i l>."""
+    m, n = X.m, X.n
+    T = np.empty_like(X.data)
+    for i, j, k, l in np.ndindex(m, n, m, n):
+        T[i * n + j, k * n + l] = X.data[k * n + j, i * n + l]
+    return T
 
 
 class TestFace:
@@ -107,18 +142,13 @@ class TestExtremality:
         assert np.max(np.abs(g - target)) <= 1e-8
 
     def test_matches_oracle(self):
-        rng = np.random.default_rng(11)
-        states = [rho(b, th) for b, th in GENERIC]
-        states += [family(b, k * math.pi / 12)
-                   for family in (rho, sigma) for b in (0.25, 4.0) for k in range(24)]
-        for rank in range(1, 9):
-            X = random_separable(rng, rank)
-            states += [BipartiteMatrix(3, 3, X.data * 10.0**e) for e in (-6, 6)]
-        for X in states:
+        for X in [rho(b, th) for b, th in GENERIC] + oracle_states():
             face = face_of(X)
             rep = is_extreme_in_T(X)
             p, q = face.D.shape[1], face.E.shape[1]
-            oracle = kernel_intersection_dim_oracle(
+            # The operator oracle needs proper kernels; a full-rank face's
+            # intersection is all of Herm(9).
+            oracle = 81 if p == q == 9 else kernel_intersection_dim_oracle(
                 phi_D_operator(face.D), phi_E_operator(face.E, 3, 3)
             )
             assert (p * p, q * q, oracle) == (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection)
@@ -153,6 +183,49 @@ class TestExtremality:
     def test_boundary_angle_rho_extreme(self):
         rep = is_extreme_in_T(rho(1, math.pi))
         assert not rep.is_extreme
+
+
+class TestCachedSpectrum:
+    """is_ppt, state_type, face_of and is_extreme_in_T read each state's
+    cached spectra; the uncached matrix functions on the raw .data of X and
+    of an entrywise X^Gamma are their oracle."""
+
+    def test_decisions_match_uncached(self):
+        coarse = Tolerance(rank_rel=0.5, psd_atol=0.5)
+        for X in oracle_states():
+            T = pt_oracle(X)
+            # A second tolerance on the same object must decide afresh.
+            for tol in (DEFAULT_TOL, coarse):
+                assert is_ppt(X, tol) == (is_psd(X.data, tol) and is_psd(T, tol))
+                assert state_type(X, tol) == StateType(rank_tol(X.data, tol), rank_tol(T, tol))
+                face = face_of(X, tol)
+                for B, H in ((face.D, X.data), (face.E, T)):
+                    R = range_basis(H, tol)
+                    assert_allclose(B @ B.conj().T, R @ R.conj().T, atol=1e-10)
+
+    def test_two_eigensolves_per_state(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for X in oracle_states():
+            calls.clear()
+            is_ppt(X)
+            state_type(X)
+            face_of(X)
+            is_extreme_in_T(X)
+            assert len(calls) == 2
+            assert partial_transpose(X) is partial_transpose(X)
+
+    def test_cached_arrays_read_only(self):
+        w, V = rho(2, math.pi / 6).spectrum
+        for arr in (w, V, hermitian_basis(5)):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestAppendixBases:

