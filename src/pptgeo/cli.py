@@ -98,9 +98,19 @@ def _note(msg: str):
     sys.stderr.write(msg + "\n")
 
 
-def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(source: str, inline: bool = False):
+    """The JSON in the file `source` or, with inline=True and no such file, in
+    `source` itself.  Every parse failure, also an integer past Python's digit
+    limit (a plain ValueError), raises serialize.FormatError."""
+    if inline and not os.path.isfile(source):
+        text, what = source, "inline JSON (and not a file)"
+    else:
+        with open(source, encoding="utf-8") as fh:
+            text, what = fh.read(), source
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ser.FormatError(f"{what}: {exc}") from None
 
 
 def _construct(family: str, b: float, theta: float) -> st.BipartiteMatrix:
@@ -176,6 +186,9 @@ def cmd_extremality(args) -> int:
 
 def _spec_entry(i: int, s: dict) -> tuple[str, float, float, float]:
     """(family, b, theta, weight) of the i-th --spec entry."""
+    missing = [key for key in ("family", "b", "theta", "weight") if key not in s]
+    if missing:
+        raise argparse.ArgumentTypeError(f"--spec entry {i}: missing key(s) {', '.join(missing)}")
     if s["family"] not in ("rho", "sigma"):
         raise argparse.ArgumentTypeError(f"--spec entry {i}: unknown family {s['family']!r}")
     try:
@@ -188,10 +201,7 @@ def _spec_entry(i: int, s: dict) -> tuple[str, float, float, float]:
 
 
 def cmd_combine(args) -> int:
-    try:
-        spec = json.loads(args.spec)
-    except json.JSONDecodeError:
-        spec = _load_json(args.spec)
+    spec = _load_json(args.spec, inline=True)
     if not spec or not isinstance(spec, list) or not all(isinstance(s, dict) for s in spec):
         raise argparse.ArgumentTypeError("--spec must be a non-empty JSON list of objects")
     entries = [_spec_entry(i, s) for i, s in enumerate(spec)]
@@ -226,12 +236,12 @@ def cmd_map(args) -> int:
     if args.map_cmd == "trace-decomp":
         if args.m == 2:
             if args.mu is None:
-                raise ValueError("--m 2 requires --mu")
+                raise argparse.ArgumentTypeError("--m 2 requires --mu")
             spec = mp.trace_map_decomposition_2n(args.mu)
         elif args.m == 3:
             spec = mp.trace_map_decomposition_33()
         else:
-            raise ValueError("trace decompositions are available for --m 2 or --m 3")
+            raise argparse.ArgumentTypeError(f"--m must be 2 or 3, got {args.m}")
         out = ser.spec_to_json(spec)
         out["choi"] = ser.choi_to_json(mp.decomposable_map(spec))
         _emit(out)
@@ -265,7 +275,7 @@ def cmd_map(args) -> int:
 
 def cmd_krawtchouk(args) -> int:
     if args.m < 2 or args.n < 2:
-        raise SystemExit(EXIT_USAGE)
+        raise argparse.ArgumentTypeError(f"--m and --n must be at least 2, got {args.m}, {args.n}")
     if args.kraw_cmd == "solve":
         sols = kw.solve(args.m, args.n)
         _emit({"m": args.m, "n": args.n, "solutions": [[s.k, s.l] for s in sols]})
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--s", type=float, required=True)
     pm = msub.add_parser("trace-decomp")
     pm.add_argument("--m", type=int, required=True)
-    pm.add_argument("--mu", type=int)
+    pm.add_argument("--mu", type=_positive_int)
     pm = msub.add_parser("pair")
     pm.add_argument("--state", required=True, metavar="FILE")
     pm.add_argument("--map", required=True, metavar="FILE")
@@ -357,8 +367,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, ser.FormatError,
-            argparse.ArgumentTypeError) as exc:
+    except (OSError, UnicodeDecodeError, ser.FormatError, argparse.ArgumentTypeError) as exc:
         _note(f"input error: {exc}")
         return EXIT_USAGE
     except (ValueError, NumericalError) as exc:

@@ -26,7 +26,7 @@ from .linalg import (
     numerical_rank,
     range_mask,
 )
-from .states import BipartiteMatrix, is_ppt, partial_transpose, rho
+from .states import BipartiteMatrix, _pt, is_ppt, partial_transpose, rho
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,6 @@ def _range(X: BipartiteMatrix, tol: Tolerance) -> np.ndarray:
     """The eigenvectors of X's cached spectrum that span its numerical range."""
     w, V = X.spectrum
     return V[:, range_mask(w, tol)]
-
-
-def _pt(Z: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Partial transpose on the first factor of every matrix in a stack."""
-    return Z.reshape(-1, m, n, m, n).transpose(0, 3, 2, 1, 4).reshape(Z.shape)
 
 
 def is_extreme_in_T(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> ExtremalityReport:

@@ -1,9 +1,9 @@
 """Dense complex hermitian linear algebra with explicit tolerances.
 
 All matrices are small (at most 81x81 here), so everything is plain dense
-numpy.  The real vectorization of hermitian space uses a fixed orthonormal
-basis, documented at :func:`hermitian_to_real_vector` and available as a
-stack from :func:`hermitian_basis`, so that real coordinates are reproducible.
+numpy.  The real vectorization of hermitian space uses one fixed orthonormal
+basis, documented and built at :func:`hermitian_basis`, so that real
+coordinates are reproducible.
 """
 from __future__ import annotations
 
@@ -37,19 +37,20 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_hermitian(A, atol: float = 1e-12) -> np.ndarray:
-    """Validate that A is hermitian within atol and return its exact
-    symmetrization (A + A^dagger)/2 as a fresh complex array."""
+def as_hermitian(A) -> np.ndarray:
+    """Validate that max |A - A^dagger| <= 1e-12 * max |A| (a relative slack)
+    and return the exact symmetrization A/2 + A^dagger/2, halved first so
+    that entries near the floating-point limit stay finite, as a fresh array."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValueError("matrix entries must be finite")
-    dev = np.max(np.abs(A - A.conj().T)) if A.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if dev > atol * scale:
-        raise ValueError(f"matrix is not hermitian (deviation {dev:.3e})")
-    return (A + A.conj().T) / 2
+    half = A / 2
+    dev = np.max(np.abs(half - half.conj().T), initial=0.0)
+    if dev > 1e-12 * np.max(np.abs(half), initial=0.0):
+        raise ValueError(f"matrix is not hermitian (deviation {2 * dev:.3e})")
+    return half + half.conj().T
 
 
 def eig_hermitian(H: np.ndarray):
@@ -114,25 +115,12 @@ def is_psd(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
-    """Coordinates of hermitian H in the fixed orthonormal real basis.
-
-    Basis order for dimension d (total d^2 elements):
-      1. diagonal units E_ii, i = 0..d-1;
-      2. symmetric off-diagonals (E_ij + E_ji)/sqrt(2), i < j, row-major;
-      3. antisymmetric off-diagonals i(E_ij - E_ji)/sqrt(2), i < j, row-major.
-
-    The map is an isometry: Tr(XY) equals the Euclidean dot product of the
-    coordinate vectors.
-    """
+    """Coordinates Tr(B_k H) of hermitian H over the :func:`hermitian_basis`
+    stack B.  The map is an isometry: Tr(XY) equals the Euclidean dot product
+    of the coordinate vectors."""
     H = as_hermitian(H)
     d = H.shape[0]
-    iu = np.triu_indices(d, k=1)
-    sq2 = np.sqrt(2.0)
-    return np.concatenate([
-        np.diag(H).real,
-        sq2 * H[iu].real,
-        sq2 * H[iu].imag,
-    ])
+    return (hermitian_basis(d).reshape(d * d, d * d) @ H.T.ravel()).real
 
 
 def real_vector_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
@@ -145,9 +133,15 @@ def real_vector_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def hermitian_basis(dim: int) -> np.ndarray:
-    """The basis of :func:`hermitian_to_real_vector` as a (dim^2, dim, dim)
-    stack: element k is the hermitian matrix with coordinate vector e_k.
-    Memoised per dim and returned read-only."""
+    """The fixed orthonormal real basis of Herm(dim) as a (dim^2, dim, dim)
+    stack, in this order:
+      1. diagonal units E_ii, i = 0..dim-1;
+      2. symmetric off-diagonals (E_ij + E_ji)/sqrt(2), i < j, row-major;
+      3. antisymmetric off-diagonals i(E_ij - E_ji)/sqrt(2), i < j, row-major.
+
+    Element k is the hermitian matrix with coordinate vector e_k under
+    :func:`hermitian_to_real_vector`.  Memoised per dim and returned
+    read-only."""
     B = np.zeros((dim * dim, dim, dim), dtype=complex)
     d = np.arange(dim)
     B[d, d, d] = 1.0

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import NumericalError
-from .states import BipartiteMatrix, _gram_rows, _product_starts, _seesaw, p_theta
+from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern, _gram_rows,
+                     _product_starts, _seesaw, is_interior_of_S_sufficient, p_theta)
 
 
 @dataclass(frozen=True)
@@ -121,26 +122,11 @@ def phi_theta_coefficients(theta: float, t: float):
 
 def phi_theta_t(theta: float, t: float) -> ChoiMap:
     """The positive map on M_3 with cyclically arranged diagonal coefficients
-    a(t), b(t), c(t) and off-diagonal phases -e^{+-i theta}."""
+    a(t), b(t), c(t) and off-diagonal phases -e^{+-i theta}: the generalized
+    Choi map phi[a, b, c; theta], whose Choi matrix is sigma's pattern with
+    (a, c, b) in place of (p_theta, 1/b, b)."""
     a, b, c = phi_theta_coefficients(theta, t)
-    e = np.exp(1j * theta)
-    ec = np.conj(e)
-    diag_images = {
-        (0, 0): np.diag([a, c, b]),
-        (1, 1): np.diag([b, a, c]),
-        (2, 2): np.diag([c, b, a]),
-    }
-    phases = {(0, 1): -e, (1, 0): -ec, (0, 2): -ec, (2, 0): -e, (1, 2): -e, (2, 1): -ec}
-
-    def action(E):
-        i, j = map(int, np.argwhere(E)[0])
-        if i == j:
-            return diag_images[(i, i)].astype(complex)
-        out = np.zeros((3, 3), dtype=complex)
-        out[i, j] = phases[(i, j)]
-        return out
-
-    return choi_of(action, 3, 3)
+    return ChoiMap(3, 3, _cyclic_pattern((a, c, b), theta, _SIGMA_PHASE_POSITIONS))
 
 
 def antipodal_sum_choi(theta: float, t: float, s: float) -> ChoiMap:
@@ -148,42 +134,28 @@ def antipodal_sum_choi(theta: float, t: float, s: float) -> ChoiMap:
 
     The off-diagonal phases cancel, leaving a diagonal Choi matrix with
     strictly positive entries: a sufficient certificate for the interior of
-    the positive-map cone.
+    the positive-map cone; the sum is checked by that rule, then made exactly diagonal.
     """
-    C = phi_theta_t(theta, t).choi.data + phi_theta_t(theta + math.pi, s).choi.data
-    off = C - np.diag(np.diag(C))
-    if np.max(np.abs(off)) > 1e-12:
-        raise NumericalError("antipodal Choi sum is not diagonal")
-    if np.any(np.diag(C).real <= 0):
-        raise NumericalError("antipodal Choi sum has a nonpositive diagonal entry")
-    C = np.diag(np.diag(C).real).astype(complex)
-    return ChoiMap(3, 3, BipartiteMatrix(3, 3, C))
+    C = BipartiteMatrix(3, 3, phi_theta_t(theta, t).choi.data
+                        + phi_theta_t(theta + math.pi, s).choi.data)
+    if not is_interior_of_S_sufficient(C):
+        raise NumericalError("antipodal Choi sum is not diagonal with a positive diagonal")
+    return ChoiMap(3, 3, BipartiteMatrix(3, 3, np.diag(np.diag(C.data).real)))
 
 
-def is_interior_of_P_sufficient(phi: ChoiMap, atol: float = 1e-12) -> bool:
-    """Sufficient interior test for the positive-map cone: diagonal Choi
-    matrix with strictly positive diagonal.  False means undecided."""
-    C = phi.choi.data
-    off = C - np.diag(np.diag(C))
-    scale = max(1.0, float(np.max(np.abs(C))))
-    if np.max(np.abs(off)) > atol * scale:
-        return False
-    return bool(np.all(np.diag(C).real > 0))
+def is_interior_of_P_sufficient(phi: ChoiMap) -> bool:
+    """Sufficient interior test for the positive-map cone: the diagonal rule of
+    :func:`~pptgeo.states.is_interior_of_S_sufficient` on the Choi matrix.
+    False means undecided."""
+    return is_interior_of_S_sufficient(phi.choi)
 
 
 def decomposable_map(spec: DecomposableSpec) -> ChoiMap:
-    """Choi matrix of sum_i phi_{V_i} + sum_j phi^{W_j}."""
+    """Choi matrix of sum_i phi_{V_i} + sum_j phi^{W_j}: the conjugate of
+    :func:`_pairing_form`."""
     m, n = spec.shape
-
-    def action(E):
-        acc = np.zeros((n, n), dtype=complex)
-        for V in spec.Vs:
-            acc += V.conj().T @ E @ V
-        for W in spec.Ws:
-            acc += W.conj().T @ E.T @ W
-        return acc
-
-    return choi_of(action, m, n)
+    C = _pairing_form(spec).conj().reshape(m * n, m * n)
+    return ChoiMap(m, n, BipartiteMatrix(m, n, C))
 
 
 def product_pairing(spec: DecomposableSpec, xi, eta) -> float:
@@ -202,7 +174,7 @@ def product_pairing(spec: DecomposableSpec, xi, eta) -> float:
 def _pairing_form(spec: DecomposableSpec) -> np.ndarray:
     """Q[i,a,j,b] = sum V_ia conj(V_jb) + sum W_ja conj(W_ib), the (m, n, m, n)
     form with <xi (x) eta| Q |xi (x) eta> = product_pairing(spec, xi, eta);
-    it equals the conjugated Choi matrix of decomposable_map(spec)."""
+    its conjugate is the Choi matrix of :func:`decomposable_map`."""
     m, n = spec.shape
     V = np.array(spec.Vs).reshape(-1, m, n)
     W = np.array(spec.Ws).reshape(-1, m, n)

@@ -30,14 +30,28 @@ class FormatError(ValueError):
     """JSON input that does not have the documented layout."""
 
 
+def _field(obj, key: str):
+    """obj[key] of a JSON object."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"expected a JSON object with the key {key!r}")
+    return obj[key]
+
+
 def _count(obj, key: str) -> int:
-    """obj[key] of a JSON object, a nonnegative integer (a missing key raises KeyError)."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"expected a JSON object with {key!r}, got {type(obj).__name__}")
-    value = obj[key]
+    """obj[key] of a JSON object, a nonnegative integer."""
+    value = _field(obj, key)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise FormatError(f"{key!r} must be a nonnegative integer, got {value!r}")
     return value
+
+
+def _build(cls, *args):
+    """cls(*args), with the ValueError of a size, shape or symmetry that cls
+    rejects raised as FormatError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise FormatError(f"{cls.__name__}: {exc}") from None
 
 
 def _real(x) -> float:
@@ -65,7 +79,7 @@ def _complex_entries(entries) -> np.ndarray:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     rows, cols = _count(obj, "rows"), _count(obj, "cols")
-    entries = _complex_entries(obj["entries"])
+    entries = _complex_entries(_field(obj, "entries"))
     if len(entries) != rows * cols:
         raise FormatError("entry count does not match rows * cols")
     return entries.reshape(rows, cols)
@@ -85,7 +99,8 @@ def bipartite_to_json(X: BipartiteMatrix) -> dict:
 
 
 def bipartite_from_json(obj: dict) -> BipartiteMatrix:
-    return BipartiteMatrix(_count(obj, "m"), _count(obj, "n"), matrix_from_json(obj["matrix"]))
+    return _build(BipartiteMatrix, _count(obj, "m"), _count(obj, "n"),
+                  matrix_from_json(_field(obj, "matrix")))
 
 
 def choi_to_json(phi: ChoiMap) -> dict:
@@ -93,7 +108,8 @@ def choi_to_json(phi: ChoiMap) -> dict:
 
 
 def choi_from_json(obj: dict) -> ChoiMap:
-    return ChoiMap(_count(obj, "m"), _count(obj, "n"), bipartite_from_json(obj["choi"]))
+    return _build(ChoiMap, _count(obj, "m"), _count(obj, "n"),
+                  bipartite_from_json(_field(obj, "choi")))
 
 
 def spec_to_json(spec: DecomposableSpec) -> dict:
@@ -109,7 +125,7 @@ def spec_from_json(obj: dict) -> DecomposableSpec:
     lists = [obj.get(key, []) for key in ("Vs", "Ws")]
     if not all(isinstance(mats, list) for mats in lists):
         raise FormatError("'Vs' and 'Ws' must be JSON lists of matrices")
-    return DecomposableSpec(*(tuple(matrix_from_json(M) for M in mats) for mats in lists))
+    return _build(DecomposableSpec, *(tuple(matrix_from_json(M) for M in mats) for mats in lists))
 
 
 def report_to_json(rep: ExtremalityReport) -> dict:

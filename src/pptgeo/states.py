@@ -38,7 +38,7 @@ class BipartiteMatrix:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError("local dimensions must be positive")
+            raise ValueError(f"local dimensions must be positive, got m={self.m}, n={self.n}")
         data = as_hermitian(self.data)
         if data.shape != (self.m * self.n, self.m * self.n):
             raise ValueError(
@@ -61,9 +61,13 @@ class BipartiteMatrix:
 
     @functools.cached_property
     def _partial_transpose(self) -> BipartiteMatrix:
-        m, n = self.m, self.n
-        T = self.data.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n)
-        return BipartiteMatrix(m, n, T)
+        return BipartiteMatrix(self.m, self.n, _pt(self.data, self.m, self.n))
+
+
+def _pt(Z: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The index permutation of :func:`partial_transpose`, on one mn x mn
+    matrix or on every matrix of a stack."""
+    return Z.reshape(-1, m, n, m, n).transpose(0, 3, 2, 1, 4).reshape(Z.shape)
 
 
 class Arc(enum.Enum):
@@ -97,17 +101,24 @@ _RHO_PHASE_POSITIONS = ((1, 5), (5, 9), (9, 1), (3, 7), (4, 2), (8, 6))
 _SIGMA_PHASE_POSITIONS = ((1, 5), (5, 9), (9, 1))
 
 
+def _cyclic_pattern(diag, theta: float, positions) -> BipartiteMatrix:
+    """The 3 (x) 3 matrix with diagonal (x, y, z, z, x, y, y, z, x), -e^{i theta}
+    at the 1-based positions and -e^{-i theta} at their partners.  rho and sigma
+    use (p_theta, 1/b, b); the generalized Choi map's Choi matrix is sigma's
+    pattern with (a, c, b)."""
+    x, y, z = diag
+    M = np.diag([x, y, z, z, x, y, y, z, x]).astype(complex)
+    phase = -np.exp(1j * theta)
+    for i, j in positions:
+        M[i - 1, j - 1] = phase
+        M[j - 1, i - 1] = np.conj(phase)
+    return BipartiteMatrix(3, 3, M)
+
+
 def _family(b: float, theta: float, positions) -> BipartiteMatrix:
     if b <= 0:
         raise ValueError("b must be positive")
-    p = p_theta(theta)
-    diag = np.array([p, 1 / b, b, b, p, 1 / b, 1 / b, b, p])
-    M = np.diag(diag).astype(complex)
-    z = -np.exp(1j * theta)
-    for i, j in positions:
-        M[i - 1, j - 1] = z
-        M[j - 1, i - 1] = np.conj(z)
-    return BipartiteMatrix(3, 3, M)
+    return _cyclic_pattern((p_theta(theta), 1 / b, b), theta, positions)
 
 
 def rho(b: float, theta: float) -> BipartiteMatrix:
@@ -240,15 +251,15 @@ def is_interior_of_T(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_interior_of_S_sufficient(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Sufficient interior test for the separable body: diagonal with strictly
-    positive diagonal entries (above psd_atol relative to the largest entry).
-    False means undecided, not "boundary"."""
+    """Sufficient interior test for the separable body (and, on Choi matrices,
+    the positive-map cone): off-diagonal entries within 1e-12 and diagonal
+    entries above psd_atol, both times the largest entry, so the verdict does
+    not change when X is rescaled.  False means undecided, not "boundary"."""
     A = X.data
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
+    scale = float(np.max(np.abs(A)))
     off = A - np.diag(np.diag(A))
-    if np.max(np.abs(off)) > 1e-12 * max(scale, 1e-300):
-        return False
-    return bool(np.all(np.diag(A).real > tol.psd_atol * scale))
+    return bool(np.max(np.abs(off)) <= 1e-12 * scale
+                and np.all(np.diag(A).real > tol.psd_atol * scale))
 
 
 def product_state(xi, eta) -> BipartiteMatrix:

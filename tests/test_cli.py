@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,32 @@ class TestStateCommands:
         assert code == 2
         assert out == "" and message in err
 
+    def test_entries_near_the_float_limit(self, capsys, tmp_path):
+        obj = {"m": 1, "n": 2, "matrix": matrix_to_json(np.array([[1e308, 5e307], [5e307, 1e308]]))}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "state", "classify", "--in", str(path))
+        assert code == 0
+        assert json.loads(out)["type"] == [2, 2]
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"m": ' + "1" * 5000 + "}", "4300 digits"),
+        (json.dumps({**bipartite_to_json(rho(2, 0.5)), "m": 0}), "must be positive, got m=0"),
+        (json.dumps({"m": 2, "n": 2, "matrix": matrix_to_json(np.eye(9))}), "data must be 4x4"),
+        (json.dumps({"m": 3, "n": 3, "matrix": {"rows": 9, "cols": 9}}), "with the key 'entries'"),
+        (json.dumps({"m": 3, "matrix": matrix_to_json(np.eye(9))}), "with the key 'n'"),
+        (json.dumps({"m": 1, "n": 2, "matrix": matrix_to_json(np.triu(np.ones((2, 2))))}),
+         "not hermitian"),
+    ], ids=["long integer", "m zero", "size mismatch", "no entries", "no n", "not hermitian"])
+    def test_bad_state_file_is_usage(self, capsys, tmp_path, text, message):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "state", "classify", "--in", str(path))
+        assert code == 2
+        assert out == "" and message in err
+
 
 class TestExtremalityCommand:
     def test_extreme_with_appendix(self, capsys):
@@ -228,6 +255,18 @@ class TestCombineCommand:
         assert code == 2
         assert out == "" and "list of objects" in err
 
+    def test_long_integer_inline_is_usage(self, capsys):
+        spec = '[{"family": "rho", "b": ' + "1" * 5000 + ', "theta": "0", "weight": 1}]'
+        code, out, err = run(capsys, "combine", "--spec", spec)
+        assert code == 2
+        assert out == "" and "4300 digits" in err
+
+    def test_missing_key_is_named(self, capsys):
+        spec = json.dumps([{"family": "rho", "b": 1, "weight": 1}])
+        code, out, err = run(capsys, "combine", "--spec", spec)
+        assert code == 2
+        assert out == "" and "entry 0: missing key(s) theta" in err
+
     def test_bad_weights(self, capsys):
         spec = json.dumps([{"family": "rho", "b": 1, "theta": "0", "weight": 2.0}])
         code, _, _ = run(capsys, "combine", "--spec", spec)
@@ -268,12 +307,35 @@ class TestMapCommands:
         assert "(1,3)" in err
 
     def test_trace_decomp_2n_requires_mu(self, capsys):
-        code, _, _ = run(capsys, "map", "trace-decomp", "--m", "2")
-        assert code == 3
+        code, _, err = run(capsys, "map", "trace-decomp", "--m", "2")
+        assert code == 2
+        assert "requires --mu" in err
         code, out, _ = run(capsys, "map", "trace-decomp", "--m", "2", "--mu", "2")
         assert code == 0
         rep = json.loads(out)
         assert len(rep["Vs"]) == 2 and len(rep["Ws"]) == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--m", "5"], "--m must be 2 or 3"),
+        (["--m", "2", "--mu", "0"], "positive integer"),
+    ], ids=["m 5", "mu 0"])
+    def test_trace_decomp_bad_sizes_are_usage(self, capsys, argv, message):
+        code, out, err = run(capsys, "map", "trace-decomp", *argv)
+        assert code == 2
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"Vs": [], "Ws": []}, "at least one generating matrix"),
+        ({"Vs": [matrix_to_json(np.eye(3))], "Ws": [matrix_to_json(np.eye(2))]},
+         "share one m x n shape"),
+        ({"Vs": [{"rows": 1, "cols": 1}]}, "with the key 'entries'"),
+    ], ids=["no generators", "mixed shapes", "no entries"])
+    def test_bad_spec_file_is_usage(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "map", "boundary-witness", "--spec", str(path))
+        assert code == 2
+        assert out == "" and message in err
 
     def test_pair(self, capsys, tmp_path):
         sp = tmp_path / "state.json"
@@ -331,8 +393,10 @@ class TestKrawtchoukCommands:
         assert rep["D"]["value"] == 4
 
     def test_invalid_dims_usage(self, capsys):
-        code, _, _ = run(capsys, "krawtchouk", "solve", "--m", "1", "--n", "3")
-        assert code == 2
+        for argv in (["solve", "--m", "1", "--n", "3"], ["nu", "--m", "2", "--n", "1"]):
+            code, out, err = run(capsys, "krawtchouk", *argv)
+            assert code == 2
+            assert out == "" and "must be at least 2" in err
 
     def test_bad_seed_variable_is_usage(self, capsys, monkeypatch):
         monkeypatch.setenv("PPTGEO_SEED", "abc")

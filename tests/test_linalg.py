@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestEig:
     def test_not_hermitian_rejected(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestAsHermitian:
+    @pytest.mark.parametrize("k", [-13, 0, 13])
+    def test_slack_is_relative(self, k):
+        # the non-hermitian part is as large as the matrix at every scale
+        with pytest.raises(ValueError, match="not hermitian"):
+            as_hermitian(10.0**k * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_entries_near_the_float_limit_stay_finite(self):
+        A = np.array([[1e308, 5e307], [5e307, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = as_hermitian(A)
+        assert np.array_equal(H, A.astype(complex))
 
 
 class TestRankKernel:
@@ -156,6 +172,15 @@ class TestVectorization:
     def test_e11_in_m2(self):
         E11 = np.diag([1.0, 0.0])
         assert_allclose(hermitian_to_real_vector(E11), [1, 0, 0, 0])
+
+    @pytest.mark.parametrize("H,coords", [
+        ([[0, 1], [1, 0]], [0, 0, math.sqrt(2), 0]),
+        ([[0, -1j], [1j, 0]], [0, 0, 0, -math.sqrt(2)]),
+        ([[1, 0], [0, -1]], [1, -1, 0, 0]),
+    ], ids=["sigma_x", "sigma_y", "sigma_z"])
+    def test_documented_order(self, H, coords):
+        # diagonal units, then (E_ij + E_ji)/sqrt(2), then i(E_ij - E_ji)/sqrt(2)
+        assert_allclose(hermitian_to_real_vector(np.array(H)), coords, atol=1e-15)
 
     def test_round_trip(self):
         rng = np.random.default_rng(13)

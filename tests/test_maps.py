@@ -28,6 +28,31 @@ from pptgeo.maps import (
 from pptgeo.states import BipartiteMatrix, p_theta, partial_transpose, rho, sigma
 
 
+def phi_theta_oracle(theta, t):
+    """choi_of applied to the action of phi[a, b, c; theta] on matrix units:
+    E_ii goes to a diagonal with (a, c, b) rotated cyclically, and E_ij with
+    i != j goes to -e^{+-i theta} E_ij."""
+    a, b, c = phi_theta_coefficients(theta, t)
+    e = np.exp(1j * theta)
+    ec = np.conj(e)
+    diag_images = {0: np.diag([a, c, b]), 1: np.diag([b, a, c]), 2: np.diag([c, b, a])}
+    phases = {(0, 1): -e, (1, 0): -ec, (0, 2): -ec, (2, 0): -e, (1, 2): -e, (2, 1): -ec}
+
+    def action(E):
+        i, j = map(int, np.argwhere(E)[0])
+        if i == j:
+            return diag_images[i].astype(complex)
+        out = np.zeros((3, 3), dtype=complex)
+        out[i, j] = phases[(i, j)]
+        return out
+
+    return choi_of(action, 3, 3)
+
+
+def scaled(phi, factor):
+    return ChoiMap(phi.m, phi.n, BipartiteMatrix(phi.m, phi.n, factor * phi.choi.data))
+
+
 def random_density(m, rng):
     A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     H = A @ A.conj().T
@@ -108,6 +133,13 @@ class TestPhiTheta:
         with pytest.raises(ValueError):
             phi_theta_coefficients(0.0, 0.0)
 
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+    def test_matches_action_oracle(self, t):
+        for k in range(-12, 13):
+            theta = k * math.pi / 12
+            got = phi_theta_t(theta, t).choi.data
+            assert np.array_equal(got, phi_theta_oracle(theta, t).choi.data), (k, t)
+
     def test_choi_diagonal_structure(self):
         phi = phi_theta_t(math.pi / 6, 1.0)
         C = phi.choi.data
@@ -155,6 +187,17 @@ class TestAntipodalSum:
 
     def test_single_member_not_certified(self):
         assert not is_interior_of_P_sufficient(phi_theta_t(1.0, 1.0))
+
+    def test_verdict_is_scale_invariant(self):
+        C = np.eye(9)
+        C[0, 1] = C[1, 0] = 0.5
+        cases = [(antipodal_sum_choi(th, t, s), True)
+                 for th, t, s in [(math.pi / 6, 1.0, 1.0), (0.9, 0.5, 2.0), (-1.3, 1.7, 0.3)]]
+        cases += [(phi_theta_t(th, t), False) for th, t in [(1.0, 1.0), (math.pi / 6, 0.3)]]
+        cases += [(ChoiMap(3, 3, BipartiteMatrix(3, 3, C)), False)]
+        for phi, verdict in cases:
+            for k in range(-12, 13):
+                assert is_interior_of_P_sufficient(scaled(phi, 10.0**k)) is verdict, k
 
 
 class TestDecomposable:

@@ -7,6 +7,7 @@ import pytest
 from pptgeo.maps import (
     DecomposableSpec,
     _pairing_form,
+    choi_of,
     decomposable_map,
     phi_theta_t,
     product_pairing,
@@ -129,13 +130,36 @@ class TestSeesawKernel:
             assert product_pairing(spec, xi, eta) <= 1e-14
 
 
+def decomposable_oracle(spec):
+    """choi_of applied to the action X -> sum V^dagger X V + sum W^dagger X^t W."""
+    m, n = spec.shape
+    return choi_of(lambda E: sum(V.conj().T @ E @ V for V in spec.Vs)
+                   + sum(W.conj().T @ E.T @ W for W in spec.Ws), m, n).choi.data
+
+
+def one_sided_spec(rng, side):
+    g = lambda: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))  # noqa: E731
+    mats = (g(), g())
+    return DecomposableSpec(mats, ()) if side == "V" else DecomposableSpec((), mats)
+
+
+SPECS = {
+    "generic 3x3": generic_spec(np.random.default_rng(5)),
+    "trace 2x4": trace_map_decomposition_2n(2),
+    "trace+V 2x4": trace_2n_plus_v(np.random.default_rng(6)),
+    "V only 3x3": one_sided_spec(np.random.default_rng(7), "V"),
+    "W only 3x3": one_sided_spec(np.random.default_rng(8), "W"),
+}
+
+
 class TestPairingForm:
-    @pytest.mark.parametrize("spec", [
-        generic_spec(np.random.default_rng(5)),
-        trace_map_decomposition_2n(2),
-        trace_2n_plus_v(np.random.default_rng(6)),
-    ], ids=["generic 3x3", "trace 2x4", "trace+V 2x4"])
+    @pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
     def test_equals_conjugated_choi(self, spec):
         m, n = spec.shape
         Q = _pairing_form(spec).reshape(m * n, m * n)
-        assert np.max(np.abs(Q - decomposable_map(spec).choi.data.conj())) <= 1e-12
+        assert np.max(np.abs(Q - decomposable_oracle(spec).conj())) <= 1e-12
+
+    @pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+    def test_decomposable_map_matches_action_oracle(self, spec):
+        C = decomposable_map(spec).choi.data
+        assert np.max(np.abs(C - decomposable_oracle(spec))) <= 1e-12

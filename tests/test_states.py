@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from pptgeo.states import (
     Arc,
     BipartiteMatrix,
     StateType,
+    _pt,
     arc_of,
     combine,
     conjugate_by_phase_unitary,
@@ -100,6 +102,19 @@ class TestPartialTranspose:
         E[0, 0] = 1.0
         X = BipartiteMatrix(3, 3, E)
         assert_allclose(partial_transpose(X).data, E)
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (2, 4), (1, 3), (4, 1)])
+    def test_matches_entrywise_loop(self, m, n):
+        # block (i, k) of the m x m grid of n x n blocks moves to (k, i)
+        rng = np.random.default_rng(m * 10 + n)
+        stack = [random_bipartite(m, n, rng).data for _ in range(3)]
+        want = np.empty((3, m * n, m * n), dtype=complex)
+        for s, X in enumerate(stack):
+            for i, a, k, b in itertools.product(range(m), range(n), range(m), range(n)):
+                want[s, i * n + a, k * n + b] = X[k * n + a, i * n + b]
+        for X, W in zip(stack, want):
+            assert np.array_equal(partial_transpose(BipartiteMatrix(m, n, X)).data, W)
+        assert np.array_equal(_pt(np.array(stack), m, n), want)
 
     def test_trace_and_norm_preserved(self):
         rng = np.random.default_rng(4)
