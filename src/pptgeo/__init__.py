@@ -9,22 +9,17 @@ from .extremality import (
     appendix_basis_Y,
     face_of,
     is_extreme_in_T,
-    phi_D_operator,
-    phi_E_operator,
     verify_combination_identity,
 )
 from .krawtchouk import (
     KrawtchoukSolution,
     krawtchouk_sum,
-    nu_D_2n,
     nu_lower_bound_D,
     nu_summary,
     solve,
 )
 from .linalg import (
-    DEFAULT_TOL,
     NumericalError,
-    Tolerance,
     eig_hermitian,
     hermitian_to_real_vector,
     is_psd,

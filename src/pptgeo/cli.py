@@ -20,7 +20,7 @@ from . import krawtchouk as kw
 from . import maps as mp
 from . import serialize as ser
 from . import states as st
-from .linalg import DEFAULT_TOL, NumericalError
+from .linalg import NumericalError, kernel_basis
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,6 +54,7 @@ def parse_theta(text: str) -> float:
 def format_theta(theta: float) -> str:
     """Shortest form accepted back by parse_theta."""
     frac = Fraction(theta / math.pi).limit_denominator(10**6)
+    # Display only, outside the CUTOFF/ROUNDOFF policy: print pi fractions exactly.
     if abs(float(frac) * math.pi - theta) <= 1e-15 * max(1.0, abs(theta)):
         if frac == 0:
             return "0"
@@ -161,9 +162,7 @@ def cmd_state(args) -> int:
         return EXIT_OK
     if args.state_cmd == "kernel":
         X, theta = _state_from_args(args)
-        from .linalg import kernel_basis
-
-        K = kernel_basis(X.data, DEFAULT_TOL)
+        K = kernel_basis(X.data)
         _emit({"dim": K.shape[1], "basis": [ser.vector_to_json(K[:, i]) for i in range(K.shape[1])]})
         _note(f"kernel dimension {K.shape[1]}")
         return EXIT_OK

@@ -7,8 +7,7 @@ one-dimensional (Leinaas, Myrheim & Ovrum, PRA 76, 034304, 2007).  Writing
 Z = D H D^dagger with H hermitian on the p = dim D coordinates leaves one
 condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the complement
 of E (the kernel eigenvectors of X^Gamma); the intersection is the kernel of
-that real (2 mn (mn - q)) x p^2 system.  The 81-dimensional operators phi_D
-and phi_E on all of Herm(9) are kept as an independent test oracle.
+that real (2 mn (mn - q)) x p^2 system.
 """
 from __future__ import annotations
 
@@ -18,11 +17,12 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    CUTOFF,
+    ROUNDOFF,
     as_hermitian,
     hermitian_basis,
-    numerical_kernel,
+    NumericalError,
+    hermitian_to_real_vector,
     numerical_rank,
     range_mask,
 )
@@ -39,7 +39,7 @@ class FaceSpec:
     def __post_init__(self):
         for name, B in (("D", self.D), ("E", self.E)):
             G = B.conj().T @ B
-            if np.max(np.abs(G - np.eye(B.shape[1]))) > 1e-10:
+            if np.max(np.abs(G - np.eye(B.shape[1]))) > ROUNDOFF:
                 raise ValueError(f"{name} columns are not orthonormal")
 
 
@@ -52,88 +52,55 @@ class ExtremalityReport:
     generator: Optional[BipartiteMatrix]
 
 
-def face_of(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> FaceSpec:
+def face_of(X: BipartiteMatrix) -> FaceSpec:
     """Range bases of X and of its partial transpose."""
-    if not is_ppt(X, tol):
+    if not is_ppt(X):
         raise ValueError("face_of requires a PPT input")
-    return FaceSpec(_range(X, tol), _range(partial_transpose(X), tol))
+    return FaceSpec(_range(X), _range(partial_transpose(X)))
 
 
-def _range(X: BipartiteMatrix, tol: Tolerance) -> np.ndarray:
+def _range(X: BipartiteMatrix) -> np.ndarray:
     """The eigenvectors of X's cached spectrum that span its numerical range."""
     w, V = X.spectrum
-    return V[:, range_mask(w, tol)]
+    return V[:, range_mask(w)]
 
 
-def is_extreme_in_T(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> ExtremalityReport:
+def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     """Extremality of a nonzero PPT state in the PPT convex body.
 
     dim_ker_D and dim_ker_E are p^2 and q^2, the real dimensions of the
     hermitian matrices supported on D and on E."""
     if np.max(np.abs(X.data)) == 0:
         raise ValueError("the zero matrix has no extremality report")
-    face = face_of(X, tol)
+    face = face_of(X)
     p, q = face.D.shape[1], face.E.shape[1]
     # F, the complement of E, is the kernel half of the same cached spectrum.
     w, V = partial_transpose(X).spectrum
-    F = V[:, ~range_mask(w, tol)]
+    F = V[:, ~range_mask(w)]
     Z = face.D @ hermitian_basis(p) @ face.D.conj().T
     W = F.conj().T @ _pt(Z, X.m, X.n)
     M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T
     # D, F and the Herm(p) basis are orthonormal, so ||M|| <= 1: the cutoff is absolute.
     _, s, Vh = np.linalg.svd(M)
-    ker = Vh[np.count_nonzero(s > tol.rank_rel):]
+    ker = Vh[np.count_nonzero(s > CUTOFF):]
     dim_int = ker.shape[0]
     generator = None
     if dim_int == 1:
         G = np.tensordot(ker[0], Z, axes=1)
+        # ||G||_F = 1, so the trace guard is relative to G.
         tr = float(np.trace(G).real)
-        if abs(tr) < 1e-12:
+        if abs(tr) < ROUNDOFF:
             raise ValueError("intersection generator is traceless; cannot normalize")
         G = G / tr
         generator = BipartiteMatrix(X.m, X.n, G)
-        ref = X.data / float(np.trace(X.data).real)
-        if np.max(np.abs(G - ref)) > 1e-7 * max(1.0, float(np.max(np.abs(ref)))):
+        # Scale to a largest entry of 1 before dividing by the trace, so a
+        # subnormal X stays finite; complex / subnormal overflows, real does not.
+        ref = (X.data.view(float) / np.max(np.abs(X.data))).view(complex)
+        ref /= np.trace(ref).real
+        # Not ROUNDOFF: near a type change G and ref agree only to about 1e-8.
+        if np.max(np.abs(G - ref)) > 1e-7:
             raise ValueError("unique intersection element is not proportional to the input")
     return ExtremalityReport(p * p, q * q, dim_int, dim_int == 1, generator)
-
-
-def _operator(f, dim: int) -> np.ndarray:
-    """Real dim^2 x dim^2 matrix of a real-linear map f on Herm(dim), with f
-    applied to the whole basis stack at once."""
-    B = hermitian_basis(dim)
-    return np.einsum("jab,kba->jk", B, f(B)).real
-
-
-def phi_D_operator(D: np.ndarray) -> np.ndarray:
-    """Real matrix of Z -> P_D Z P_D - Z; its kernel is the hermitian matrices
-    supported on D, of real dimension (dim D)^2.  Test oracle only."""
-    D = np.asarray(D, dtype=complex)
-    P = D @ D.conj().T
-    return _operator(lambda Z: P @ Z @ P - Z, D.shape[0])
-
-
-def phi_E_operator(E: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Real matrix of Z -> (P_E Z^Gamma P_E)^Gamma - Z on the m*n system.
-    Test oracle only."""
-    E = np.asarray(E, dtype=complex)
-    if E.shape[0] != m * n:
-        raise ValueError("subspace lives in the wrong dimension")
-    P = E @ E.conj().T
-    return _operator(lambda Z: _pt(P @ _pt(Z, m, n) @ P, m, n) - Z, m * n)
-
-
-def kernel_intersection_dim_oracle(
-    op_a: np.ndarray, op_b: np.ndarray, rel_cutoff: float = 1e-9
-) -> int:
-    """Independent route to dim(ker A & ker B): intersect the two kernel bases
-    (dim sum minus rank of the concatenation).  Test oracle for
-    :func:`is_extreme_in_T`, valid when both kernels are proper subspaces."""
-    Ka = numerical_kernel(op_a, rel_cutoff)
-    Kb = numerical_kernel(op_b, rel_cutoff)
-    if Ka.shape[1] == 0 or Kb.shape[1] == 0:
-        return 0
-    return Ka.shape[1] + Kb.shape[1] - numerical_rank(np.hstack([Ka, Kb]), rel_cutoff)
 
 
 def _E(i: int, j: int) -> np.ndarray:
@@ -265,12 +232,10 @@ def appendix_basis_Y(b: float, theta: float) -> list[np.ndarray]:
     return [as_hermitian(y) for y in ys]
 
 
-def basis_span_rank(mats: list[np.ndarray], rel_cutoff: float = 1e-9) -> int:
+def basis_span_rank(mats: list[np.ndarray]) -> int:
     """Real-linear span dimension of a list of hermitian matrices."""
-    from .linalg import hermitian_to_real_vector
-
     rows = np.array([hermitian_to_real_vector(M) for M in mats])
-    return numerical_rank(rows, rel_cutoff)
+    return numerical_rank(rows)
 
 
 @dataclass(frozen=True)
@@ -284,12 +249,11 @@ class CombinationIdentityReport:
     ok: bool
 
 
-def verify_combination_identity(
-    b: float, theta: float, tol_rel: float = 1e-10
-) -> CombinationIdentityReport:
+def verify_combination_identity(b: float, theta: float) -> CombinationIdentityReport:
     """Check rho(b,theta) = cos(theta)(X1+X2+X3) + sin(theta) X4 - X5 - X6 - X7
     and both readings of the analogous Y combination (whose printed last term
-    is ambiguous between -X7 and -Y7)."""
+    is ambiguous between -X7 and -Y7); ok when the X residual, relative to
+    the Frobenius norm of rho, is within ROUNDOFF."""
     target = rho(b, theta).data
     scale = np.linalg.norm(target)
     xs = appendix_basis_X(b, theta)
@@ -300,7 +264,7 @@ def verify_combination_identity(
     rx = float(np.linalg.norm(target - combo_x) / scale)
     ry_x7 = float(np.linalg.norm(target - (y_head - xs[6])) / scale)
     ry_y7 = float(np.linalg.norm(target - (y_head - ys[6])) / scale)
-    return CombinationIdentityReport(rx, ry_x7, ry_y7, rx <= tol_rel)
+    return CombinationIdentityReport(rx, ry_x7, ry_y7, rx <= ROUNDOFF)
 
 
 @dataclass(frozen=True)
@@ -323,16 +287,23 @@ def verify_appendix(b: float, theta: float) -> AppendixReport:
     The membership residuals are max ||P_D M P_D - M||_F over the X basis and
     max ||(P_E M^Gamma P_E)^Gamma - M||_F over the Y basis; the real
     vectorization is an isometry, so they equal the norms of phi_D and phi_E
-    applied to the basis elements."""
-    X = rho(b, theta)
-    face = face_of(X)
-    P_D = face.D @ face.D.conj().T
-    P_E = face.E @ face.E.conj().T
-    xs = np.array(appendix_basis_X(b, theta))
-    ys = np.array(appendix_basis_Y(b, theta))
-    x_res = np.linalg.norm(P_D @ xs @ P_D - xs, axis=(1, 2)).max()
-    y_res = np.linalg.norm(_pt(P_E @ _pt(ys, X.m, X.n) @ P_E, X.m, X.n) - ys, axis=(1, 2)).max()
-    ident = verify_combination_identity(b, theta)
+    applied to the basis elements.  The bases hold b^2 and 1/b^2 and the
+    norms square them, so a b that leaves the floating-point range raises
+    NumericalError instead of reporting an infinite residual."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            X = rho(b, theta)
+            face = face_of(X)
+            P_D = face.D @ face.D.conj().T
+            P_E = face.E @ face.E.conj().T
+            xs = np.array(appendix_basis_X(b, theta))
+            ys = np.array(appendix_basis_Y(b, theta))
+            x_res = np.linalg.norm(P_D @ xs @ P_D - xs, axis=(1, 2)).max()
+            ys_E = _pt(P_E @ _pt(ys, X.m, X.n) @ P_E, X.m, X.n)
+            y_res = np.linalg.norm(ys_E - ys, axis=(1, 2)).max()
+            ident = verify_combination_identity(b, theta)
+    except ArithmeticError as exc:
+        raise NumericalError(f"appendix check out of floating-point range at b={b!r}") from exc
     return AppendixReport(
         float(x_res),
         float(y_res),

@@ -56,25 +56,19 @@ def nu_lower_bound_D(m: int, n: int) -> int:
     return m + n - 2 if solve(m, n) else m + n - 1
 
 
-def nu_D_2n(n: int) -> int:
-    """Exact value for maps from M_2 into M_n: n + 1 for odd n, n for even n."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return n + 1 if n % 2 else n
-
-
 def nu_summary(m: int, n: int) -> dict:
     """Structured report of the known interior-combination numbers.
 
     S = mn always holds.  T and P equal 2 only in the 3x3 case (the only
     proved instance); elsewhere they are reported as unknown (None).  D is
-    exact for m = 2 and for (3, 3), otherwise only the lower bound is known.
+    exact for m = 2, where it equals the lower bound (n + 1 for odd n, n for
+    even n), and for (3, 3); otherwise only the lower bound is known.
     """
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
     lower = nu_lower_bound_D(m, n)
     if m == 2:
-        d_value, d_status = nu_D_2n(n), "exact"
+        d_value, d_status = lower, "exact"
     elif (m, n) == (3, 3):
         d_value, d_status = 4, "exact"
     else:

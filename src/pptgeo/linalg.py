@@ -1,44 +1,33 @@
-"""Dense complex hermitian linear algebra with explicit tolerances.
+"""Dense complex hermitian linear algebra under one tolerance policy.
 
 All matrices are small (at most 81x81 here), so everything is plain dense
 numpy.  The real vectorization of hermitian space uses one fixed orthonormal
 basis, documented and built at :func:`hermitian_basis`, so that real
 coordinates are reproducible.
+
+Every numerical decision in the package uses one of two cutoffs, each relative
+to the largest magnitude involved, so that no verdict changes when an input is
+rescaled: :data:`CUTOFF` for rank, kernel and PSD decisions and
+:data:`ROUNDOFF` for deviations that can only be rounding.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
+
+#: An eigenvalue or singular value at most CUTOFF times the largest is zero.
+CUTOFF = 1e-9
+#: A deviation at most ROUNDOFF times the scale is rounding.
+ROUNDOFF = 1e-12
 
 
 class NumericalError(RuntimeError):
     """A computation failed to meet its numerical contract."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Thresholds for rank decisions and PSD checks.
-
-    rank_rel is relative to the largest eigenvalue magnitude; psd_atol is the
-    slack allowed below zero, also relative to the largest eigenvalue
-    magnitude.
-    """
-
-    rank_rel: float = 1e-9
-    psd_atol: float = 1e-9
-
-    def __post_init__(self):
-        if self.rank_rel <= 0 or self.psd_atol <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
-
-
 def as_hermitian(A) -> np.ndarray:
-    """Validate that max |A - A^dagger| <= 1e-12 * max |A| (a relative slack)
+    """Validate that max |A - A^dagger| <= ROUNDOFF * max |A| (a relative slack)
     and return the exact symmetrization A/2 + A^dagger/2, halved first so
     that entries near the floating-point limit stay finite, as a fresh array."""
     A = np.asarray(A, dtype=complex)
@@ -48,7 +37,7 @@ def as_hermitian(A) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     half = A / 2
     dev = np.max(np.abs(half - half.conj().T), initial=0.0)
-    if dev > 1e-12 * np.max(np.abs(half), initial=0.0):
+    if dev > ROUNDOFF * np.max(np.abs(half), initial=0.0):
         raise ValueError(f"matrix is not hermitian (deviation {2 * dev:.3e})")
     return half + half.conj().T
 
@@ -75,43 +64,42 @@ def eigh_descending(H: np.ndarray):
 # The cutoff rules, each a function of a descending spectrum w, so that a
 # decision read from a cached spectrum and one computed from a matrix agree.
 
-def range_mask(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Which eigenvalues span the numerical range: |w| > rank_rel * max |w|.
+def range_mask(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues span the numerical range: |w| > CUTOFF * max |w|.
     None do when w is all zero; the kernel is the complement."""
-    return np.abs(w) > tol.rank_rel * (np.max(np.abs(w)) if w.size else 0.0)
+    return np.abs(w) > CUTOFF * (np.max(np.abs(w)) if w.size else 0.0)
 
 
-def spectrum_rank(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+def spectrum_rank(w: np.ndarray) -> int:
     """Numerical rank: the number of eigenvalues in :func:`range_mask`."""
-    return int(np.count_nonzero(range_mask(w, tol)))
+    return int(np.count_nonzero(range_mask(w)))
 
 
-def spectrum_is_psd(w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -psd_atol * max |w|.  The slack
-    is relative, so the verdict does not change when H is rescaled."""
-    return bool(w.size == 0 or w[-1] >= -tol.psd_atol * np.max(np.abs(w)))
+def spectrum_is_psd(w: np.ndarray) -> bool:
+    """True iff the smallest eigenvalue is >= -CUTOFF * max |w|."""
+    return bool(w.size == 0 or w[-1] >= -CUTOFF * np.max(np.abs(w)))
 
 
-def rank_tol(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+def rank_tol(H: np.ndarray) -> int:
     """Numerical rank of hermitian H (:func:`spectrum_rank`)."""
-    return spectrum_rank(eig_hermitian(H)[0], tol)
+    return spectrum_rank(eig_hermitian(H)[0])
 
 
-def kernel_basis(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def kernel_basis(H: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of hermitian H."""
     w, V = eig_hermitian(H)
-    return V[:, ~range_mask(w, tol)]
+    return V[:, ~range_mask(w)]
 
 
-def range_basis(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def range_basis(H: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical range of hermitian H."""
     w, V = eig_hermitian(H)
-    return V[:, range_mask(w, tol)]
+    return V[:, range_mask(w)]
 
 
-def is_psd(H: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_psd(H: np.ndarray) -> bool:
     """PSD verdict of hermitian H (:func:`spectrum_is_psd`)."""
-    return spectrum_is_psd(eig_hermitian(H)[0], tol)
+    return spectrum_is_psd(eig_hermitian(H)[0])
 
 
 def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
@@ -156,20 +144,11 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return B
 
 
-def numerical_kernel(M: np.ndarray, rel_cutoff: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of a real or
-    complex rectangular matrix, via SVD with a relative singular-value cutoff."""
-    M = np.asarray(M)
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    nkeep = int(np.count_nonzero(s > rel_cutoff * smax)) if smax > 0 else 0
-    return Vh[nkeep:].conj().T
-
-
-def numerical_rank(M: np.ndarray, rel_cutoff: float = 1e-9) -> int:
-    """Numerical rank of a rectangular matrix via SVD."""
+def numerical_rank(M: np.ndarray) -> int:
+    """Numerical rank of a rectangular matrix: its singular values above
+    CUTOFF times the largest."""
     s = np.linalg.svd(np.asarray(M), compute_uv=False)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_cutoff * smax))
+    return int(np.count_nonzero(s > CUTOFF * smax))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NumericalError
+from .linalg import ROUNDOFF, NumericalError
 from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern, _gram_rows,
                      _product_starts, _seesaw, is_interior_of_S_sufficient, p_theta)
 
@@ -85,12 +85,13 @@ def apply_map(phi: ChoiMap, X) -> np.ndarray:
 
 
 def pairing(rho: BipartiteMatrix, phi: ChoiMap) -> float:
-    """Duality pairing Tr(rho * C_phi^t) between states and maps."""
+    """Duality pairing Tr(rho * C_phi^t) between states and maps.  Both are
+    hermitian, so an imaginary part beyond ROUNDOFF times the Cauchy-Schwarz
+    bound ||rho||_F ||C_phi||_F is an error."""
     if (rho.m, rho.n) != (phi.m, phi.n):
         raise ValueError("state and map live on different systems")
     val = complex(np.trace(rho.data @ phi.choi.data.T))
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > 1e-10 * scale:
+    if abs(val.imag) > ROUNDOFF * np.linalg.norm(rho.data) * np.linalg.norm(phi.choi.data):
         raise NumericalError(f"pairing has a nonreal value {val}")
     return val.real
 

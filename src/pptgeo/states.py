@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_hermitian,
-    eigh_descending,
-    spectrum_is_psd,
-    spectrum_rank,
-)
+from .linalg import CUTOFF, ROUNDOFF, as_hermitian, eigh_descending, spectrum_is_psd, spectrum_rank
 
 
 @dataclass(frozen=True)
@@ -146,18 +139,16 @@ def partial_transpose(X: BipartiteMatrix) -> BipartiteMatrix:
     return X._partial_transpose
 
 
-def state_type(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> StateType:
+def state_type(X: BipartiteMatrix) -> StateType:
     """Rank pair of a PPT state and its partial transpose."""
-    if not spectrum_is_psd(X.spectrum[0], tol):
+    if not spectrum_is_psd(X.spectrum[0]):
         raise ValueError("state_type requires a PSD input")
-    return StateType(spectrum_rank(X.spectrum[0], tol),
-                     spectrum_rank(partial_transpose(X).spectrum[0], tol))
+    return StateType(spectrum_rank(X.spectrum[0]), spectrum_rank(partial_transpose(X).spectrum[0]))
 
 
-def is_ppt(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_ppt(X: BipartiteMatrix) -> bool:
     """PSD together with PSD partial transpose."""
-    return (spectrum_is_psd(X.spectrum[0], tol)
-            and spectrum_is_psd(partial_transpose(X).spectrum[0], tol))
+    return spectrum_is_psd(X.spectrum[0]) and spectrum_is_psd(partial_transpose(X).spectrum[0])
 
 
 def reduce_theta(theta: float) -> float:
@@ -168,11 +159,12 @@ def reduce_theta(theta: float) -> float:
     return t
 
 
-def arc_of(theta: float, atol: float = 1e-12) -> Arc:
-    """Classify theta into the three open arcs, or BOUNDARY at n*pi/3."""
+def arc_of(theta: float) -> Arc:
+    """Classify theta into the three open arcs, or BOUNDARY within ROUNDOFF
+    (radians) of n*pi/3."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if abs(math.remainder(theta, math.pi / 3.0)) <= atol:
+    if abs(math.remainder(theta, math.pi / 3.0)) <= ROUNDOFF:
         return Arc.BOUNDARY
     t = reduce_theta(theta)
     if t < -math.pi / 3.0:
@@ -213,7 +205,7 @@ def combine(states: list[BipartiteMatrix], weights) -> BipartiteMatrix:
         raise ValueError("one weight per state required")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if abs(weights.sum() - 1.0) > ROUNDOFF:
         raise ValueError("weights must sum to 1")
     m, n = states[0].m, states[0].n
     if any(X.m != m or X.n != n for X in states):
@@ -242,24 +234,24 @@ def conjugate_by_phase_unitary(X: BipartiteMatrix) -> BipartiteMatrix:
     return BipartiteMatrix(3, 3, IU.conj().T @ X.data @ IU)
 
 
-def is_interior_of_T(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_interior_of_T(X: BipartiteMatrix) -> bool:
     """Interior of the PPT convex body: both ranges are the full space."""
-    if not is_ppt(X, tol):
+    if not is_ppt(X):
         raise ValueError("is_interior_of_T requires a PPT input")
-    st = state_type(X, tol)
+    st = state_type(X)
     return st.p == X.dim and st.q == X.dim
 
 
-def is_interior_of_S_sufficient(X: BipartiteMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_interior_of_S_sufficient(X: BipartiteMatrix) -> bool:
     """Sufficient interior test for the separable body (and, on Choi matrices,
-    the positive-map cone): off-diagonal entries within 1e-12 and diagonal
-    entries above psd_atol, both times the largest entry, so the verdict does
-    not change when X is rescaled.  False means undecided, not "boundary"."""
+    the positive-map cone): off-diagonal entries within ROUNDOFF and diagonal
+    entries above CUTOFF, both times the largest entry.  False means
+    undecided, not "boundary"."""
     A = X.data
     scale = float(np.max(np.abs(A)))
     off = A - np.diag(np.diag(A))
-    return bool(np.max(np.abs(off)) <= 1e-12 * scale
-                and np.all(np.diag(A).real > tol.psd_atol * scale))
+    return bool(np.max(np.abs(off)) <= ROUNDOFF * scale
+                and np.all(np.diag(A).real > CUTOFF * scale))
 
 
 def product_state(xi, eta) -> BipartiteMatrix:
@@ -275,7 +267,9 @@ def product_state(xi, eta) -> BipartiteMatrix:
 
 def verify_product_decomposition(X: BipartiteMatrix, parts, tol_rel: float = 1e-8) -> bool:
     """Check X = sum_i w_i |xi_i (x) eta_i><...| with the raw (unnormalized)
-    product vectors; comparison is relative to the Frobenius norm of X."""
+    product vectors; comparison is relative to the Frobenius norm of X.
+    tol_rel is set by the caller (1e-12 for the exact four-vector
+    decomposition of rho(1, pi)) and is outside the CUTOFF/ROUNDOFF policy."""
     acc = np.zeros_like(X.data)
     for xi, eta, weight in parts:
         if weight <= 0:
@@ -308,6 +302,8 @@ def _gram_rows(v: np.ndarray) -> np.ndarray:
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
 
+# gain_tol, target and each search's residual_tol are set per search, outside
+# the CUTOFF/ROUNDOFF policy: the seesaw converges only linearly near a zero.
 def _seesaw(Q: np.ndarray, eta: np.ndarray, maximize: bool, gain_tol: float,
             target: float | None = None, max_iter: int = 200):
     """Extremise <xi (x) eta| Q |xi (x) eta> over unit product vectors by

@@ -17,7 +17,7 @@ from pptgeo.serialize import (
     vector_to_json,
 )
 from pptgeo.maps import DecomposableSpec, trace_map, trace_map_decomposition_33
-from pptgeo.states import rho
+from pptgeo.states import BipartiteMatrix, rho
 
 
 def run(capsys, *argv):
@@ -206,6 +206,15 @@ class TestExtremalityCommand:
         assert ax["y_combination_residual_last_x7"] > 1e-2
         assert "extreme=True" in err
 
+    @pytest.mark.parametrize("b", ["1.3407807929942597e+154", "3.338330822182424e+84",
+                                   "2.4538424900209123e-217"])
+    def test_verify_appendix_out_of_float_range(self, capsys, b):
+        code, out, err = run(capsys, "extremality", "--family", "rho", "--b", b,
+                             "--theta", "0", "--verify-appendix")
+        assert code == 3
+        assert out == ""
+        assert "floating-point range" in err
+
     def test_verify_appendix_usage_errors(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(bipartite_to_json(rho(2, math.pi / 6))))
@@ -215,6 +224,17 @@ class TestExtremalityCommand:
             assert code == 2
             assert out == ""
             assert "--verify-appendix" in err
+
+    def test_subnormal_state(self, capsys, tmp_path):
+        X = rho(2, math.pi / 6)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(bipartite_to_json(BipartiteMatrix(3, 3, X.data * 1e-310))))
+        code, out, _ = run(capsys, "extremality", "--in", str(path))
+        rep = json.loads(out)
+        assert code == 0
+        assert (rep["dim_ker_D"], rep["dim_ker_E"], rep["dim_intersection"]) == (25, 25, 1)
+        G = bipartite_from_json(rep["generator"]).data
+        assert np.max(np.abs(G - X.data / np.trace(X.data).real)) <= 1e-12
 
     def test_sigma_not_extreme(self, capsys):
         code, out, _ = run(capsys, "extremality", "--family", "sigma",

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import kernel_intersection_dim_oracle, phi_D_operator, phi_E_operator
 from pptgeo.extremality import (
+    FaceSpec,
     appendix_basis_X,
     appendix_basis_Y,
     basis_span_rank,
     face_of,
     is_extreme_in_T,
-    kernel_intersection_dim_oracle,
-    phi_D_operator,
-    phi_E_operator,
     verify_combination_identity,
 )
 from pptgeo.linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    ROUNDOFF,
     hermitian_basis,
     hermitian_to_real_vector,
     is_psd,
@@ -83,6 +81,20 @@ class TestFace:
             face = face_of(rho(b, th))
             assert np.trace(face.D @ face.D.conj().T).real == pytest.approx(5.0, abs=1e-9)
             assert np.trace(face.E @ face.E.conj().T).real == pytest.approx(5.0, abs=1e-9)
+
+    def test_bases_orthonormal_to_roundoff(self):
+        grid = [family(b, k * math.pi / 12) for family in (rho, sigma)
+                for b in (0.25, 0.5, 1.0, 2.0, 4.0) for k in range(24)]
+        for X in grid + oracle_states():
+            face = face_of(X)
+            for B in (face.D, face.E):
+                assert np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))) <= ROUNDOFF
+
+    def test_facespec_rejects_beyond_roundoff(self):
+        D = np.eye(9)[:, :3]
+        FaceSpec(D * (1 + 0.25 * ROUNDOFF), D)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            FaceSpec(D * (1 + 5 * ROUNDOFF), D)
 
     def test_p_d_annihilates_kernel(self):
         for b, th in GENERIC:
@@ -191,17 +203,14 @@ class TestCachedSpectrum:
     of an entrywise X^Gamma are their oracle."""
 
     def test_decisions_match_uncached(self):
-        coarse = Tolerance(rank_rel=0.5, psd_atol=0.5)
         for X in oracle_states():
             T = pt_oracle(X)
-            # A second tolerance on the same object must decide afresh.
-            for tol in (DEFAULT_TOL, coarse):
-                assert is_ppt(X, tol) == (is_psd(X.data, tol) and is_psd(T, tol))
-                assert state_type(X, tol) == StateType(rank_tol(X.data, tol), rank_tol(T, tol))
-                face = face_of(X, tol)
-                for B, H in ((face.D, X.data), (face.E, T)):
-                    R = range_basis(H, tol)
-                    assert_allclose(B @ B.conj().T, R @ R.conj().T, atol=1e-10)
+            assert is_ppt(X) == (is_psd(X.data) and is_psd(T))
+            assert state_type(X) == StateType(rank_tol(X.data), rank_tol(T))
+            face = face_of(X)
+            for B, H in ((face.D, X.data), (face.E, T)):
+                R = range_basis(H)
+                assert_allclose(B @ B.conj().T, R @ R.conj().T, atol=1e-10)
 
     def test_two_eigensolves_per_state(self, monkeypatch):
         calls = []
@@ -264,7 +273,7 @@ class TestAppendixBases:
             [hermitian_to_real_vector(X) for X in appendix_basis_X(b, th)]
         )
         # every appendix vector already checked in-kernel; rank 25 = dim Ker
-        assert numerical_rank(cols, 1e-9) == 25
+        assert numerical_rank(cols) == 25
         s = np.linalg.svd(op, compute_uv=False)
         assert np.sum(s <= 1e-9 * s[0]) == 25
 

@@ -5,7 +5,6 @@ import pytest
 from pptgeo.krawtchouk import (
     KrawtchoukSolution,
     krawtchouk_sum,
-    nu_D_2n,
     nu_lower_bound_D,
     nu_summary,
     solve,
@@ -95,14 +94,12 @@ class TestNu:
         assert nu_lower_bound_D(3, 4) == 6  # 3x4 has no solution
 
     def test_2n_exact(self):
-        assert nu_D_2n(2) == 2
-        assert nu_D_2n(3) == 4
-        assert nu_D_2n(4) == 4
-        assert nu_D_2n(5) == 6
+        assert [nu_summary(2, n)["D"]["value"] for n in (2, 3, 4, 5)] == [2, 4, 4, 6]
 
     def test_2n_consistent_with_bound(self):
         for n in range(2, 15):
-            assert nu_D_2n(n) >= nu_lower_bound_D(2, n)
+            want = n + 1 if n % 2 else n
+            assert nu_summary(2, n)["D"]["value"] == nu_lower_bound_D(2, n) == want
 
     def test_summary_3_3(self):
         s = nu_summary(3, 3)
@@ -128,4 +125,4 @@ class TestNu:
         with pytest.raises(ValueError):
             nu_summary(1, 3)
         with pytest.raises(ValueError):
-            nu_D_2n(1)
+            nu_summary(2, 1)

@@ -6,8 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pptgeo.linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    CUTOFF,
     as_hermitian,
     eig_hermitian,
     hermitian_basis,
@@ -17,6 +16,8 @@ from pptgeo.linalg import (
     range_basis,
     rank_tol,
     real_vector_to_hermitian,
+    spectrum_is_psd,
+    spectrum_rank,
 )
 from pptgeo.states import p_theta, rho
 
@@ -207,6 +208,23 @@ class TestVectorization:
         assert_allclose(gram, np.eye(d * d), atol=1e-15)
 
 
+class TestCutoff:
+    """An eigenvalue counts as zero exactly when it is at most CUTOFF times
+    the largest, at every scale."""
+
+    @pytest.mark.parametrize("k", [-12, 0, 12])
+    def test_rank_switches_at_cutoff(self, k):
+        s = 10.0**k
+        assert spectrum_rank(s * np.array([1.0, 1.01 * CUTOFF])) == 2
+        assert spectrum_rank(s * np.array([1.0, 0.99 * CUTOFF])) == 1
+
+    @pytest.mark.parametrize("k", [-12, 0, 12])
+    def test_psd_switches_at_cutoff(self, k):
+        s = 10.0**k
+        assert spectrum_is_psd(s * np.array([1.0, -0.99 * CUTOFF]))
+        assert not spectrum_is_psd(s * np.array([1.0, -1.01 * CUTOFF]))
+
+
 class TestIsPsd:
     def test_identity(self):
         assert is_psd(np.eye(3))
@@ -226,11 +244,3 @@ class TestIsPsd:
         assert is_psd(C)
         w, _ = eig_hermitian(C)
         assert abs(w[-1]) <= 1e-9
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rank_rel=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(psd_atol=-1.0)
-    assert DEFAULT_TOL.rank_rel == 1e-9

@@ -115,6 +115,20 @@ class TestPairing:
         with pytest.raises(ValueError):
             pairing(rho(1, 0), identity_map(2))
 
+    @pytest.mark.parametrize("ka,kb", [(-8, -8), (-8, 8), (8, -8), (8, 8)])
+    def test_near_zero_value_at_any_scale(self, ka, kb):
+        # Tr(X C^t) = 0 up to rounding: C is projected off X^t, and the
+        # imaginary rounding of the value is judged against ||X|| ||C||.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            A, B = (rng.normal(size=(9, 9, 2)) @ [1, 1j] for _ in range(2))
+            X = (A + A.conj().T) / 2
+            C = (B + B.conj().T) / 2
+            C = C - np.trace(X @ C.T).real / np.trace(X @ X).real * X.T
+            X, C = 10.0**ka * X, 10.0**kb * C
+            val = pairing(BipartiteMatrix(3, 3, X), ChoiMap(3, 3, BipartiteMatrix(3, 3, C)))
+            assert abs(val) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(C)
+
 
 class TestPhiTheta:
     def test_coefficient_sum(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptgeo.linalg import eig_hermitian
+from pptgeo.linalg import CUTOFF, ROUNDOFF, eig_hermitian
 from pptgeo.states import (
     Arc,
     BipartiteMatrix,
@@ -207,6 +207,10 @@ class TestArcs:
     def test_examples(self, theta, expected):
         assert arc_of(theta) is expected
 
+    def test_boundary_width_is_roundoff(self):
+        assert arc_of(math.pi / 3 + 0.5 * ROUNDOFF) is Arc.BOUNDARY
+        assert arc_of(math.pi / 3 + 2 * ROUNDOFF) is Arc.PLUS
+
 
 class TestCombine:
     def test_single(self):
@@ -280,6 +284,12 @@ class TestInterior:
         assert is_interior_of_S_sufficient(X)
         assert is_interior_of_S_sufficient(identity_state())
         assert not is_interior_of_S_sufficient(rho(2, math.pi / 6))
+
+    @pytest.mark.parametrize("k", [-12, 0, 12])
+    def test_diagonal_floor_is_cutoff(self, k):
+        for floor, interior in ((1.01 * CUTOFF, True), (0.99 * CUTOFF, False)):
+            X = BipartiteMatrix(3, 3, 10.0**k * np.diag([1.0] * 8 + [floor]))
+            assert is_interior_of_S_sufficient(X) is interior
 
     def test_few_product_states_never_interior(self):
         rng = np.random.default_rng(21)
