@@ -182,11 +182,14 @@ def _pairing_form(spec: DecomposableSpec) -> np.ndarray:
     return np.einsum("kia,kjb->iajb", V, V.conj()) + np.einsum("kja,kib->iajb", W, W.conj())
 
 
+#: Product pairing below which a unit pair (xi, eta) is a boundary witness.
+WITNESS_RESIDUAL = 1e-12
+
+
 def boundary_witness_search(
     spec: DecomposableSpec,
     restarts: int = 1000,
     seed: int = 0,
-    residual_tol: float = 1e-12,
 ):
     """Look for unit xi, eta with <xi|V_i|eta_bar> = 0 and
     <xi_bar|W_j|eta_bar> = 0 for every generator: a numerical certificate that
@@ -202,9 +205,9 @@ def boundary_witness_search(
     m, n = spec.shape
     _, eta = _product_starts(restarts, m, n, seed)
     xi, eta, _ = _seesaw(_pairing_form(spec), eta, maximize=False, gain_tol=1e-16,
-                         target=residual_tol)
+                         target=WITNESS_RESIDUAL)
     residual = product_pairing(spec, xi, eta)
-    if residual <= residual_tol:
+    if residual <= WITNESS_RESIDUAL:
         return xi, eta, residual
     return None
 

@@ -6,13 +6,21 @@ The readers accept only that layout and raise :class:`FormatError` otherwise.
 """
 from __future__ import annotations
 
+import json
 import math
+import os
+import re
+from fractions import Fraction
 
 import numpy as np
 
 from .extremality import ExtremalityReport
 from .maps import ChoiMap, DecomposableSpec
-from .states import BipartiteMatrix
+from .states import FAMILIES, BipartiteMatrix
+
+_PI_EXPR = re.compile(
+    r"^(?P<sign>[+-]?)\s*(?:(?P<num>\d+(?:\.\d+)?)\s*\*?\s*)?pi\s*(?:/\s*(?P<den>\d+))?$"
+)
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
@@ -27,7 +35,41 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 class FormatError(ValueError):
-    """JSON input that does not have the documented layout."""
+    """JSON or angle text that does not have its documented layout."""
+
+
+def load_json(source: str, inline: bool = False):
+    """The JSON in the file `source` or, with inline=True and no such file, in
+    `source` itself.  Every parse failure, also an integer past Python's digit
+    limit (a plain ValueError), raises FormatError."""
+    if inline and not os.path.isfile(source):
+        text, what = source, "inline JSON (and not a file)"
+    else:
+        with open(source, encoding="utf-8") as fh:
+            text, what = fh.read(), source
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise FormatError(f"{what}: {exc}") from None
+
+
+def angle_from_text(text: str) -> float:
+    """An angle: a decimal, or an exact multiple of pi such as 'pi', '-pi/3',
+    '2*pi/3', '5pi/12'.  Multiples of pi are computed symbolically before the
+    final float conversion so boundary angles stay detectable."""
+    s = text.strip().lower()
+    m = _PI_EXPR.match(s)
+    try:
+        if not m:
+            return float(s)
+        val = float(Fraction(m.group("num") or "1") / Fraction(m.group("den") or "1")) * math.pi
+    except ZeroDivisionError:
+        raise FormatError(f"angle {text!r} divides by zero") from None
+    except OverflowError:
+        raise FormatError(f"angle {text!r} is out of the floating-point range") from None
+    except ValueError:
+        raise FormatError(f"cannot parse angle {text!r}") from None
+    return -val if m.group("sign") == "-" else val
 
 
 def _field(obj, key: str):
@@ -65,6 +107,11 @@ def _real(x) -> float:
     if not math.isfinite(value):
         raise FormatError(f"expected a finite number, got {x!r}")
     return value
+
+
+def _angle(x) -> float:
+    """A JSON angle: a finite number, or a string read by angle_from_text."""
+    return angle_from_text(x) if isinstance(x, str) else _real(x)
 
 
 def _complex_entries(entries) -> np.ndarray:
@@ -126,6 +173,32 @@ def spec_from_json(obj: dict) -> DecomposableSpec:
     if not all(isinstance(mats, list) for mats in lists):
         raise FormatError("'Vs' and 'Ws' must be JSON lists of matrices")
     return _build(DecomposableSpec, *(tuple(matrix_from_json(M) for M in mats) for mats in lists))
+
+
+def combination_from_json(obj) -> list[tuple[str, float, float, float]]:
+    """(family, b, theta, weight) of each entry of a combination spec, a
+    non-empty JSON list of objects.  Each has a family name of
+    states.FAMILIES, finite numbers b and weight, and theta as a finite
+    number or an angle string."""
+    if not obj or not isinstance(obj, list) or not all(isinstance(s, dict) for s in obj):
+        raise FormatError("a combination spec must be a non-empty JSON list of objects")
+    return [_combination_entry(i, s) for i, s in enumerate(obj)]
+
+
+def _combination_entry(i: int, s: dict) -> tuple[str, float, float, float]:
+    missing = [key for key in ("family", "b", "theta", "weight") if key not in s]
+    if missing:
+        raise FormatError(f"spec entry {i}: missing key(s) {', '.join(missing)}")
+    if not isinstance(s["family"], str) or s["family"] not in FAMILIES:
+        raise FormatError(f"spec entry {i}: unknown family {s['family']!r}")
+    try:
+        b, weight = _real(s["b"]), _real(s["weight"])
+    except FormatError as exc:
+        raise FormatError(f"spec entry {i}: b and weight must be numbers ({exc})") from None
+    try:
+        return s["family"], b, _angle(s["theta"]), weight
+    except FormatError as exc:
+        raise FormatError(f"spec entry {i}: theta: {exc}") from None
 
 
 def report_to_json(rep: ExtremalityReport) -> dict:

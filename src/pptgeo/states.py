@@ -126,6 +126,10 @@ def sigma(b: float, theta: float) -> BipartiteMatrix:
     return _family(b, theta, _SIGMA_PHASE_POSITIONS)
 
 
+#: The two families by the name that CLI flags and JSON specs give them.
+FAMILIES = {"rho": rho, "sigma": sigma}
+
+
 def partial_transpose(X: BipartiteMatrix) -> BipartiteMatrix:
     """Transpose on the first tensor factor only.
 
@@ -265,11 +269,9 @@ def product_state(xi, eta) -> BipartiteMatrix:
     return BipartiteMatrix(xi.size, eta.size, np.outer(v, v.conj()))
 
 
-def verify_product_decomposition(X: BipartiteMatrix, parts, tol_rel: float = 1e-8) -> bool:
+def verify_product_decomposition(X: BipartiteMatrix, parts) -> bool:
     """Check X = sum_i w_i |xi_i (x) eta_i><...| with the raw (unnormalized)
-    product vectors; comparison is relative to the Frobenius norm of X.
-    tol_rel is set by the caller (1e-12 for the exact four-vector
-    decomposition of rho(1, pi)) and is outside the CUTOFF/ROUNDOFF policy."""
+    product vectors, up to ROUNDOFF times the Frobenius norm of X."""
     acc = np.zeros_like(X.data)
     for xi, eta, weight in parts:
         if weight <= 0:
@@ -277,8 +279,7 @@ def verify_product_decomposition(X: BipartiteMatrix, parts, tol_rel: float = 1e-
         v = np.kron(np.asarray(xi, dtype=complex).ravel(),
                     np.asarray(eta, dtype=complex).ravel())
         acc = acc + weight * np.outer(v, v.conj())
-    scale = np.linalg.norm(X.data)
-    return bool(np.linalg.norm(X.data - acc) <= tol_rel * max(scale, 1e-300))
+    return bool(np.linalg.norm(X.data - acc) <= ROUNDOFF * np.linalg.norm(X.data))
 
 
 def product_decomposition_rho_1_pi() -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -302,8 +303,8 @@ def _gram_rows(v: np.ndarray) -> np.ndarray:
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
 
-# gain_tol, target and each search's residual_tol are set per search, outside
-# the CUTOFF/ROUNDOFF policy: the seesaw converges only linearly near a zero.
+# gain_tol, target and each search's residual tolerance are set per search,
+# outside the CUTOFF/ROUNDOFF policy: the seesaw converges only linearly near a zero.
 def _seesaw(Q: np.ndarray, eta: np.ndarray, maximize: bool, gain_tol: float,
             target: float | None = None, max_iter: int = 200):
     """Extremise <xi (x) eta| Q |xi (x) eta> over unit product vectors by
@@ -355,13 +356,16 @@ def _lowest(best, x, e, v):
     return (x[k], e[k], v[k]) if v[k] < best[2] else best
 
 
+#: Distance from the subspace below which a unit product vector counts as inside it.
+PRODUCT_RESIDUAL = 1e-7
+
+
 def search_product_vector_in_subspace(
     D: np.ndarray,
     m: int,
     n: int,
     restarts: int = 100,
     seed: int = 0,
-    residual_tol: float = 1e-7,
 ):
     """Heuristic search for a product vector xi (x) eta inside the span of the
     orthonormal columns D of C^m (x) C^n.
@@ -369,7 +373,7 @@ def search_product_vector_in_subspace(
     Multi-start alternating maximization of <xi (x) eta| P |xi (x) eta> by
     top-eigenvector updates in xi and eta (restart 0 first, then the others
     as one batch).  Returns (xi, eta) with
-    ||(I - P)(xi (x) eta)|| <= residual_tol, or None.  A None result is not a
+    ||(I - P)(xi (x) eta)|| <= PRODUCT_RESIDUAL, or None.  A None result is not a
     proof that no product vector exists.
     """
     D = np.asarray(D, dtype=complex)
@@ -377,7 +381,7 @@ def search_product_vector_in_subspace(
         raise ValueError("D must have m*n rows of orthonormal columns")
     P = (D @ D.conj().T).reshape(m, n, m, n)
     _, eta = _product_starts(restarts, m, n, seed)
-    xi, eta, val = _seesaw(P, eta, maximize=True, gain_tol=1e-15, target=1.0 - residual_tol**2)
-    if 1.0 - val <= residual_tol**2:
+    xi, eta, val = _seesaw(P, eta, maximize=True, gain_tol=1e-15, target=1.0 - PRODUCT_RESIDUAL**2)
+    if 1.0 - val <= PRODUCT_RESIDUAL**2:
         return xi, eta
     return None

@@ -162,7 +162,7 @@ def test_criterion_06_antipodal():
 
 def test_criterion_07_product_decomposition():
     parts = product_decomposition_rho_1_pi()
-    good = verify_product_decomposition(rho(1, math.pi), parts, tol_rel=1e-12)
+    good = verify_product_decomposition(rho(1, math.pi), parts)
     total = sum(w * np.outer(np.kron(xi, eta), np.kron(xi, eta).conj())
                 for xi, eta, w in parts)
     X = rho(2, math.pi).data

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -54,6 +55,12 @@ class TestParseTheta:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_theta("pi/0")
+
+    def test_out_of_float_range_is_usage(self, capsys):
+        code, out, err = run(capsys, "state", "classify", "--family", "rho",
+                             "--b", "1", "--theta", "1" * 400 + "pi")
+        assert code == 2
+        assert out == "" and "floating-point range" in err
 
     def test_zero_denominator_is_usage(self, capsys):
         code, out, err = run(capsys, "state", "classify", "--family", "rho",
@@ -300,6 +307,18 @@ class TestCombineCommand:
         assert code == 2
         assert out == "" and "must be numbers" in err
 
+    @pytest.mark.parametrize("field,text", [
+        ("b", "true"), ("b", '"2"'), ("b", "1e400"), ("weight", "NaN"), ("theta", "1e400"),
+    ])
+    def test_non_finite_or_non_numeric_entry_is_usage(self, capsys, field, text):
+        entry = {"family": '"rho"', "b": "2", "theta": '"pi/6"', "weight": "1"}
+        entry[field] = text
+        spec = '[{"family": "sigma", "b": 1, "theta": "0", "weight": 0}, {'
+        spec += ", ".join(f'"{key}": {value}' for key, value in entry.items()) + "}]"
+        code, out, err = run(capsys, "combine", "--spec", spec)
+        assert code == 2
+        assert out == "" and "entry 1" in err and field in err
+
 
 class TestMapCommands:
     def test_phi_theta(self, capsys):
@@ -432,3 +451,24 @@ class TestKrawtchoukCommands:
 
 def test_no_subcommand_is_usage(capsys):
     assert run(capsys, )[0] == 2
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) of every command that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_every_leaf_command_has_a_handler():
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert sorted(" ".join(path) for path in leaves) == [
+        "combine", "extremality", "krawtchouk nu", "krawtchouk solve", "map antipodal-sum",
+        "map boundary-witness", "map pair", "map phi-theta", "map trace-decomp",
+        "state classify", "state construct", "state kernel",
+    ]
+    for path, parser in leaves.items():
+        assert callable(parser.get_default("func")), path

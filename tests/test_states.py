@@ -324,7 +324,7 @@ class TestProductStates:
 
     def test_four_vector_decomposition(self):
         parts = product_decomposition_rho_1_pi()
-        assert verify_product_decomposition(rho(1, math.pi), parts, tol_rel=1e-12)
+        assert verify_product_decomposition(rho(1, math.pi), parts)
         assert not verify_product_decomposition(rho(2, math.pi), parts)
 
     def test_single_state_own_decomposition(self):
