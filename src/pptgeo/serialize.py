@@ -1,8 +1,10 @@
-"""JSON formats used across the library and the CLI.
+"""JSON formats used across the library and the CLI, and the readers of every
+document the CLI takes (state, map and spec files, combination specs, angles).
 
 Complex matrices are serialized as row-major [re, im] pairs; Python's float
 repr is shortest-round-trip, so doubles survive a JSON round trip bit-exactly.
-The readers accept only that layout and raise :class:`FormatError` otherwise.
+The readers accept only the documented layouts and raise :class:`FormatError`
+otherwise.
 """
 from __future__ import annotations
 
@@ -109,11 +111,6 @@ def _real(x) -> float:
     return value
 
 
-def _angle(x) -> float:
-    """A JSON angle: a finite number, or a string read by angle_from_text."""
-    return angle_from_text(x) if isinstance(x, str) else _real(x)
-
-
 def _complex_entries(entries) -> np.ndarray:
     """A JSON list of [re, im] pairs of finite numbers as a complex array."""
     if not isinstance(entries, list):
@@ -196,9 +193,10 @@ def _combination_entry(i: int, s: dict) -> tuple[str, float, float, float]:
     except FormatError as exc:
         raise FormatError(f"spec entry {i}: b and weight must be numbers ({exc})") from None
     try:
-        return s["family"], b, _angle(s["theta"]), weight
+        theta = angle_from_text(s["theta"]) if isinstance(s["theta"], str) else _real(s["theta"])
     except FormatError as exc:
         raise FormatError(f"spec entry {i}: theta: {exc}") from None
+    return s["family"], b, theta, weight
 
 
 def report_to_json(rep: ExtremalityReport) -> dict:
