@@ -61,6 +61,18 @@ def default_seed() -> int:
         raise argparse.ArgumentTypeError(f"PPTGEO_SEED must be an integer, got {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a finite decimal; inf, nan and values past the
+    floating-point range are input errors, as they are in a JSON document."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _int_at_least(low: int):
     """argparse type for an integer of at least `low`."""
     kind = "a positive integer" if low == 1 else f"an integer, which must be at least {low}"
@@ -194,7 +206,7 @@ def cmd_nu(args) -> tuple[dict, str]:
 
 
 # --family, --b and --theta of the commands that build a family state.
-FAMILY_FLAGS = (("--family", {"choices": st.FAMILIES}), ("--b", {"type": float}),
+FAMILY_FLAGS = (("--family", {"choices": st.FAMILIES}), ("--b", {"type": _finite_float}),
                 ("--theta", {"type": parse_theta}))
 
 
@@ -234,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         dest="map_cmd", required=True)
     pm = msub.add_parser("phi-theta")
     pm.add_argument("--theta", type=parse_theta, required=True)
-    pm.add_argument("--t", type=float, required=True)
+    pm.add_argument("--t", type=_finite_float, required=True)
     pm.set_defaults(func=cmd_phi_theta)
     pm = msub.add_parser("antipodal-sum")
     pm.add_argument("--theta", type=parse_theta, required=True)
-    pm.add_argument("--t", type=float, required=True)
-    pm.add_argument("--s", type=float, required=True)
+    pm.add_argument("--t", type=_finite_float, required=True)
+    pm.add_argument("--s", type=_finite_float, required=True)
     pm.set_defaults(func=cmd_antipodal_sum)
     pm = msub.add_parser("trace-decomp")
     pm.add_argument("--m", type=int, required=True)

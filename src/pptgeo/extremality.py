@@ -26,21 +26,7 @@ from .linalg import (
     numerical_rank,
     range_mask,
 )
-from .states import BipartiteMatrix, _pt, is_ppt, partial_transpose, rho
-
-
-@dataclass(frozen=True)
-class FaceSpec:
-    """Orthonormal bases (columns) of the two range subspaces defining a face."""
-
-    D: np.ndarray
-    E: np.ndarray
-
-    def __post_init__(self):
-        for name, B in (("D", self.D), ("E", self.E)):
-            G = B.conj().T @ B
-            if np.max(np.abs(G - np.eye(B.shape[1]))) > ROUNDOFF:
-                raise ValueError(f"{name} columns are not orthonormal")
+from .states import BipartiteMatrix, FaceSpec, _pt, is_ppt, partial_transpose, rho
 
 
 @dataclass(frozen=True)
@@ -53,16 +39,11 @@ class ExtremalityReport:
 
 
 def face_of(X: BipartiteMatrix) -> FaceSpec:
-    """Range bases of X and of its partial transpose."""
+    """Range bases of X and of its partial transpose, built and checked once
+    per state and cached on X."""
     if not is_ppt(X):
         raise ValueError("face_of requires a PPT input")
-    return FaceSpec(_range(X), _range(partial_transpose(X)))
-
-
-def _range(X: BipartiteMatrix) -> np.ndarray:
-    """The eigenvectors of X's cached spectrum that span its numerical range."""
-    w, V = X.spectrum
-    return V[:, range_mask(w)]
+    return X._face
 
 
 def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
@@ -80,13 +61,10 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     Z = face.D @ hermitian_basis(p) @ face.D.conj().T
     W = F.conj().T @ _pt(Z, X.m, X.n)
     M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T
-    # D, F and the Herm(p) basis are orthonormal, so ||M|| <= 1: the cutoff is absolute.
-    _, s, Vh = np.linalg.svd(M)
-    ker = Vh[np.count_nonzero(s > CUTOFF):]
-    dim_int = ker.shape[0]
+    dim_int, g = _intersection(M)
     generator = None
-    if dim_int == 1:
-        G = np.tensordot(ker[0], Z, axes=1)
+    if g is not None:
+        G = np.tensordot(g, Z, axes=1)
         # ||G||_F = 1, so the trace guard is relative to G.
         tr = float(np.trace(G).real)
         if abs(tr) < ROUNDOFF:
@@ -101,6 +79,27 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
         if np.max(np.abs(G - ref)) > 1e-7:
             raise ValueError("unique intersection element is not proportional to the input")
     return ExtremalityReport(p * p, q * q, dim_int, dim_int == 1, generator)
+
+
+def _intersection(M: np.ndarray) -> tuple[int, Optional[np.ndarray]]:
+    """dim ker M, and the unit vector spanning the kernel when that is 1.
+
+    The shape of M decides which singular vectors to compute: the economy
+    SVD of a tall M (rows >= cols) holds its whole kernel in one call, while
+    for a wide M the singular values alone give the dimension, and its
+    vectors are computed only when the kernel is one-dimensional."""
+    rows, cols = M.shape
+    if rows >= cols:
+        _, s, Vh = np.linalg.svd(M, full_matrices=False)
+    else:
+        s, Vh = np.linalg.svd(M, compute_uv=False), None
+    # D, F and the Herm(p) basis are orthonormal, so ||M|| <= 1: the cutoff is absolute.
+    dim = cols - int(np.count_nonzero(s > CUTOFF))
+    if dim != 1:
+        return dim, None
+    if Vh is None:
+        Vh = np.linalg.svd(M)[2]
+    return 1, Vh[-1]
 
 
 def _E(i: int, j: int) -> np.ndarray:
@@ -167,7 +166,7 @@ def appendix_basis_X(b: float, theta: float) -> list[np.ndarray]:
         - e * (E(3, 4) + (1 / b**2) * E(7, 2) - (1 / b) * e * E(3, 2))
         + (1 / b) * (E(4, 7) + E(7, 4)),
     ]
-    return [as_hermitian(x) for x in xs]
+    return list(as_hermitian(xs))
 
 
 def appendix_basis_Y(b: float, theta: float) -> list[np.ndarray]:
@@ -229,13 +228,12 @@ def appendix_basis_Y(b: float, theta: float) -> list[np.ndarray]:
         + e * (e * E(7, 4) - b * E(1, 6) - (1 / b) * E(8, 1))
         + (E(2, 3) + E(3, 2)),
     ]
-    return [as_hermitian(y) for y in ys]
+    return list(as_hermitian(ys))
 
 
 def basis_span_rank(mats: list[np.ndarray]) -> int:
-    """Real-linear span dimension of a list of hermitian matrices."""
-    rows = np.array([hermitian_to_real_vector(M) for M in mats])
-    return numerical_rank(rows)
+    """Real-linear span dimension of a list or stack of hermitian matrices."""
+    return numerical_rank(hermitian_to_real_vector(mats))
 
 
 @dataclass(frozen=True)

@@ -29,17 +29,22 @@ class NumericalError(RuntimeError):
 def as_hermitian(A) -> np.ndarray:
     """Validate that max |A - A^dagger| <= ROUNDOFF * max |A| (a relative slack)
     and return the exact symmetrization A/2 + A^dagger/2, halved first so
-    that entries near the floating-point limit stay finite, as a fresh array."""
+    that entries near the floating-point limit stay finite, as a fresh array.
+    A may be one matrix or a (..., d, d) stack; each matrix of a stack is held
+    to its own largest entry, and the result is bitwise what one call per
+    matrix would return."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise ValueError("matrix entries must be finite")
     half = A / 2
-    dev = np.max(np.abs(half - half.conj().T), initial=0.0)
-    if dev > ROUNDOFF * np.max(np.abs(half), initial=0.0):
-        raise ValueError(f"matrix is not hermitian (deviation {2 * dev:.3e})")
-    return half + half.conj().T
+    half_h = np.swapaxes(half, -2, -1).conj()
+    dev = np.max(np.abs(half - half_h), axis=(-2, -1), initial=0.0)
+    bad = dev > ROUNDOFF * np.max(np.abs(half), axis=(-2, -1), initial=0.0)
+    if np.any(bad):
+        raise ValueError(f"matrix is not hermitian (deviation {2 * np.max(dev[bad]):.3e})")
+    return half + half_h
 
 
 def eig_hermitian(H: np.ndarray):
@@ -104,11 +109,13 @@ def is_psd(H: np.ndarray) -> bool:
 
 def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
     """Coordinates Tr(B_k H) of hermitian H over the :func:`hermitian_basis`
-    stack B.  The map is an isometry: Tr(XY) equals the Euclidean dot product
-    of the coordinate vectors."""
+    stack B, or of each matrix of a (..., d, d) stack along the last axis.
+    The map is an isometry: Tr(XY) equals the Euclidean dot product of the
+    coordinate vectors."""
     H = as_hermitian(H)
-    d = H.shape[0]
-    return (hermitian_basis(d).reshape(d * d, d * d) @ H.T.ravel()).real
+    d = H.shape[-1]
+    cols = np.swapaxes(H, -2, -1).reshape(*H.shape[:-2], d * d)
+    return (cols @ hermitian_basis(d).reshape(d * d, d * d).T).real
 
 
 def real_vector_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:

@@ -56,22 +56,26 @@ def load_json(source: str, inline: bool = False):
 
 
 def angle_from_text(text: str) -> float:
-    """An angle: a decimal, or an exact multiple of pi such as 'pi', '-pi/3',
-    '2*pi/3', '5pi/12'.  Multiples of pi are computed symbolically before the
-    final float conversion so boundary angles stay detectable."""
+    """A finite angle: a decimal, or an exact multiple of pi such as 'pi',
+    '-pi/3', '2*pi/3', '5pi/12'.  Multiples of pi are computed symbolically
+    before the final float conversion so boundary angles stay detectable."""
     s = text.strip().lower()
     m = _PI_EXPR.match(s)
     try:
         if not m:
-            return float(s)
-        val = float(Fraction(m.group("num") or "1") / Fraction(m.group("den") or "1")) * math.pi
+            val = float(s)
+        else:
+            val = float(Fraction(m.group("num") or "1") / Fraction(m.group("den") or "1")) * math.pi
+            val = -val if m.group("sign") == "-" else val
     except ZeroDivisionError:
         raise FormatError(f"angle {text!r} divides by zero") from None
     except OverflowError:
         raise FormatError(f"angle {text!r} is out of the floating-point range") from None
     except ValueError:
         raise FormatError(f"cannot parse angle {text!r}") from None
-    return -val if m.group("sign") == "-" else val
+    if not math.isfinite(val):
+        raise FormatError(f"angle {text!r} is not finite")
+    return val
 
 
 def _field(obj, key: str):

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CUTOFF, ROUNDOFF, as_hermitian, eigh_descending, spectrum_is_psd, spectrum_rank
+from .linalg import (
+    CUTOFF,
+    ROUNDOFF,
+    as_hermitian,
+    eigh_descending,
+    range_mask,
+    spectrum_is_psd,
+    spectrum_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -21,8 +29,8 @@ class BipartiteMatrix:
     """An mn x mn hermitian matrix tagged with its local dimensions.
 
     data is a read-only, exactly hermitian copy and the class is frozen, so
-    the spectrum and the partial transpose are computed at most once per
-    object and cached.
+    the spectrum, the partial transpose and the face are computed at most
+    once per object and cached.
     """
 
     m: int
@@ -55,6 +63,28 @@ class BipartiteMatrix:
     @functools.cached_property
     def _partial_transpose(self) -> BipartiteMatrix:
         return BipartiteMatrix(self.m, self.n, _pt(self.data, self.m, self.n))
+
+    @functools.cached_property
+    def _face(self) -> FaceSpec:
+        """The range bases of X and of X^Gamma, read-only and read from the
+        two cached spectra; extremality.face_of checks PPT before reading it."""
+        D, E = (V[:, range_mask(w)] for w, V in (self.spectrum, self._partial_transpose.spectrum))
+        D.flags.writeable = E.flags.writeable = False
+        return FaceSpec(D, E)
+
+
+@dataclass(frozen=True)
+class FaceSpec:
+    """Orthonormal bases (columns) of the two range subspaces defining a face."""
+
+    D: np.ndarray
+    E: np.ndarray
+
+    def __post_init__(self):
+        for name, B in (("D", self.D), ("E", self.E)):
+            G = B.conj().T @ B
+            if np.max(np.abs(G - np.eye(B.shape[1]))) > ROUNDOFF:
+                raise ValueError(f"{name} columns are not orthonormal")
 
 
 def _pt(Z: np.ndarray, m: int, n: int) -> np.ndarray:

@@ -195,6 +195,35 @@ class TestStateCommands:
         assert out == "" and message in err
 
 
+class TestNonFiniteFlags:
+    """A non-finite flag value is an input error, as a non-finite JSON number is."""
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "classify", "--family", "rho", "--b", "inf", "--theta", "0"],
+        ["state", "classify", "--family", "rho", "--b", "nan", "--theta", "0"],
+        ["state", "construct", "--family", "sigma", "--b=-inf", "--theta", "0"],
+        ["state", "classify", "--family", "rho", "--b", "1", "--theta", "inf"],
+        ["extremality", "--family", "rho", "--b", "1", "--theta", "nan"],
+        ["state", "kernel", "--family", "rho", "--b", "1", "--theta", "1e400"],
+        ["map", "phi-theta", "--theta", "0", "--t", "nan"],
+        ["map", "phi-theta", "--theta", "inf", "--t", "1"],
+        ["map", "antipodal-sum", "--theta", "0", "--t", "1", "--s", "inf"],
+        ["map", "antipodal-sum", "--theta", "0", "--t", "1e400", "--s", "1"],
+    ], ids=["b inf", "b nan", "b -inf", "theta inf", "theta nan", "theta 1e400",
+            "t nan", "phi theta inf", "s inf", "t 1e400"])
+    def test_flag_is_usage(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("theta", ["inf", "-inf", "nan", "1e400"])
+    def test_spec_theta_string_is_usage(self, capsys, theta):
+        spec = json.dumps([{"family": "rho", "b": 2, "theta": theta, "weight": 1}])
+        code, out, err = run(capsys, "combine", "--spec", spec)
+        assert code == 2
+        assert out == "" and "entry 0: theta" in err and "not finite" in err
+
+
 class TestExtremalityCommand:
     def test_extreme_with_appendix(self, capsys):
         code, out, err = run(capsys, "extremality", "--family", "rho",

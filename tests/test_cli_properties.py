@@ -5,16 +5,17 @@ and the classification and extremality verdicts of a state must not change
 when it is rescaled by a positive factor or complex-conjugated.  The CLI runs
 in-process, so an uncaught exception fails the test directly.
 """
+import argparse
 import contextlib
 import io
 import json
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from pptgeo.cli import main
+from pptgeo.cli import main, parse_theta
 from pptgeo.serialize import bipartite_to_json
 from pptgeo.states import BipartiteMatrix, rho, sigma
 
@@ -94,9 +95,12 @@ def test_family_flags_exit_contract(command, flags, keep):
     }), min_size=1, max_size=3),
     scalars,
 ))
+@example(spec=[{"family": "rho", "b": 2, "theta": "nan", "weight": 1}])
 def test_combine_spec_exit_contract(spec):
     code, _ = assert_contract(["combine", "--spec", json.dumps(spec)])
-    if isinstance(spec, list) and not all(finite_number(s[key]) for s in spec for key in ("b", "weight")):
+    if isinstance(spec, list) and not all(
+            finite_number(s["b"]) and finite_number(s["weight"]) and finite_angle(s["theta"])
+            for s in spec):
         assert code == 2, spec
 
 
@@ -107,6 +111,17 @@ def finite_number(x) -> bool:
     try:
         return math.isfinite(float(x))
     except OverflowError:
+        return False
+
+
+def finite_angle(x) -> bool:
+    """Whether x is a finite JSON number or an angle string that --theta
+    accepts as a finite value."""
+    if not isinstance(x, str):
+        return finite_number(x)
+    try:
+        return math.isfinite(parse_theta(x))
+    except argparse.ArgumentTypeError:
         return False
 
 

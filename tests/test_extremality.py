@@ -192,6 +192,22 @@ class TestExtremality:
         assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == (1, 1, 1)
         assert rep.is_extreme
 
+    @pytest.mark.parametrize("family,eps,ty,dims", [
+        (rho, 1e-9, (5, 5), (25, 25, 1)),
+        (rho, 1e-11, (4, 4), (16, 16, 1)),
+        (sigma, 1e-9, (8, 6), (64, 36, 19)),
+        (sigma, 1e-11, (7, 6), (49, 36, 13)),
+    ], ids=["rho 1e-9", "rho 1e-11", "sigma 1e-9", "sigma 1e-11"])
+    def test_near_boundary_verdicts(self, family, eps, ty, dims):
+        # The fifth eigenvalue of rho is about 1.15 * eps of the largest, so
+        # at eps = 1e-11 it falls under CUTOFF and the type drops; the
+        # intersection dimensions read from singular values follow it.
+        X = family(2, math.pi / 3 + eps)
+        assert state_type(X) == StateType(*ty)
+        rep = is_extreme_in_T(X)
+        assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == dims
+        assert rep.is_extreme == (family is rho)
+
     def test_boundary_angle_rho_extreme(self):
         rep = is_extreme_in_T(rho(1, math.pi))
         assert not rep.is_extreme
@@ -230,9 +246,47 @@ class TestCachedSpectrum:
             assert len(calls) == 2
             assert partial_transpose(X) is partial_transpose(X)
 
+    def test_singular_vectors_and_faces_per_grid_state(self, monkeypatch):
+        """One SVD per grid state, with singular vectors only when the
+        generator is needed: never for an off-boundary sigma (a 54 x 64
+        system, whose singular values decide), one economy SVD for rho's tall
+        system; and the face is built and checked once per state, by
+        face_of, and reused by is_extreme_in_T."""
+        with_vectors, faces = [], []
+        svd, post_init = np.linalg.svd, FaceSpec.__post_init__
+
+        def counted_svd(*args, **kwargs):
+            with_vectors.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        def counted_face(face):
+            faces.append(1)
+            post_init(face)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(FaceSpec, "__post_init__", counted_face)
+        for family in (rho, sigma):
+            for b in (0.25, 0.5, 1.0, 2.0, 4.0):
+                for k in range(24):
+                    X = family(b, k * math.pi / 12)
+                    with_vectors.clear()
+                    faces.clear()
+                    is_ppt(X)
+                    state_type(X)
+                    face = face_of(X)
+                    rep = is_extreme_in_T(X)
+                    assert face_of(X) is face
+                    assert len(faces) == 1
+                    assert len(with_vectors) == 1
+                    if family is sigma and k % 4:
+                        assert with_vectors == [False]
+                        assert (rep.dim_ker_D, rep.dim_ker_E) == (64, 36)
+
     def test_cached_arrays_read_only(self):
-        w, V = rho(2, math.pi / 6).spectrum
-        for arr in (w, V, hermitian_basis(5)):
+        X = rho(2, math.pi / 6)
+        w, V = X.spectrum
+        face = face_of(X)
+        for arr in (w, V, face.D, face.E, hermitian_basis(5)):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

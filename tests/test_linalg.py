@@ -91,6 +91,46 @@ class TestAsHermitian:
         assert np.array_equal(H, A.astype(complex))
 
 
+class TestStackedValidation:
+    """as_hermitian and hermitian_to_real_vector on a (k, d, d) stack agree
+    with one call per matrix, and hold each matrix to its own scale."""
+
+    def stack(self):
+        rng = np.random.default_rng(23)
+        A = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+        # hermitian up to rounding, at scales far apart
+        H = (A + np.swapaxes(A, -2, -1).conj()) / 2
+        return H * 10.0 ** np.array([-13, -6, 0, 3, 8, 12])[:, None, None]
+
+    def test_as_hermitian_bitwise_per_matrix(self):
+        H = self.stack()
+        assert np.array_equal(as_hermitian(H), np.array([as_hermitian(M) for M in H]))
+        assert np.array_equal(as_hermitian(H.reshape(2, 3, 5, 5)),
+                              as_hermitian(H).reshape(2, 3, 5, 5))
+
+    def test_real_vector_row_by_row(self):
+        H = self.stack()
+        rows = hermitian_to_real_vector(H)
+        assert rows.shape == (6, 25)
+        for row, M in zip(rows, H):
+            assert np.array_equal(row, hermitian_to_real_vector(M))
+
+    def test_slack_is_per_matrix(self):
+        big = 1e12 * random_hermitian(3, np.random.default_rng(29))
+        small = 1e-13 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        # the small matrix's asymmetry is far below the big one's scale
+        with pytest.raises(ValueError, match="not hermitian"):
+            as_hermitian(np.array([big, small]))
+        with pytest.raises(ValueError, match="not hermitian"):
+            hermitian_to_real_vector(np.array([big, small]))
+        as_hermitian(np.array([big, (small + small.T) / 2]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            as_hermitian(np.zeros(shape))
+
+
 class TestRankKernel:
     def test_zero_matrix(self):
         assert rank_tol(np.zeros((4, 4))) == 0
