@@ -18,15 +18,7 @@ from .krawtchouk import (
     nu_summary,
     solve,
 )
-from .linalg import (
-    NumericalError,
-    eig_hermitian,
-    hermitian_to_real_vector,
-    is_psd,
-    kernel_basis,
-    rank_tol,
-    real_vector_to_hermitian,
-)
+from .linalg import NumericalError, hermitian_to_real_vector
 from .maps import (
     ChoiMap,
     DecomposableSpec,

@@ -21,7 +21,7 @@ from . import krawtchouk as kw
 from . import maps as mp
 from . import serialize as ser
 from . import states as st
-from .linalg import NumericalError, kernel_basis
+from .linalg import NumericalError, range_mask
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,12 +53,13 @@ def format_theta(theta: float) -> str:
 
 
 def default_seed() -> int:
-    """PPTGEO_SEED as an integer, 0 when unset."""
+    """PPTGEO_SEED as a non-negative integer, 0 when unset."""
     text = os.environ.get("PPTGEO_SEED", "0")
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"PPTGEO_SEED must be an integer, got {text!r}") from None
+        return _int_at_least(0)(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"PPTGEO_SEED must be a non-negative integer, got {text!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -126,7 +127,8 @@ def cmd_classify(args) -> tuple[dict, str]:
 
 
 def cmd_kernel(args) -> tuple[dict, str]:
-    K = kernel_basis(_state_from_args(args)[0].data)
+    w, V = _state_from_args(args)[0].spectrum
+    K = V[:, ~range_mask(w)]
     return ({"dim": K.shape[1], "basis": [ser.vector_to_json(K[:, i]) for i in range(K.shape[1])]},
             f"kernel dimension {K.shape[1]}")
 
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = msub.add_parser("boundary-witness")
     pm.add_argument("--spec", required=True, metavar="FILE")
     pm.add_argument("--restarts", type=_int_at_least(1), default=1000)
-    pm.add_argument("--seed", type=int, default=default_seed())
+    pm.add_argument("--seed", type=_int_at_least(0), default=default_seed())
     pm.set_defaults(func=cmd_boundary_witness)
 
     ksub = sub.add_parser("krawtchouk", help="alternating binomial sum diagnostics").add_subparsers(

@@ -26,7 +26,7 @@ from .linalg import (
     numerical_rank,
     range_mask,
 )
-from .states import BipartiteMatrix, FaceSpec, _pt, is_ppt, partial_transpose, rho
+from .states import BipartiteMatrix, FaceSpec, _pt, _unit_trace, is_ppt, partial_transpose, rho
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,8 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
             raise ValueError("intersection generator is traceless; cannot normalize")
         G = G / tr
         generator = BipartiteMatrix(X.m, X.n, G)
-        # Scale to a largest entry of 1 before dividing by the trace, so a
-        # subnormal X stays finite; complex / subnormal overflows, real does not.
-        ref = (X.data.view(float) / np.max(np.abs(X.data))).view(complex)
-        ref /= np.trace(ref).real
-        # Not ROUNDOFF: near a type change G and ref agree only to about 1e-8.
-        if np.max(np.abs(G - ref)) > 1e-7:
+        # Not ROUNDOFF: near a type change G and X / tr X agree only to about 1e-8.
+        if np.max(np.abs(G - _unit_trace(X.data))) > 1e-7:
             raise ValueError("unique intersection element is not proportional to the input")
     return ExtremalityReport(p * p, q * q, dim_int, dim_int == 1, generator)
 

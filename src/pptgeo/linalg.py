@@ -47,18 +47,10 @@ def as_hermitian(A) -> np.ndarray:
     return half + half_h
 
 
-def eig_hermitian(H: np.ndarray):
-    """Eigendecomposition of a hermitian matrix, validated by :func:`as_hermitian`.
-
-    Returns (eigenvalues, eigenvectors) with real eigenvalues in descending
-    order and the matching orthonormal eigenvectors as columns.
-    """
-    return eigh_descending(as_hermitian(H))
-
-
 def eigh_descending(H: np.ndarray):
-    """:func:`eig_hermitian` of an already exactly hermitian H, without the
-    validation: one ``np.linalg.eigh``, reordered to descending eigenvalues."""
+    """Eigendecomposition of an exactly hermitian H (see :func:`as_hermitian`):
+    one ``np.linalg.eigh``, reordered to descending eigenvalues with the
+    matching orthonormal eigenvectors as columns."""
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
@@ -66,8 +58,8 @@ def eigh_descending(H: np.ndarray):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-# The cutoff rules, each a function of a descending spectrum w, so that a
-# decision read from a cached spectrum and one computed from a matrix agree.
+# The cutoff rules, each a function of a descending spectrum w: every rank,
+# PSD, range and kernel decision reads one, from a cached spectrum.
 
 def range_mask(w: np.ndarray) -> np.ndarray:
     """Which eigenvalues span the numerical range: |w| > CUTOFF * max |w|.
@@ -85,28 +77,6 @@ def spectrum_is_psd(w: np.ndarray) -> bool:
     return bool(w.size == 0 or w[-1] >= -CUTOFF * np.max(np.abs(w)))
 
 
-def rank_tol(H: np.ndarray) -> int:
-    """Numerical rank of hermitian H (:func:`spectrum_rank`)."""
-    return spectrum_rank(eig_hermitian(H)[0])
-
-
-def kernel_basis(H: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of hermitian H."""
-    w, V = eig_hermitian(H)
-    return V[:, ~range_mask(w)]
-
-
-def range_basis(H: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical range of hermitian H."""
-    w, V = eig_hermitian(H)
-    return V[:, range_mask(w)]
-
-
-def is_psd(H: np.ndarray) -> bool:
-    """PSD verdict of hermitian H (:func:`spectrum_is_psd`)."""
-    return spectrum_is_psd(eig_hermitian(H)[0])
-
-
 def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
     """Coordinates Tr(B_k H) of hermitian H over the :func:`hermitian_basis`
     stack B, or of each matrix of a (..., d, d) stack along the last axis.
@@ -116,14 +86,6 @@ def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
     d = H.shape[-1]
     cols = np.swapaxes(H, -2, -1).reshape(*H.shape[:-2], d * d)
     return (cols @ hermitian_basis(d).reshape(d * d, d * d).T).real
-
-
-def real_vector_to_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_real_vector` for the documented basis."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dim * dim,):
-        raise ValueError(f"expected vector of length {dim * dim}, got {v.shape}")
-    return np.tensordot(v, hermitian_basis(dim), axes=1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -152,10 +114,6 @@ def hermitian_basis(dim: int) -> np.ndarray:
 
 
 def numerical_rank(M: np.ndarray) -> int:
-    """Numerical rank of a rectangular matrix: its singular values above
-    CUTOFF times the largest."""
-    s = np.linalg.svd(np.asarray(M), compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(s > CUTOFF * smax))
+    """Numerical rank of a rectangular matrix: :func:`spectrum_rank` of its
+    singular values."""
+    return spectrum_rank(np.linalg.svd(np.asarray(M), compute_uv=False))

@@ -50,6 +50,9 @@ class DecomposableSpec:
         shapes = {M.shape for M in Vs + Ws}
         if len(shapes) != 1 or any(len(s) != 2 for s in shapes):
             raise ValueError("all generating matrices must share one m x n shape")
+        (m, n), = shapes
+        if m < 1 or n < 1:
+            raise ValueError(f"generating matrices must be at least 1 x 1, got {m} x {n}")
         object.__setattr__(self, "Vs", Vs)
         object.__setattr__(self, "Ws", Ws)
 

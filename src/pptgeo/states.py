@@ -250,10 +250,18 @@ def combine(states: list[BipartiteMatrix], weights) -> BipartiteMatrix:
 
 def normalize(X: BipartiteMatrix) -> BipartiteMatrix:
     """Scale to unit trace."""
-    tr = float(np.trace(X.data).real)
-    if tr <= 0:
+    if np.trace(X.data).real <= 0:
         raise ValueError("trace must be positive to normalize")
-    return BipartiteMatrix(X.m, X.n, X.data / tr)
+    return BipartiteMatrix(X.m, X.n, _unit_trace(X.data))
+
+
+def _unit_trace(A: np.ndarray) -> np.ndarray:
+    """A / tr A for a nonzero A of positive trace, scaled to a largest entry
+    of 1 before dividing by the trace, so a subnormal A stays finite; complex
+    / subnormal overflows, real does not."""
+    ref = (A.view(float) / np.max(np.abs(A))).view(complex)
+    ref /= np.trace(ref).real
+    return ref
 
 
 _PHASE_U = np.diag([1.0, np.exp(-2j * math.pi / 3.0), np.exp(2j * math.pi / 3.0)])

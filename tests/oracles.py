@@ -1,4 +1,5 @@
-"""Slow, independent routes to the extremality decision, used only by tests.
+"""Slow, independent routes to the spectral and extremality decisions, used
+only by tests.
 
 phi_D and phi_E are the 81-dimensional operators on all of Herm(9) whose
 kernels are the hermitian matrices supported on a face's two ranges; the
@@ -20,6 +21,16 @@ def numerical_kernel(M: np.ndarray) -> np.ndarray:
     smax = s[0] if s.size else 0.0
     nkeep = int(np.count_nonzero(s > CUTOFF * smax)) if smax > 0 else 0
     return Vh[nkeep:].conj().T
+
+
+def eigh_oracle(H: np.ndarray):
+    """(smallest eigenvalue, PSD verdict, rank, range projector, kernel
+    projector) of a hermitian matrix, from one np.linalg.eigh and the CUTOFF
+    rule written out again, not from a package spectrum."""
+    w, V = np.linalg.eigh(H)
+    cut = CUTOFF * np.max(np.abs(w))
+    R, K = V[:, np.abs(w) > cut], V[:, np.abs(w) <= cut]
+    return w[0], bool(w[0] >= -cut), R.shape[1], R @ R.conj().T, K @ K.conj().T
 
 
 def _operator(f, dim: int) -> np.ndarray:

@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from oracles import eigh_oracle
 from pptgeo.cli import build_parser, format_theta, main, parse_theta
 from pptgeo.serialize import (
     bipartite_from_json,
@@ -19,6 +21,7 @@ from pptgeo.serialize import (
 )
 from pptgeo.maps import DecomposableSpec, trace_map, trace_map_decomposition_33
 from pptgeo.states import BipartiteMatrix, rho
+from test_extremality import oracle_states
 
 
 def run(capsys, *argv):
@@ -127,6 +130,17 @@ class TestStateCommands:
         for entry in rep["basis"]:
             v = vector_from_json(entry)
             assert np.linalg.norm(R @ v) <= 1e-8
+
+    def test_kernel_from_file_matches_oracle(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        for X in oracle_states():
+            path.write_text(json.dumps(bipartite_to_json(X)))
+            code, out, _ = run(capsys, "state", "kernel", "--in", str(path))
+            rep = json.loads(out)
+            assert code == 0
+            K = np.array([vector_from_json(v) for v in rep["basis"]]).reshape(rep["dim"], X.dim).T
+            assert_allclose(K.conj().T @ K, np.eye(rep["dim"]), atol=1e-12)
+            assert_allclose(K @ K.conj().T, eigh_oracle(X.data)[4], atol=1e-10)
 
     def test_construct_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "state.json"
@@ -397,7 +411,9 @@ class TestMapCommands:
         ({"Vs": [matrix_to_json(np.eye(3))], "Ws": [matrix_to_json(np.eye(2))]},
          "share one m x n shape"),
         ({"Vs": [{"rows": 1, "cols": 1}]}, "with the key 'entries'"),
-    ], ids=["no generators", "mixed shapes", "no entries"])
+        ({"Vs": [{"rows": 0, "cols": 0, "entries": []}]}, "at least 1 x 1"),
+        ({"Ws": [{"rows": 2, "cols": 0, "entries": []}]}, "at least 1 x 1"),
+    ], ids=["no generators", "mixed shapes", "no entries", "0 x 0", "2 x 0"])
     def test_bad_spec_file_is_usage(self, capsys, tmp_path, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -471,6 +487,19 @@ class TestKrawtchoukCommands:
         code, out, err = run(capsys, "krawtchouk", "solve", "--m", "2", "--n", "4")
         assert code == 2
         assert out == "" and "PPTGEO_SEED" in err
+
+    def test_negative_seed_variable_is_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("PPTGEO_SEED", "-5")
+        code, out, err = run(capsys, "krawtchouk", "solve", "--m", "2", "--n", "4")
+        assert code == 2
+        assert out == "" and "PPTGEO_SEED" in err
+
+    def test_negative_seed_flag_is_usage(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(trace_map_decomposition_33())))
+        code, out, err = run(capsys, "map", "boundary-witness", "--spec", str(path), "--seed", "-1")
+        assert code == 2
+        assert out == "" and "--seed" in err
 
     def test_seed_variable_sets_witness_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("PPTGEO_SEED", "7")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import kernel_intersection_dim_oracle, phi_D_operator, phi_E_operator
+from oracles import eigh_oracle, kernel_intersection_dim_oracle, phi_D_operator, phi_E_operator
 from pptgeo.extremality import (
     FaceSpec,
     appendix_basis_X,
@@ -18,10 +18,7 @@ from pptgeo.linalg import (
     ROUNDOFF,
     hermitian_basis,
     hermitian_to_real_vector,
-    is_psd,
     numerical_rank,
-    range_basis,
-    rank_tol,
 )
 from pptgeo.states import (
     BipartiteMatrix,
@@ -215,18 +212,18 @@ class TestExtremality:
 
 class TestCachedSpectrum:
     """is_ppt, state_type, face_of and is_extreme_in_T read each state's
-    cached spectra; the uncached matrix functions on the raw .data of X and
-    of an entrywise X^Gamma are their oracle."""
+    cached spectra; eigh_oracle on the raw .data of X and of an entrywise
+    X^Gamma is their oracle."""
 
     def test_decisions_match_uncached(self):
         for X in oracle_states():
-            T = pt_oracle(X)
-            assert is_ppt(X) == (is_psd(X.data) and is_psd(T))
-            assert state_type(X) == StateType(rank_tol(X.data), rank_tol(T))
+            _, psd_x, rank_x, range_x, _ = eigh_oracle(X.data)
+            _, psd_t, rank_t, range_t, _ = eigh_oracle(pt_oracle(X))
+            assert is_ppt(X) == (psd_x and psd_t)
+            assert state_type(X) == StateType(rank_x, rank_t)
             face = face_of(X)
-            for B, H in ((face.D, X.data), (face.E, T)):
-                R = range_basis(H)
-                assert_allclose(B @ B.conj().T, R @ R.conj().T, atol=1e-10)
+            for B, P in ((face.D, range_x), (face.E, range_t)):
+                assert_allclose(B @ B.conj().T, P, atol=1e-10)
 
     def test_two_eigensolves_per_state(self, monkeypatch):
         calls = []

@@ -8,23 +8,39 @@ from numpy.testing import assert_allclose
 from pptgeo.linalg import (
     CUTOFF,
     as_hermitian,
-    eig_hermitian,
     hermitian_basis,
     hermitian_to_real_vector,
-    is_psd,
-    kernel_basis,
-    range_basis,
-    rank_tol,
-    real_vector_to_hermitian,
+    numerical_rank,
+    range_mask,
     spectrum_is_psd,
     spectrum_rank,
 )
-from pptgeo.states import p_theta, rho
+from pptgeo.states import BipartiteMatrix, p_theta, rho
 
 
 def random_hermitian(dim, rng):
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (A + A.conj().T) / 2
+
+
+def spectrum(H):
+    """The package's one route from a matrix to a spectrum: the cached
+    (w, V) of a 1 x d BipartiteMatrix, validated by as_hermitian."""
+    H = np.asarray(H)
+    return BipartiteMatrix(1, H.shape[0], H).spectrum
+
+
+def rank(H):
+    return spectrum_rank(spectrum(H)[0])
+
+
+def kernel(H):
+    w, V = spectrum(H)
+    return V[:, ~range_mask(w)]
+
+
+def is_psd(H):
+    return spectrum_is_psd(spectrum(H)[0])
 
 
 def charpoly_roots(H):
@@ -42,19 +58,19 @@ def charpoly_roots(H):
 
 class TestEig:
     def test_identity(self):
-        w, V = eig_hermitian(np.eye(3))
+        w, V = spectrum(np.eye(3))
         assert_allclose(w, [1, 1, 1])
         assert_allclose(V.conj().T @ V, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        w, _ = eig_hermitian(np.diag([2.0, 0.0, -1.0]))
+        w, _ = spectrum(np.diag([2.0, 0.0, -1.0]))
         assert_allclose(w, [2, 0, -1], atol=1e-14)
 
     def test_residuals_random(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             H = random_hermitian(6, rng)
-            w, V = eig_hermitian(H)
+            w, V = spectrum(H)
             scale = np.max(np.abs(w))
             for i in range(6):
                 assert np.linalg.norm(H @ V[:, i] - w[i] * V[:, i]) <= 1e-9 * scale
@@ -63,7 +79,7 @@ class TestEig:
     def test_rho_spectrum_against_charpoly_oracle(self):
         H = rho(2, math.pi / 6).data
         H = H / np.trace(H).real
-        w, _ = eig_hermitian(H)
+        w, _ = spectrum(H)
         oracle = np.sort(charpoly_roots(H).real)[::-1]
         # np.roots degrades to ~eps**(1/k) accuracy at a k-fold root, so the
         # comparison tolerance must be loose at the repeated eigenvalues
@@ -73,7 +89,7 @@ class TestEig:
 
     def test_not_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestAsHermitian:
@@ -133,38 +149,39 @@ class TestStackedValidation:
 
 class TestRankKernel:
     def test_zero_matrix(self):
-        assert rank_tol(np.zeros((4, 4))) == 0
-        assert kernel_basis(np.zeros((4, 4))).shape[1] == 4
+        assert rank(np.zeros((4, 4))) == 0
+        assert kernel(np.zeros((4, 4))).shape[1] == 4
 
     def test_rank_one_projector(self):
         P = np.zeros((9, 9))
         P[0, 0] = 1.0
-        assert rank_tol(P) == 1
+        assert rank(P) == 1
 
     def test_rho_rank(self):
-        assert rank_tol(rho(2, math.pi / 6).data) == 5
+        assert rank(rho(2, math.pi / 6).data) == 5
 
     def test_rho_1_pi_kernel_dim(self):
-        K = kernel_basis(rho(1, math.pi).data)
+        K = kernel(rho(1, math.pi).data)
         assert K.shape[1] == 5
 
     def test_identity_kernel_empty(self):
-        assert kernel_basis(np.eye(5)).shape[1] == 0
+        assert kernel(np.eye(5)).shape[1] == 0
 
     def test_rank_plus_kernel_is_dim(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             H = random_hermitian(5, rng)
             # randomly squash some eigenvalues to zero
-            w, V = eig_hermitian(H)
-            w[rng.random(5) < 0.4] = 0.0
+            w, V = spectrum(H)
+            w = np.where(rng.random(5) < 0.4, 0.0, w)
             H = as_hermitian((V * w) @ V.conj().T)
-            assert rank_tol(H) + kernel_basis(H).shape[1] == 5
+            assert rank(H) + kernel(H).shape[1] == 5
 
 
 def range_projection(H):
-    """Orthogonal projection onto the numerical range, from range_basis."""
-    R = range_basis(H)
+    """Orthogonal projection onto the numerical range, from the spectrum."""
+    w, V = spectrum(H)
+    R = V[:, range_mask(w)]
     return R @ R.conj().T
 
 
@@ -228,7 +245,7 @@ class TestVectorization:
         for _ in range(10):
             H = random_hermitian(4, rng)
             v = hermitian_to_real_vector(H)
-            assert_allclose(real_vector_to_hermitian(v, 4), H, atol=1e-13)
+            assert_allclose(np.tensordot(v, hermitian_basis(4), axes=1), H, atol=1e-13)
 
     def test_isometry(self):
         rng = np.random.default_rng(17)
@@ -249,8 +266,8 @@ class TestVectorization:
 
 
 class TestCutoff:
-    """An eigenvalue counts as zero exactly when it is at most CUTOFF times
-    the largest, at every scale."""
+    """An eigenvalue or singular value counts as zero exactly when it is at
+    most CUTOFF times the largest, at every scale."""
 
     @pytest.mark.parametrize("k", [-12, 0, 12])
     def test_rank_switches_at_cutoff(self, k):
@@ -263,6 +280,16 @@ class TestCutoff:
         s = 10.0**k
         assert spectrum_is_psd(s * np.array([1.0, -0.99 * CUTOFF]))
         assert not spectrum_is_psd(s * np.array([1.0, -1.01 * CUTOFF]))
+
+    @pytest.mark.parametrize("k", [-12, 0, 12])
+    def test_numerical_rank_switches_at_cutoff(self, k):
+        s = 10.0**k
+        assert numerical_rank(s * np.diag([1.0, 1.01 * CUTOFF])) == 2
+        assert numerical_rank(s * np.diag([1.0, 0.99 * CUTOFF])) == 1
+
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 4), (4, 0)])
+    def test_numerical_rank_of_zero_or_empty(self, shape):
+        assert numerical_rank(np.zeros(shape)) == 0
 
 
 class TestIsPsd:
@@ -282,5 +309,5 @@ class TestIsPsd:
             [-e, -np.conj(e), a],
         ])
         assert is_psd(C)
-        w, _ = eig_hermitian(C)
+        w, _ = spectrum(C)
         assert abs(w[-1]) <= 1e-9

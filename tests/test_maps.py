@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptgeo.linalg import NumericalError, is_psd
+from pptgeo.linalg import NumericalError, spectrum_is_psd
 from pptgeo.maps import (
     ChoiMap,
     DecomposableSpec,
@@ -187,7 +187,7 @@ class TestPhiTheta:
 
     def test_not_completely_positive(self):
         # Choi matrix of the generic family member has a negative eigenvalue
-        assert not is_psd(phi_theta_t(math.pi / 6, 1.0).choi.data)
+        assert not spectrum_is_psd(phi_theta_t(math.pi / 6, 1.0).choi.spectrum[0])
 
 
 class TestAntipodalSum:
@@ -241,6 +241,11 @@ class TestDecomposable:
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             DecomposableSpec((), ())
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0), (0, 3)])
+    def test_zero_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least 1 x 1"):
+            DecomposableSpec((np.zeros(shape),), ())
 
     def test_mixed_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pptgeo.linalg import CUTOFF, ROUNDOFF, eig_hermitian
+from oracles import eigh_oracle
+from pptgeo.linalg import CUTOFF, ROUNDOFF, range_mask
 from pptgeo.states import (
     Arc,
     BipartiteMatrix,
@@ -159,8 +161,7 @@ class TestTypesAndPpt:
         v = sum(np.kron(np.eye(3)[i], np.eye(3)[i]) for i in range(3))
         X = BipartiteMatrix(3, 3, np.outer(v, v) / 3.0)
         assert not is_ppt(X)
-        w, _ = eig_hermitian(partial_transpose(X).data)
-        assert w[-1] == pytest.approx(-1 / 3, abs=1e-12)
+        assert eigh_oracle(partial_transpose(X).data)[0] == pytest.approx(-1 / 3, abs=1e-12)
 
     def test_identity_is_ppt(self):
         assert is_ppt(identity_state())
@@ -239,6 +240,19 @@ class TestCombine:
             combine([rho(1, 0), rho(1, 1)], [0.6, 0.6])
         with pytest.raises(ValueError):
             combine([rho(1, 0)], [-1.0])
+
+
+class TestNormalize:
+    def test_subnormal_state(self):
+        X = rho(2, math.pi / 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Y = normalize(BipartiteMatrix(3, 3, X.data * 1e-310))
+        assert np.max(np.abs(Y.data - normalize(X).data)) <= 1e-12
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="trace must be positive"):
+            normalize(BipartiteMatrix(3, 3, np.zeros((9, 9))))
 
 
 class TestCovariance:
@@ -351,9 +365,8 @@ class TestProductVectorSearch:
         assert found is None
 
     def test_range_of_separable_rho(self):
-        from pptgeo.linalg import range_basis
-
-        D = range_basis(rho(1, math.pi).data)
+        w, V = rho(1, math.pi).spectrum
+        D = V[:, range_mask(w)]
         found = search_product_vector_in_subspace(D, 3, 3, restarts=100)
         assert found is not None
         xi, eta = found
