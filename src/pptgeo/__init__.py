@@ -23,10 +23,8 @@ from .maps import (
     ChoiMap,
     DecomposableSpec,
     antipodal_sum_choi,
-    apply_map,
     block_positivity_sample,
     boundary_witness_search,
-    choi_of,
     decomposable_map,
     pairing,
     phi_theta_t,

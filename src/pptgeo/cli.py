@@ -189,8 +189,9 @@ def cmd_pair(args) -> tuple[dict, str]:
 
 
 def cmd_boundary_witness(args) -> tuple[dict, str]:
+    seed = default_seed() if args.seed is None else args.seed
     spec = ser.spec_from_json(ser.load_json(args.spec))
-    found = mp.boundary_witness_search(spec, restarts=args.restarts, seed=args.seed)
+    found = mp.boundary_witness_search(spec, restarts=args.restarts, seed=seed)
     if found is None:
         return {"found": False}, "no witness found (inconclusive)"
     xi, eta, res = found
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = msub.add_parser("boundary-witness")
     pm.add_argument("--spec", required=True, metavar="FILE")
     pm.add_argument("--restarts", type=_int_at_least(1), default=1000)
-    pm.add_argument("--seed", type=_int_at_least(0), default=default_seed())
+    pm.add_argument("--seed", type=_int_at_least(0), help="default: PPTGEO_SEED, or 0")
     pm.set_defaults(func=cmd_boundary_witness)
 
     ksub = sub.add_parser("krawtchouk", help="alternating binomial sum diagnostics").add_subparsers(

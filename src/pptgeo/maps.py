@@ -61,54 +61,21 @@ class DecomposableSpec:
         return (self.Vs + self.Ws)[0].shape
 
 
-def choi_of(action, m: int, n: int) -> ChoiMap:
-    """Assemble the Choi matrix of a map given by its action on matrix units.
-
-    action(E) takes an m x m matrix unit and returns the n x n image.
-    """
-    C = np.zeros((m * n, m * n), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            E = np.zeros((m, m), dtype=complex)
-            E[i, j] = 1.0
-            img = np.asarray(action(E), dtype=complex)
-            if img.shape != (n, n):
-                raise ValueError(f"image must be {n}x{n}, got {img.shape}")
-            C[i * n:(i + 1) * n, j * n:(j + 1) * n] = img
-    return ChoiMap(m, n, BipartiteMatrix(m, n, C))
-
-
-def apply_map(phi: ChoiMap, X) -> np.ndarray:
-    """Reconstruct phi(X) from the Choi matrix: phi(X) = sum_ij X_ij * block_ij."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (phi.m, phi.m):
-        raise ValueError(f"input must be {phi.m}x{phi.m}, got {X.shape}")
-    Cr = phi.choi.data.reshape(phi.m, phi.n, phi.m, phi.n)
-    return np.einsum("ij,iajb->ab", X, Cr)
-
-
 def pairing(rho: BipartiteMatrix, phi: ChoiMap) -> float:
     """Duality pairing Tr(rho * C_phi^t) between states and maps.  Both are
     hermitian, so an imaginary part beyond ROUNDOFF times the Cauchy-Schwarz
-    bound ||rho||_F ||C_phi||_F is an error."""
+    bound ||rho||_F ||C_phi||_F is an error, as is a value past the
+    floating-point range."""
     if (rho.m, rho.n) != (phi.m, phi.n):
         raise ValueError("state and map live on different systems")
-    val = complex(np.trace(rho.data @ phi.choi.data.T))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            val = complex(np.trace(rho.data @ phi.choi.data.T))
+    except ArithmeticError as exc:
+        raise NumericalError("pairing is out of floating-point range") from exc
     if abs(val.imag) > ROUNDOFF * np.linalg.norm(rho.data) * np.linalg.norm(phi.choi.data):
         raise NumericalError(f"pairing has a nonreal value {val}")
     return val.real
-
-
-def identity_map(n: int) -> ChoiMap:
-    return choi_of(lambda E: E, n, n)
-
-
-def transpose_map(n: int) -> ChoiMap:
-    return choi_of(lambda E: E.T, n, n)
-
-
-def trace_map(m: int, n: int) -> ChoiMap:
-    return choi_of(lambda E: np.trace(E) * np.eye(n, dtype=complex), m, n)
 
 
 def phi_theta_coefficients(theta: float, t: float):
@@ -185,10 +152,6 @@ def _pairing_form(spec: DecomposableSpec) -> np.ndarray:
     return np.einsum("kia,kjb->iajb", V, V.conj()) + np.einsum("kja,kib->iajb", W, W.conj())
 
 
-#: Product pairing below which a unit pair (xi, eta) is a boundary witness.
-WITNESS_RESIDUAL = 1e-12
-
-
 def boundary_witness_search(
     spec: DecomposableSpec,
     restarts: int = 1000,
@@ -199,18 +162,25 @@ def boundary_witness_search(
     the map sits on the boundary of the positive-map cone.
 
     The product pairing is the hermitian form <xi (x) eta| Q |xi (x) eta> with
-    Q = conj(C) for the Choi matrix C of the decomposable map.  Multi-start
-    alternating minimization (restart 0 first, then the others as one batch)
-    takes bottom eigenvectors in xi and eta in turn.  Returns
-    (xi, eta, residual), the residual recomputed by :func:`product_pairing`,
-    or None; no result is inconclusive.
+    Q = conj(C) for the Choi matrix C of the decomposable map, built from the
+    generators scaled to a largest entry of 1 so that it is finite at any
+    scale.  Multi-start alternating minimization (restart 0 first, then the
+    others as one batch) takes bottom eigenvectors in xi and eta in turn.
+    Returns (xi, eta, residual) when the residual, :func:`product_pairing`
+    of the scaled spec recomputed at (xi, eta) and divided by max|Q|, is at
+    most ROUNDOFF; otherwise None, which is inconclusive.
     """
     m, n = spec.shape
+    # On the real view, so that a subnormal largest entry does not overflow.
+    G = np.array(spec.Vs + spec.Ws)
+    G = (G.view(float) / (np.max(np.abs(G.view(float))) or 1.0)).view(complex)
+    spec = DecomposableSpec(tuple(G[:len(spec.Vs)]), tuple(G[len(spec.Vs):]))
+    Q = _pairing_form(spec)
+    scale = np.max(np.abs(Q)) or 1.0  # 0 only for an all-zero spec
     _, eta = _product_starts(restarts, m, n, seed)
-    xi, eta, _ = _seesaw(_pairing_form(spec), eta, maximize=False, gain_tol=1e-16,
-                         target=WITNESS_RESIDUAL)
-    residual = product_pairing(spec, xi, eta)
-    if residual <= WITNESS_RESIDUAL:
+    xi, eta, _ = _seesaw(Q, eta, target=ROUNDOFF * scale)
+    residual = product_pairing(spec, xi, eta) / scale
+    if residual <= ROUNDOFF:
         return xi, eta, residual
     return None
 
@@ -261,4 +231,4 @@ def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -
                      _gram_rows(eta)).real
     vals /= (np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1)) ** 2
     k = int(np.argmin(vals))
-    return float(_seesaw(C, eta[k:k + 1], maximize=False, gain_tol=1e-15, max_iter=100)[2])
+    return float(_seesaw(C, eta[k:k + 1], max_iter=100)[2])

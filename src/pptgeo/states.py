@@ -341,30 +341,26 @@ def _gram_rows(v: np.ndarray) -> np.ndarray:
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
 
-# gain_tol, target and each search's residual tolerance are set per search,
-# outside the CUTOFF/ROUNDOFF policy: the seesaw converges only linearly near a zero.
-def _seesaw(Q: np.ndarray, eta: np.ndarray, maximize: bool, gain_tol: float,
-            target: float | None = None, max_iter: int = 200):
-    """Extremise <xi (x) eta| Q |xi (x) eta> over unit product vectors by
-    alternating eigenvector updates, all restarts advanced as one stack.
+def _seesaw(Q: np.ndarray, eta: np.ndarray, target: float | None = None, max_iter: int = 200):
+    """Minimise <xi (x) eta| Q |xi (x) eta> over unit product vectors by
+    alternating bottom-eigenvector updates, all restarts advanced as one stack.
 
     Q is a hermitian form of shape (m, n, m, n) and eta (R, n) holds the
     starts; each step sets xi from eta, then eta from xi, so the xi of a
     start pair is never read.  A restart stops after max_iter steps or once
-    a step gains less than gain_tol; steps never lose (up to rounding), so
-    its last value is its best.  Restart 0 runs alone, then the rest run
-    together; everything stops as soon as a stopped restart's value reaches
-    target (a restart is only judged once it has stopped, so a caller's
-    re-evaluation is not left at the edge of target).  Returns the best
-    (xi, eta, value) among the restarts that ran.
+    a step gains at most a fixed fraction of max|Q|; steps never lose (up to
+    rounding), so its last value is its best.  Restart 0 runs alone, then
+    the rest run together; everything stops as soon as a stopped restart's
+    value reaches target (a restart is only judged once it has stopped, so a
+    caller's re-evaluation is not left at the edge of target).  Returns the
+    best (xi, eta, value) among the restarts that ran.
     """
     m, n = Q.shape[:2]
-    # Minimize sign * Q throughout, so maximizing Q is minimizing -Q.
-    sign = -1.0 if maximize else 1.0
-    reach = -np.inf if target is None else sign * target
+    reach = -np.inf if target is None else target
+    settled = 1e-15 * np.max(np.abs(Q))  # a restart's own convergence, relative to the form
     # The xi-form for fixed eta is _gram_rows(eta) @ to_xi, and symmetrically.
-    to_xi = sign * Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
-    to_eta = sign * Q.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    to_xi = Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
+    to_eta = Q.transpose(0, 2, 1, 3).reshape(m * m, n * n)
     best = (None, None, np.inf)
     for e in (eta[:1], eta[1:]):
         if not len(e):
@@ -374,7 +370,7 @@ def _seesaw(Q: np.ndarray, eta: np.ndarray, maximize: bool, gain_tol: float,
             x = np.linalg.eigh((_gram_rows(e) @ to_xi).reshape(-1, m, m))[1][:, :, 0]
             w, U = np.linalg.eigh((_gram_rows(x) @ to_eta).reshape(-1, n, n))
             e, gain, v = U[:, :, 0], v - w[:, 0], w[:, 0]
-            stopped = gain < gain_tol
+            stopped = gain <= settled
             if stopped.any():
                 best = _lowest(best, x[stopped], e[stopped], v[stopped])
                 live = ~stopped
@@ -385,7 +381,7 @@ def _seesaw(Q: np.ndarray, eta: np.ndarray, maximize: bool, gain_tol: float,
             best = _lowest(best, x, e, v)
         if best[2] <= reach:
             break
-    return best[0], best[1], sign * best[2]
+    return best
 
 
 def _lowest(best, x, e, v):
@@ -394,7 +390,8 @@ def _lowest(best, x, e, v):
     return (x[k], e[k], v[k]) if v[k] < best[2] else best
 
 
-#: Distance from the subspace below which a unit product vector counts as inside it.
+#: Distance from the subspace below which a unit product vector counts as
+#: inside it; the form I - P is a projector, so the distance is scale-free.
 PRODUCT_RESIDUAL = 1e-7
 
 
@@ -408,18 +405,18 @@ def search_product_vector_in_subspace(
     """Heuristic search for a product vector xi (x) eta inside the span of the
     orthonormal columns D of C^m (x) C^n.
 
-    Multi-start alternating maximization of <xi (x) eta| P |xi (x) eta> by
-    top-eigenvector updates in xi and eta (restart 0 first, then the others
-    as one batch).  Returns (xi, eta) with
-    ||(I - P)(xi (x) eta)|| <= PRODUCT_RESIDUAL, or None.  A None result is not a
-    proof that no product vector exists.
+    Multi-start alternating minimisation of the squared distance
+    <xi (x) eta| I - P |xi (x) eta> to the subspace by bottom-eigenvector
+    updates in xi and eta (restart 0 first, then the others as one batch).
+    Returns (xi, eta) with ||(I - P)(xi (x) eta)|| <= PRODUCT_RESIDUAL, or
+    None.  A None result is not a proof that no product vector exists.
     """
     D = np.asarray(D, dtype=complex)
     if D.ndim != 2 or D.shape[0] != m * n:
         raise ValueError("D must have m*n rows of orthonormal columns")
-    P = (D @ D.conj().T).reshape(m, n, m, n)
+    Q = (np.eye(m * n) - D @ D.conj().T).reshape(m, n, m, n)
     _, eta = _product_starts(restarts, m, n, seed)
-    xi, eta, val = _seesaw(P, eta, maximize=True, gain_tol=1e-15, target=1.0 - PRODUCT_RESIDUAL**2)
-    if 1.0 - val <= PRODUCT_RESIDUAL**2:
+    xi, eta, val = _seesaw(Q, eta, target=PRODUCT_RESIDUAL**2)
+    if val <= PRODUCT_RESIDUAL**2:
         return xi, eta
     return None

@@ -1,15 +1,17 @@
-"""Slow, independent routes to the spectral and extremality decisions, used
-only by tests.
+"""Slow, independent routes to the spectral, extremality and map decisions,
+used only by tests.
 
 phi_D and phi_E are the 81-dimensional operators on all of Herm(9) whose
 kernels are the hermitian matrices supported on a face's two ranges; the
 kernel dimension of is_extreme_in_T is checked against the intersection of
-their kernels.  Rank and kernel cuts use the package's CUTOFF.
+their kernels.  Rank and kernel cuts use the package's CUTOFF.  choi_of
+builds a Choi matrix one matrix unit at a time, from a map's action.
 """
 import numpy as np
 
 from pptgeo.linalg import CUTOFF, hermitian_basis, numerical_rank
-from pptgeo.states import _pt
+from pptgeo.maps import ChoiMap
+from pptgeo.states import BipartiteMatrix, _pt
 
 
 def numerical_kernel(M: np.ndarray) -> np.ndarray:
@@ -66,3 +68,41 @@ def kernel_intersection_dim_oracle(op_a: np.ndarray, op_b: np.ndarray) -> int:
     if Ka.shape[1] == 0 or Kb.shape[1] == 0:
         return 0
     return Ka.shape[1] + Kb.shape[1] - numerical_rank(np.hstack([Ka, Kb]))
+
+
+def choi_of(action, m: int, n: int) -> ChoiMap:
+    """Assemble the Choi matrix of a map given by its action on matrix units.
+
+    action(E) takes an m x m matrix unit and returns the n x n image.
+    """
+    C = np.zeros((m * n, m * n), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            E = np.zeros((m, m), dtype=complex)
+            E[i, j] = 1.0
+            img = np.asarray(action(E), dtype=complex)
+            if img.shape != (n, n):
+                raise ValueError(f"image must be {n}x{n}, got {img.shape}")
+            C[i * n:(i + 1) * n, j * n:(j + 1) * n] = img
+    return ChoiMap(m, n, BipartiteMatrix(m, n, C))
+
+
+def apply_map(phi: ChoiMap, X) -> np.ndarray:
+    """Reconstruct phi(X) from the Choi matrix: phi(X) = sum_ij X_ij * block_ij."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != (phi.m, phi.m):
+        raise ValueError(f"input must be {phi.m}x{phi.m}, got {X.shape}")
+    Cr = phi.choi.data.reshape(phi.m, phi.n, phi.m, phi.n)
+    return np.einsum("ij,iajb->ab", X, Cr)
+
+
+def identity_map(n: int) -> ChoiMap:
+    return choi_of(lambda E: E, n, n)
+
+
+def transpose_map(n: int) -> ChoiMap:
+    return choi_of(lambda E: E.T, n, n)
+
+
+def trace_map(m: int, n: int) -> ChoiMap:
+    return choi_of(lambda E: np.trace(E) * np.eye(n, dtype=complex), m, n)

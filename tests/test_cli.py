@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import eigh_oracle
+from oracles import eigh_oracle, trace_map
 from pptgeo.cli import build_parser, format_theta, main, parse_theta
 from pptgeo.serialize import (
     bipartite_from_json,
@@ -19,7 +19,7 @@ from pptgeo.serialize import (
     vector_from_json,
     vector_to_json,
 )
-from pptgeo.maps import DecomposableSpec, trace_map, trace_map_decomposition_33
+from pptgeo.maps import ChoiMap, DecomposableSpec, trace_map_decomposition_2n, trace_map_decomposition_33
 from pptgeo.states import BipartiteMatrix, rho
 from test_extremality import oracle_states
 
@@ -432,6 +432,16 @@ class TestMapCommands:
         assert code == 0
         assert rep["pairing"] == pytest.approx(np.trace(X.data).real, abs=1e-9)
 
+    def test_pair_out_of_range_is_numerical(self, capsys, tmp_path):
+        # Tr(X C^t) = 2e400 overflows: an error, not {"pairing": Infinity}
+        sp = tmp_path / "state.json"
+        mp_ = tmp_path / "map.json"
+        sp.write_text(json.dumps(bipartite_to_json(BipartiteMatrix(1, 2, 1e200 * np.eye(2)))))
+        mp_.write_text(json.dumps(choi_to_json(ChoiMap(1, 2, BipartiteMatrix(1, 2, 1e200 * np.eye(2))))))
+        code, out, err = run(capsys, "map", "pair", "--state", str(sp), "--map", str(mp_))
+        assert code == 3
+        assert out == "" and "floating-point range" in err
+
     def test_boundary_witness(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         spec = DecomposableSpec(
@@ -446,6 +456,17 @@ class TestMapCommands:
         assert code == 0
         assert rep["found"] is True
         assert rep["residual"] <= 1e-12
+
+    def test_boundary_witness_far_from_unit_scale(self, capsys, tmp_path):
+        # the 2 (x) 2 trace map at 1e200 is still interior: its pairing form
+        # would overflow unless the generators are scaled first
+        spec = trace_map_decomposition_2n(1)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(DecomposableSpec(
+            tuple(1e200 * V for V in spec.Vs), tuple(1e200 * W for W in spec.Ws)))))
+        code, out, _ = run(capsys, "map", "boundary-witness", "--spec", str(path), "--restarts", "20")
+        assert code == 0
+        assert json.loads(out) == {"found": False}
 
     @pytest.mark.parametrize("restarts", ["0", "-3", "many"])
     def test_boundary_witness_bad_restarts_is_usage(self, capsys, tmp_path, restarts):
@@ -482,17 +503,28 @@ class TestKrawtchoukCommands:
             assert code == 2
             assert out == "" and "must be at least 2" in err
 
-    def test_bad_seed_variable_is_usage(self, capsys, monkeypatch):
+    def test_bad_seed_variable_is_usage(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(trace_map_decomposition_33())))
         monkeypatch.setenv("PPTGEO_SEED", "abc")
-        code, out, err = run(capsys, "krawtchouk", "solve", "--m", "2", "--n", "4")
+        code, out, err = run(capsys, "map", "boundary-witness", "--spec", str(path))
         assert code == 2
         assert out == "" and "PPTGEO_SEED" in err
 
-    def test_negative_seed_variable_is_usage(self, capsys, monkeypatch):
+    def test_negative_seed_variable_is_usage(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(trace_map_decomposition_33())))
         monkeypatch.setenv("PPTGEO_SEED", "-5")
-        code, out, err = run(capsys, "krawtchouk", "solve", "--m", "2", "--n", "4")
+        code, out, err = run(capsys, "map", "boundary-witness", "--spec", str(path))
         assert code == 2
         assert out == "" and "PPTGEO_SEED" in err
+
+    def test_seed_variable_unread_without_seed(self, capsys, monkeypatch):
+        # only map boundary-witness takes a seed; other commands ignore the variable
+        monkeypatch.setenv("PPTGEO_SEED", "-5")
+        code, out, _ = run(capsys, "krawtchouk", "solve", "--m", "2", "--n", "4")
+        assert code == 0
+        assert json.loads(out)["solutions"]
 
     def test_negative_seed_flag_is_usage(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
@@ -501,10 +533,17 @@ class TestKrawtchoukCommands:
         assert code == 2
         assert out == "" and "--seed" in err
 
-    def test_seed_variable_sets_witness_seed(self, capsys, monkeypatch):
+    def test_seed_variable_sets_witness_seed(self, capsys, monkeypatch, tmp_path):
+        rng = np.random.default_rng(0)
+        g = lambda: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))  # noqa: E731
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(DecomposableSpec((g(),), (g(), g())))))
+        argv = ("map", "boundary-witness", "--spec", str(path), "--restarts", "20")
+        by_flag = run(capsys, *argv, "--seed", "7")
         monkeypatch.setenv("PPTGEO_SEED", "7")
-        assert build_parser().parse_args(
-            ["map", "boundary-witness", "--spec", "f.json"]).seed == 7
+        by_variable = run(capsys, *argv)
+        assert by_flag[0] == 0 and json.loads(by_flag[1])["found"]
+        assert by_variable == by_flag
 
 
 def test_no_subcommand_is_usage(capsys):

@@ -4,26 +4,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import apply_map, choi_of, identity_map, trace_map, transpose_map
 from pptgeo.linalg import NumericalError, spectrum_is_psd
 from pptgeo.maps import (
     ChoiMap,
     DecomposableSpec,
     antipodal_sum_choi,
-    apply_map,
     block_positivity_sample,
     boundary_witness_search,
-    choi_of,
     decomposable_map,
-    identity_map,
     is_interior_of_P_sufficient,
     pairing,
     phi_theta_coefficients,
     phi_theta_t,
     product_pairing,
-    trace_map,
     trace_map_decomposition_2n,
     trace_map_decomposition_33,
-    transpose_map,
 )
 from pptgeo.states import BipartiteMatrix, p_theta, partial_transpose, rho, sigma
 
@@ -278,6 +274,32 @@ class TestProductPairing:
             assert product_pairing(spec, xi, eta) >= 0.0
 
 
+def _generic_spec(seed):
+    rng = np.random.default_rng(seed)
+    g = lambda: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))  # noqa: E731
+    return DecomposableSpec((g(),), (g(), g()))
+
+
+def _rank_one_dip(seed):
+    """C = I - 2|a (x) b><a (x) b|, whose product-vector minimum is -1 at (a_bar, b)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=3) + 1j * rng.normal(size=3)
+    b = rng.normal(size=3) + 1j * rng.normal(size=3)
+    v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    return ChoiMap(3, 3, BipartiteMatrix(3, 3, np.eye(9) - 2 * np.outer(v, v.conj())))
+
+
+# (name, spec, whether a witness exists)
+WITNESS_SPECS = [
+    ("trace 3x3", trace_map_decomposition_33(), False),
+    ("trace 2x2", trace_map_decomposition_2n(1), False),
+    ("trace 2x4", trace_map_decomposition_2n(2), False),
+    ("generic 3x3", _generic_spec(0), True),
+]
+
+POSITIVITY_MAPS = [("phi(pi/6, 1)", phi_theta_t(math.pi / 6, 1.0)), ("rank-one dip", _rank_one_dip(3))]
+
+
 class TestBoundaryWitness:
     def test_generic_3_generator_spec_has_witness(self):
         rng = np.random.default_rng(0)
@@ -317,6 +339,24 @@ class TestBoundaryWitness:
         with pytest.raises(ValueError):
             boundary_witness_search(trace_map_decomposition_33(), restarts=restarts)
 
+    @pytest.mark.parametrize("k", [-320, -300, -200, -100, -7, 0, 3, 100, 200, 300])
+    @pytest.mark.parametrize("name,spec,found", WITNESS_SPECS, ids=[c[0] for c in WITNESS_SPECS])
+    def test_verdict_is_scale_free(self, name, spec, found, k):
+        # the trace maps have identity Choi matrices at every scale, so no
+        # scale may produce a witness; the generic spec has one at every scale
+        # (at 1e-320 its entries are subnormal, but it is still generic)
+        c = 10.0**k
+        out = boundary_witness_search(
+            DecomposableSpec(tuple(c * V for V in spec.Vs), tuple(c * W for W in spec.Ws)), restarts=100)
+        assert (out is not None) == found
+        if found:
+            assert out[2] <= 1e-12
+
+    def test_zero_spec_is_a_witness(self):
+        xi, eta, res = boundary_witness_search(DecomposableSpec((np.zeros((2, 3)),)), restarts=5)
+        assert res == 0.0
+        assert np.linalg.norm(xi) == pytest.approx(1.0) and np.linalg.norm(eta) == pytest.approx(1.0)
+
 
 class TestBlockPositivity:
     def test_identity_map(self):
@@ -329,13 +369,17 @@ class TestBlockPositivity:
     def test_refine_reaches_rank_one_dip(self):
         # C = I - 2|a (x) b><a (x) b| has product-vector minimum -1 at (a_bar, b);
         # the refine must descend one form, not alternate xi and xi_bar
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        phi = ChoiMap(3, 3, BipartiteMatrix(3, 3, np.eye(9) - 2 * np.outer(v, v.conj())))
+        phi = _rank_one_dip(3)
         for seed in range(5):
             assert block_positivity_sample(phi, samples=500, seed=seed) == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name,phi", POSITIVITY_MAPS, ids=[c[0] for c in POSITIVITY_MAPS])
+    def test_scale_free(self, name, phi):
+        # the refine stops relative to the form, so the value scales with the map
+        want = block_positivity_sample(phi, samples=500)
+        for k in (-200, -100, -7, 7, 100, 200):
+            got = block_positivity_sample(scaled(phi, 10.0**k), samples=500) / 10.0**k
+            assert got == pytest.approx(want, abs=1e-9 * np.max(np.abs(phi.choi.data)))
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):

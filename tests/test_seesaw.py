@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import choi_of
 from pptgeo.maps import (
     DecomposableSpec,
     _pairing_form,
-    choi_of,
     decomposable_map,
     phi_theta_t,
     product_pairing,
@@ -16,24 +16,24 @@ from pptgeo.maps import (
 from pptgeo.states import _product_starts, _seesaw
 
 
-def seesaw_oracle(Q, eta_starts, maximize, gain_tol, max_iter=200):
+def seesaw_oracle(Q, eta_starts, max_iter=200):
     """One restart at a time, one 3-operand einsum and one eigh per half-step:
-    the reference for the batched kernel (no early stop on a target)."""
-    pick = -1 if maximize else 0
+    the reference for the batched kernel (no early stop on a target).  A
+    restart stops once a step gains at most 1e-15 times the largest entry of Q."""
+    settled = 1e-15 * np.max(np.abs(Q))
     best = None
     for eta in eta_starts:
-        prev = -np.inf if maximize else np.inf
+        prev = np.inf
         for _ in range(max_iter):
             A = np.einsum("a,iajb,b->ij", eta.conj(), Q, eta)
-            xi = np.linalg.eigh(A)[1][:, pick]
+            xi = np.linalg.eigh(A)[1][:, 0]
             B = np.einsum("i,iajb,j->ab", xi.conj(), Q, xi)
             w, U = np.linalg.eigh(B)
-            eta, val = U[:, pick], w[pick]
-            gain = val - prev if maximize else prev - val
-            prev = val
-            if gain < gain_tol:
+            eta, val = U[:, 0], w[0]
+            gain, prev = prev - val, val
+            if gain <= settled:
                 break
-        if best is None or (val > best[2] if maximize else val < best[2]):
+        if best is None or val < best[2]:
             best = (xi, eta, val)
     return best
 
@@ -44,10 +44,12 @@ def form_value(Q, xi, eta):
     return float((v.conj() @ Q.reshape(m * n, m * n) @ v).real)
 
 
-def random_projector(m, n, k, rng):
+def random_complement(m, n, k, rng):
+    """I - P for the projector P onto a random k-dimensional subspace: minimising
+    it over product vectors maximises P."""
     A = rng.normal(size=(m * n, k)) + 1j * rng.normal(size=(m * n, k))
     D = np.linalg.qr(A)[0]
-    return (D @ D.conj().T).reshape(m, n, m, n)
+    return (np.eye(m * n) - D @ D.conj().T).reshape(m, n, m, n)
 
 
 def generic_spec(rng):
@@ -67,39 +69,39 @@ def choi_form(phi):
     return phi.choi.data.reshape(phi.m, phi.n, phi.m, phi.n)
 
 
-# (name, form builder from an rng, maximize, gain_tol)
+# (name, form builder from an rng)
 CASES = [
-    ("max projector 3x3", lambda rng: random_projector(3, 3, 4, rng), True, 1e-15),
-    ("max projector 2x4", lambda rng: random_projector(2, 4, 3, rng), True, 1e-15),
-    ("min witness 3x3", lambda rng: _pairing_form(generic_spec(rng)), False, 1e-16),
-    ("min witness 2x4", lambda rng: _pairing_form(trace_2n_plus_v(rng)), False, 1e-16),
-    ("min witness trace 2x4", lambda rng: _pairing_form(trace_map_decomposition_2n(2)), False, 1e-16),
-    ("min Choi 3x3", lambda rng: choi_form(phi_theta_t(math.pi / 6, 1.0)), False, 1e-15),
-    ("min Choi 2x4", lambda rng: -choi_form(decomposable_map(trace_2n_plus_v(rng))), False, 1e-15),
+    ("max projector 3x3", lambda rng: random_complement(3, 3, 4, rng)),
+    ("max projector 2x4", lambda rng: random_complement(2, 4, 3, rng)),
+    ("min witness 3x3", lambda rng: _pairing_form(generic_spec(rng))),
+    ("min witness 2x4", lambda rng: _pairing_form(trace_2n_plus_v(rng))),
+    ("min witness trace 2x4", lambda rng: _pairing_form(trace_map_decomposition_2n(2))),
+    ("min Choi 3x3", lambda rng: choi_form(phi_theta_t(math.pi / 6, 1.0))),
+    ("min Choi 2x4", lambda rng: -choi_form(decomposable_map(trace_2n_plus_v(rng)))),
 ]
 
 
 class TestSeesawKernel:
     @pytest.mark.parametrize("restarts", [1, 7])
-    @pytest.mark.parametrize("name,build,maximize,gain_tol", CASES, ids=[c[0] for c in CASES])
-    def test_matches_oracle(self, name, build, maximize, gain_tol, restarts):
+    @pytest.mark.parametrize("name,build", CASES, ids=[c[0] for c in CASES])
+    def test_matches_oracle(self, name, build, restarts):
         rng = np.random.default_rng(17)
         Q = build(rng)
         m, n = Q.shape[:2]
         _, eta = _product_starts(restarts, m, n, seed=3)
-        xi_k, eta_k, val_k = _seesaw(Q, eta, maximize, gain_tol)
-        xi_o, eta_o, val_o = seesaw_oracle(Q, eta, maximize, gain_tol)
+        xi_k, eta_k, val_k = _seesaw(Q, eta)
+        xi_o, eta_o, val_o = seesaw_oracle(Q, eta)
         assert val_k == pytest.approx(val_o, abs=1e-10)
         assert np.linalg.norm(xi_k) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(eta_k) == pytest.approx(1.0, abs=1e-12)
         assert form_value(Q, xi_k, eta_k) == pytest.approx(val_k, abs=1e-10)
 
     def test_restart_schedule(self, monkeypatch):
-        # a projector onto a space holding a product vector: restart 0 reaches
-        # the target alone; without a target the other 49 run as one stack,
-        # which empties as they converge, long before max_iter
+        # the complement of a projector onto a space holding a product vector:
+        # restart 0 reaches the target alone; without a target the other 49
+        # run as one stack, which empties as they converge, long before max_iter
         v = np.kron([1.0, 1j, 0.0], [0.0, 1.0, 1.0]) / 2
-        Q = np.outer(v, v.conj()).reshape(3, 3, 3, 3)
+        Q = (np.eye(9) - np.outer(v, v.conj())).reshape(3, 3, 3, 3)
         _, eta = _product_starts(50, 3, 3, seed=0)
         sizes = []
         eigh = np.linalg.eigh
@@ -109,11 +111,11 @@ class TestSeesawKernel:
             return eigh(A)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        val = _seesaw(Q, eta, True, 1e-15, target=1.0 - 1e-14)[2]
-        assert val >= 1.0 - 1e-14
+        val = _seesaw(Q, eta, target=1e-14)[2]
+        assert val <= 1e-14
         assert set(sizes) == {1}
         sizes.clear()
-        _seesaw(Q, eta, True, 1e-15)
+        _seesaw(Q, eta)
         assert sizes[0] == 1 and 49 in sizes
         assert len(sizes) < 2 * 200
 
@@ -125,7 +127,7 @@ class TestSeesawKernel:
         for seed in range(5):
             spec = generic_spec(rng)
             _, eta = _product_starts(20, 3, 3, seed)
-            xi, eta, val = _seesaw(_pairing_form(spec), eta, False, 1e-16, target=1e-12)
+            xi, eta, val = _seesaw(_pairing_form(spec), eta, target=1e-12)
             assert abs(val) <= 1e-14
             assert product_pairing(spec, xi, eta) <= 1e-14
 
