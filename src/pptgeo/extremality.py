@@ -25,6 +25,7 @@ from .linalg import (
     hermitian_to_real_vector,
     numerical_rank,
     range_mask,
+    unit_scaled,
 )
 from .states import BipartiteMatrix, FaceSpec, _pt, _unit_trace, is_ppt, partial_transpose, rho
 
@@ -247,17 +248,19 @@ def verify_combination_identity(b: float, theta: float) -> CombinationIdentityRe
     """Check rho(b,theta) = cos(theta)(X1+X2+X3) + sin(theta) X4 - X5 - X6 - X7
     and both readings of the analogous Y combination (whose printed last term
     is ambiguous between -X7 and -Y7); ok when the X residual, relative to
-    the Frobenius norm of rho, is within ROUNDOFF."""
+    the Frobenius norm of rho, is within ROUNDOFF.  The norms are taken with
+    rho and the three differences unit-scaled together, so they stay finite
+    wherever the bases do."""
     target = rho(b, theta).data
-    scale = np.linalg.norm(target)
     xs = appendix_basis_X(b, theta)
     ys = appendix_basis_Y(b, theta)
     c, s = np.cos(theta), np.sin(theta)
     combo_x = c * (xs[0] + xs[1] + xs[2]) + s * xs[3] - xs[4] - xs[5] - xs[6]
     y_head = c * (ys[0] + ys[1] + ys[2]) - s * ys[3] - ys[4] - ys[5]
-    rx = float(np.linalg.norm(target - combo_x) / scale)
-    ry_x7 = float(np.linalg.norm(target - (y_head - xs[6])) / scale)
-    ry_y7 = float(np.linalg.norm(target - (y_head - ys[6])) / scale)
+    scaled, _ = unit_scaled([target, target - combo_x, target - (y_head - xs[6]),
+                             target - (y_head - ys[6])])
+    scale, *norms = (np.linalg.norm(M) for M in scaled)
+    rx, ry_x7, ry_y7 = (float(r / scale) for r in norms)
     return CombinationIdentityReport(rx, ry_x7, ry_y7, rx <= ROUNDOFF)
 
 

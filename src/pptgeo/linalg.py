@@ -13,6 +13,7 @@ rescaled: :data:`CUTOFF` for rank, kernel and PSD decisions and
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -45,6 +46,24 @@ def as_hermitian(A) -> np.ndarray:
     if np.any(bad):
         raise ValueError(f"matrix is not hermitian (deviation {2 * np.max(dev[bad]):.3e})")
     return half + half_h
+
+
+def unit_scaled(A):
+    """(A * 2**-e, e) as a complex array, with e the ``math.frexp`` exponent
+    of A's largest real or imaginary magnitude, so that magnitude of the
+    scaled array lies in [1/2, 1).  A zero A comes back unchanged with e = 0.
+
+    A power of two scales exactly, so a result computed on the scaled array
+    and scaled back is bitwise the unscaled one wherever that stays in the
+    floating-point range.  Every norm and normalisation of input data goes
+    through here."""
+    A = np.ascontiguousarray(A, dtype=complex)
+    R = A.view(float)
+    top = float(np.max(np.abs(R), initial=0.0))
+    if top == 0.0:
+        return A, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(R, -e).view(complex), e
 
 
 def eigh_descending(H: np.ndarray):

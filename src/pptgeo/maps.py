@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ROUNDOFF, NumericalError
+from .linalg import ROUNDOFF, NumericalError, unit_scaled
 from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern, _gram_rows,
                      _product_starts, _seesaw, is_interior_of_S_sufficient, p_theta)
 
@@ -62,20 +62,22 @@ class DecomposableSpec:
 
 
 def pairing(rho: BipartiteMatrix, phi: ChoiMap) -> float:
-    """Duality pairing Tr(rho * C_phi^t) between states and maps.  Both are
-    hermitian, so an imaginary part beyond ROUNDOFF times the Cauchy-Schwarz
-    bound ||rho||_F ||C_phi||_F is an error, as is a value past the
-    floating-point range."""
+    """Duality pairing Tr(rho * C_phi^t) between states and maps, evaluated on
+    the unit-scaled matrices and scaled back.  Both are hermitian, so an
+    imaginary part beyond ROUNDOFF times the Cauchy-Schwarz bound
+    ||rho||_F ||C_phi||_F of the scaled matrices is an error, as is a value
+    past the floating-point range."""
     if (rho.m, rho.n) != (phi.m, phi.n):
         raise ValueError("state and map live on different systems")
+    R, r = unit_scaled(rho.data)
+    C, c = unit_scaled(phi.choi.data)
+    val = complex(np.trace(R @ C.T))
+    if abs(val.imag) > ROUNDOFF * np.linalg.norm(R) * np.linalg.norm(C):
+        raise NumericalError(f"pairing has a nonreal value {val} * 2**{r + c}")
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            val = complex(np.trace(rho.data @ phi.choi.data.T))
-    except ArithmeticError as exc:
+        return math.ldexp(val.real, r + c)
+    except OverflowError as exc:
         raise NumericalError("pairing is out of floating-point range") from exc
-    if abs(val.imag) > ROUNDOFF * np.linalg.norm(rho.data) * np.linalg.norm(phi.choi.data):
-        raise NumericalError(f"pairing has a nonreal value {val}")
-    return val.real
 
 
 def phi_theta_coefficients(theta: float, t: float):
@@ -163,17 +165,16 @@ def boundary_witness_search(
 
     The product pairing is the hermitian form <xi (x) eta| Q |xi (x) eta> with
     Q = conj(C) for the Choi matrix C of the decomposable map, built from the
-    generators scaled to a largest entry of 1 so that it is finite at any
-    scale.  Multi-start alternating minimization (restart 0 first, then the
-    others as one batch) takes bottom eigenvectors in xi and eta in turn.
+    generators unit-scaled together (largest real or imaginary magnitude in
+    [1/2, 1)) so that it is finite at any scale.  Multi-start alternating
+    minimization (restart 0 first, then the others as one batch) takes
+    bottom eigenvectors in xi and eta in turn.
     Returns (xi, eta, residual) when the residual, :func:`product_pairing`
     of the scaled spec recomputed at (xi, eta) and divided by max|Q|, is at
     most ROUNDOFF; otherwise None, which is inconclusive.
     """
     m, n = spec.shape
-    # On the real view, so that a subnormal largest entry does not overflow.
-    G = np.array(spec.Vs + spec.Ws)
-    G = (G.view(float) / (np.max(np.abs(G.view(float))) or 1.0)).view(complex)
+    G, _ = unit_scaled(np.array(spec.Vs + spec.Ws))
     spec = DecomposableSpec(tuple(G[:len(spec.Vs)]), tuple(G[len(spec.Vs):]))
     Q = _pairing_form(spec)
     scale = np.max(np.abs(Q)) or 1.0  # 0 only for an all-zero spec

@@ -21,6 +21,7 @@ from .linalg import (
     range_mask,
     spectrum_is_psd,
     spectrum_rank,
+    unit_scaled,
 )
 
 
@@ -185,14 +186,6 @@ def is_ppt(X: BipartiteMatrix) -> bool:
     return spectrum_is_psd(X.spectrum[0]) and spectrum_is_psd(partial_transpose(X).spectrum[0])
 
 
-def reduce_theta(theta: float) -> float:
-    """Reduce theta modulo 2*pi into (-pi, pi]."""
-    t = math.remainder(theta, math.tau)
-    if t <= -math.pi:
-        t = math.pi
-    return t
-
-
 def arc_of(theta: float) -> Arc:
     """Classify theta into the three open arcs, or BOUNDARY within ROUNDOFF
     (radians) of n*pi/3."""
@@ -200,7 +193,8 @@ def arc_of(theta: float) -> Arc:
         raise ValueError("theta must be finite")
     if abs(math.remainder(theta, math.pi / 3.0)) <= ROUNDOFF:
         return Arc.BOUNDARY
-    t = reduce_theta(theta)
+    # Odd multiples of pi, the only theta reduced to -pi, returned BOUNDARY above.
+    t = math.remainder(theta, math.tau)
     if t < -math.pi / 3.0:
         return Arc.MINUS
     if t < math.pi / 3.0:
@@ -250,17 +244,17 @@ def combine(states: list[BipartiteMatrix], weights) -> BipartiteMatrix:
 
 def normalize(X: BipartiteMatrix) -> BipartiteMatrix:
     """Scale to unit trace."""
-    if np.trace(X.data).real <= 0:
-        raise ValueError("trace must be positive to normalize")
     return BipartiteMatrix(X.m, X.n, _unit_trace(X.data))
 
 
 def _unit_trace(A: np.ndarray) -> np.ndarray:
-    """A / tr A for a nonzero A of positive trace, scaled to a largest entry
-    of 1 before dividing by the trace, so a subnormal A stays finite; complex
-    / subnormal overflows, real does not."""
-    ref = (A.view(float) / np.max(np.abs(A))).view(complex)
-    ref /= np.trace(ref).real
+    """A / tr A, unit-scaled before the trace is taken and divided by, so it
+    stays finite at any scale of A; the trace must be positive."""
+    ref = unit_scaled(A)[0]
+    tr = np.trace(ref).real
+    if tr <= 0:
+        raise ValueError("trace must be positive to normalize")
+    ref /= tr
     return ref
 
 
@@ -297,10 +291,10 @@ def is_interior_of_S_sufficient(X: BipartiteMatrix) -> bool:
 
 
 def product_state(xi, eta) -> BipartiteMatrix:
-    """Unit-trace projector onto xi tensor eta."""
-    xi = np.asarray(xi, dtype=complex).ravel()
-    eta = np.asarray(eta, dtype=complex).ravel()
-    if np.linalg.norm(xi) == 0 or np.linalg.norm(eta) == 0:
+    """Unit-trace projector onto xi tensor eta, at any scale of xi and eta."""
+    xi, _ = unit_scaled(np.ravel(xi))
+    eta, _ = unit_scaled(np.ravel(eta))
+    if not xi.any() or not eta.any():
         raise ValueError("product vectors must be nonzero")
     v = np.kron(xi, eta)
     v = v / np.linalg.norm(v)
@@ -309,7 +303,8 @@ def product_state(xi, eta) -> BipartiteMatrix:
 
 def verify_product_decomposition(X: BipartiteMatrix, parts) -> bool:
     """Check X = sum_i w_i |xi_i (x) eta_i><...| with the raw (unnormalized)
-    product vectors, up to ROUNDOFF times the Frobenius norm of X."""
+    product vectors: the largest entry of the difference is at most ROUNDOFF
+    times the largest entry of X."""
     acc = np.zeros_like(X.data)
     for xi, eta, weight in parts:
         if weight <= 0:
@@ -317,7 +312,7 @@ def verify_product_decomposition(X: BipartiteMatrix, parts) -> bool:
         v = np.kron(np.asarray(xi, dtype=complex).ravel(),
                     np.asarray(eta, dtype=complex).ravel())
         acc = acc + weight * np.outer(v, v.conj())
-    return bool(np.linalg.norm(X.data - acc) <= ROUNDOFF * np.linalg.norm(X.data))
+    return bool(np.max(np.abs(X.data - acc)) <= ROUNDOFF * np.max(np.abs(X.data)))
 
 
 def product_decomposition_rho_1_pi() -> list[tuple[np.ndarray, np.ndarray, float]]:

@@ -191,6 +191,22 @@ def test_criterion_09_covariance():
     report(9, f"phase-unitary covariance, max deviation {worst:.1e}", worst <= 1e-12)
 
 
+def criterion_10_instances():
+    """The 100 seeded (spec, xi, eta) draws on which criterion 10 compares
+    the product pairing with the Choi pairing."""
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        spec = DecomposableSpec(
+            tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                  for _ in range(rng.integers(1, 3))),
+            tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                  for _ in range(rng.integers(1, 3))),
+        )
+        xi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        eta = rng.normal(size=3) + 1j * rng.normal(size=3)
+        yield spec, xi, eta
+
+
 def test_criterion_10_maps():
     C33 = decomposable_map(trace_map_decomposition_33()).choi.data
     ok = np.array_equal(C33, np.eye(9).astype(complex))
@@ -201,17 +217,8 @@ def test_criterion_10_maps():
     Cd = phi.choi.data
     ok &= np.max(np.abs(Cd - np.diag(np.diag(Cd)))) == 0.0
     ok &= bool(np.all(np.diag(Cd).real > 0))
-    rng = np.random.default_rng(1)
     worst = 0.0
-    for _ in range(100):
-        spec = DecomposableSpec(
-            tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-                  for _ in range(rng.integers(1, 3))),
-            tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-                  for _ in range(rng.integers(1, 3))),
-        )
-        xi = rng.normal(size=3) + 1j * rng.normal(size=3)
-        eta = rng.normal(size=3) + 1j * rng.normal(size=3)
+    for spec, xi, eta in criterion_10_instances():
         direct = product_pairing(spec, xi, eta)
         via_choi = pairing(product_state(xi, eta), decomposable_map(spec)) * (
             np.linalg.norm(xi) * np.linalg.norm(eta)) ** 2

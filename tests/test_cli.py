@@ -20,7 +20,7 @@ from pptgeo.serialize import (
     vector_to_json,
 )
 from pptgeo.maps import ChoiMap, DecomposableSpec, trace_map_decomposition_2n, trace_map_decomposition_33
-from pptgeo.states import BipartiteMatrix, rho
+from pptgeo.states import BipartiteMatrix, normalize, rho
 from test_extremality import oracle_states
 
 
@@ -103,6 +103,14 @@ class TestStateCommands:
         X = bipartite_from_json(json.loads(out))
         assert np.array_equal(X.data, rho(2, math.pi / 6).data)
         assert "rho" in err
+
+    def test_construct_normalized(self, capsys):
+        code, out, _ = run(capsys, "state", "construct", "--normalize",
+                           "--family", "rho", "--b", "2", "--theta", "pi/6")
+        assert code == 0
+        X = bipartite_from_json(json.loads(out))
+        assert np.trace(X.data).real == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(X.data, normalize(rho(2, math.pi / 6)).data)
 
     def test_classify(self, capsys):
         code, out, _ = run(capsys, "state", "classify",
@@ -200,7 +208,12 @@ class TestStateCommands:
         (json.dumps({"m": 3, "matrix": matrix_to_json(np.eye(9))}), "with the key 'n'"),
         (json.dumps({"m": 1, "n": 2, "matrix": matrix_to_json(np.triu(np.ones((2, 2))))}),
          "not hermitian"),
-    ], ids=["long integer", "m zero", "size mismatch", "no entries", "no n", "not hermitian"])
+        (json.dumps({**bipartite_to_json(rho(2, 0.5)), "m": -1}),
+         "'m' must be a nonnegative integer"),
+        (json.dumps({"m": 1, "n": 1, "matrix": {"rows": 1, "cols": 1, "entries": 5}}),
+         "entries must be a JSON list"),
+    ], ids=["long integer", "m zero", "size mismatch", "no entries", "no n", "not hermitian",
+            "m negative", "entries not a list"])
     def test_bad_state_file_is_usage(self, capsys, tmp_path, text, message):
         path = tmp_path / "state.json"
         path.write_text(text)
@@ -379,6 +392,12 @@ class TestMapCommands:
         assert code == 0
         assert rep["interior_P_sufficient"] is True
 
+    def test_antipodal_sum_not_interior_is_numerical(self, capsys):
+        code, out, err = run(capsys, "map", "antipodal-sum",
+                             "--theta", "pi/3", "--t", "1", "--s", "1e6")
+        assert code == 3
+        assert out == "" and "not diagonal with a positive diagonal" in err
+
     def test_trace_decomp_33(self, capsys):
         code, out, err = run(capsys, "map", "trace-decomp", "--m", "3")
         rep = json.loads(out)
@@ -413,7 +432,10 @@ class TestMapCommands:
         ({"Vs": [{"rows": 1, "cols": 1}]}, "with the key 'entries'"),
         ({"Vs": [{"rows": 0, "cols": 0, "entries": []}]}, "at least 1 x 1"),
         ({"Ws": [{"rows": 2, "cols": 0, "entries": []}]}, "at least 1 x 1"),
-    ], ids=["no generators", "mixed shapes", "no entries", "0 x 0", "2 x 0"])
+        ({"Vs": 3}, "'Vs' and 'Ws' must be JSON lists of matrices"),
+        ([1, 2], "a spec must be a JSON object"),
+    ], ids=["no generators", "mixed shapes", "no entries", "0 x 0", "2 x 0", "Vs not a list",
+            "not an object"])
     def test_bad_spec_file_is_usage(self, capsys, tmp_path, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

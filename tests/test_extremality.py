@@ -205,6 +205,16 @@ class TestExtremality:
         assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == dims
         assert rep.is_extreme == (family is rho)
 
+    def test_one_by_one_state(self):
+        # p = q = 1 leaves a 0 x 1 system, the only wide input of the kernel solve
+        rep = is_extreme_in_T(BipartiteMatrix(1, 1, [[2.0]]))
+        assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == (1, 1, 1)
+        assert rep.is_extreme and np.array_equal(rep.generator.data, [[1.0]])
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="zero matrix"):
+            is_extreme_in_T(BipartiteMatrix(3, 3, np.zeros((9, 9))))
+
     def test_boundary_angle_rho_extreme(self):
         rep = is_extreme_in_T(rho(1, math.pi))
         assert not rep.is_extreme
@@ -316,6 +326,12 @@ class TestAppendixBases:
         b, th = 2.0, math.pi / 6
         assert basis_span_rank(appendix_basis_X(b, th)) == 25
         assert basis_span_rank(appendix_basis_Y(b, th)) == 25
+
+    @pytest.mark.parametrize("basis", [appendix_basis_X, appendix_basis_Y])
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_nonpositive_b_rejected(self, basis, b):
+        with pytest.raises(ValueError, match="b must be positive"):
+            basis(b, 0.3)
 
     def test_x_spans_full_kernel(self):
         b, th = 0.5, 0.3

@@ -14,6 +14,7 @@ from pptgeo.linalg import (
     range_mask,
     spectrum_is_psd,
     spectrum_rank,
+    unit_scaled,
 )
 from pptgeo.states import BipartiteMatrix, p_theta, rho
 
@@ -105,6 +106,35 @@ class TestAsHermitian:
             warnings.simplefilter("error")
             H = as_hermitian(A)
         assert np.array_equal(H, A.astype(complex))
+
+
+class TestUnitScaled:
+    @pytest.mark.parametrize("k", [-320, -300, -100, -7, 0, 7, 100, 300, 308])
+    def test_exponent_and_exact_inverse(self, k):
+        A = 10.0**k * (np.random.default_rng(31).normal(size=(4, 3, 2)) @ [1, 1j])
+        S, e = unit_scaled(A)
+        top = np.max(np.abs(S.view(float)))
+        assert 0.5 <= top < 1
+        assert np.array_equal(np.ldexp(S.view(float), e).view(complex), A)
+
+    def test_largest_imaginary_part_sets_the_exponent(self):
+        S, e = unit_scaled([[1.0, 4j], [-4j, 1.0]])
+        assert e == 3
+        assert np.array_equal(S, np.array([[0.125, 0.5j], [-0.5j, 0.125]]))
+
+    def test_subnormal_and_largest_floats(self):
+        assert unit_scaled([5e-324])[1] == -1073
+        S, e = unit_scaled([np.finfo(float).max, -5e-324])
+        assert e == 1024 and 0.5 <= S[0].real < 1 and S[1] == 0
+
+    def test_zero_comes_back_unchanged(self):
+        S, e = unit_scaled(np.zeros((2, 2)))
+        assert e == 0 and np.array_equal(S, np.zeros((2, 2)))
+
+    def test_non_contiguous_input(self):
+        A = np.arange(12.0).reshape(3, 4).T * (1 + 2j)
+        S, e = unit_scaled(A)
+        assert np.array_equal(np.ldexp(S.view(float), e).view(complex), A)
 
 
 class TestStackedValidation:

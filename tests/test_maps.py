@@ -234,6 +234,10 @@ class TestDecomposable:
         want = V.conj().T @ X @ V + W.conj().T @ X.T @ W
         assert_allclose(apply_map(phi, X), want, atol=1e-12)
 
+    def test_trace_map_2n_needs_positive_mu(self):
+        with pytest.raises(ValueError, match="mu must be a positive integer"):
+            trace_map_decomposition_2n(0)
+
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             DecomposableSpec((), ())

@@ -204,6 +204,11 @@ class TestArcs:
         (math.pi / 12, Arc.ZERO),
         (2.5, Arc.PLUS),
         (math.pi / 6 + 2 * math.pi, Arc.ZERO),
+        # theta reduced to -pi is an odd multiple of pi, a boundary angle
+        (-math.pi, Arc.BOUNDARY),
+        (3 * math.pi, Arc.BOUNDARY),
+        (-math.pi + 0.1, Arc.MINUS),
+        (math.pi - 0.1, Arc.PLUS),
     ])
     def test_examples(self, theta, expected):
         assert arc_of(theta) is expected
@@ -347,6 +352,29 @@ class TestProductStates:
         v = np.kron(xi, eta)
         X = BipartiteMatrix(3, 3, np.outer(v, v))
         assert verify_product_decomposition(X, [(xi, eta, 1.0)])
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: p_theta(math.inf), "theta must be finite"),
+        (lambda: p_theta(math.nan), "theta must be finite"),
+        (lambda: arc_of(-math.inf), "theta must be finite"),
+        (lambda: arc_of(math.nan), "theta must be finite"),
+        (lambda: kernel_vectors_w(0.0, 0.3), "b must be positive"),
+        (lambda: combine([], []), "need at least one state"),
+        (lambda: combine([rho(1, 0)], [0.5, 0.5]), "one weight per state required"),
+        (lambda: combine([rho(1, 0), product_state([1, 0], [1, 0])], [0.5, 0.5]),
+         "all states must share local dimensions"),
+        (lambda: verify_product_decomposition(rho(1, math.pi), [([1, 0, 0], [1, 0, 0], 0.0)]),
+         "weights must be positive"),
+        (lambda: search_product_vector_in_subspace(np.eye(3), 2, 2), "D must have m"),
+        (lambda: BipartiteMatrix(1, 2, np.diag([math.inf, 1.0])), "matrix entries must be finite"),
+    ], ids=["p_theta inf", "p_theta nan", "arc_of -inf", "arc_of nan", "kernel b zero",
+            "combine empty", "combine weight count", "combine mixed dims",
+            "decomposition weight zero", "search D rows", "infinite entry"])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestProductVectorSearch:
