@@ -7,10 +7,12 @@ one-dimensional (Leinaas, Myrheim & Ovrum, PRA 76, 034304, 2007).  Writing
 Z = D H D^dagger with H hermitian on the p = dim D coordinates leaves one
 condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the complement
 of E (the kernel eigenvectors of X^Gamma); the intersection is the kernel of
-that real (2 mn (mn - q)) x p^2 system.
+that real (2 mn (mn - q)) x p^2 system, whose singular values give its
+dimension.  X lies in its own face, so an extreme X is its own generator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +29,7 @@ from .linalg import (
     range_mask,
     unit_scaled,
 )
-from .states import BipartiteMatrix, FaceSpec, _pt, _unit_trace, is_ppt, partial_transpose, rho
+from .states import BipartiteMatrix, FaceSpec, _pt, is_ppt, normalize, partial_transpose, rho
 
 
 @dataclass(frozen=True)
@@ -51,52 +53,30 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     """Extremality of a nonzero PPT state in the PPT convex body.
 
     dim_ker_D and dim_ker_E are p^2 and q^2, the real dimensions of the
-    hermitian matrices supported on D and on E."""
+    hermitian matrices supported on D and on E.  The generator of an extreme
+    X is normalize(X); NumericalError if the face system does not contain X."""
     if np.max(np.abs(X.data)) == 0:
         raise ValueError("the zero matrix has no extremality report")
     face = face_of(X)
     p, q = face.D.shape[1], face.E.shape[1]
     # F, the complement of E, is the kernel half of the same cached spectrum.
-    w, V = partial_transpose(X).spectrum
-    F = V[:, ~range_mask(w)]
+    (wX, _), (wT, V) = X.spectrum, partial_transpose(X).spectrum
+    F = V[:, ~range_mask(wT)]
     Z = face.D @ hermitian_basis(p) @ face.D.conj().T
     W = F.conj().T @ _pt(Z, X.m, X.n)
     M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T
-    dim_int, g = _intersection(M)
-    generator = None
-    if g is not None:
-        G = np.tensordot(g, Z, axes=1)
-        # ||G||_F = 1, so the trace guard is relative to G.
-        tr = float(np.trace(G).real)
-        if abs(tr) < ROUNDOFF:
-            raise ValueError("intersection generator is traceless; cannot normalize")
-        G = G / tr
-        generator = BipartiteMatrix(X.m, X.n, G)
-        # Not ROUNDOFF: near a type change G and X / tr X agree only to about 1e-8.
-        if np.max(np.abs(G - _unit_trace(X.data))) > 1e-7:
-            raise ValueError("unique intersection element is not proportional to the input")
-    return ExtremalityReport(p * p, q * q, dim_int, dim_int == 1, generator)
-
-
-def _intersection(M: np.ndarray) -> tuple[int, Optional[np.ndarray]]:
-    """dim ker M, and the unit vector spanning the kernel when that is 1.
-
-    The shape of M decides which singular vectors to compute: the economy
-    SVD of a tall M (rows >= cols) holds its whole kernel in one call, while
-    for a wide M the singular values alone give the dimension, and its
-    vectors are computed only when the kernel is one-dimensional."""
-    rows, cols = M.shape
-    if rows >= cols:
-        _, s, Vh = np.linalg.svd(M, full_matrices=False)
-    else:
-        s, Vh = np.linalg.svd(M, compute_uv=False), None
     # D, F and the Herm(p) basis are orthonormal, so ||M|| <= 1: the cutoff is absolute.
-    dim = cols - int(np.count_nonzero(s > CUTOFF))
-    if dim != 1:
-        return dim, None
-    if Vh is None:
-        Vh = np.linalg.svd(M)[2]
-    return 1, Vh[-1]
+    dim = p * p - int(np.count_nonzero(np.linalg.svd(M, compute_uv=False) > CUTOFF))
+    # X's coordinates c_k = Tr(Z_k U) = Tr(B_k D^dagger U D), U = X 2^-e, give
+    # M c = [Re; Im] F^dagger (P_D U P_D)^Gamma: nonzero only by the eigenvalues
+    # range_mask drops from U and from U^Gamma (a partial transpose keeps the
+    # Frobenius norm), scaled before the norm so that it cannot overflow.
+    U, e = unit_scaled(X.data)
+    c = (Z.reshape(p * p, -1) @ U.T.ravel()).real
+    slack = sum(np.linalg.norm(np.ldexp(w[~range_mask(w)], -e)) for w in (wX, wT))
+    if np.linalg.norm(M @ c) > slack + ROUNDOFF * np.linalg.norm(c):
+        raise NumericalError("the state is not in its own face system")
+    return ExtremalityReport(p * p, q * q, dim, dim == 1, normalize(X) if dim == 1 else None)
 
 
 def _E(i: int, j: int) -> np.ndarray:
@@ -105,11 +85,18 @@ def _E(i: int, j: int) -> np.ndarray:
     return M
 
 
+def _check_appendix_b(b: float) -> None:
+    """b > 0, and NumericalError unless b^2 and 1/b^2, held by the bases, are finite."""
+    if b <= 0:
+        raise ValueError("b must be positive")
+    if not 0 < b * b < math.inf or 1 / (b * b) == math.inf:
+        raise NumericalError(f"appendix basis out of floating-point range at b={b!r}")
+
+
 def appendix_basis_X(b: float, theta: float) -> list[np.ndarray]:
     """The 25 hermitian matrices spanning ker(phi_D) for the face of
     rho(b, theta), materialized from their matrix-unit expressions."""
-    if b <= 0:
-        raise ValueError("b must be positive")
+    _check_appendix_b(b)
     e = np.exp(1j * theta)
     ec = np.conj(e)
     E = _E
@@ -171,8 +158,7 @@ def appendix_basis_Y(b: float, theta: float) -> list[np.ndarray]:
     rho(b, theta).  The source list repeats two entries verbatim; the repeats
     are dropped, leaving 25 distinct formulas.  The achieved span dimension is
     what :func:`basis_span_rank` reports, not an assumption."""
-    if b <= 0:
-        raise ValueError("b must be positive")
+    _check_appendix_b(b)
     e = np.exp(1j * theta)
     ec = np.conj(e)
     E = _E

@@ -243,19 +243,14 @@ def combine(states: list[BipartiteMatrix], weights) -> BipartiteMatrix:
 
 
 def normalize(X: BipartiteMatrix) -> BipartiteMatrix:
-    """Scale to unit trace."""
-    return BipartiteMatrix(X.m, X.n, _unit_trace(X.data))
-
-
-def _unit_trace(A: np.ndarray) -> np.ndarray:
-    """A / tr A, unit-scaled before the trace is taken and divided by, so it
-    stays finite at any scale of A; the trace must be positive."""
-    ref = unit_scaled(A)[0]
-    tr = np.trace(ref).real
+    """Scale to unit trace.  X is unit-scaled before its trace is taken and
+    divided by, so the result stays finite at any scale of X; the trace must
+    be positive."""
+    A = unit_scaled(X.data)[0]
+    tr = np.trace(A).real
     if tr <= 0:
         raise ValueError("trace must be positive to normalize")
-    ref /= tr
-    return ref
+    return BipartiteMatrix(X.m, X.n, A / tr)
 
 
 _PHASE_U = np.diag([1.0, np.exp(-2j * math.pi / 3.0), np.exp(2j * math.pi / 3.0)])
@@ -290,29 +285,45 @@ def is_interior_of_S_sufficient(X: BipartiteMatrix) -> bool:
                 and np.all(np.diag(A).real > CUTOFF * scale))
 
 
-def product_state(xi, eta) -> BipartiteMatrix:
-    """Unit-trace projector onto xi tensor eta, at any scale of xi and eta."""
-    xi, _ = unit_scaled(np.ravel(xi))
-    eta, _ = unit_scaled(np.ravel(eta))
+def _unit_kron(xi, eta):
+    """(v, k) with xi (x) eta = 2**k v.  xi and eta must be finite and
+    nonzero; each is unit-scaled before the product, so v stays finite at any
+    scale and has an entry of modulus at least 1/4."""
+    xi, eta = (np.ravel(np.asarray(u, dtype=complex)) for u in (xi, eta))
+    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
+        raise ValueError("product vectors must be finite")
+    (xi, a), (eta, b) = unit_scaled(xi), unit_scaled(eta)
     if not xi.any() or not eta.any():
         raise ValueError("product vectors must be nonzero")
-    v = np.kron(xi, eta)
+    return np.kron(xi, eta), a + b
+
+
+def product_state(xi, eta) -> BipartiteMatrix:
+    """Unit-trace projector onto xi tensor eta, at any scale of xi and eta."""
+    v = _unit_kron(xi, eta)[0]
     v = v / np.linalg.norm(v)
-    return BipartiteMatrix(xi.size, eta.size, np.outer(v, v.conj()))
+    return BipartiteMatrix(np.size(xi), np.size(eta), np.outer(v, v.conj()))
 
 
 def verify_product_decomposition(X: BipartiteMatrix, parts) -> bool:
     """Check X = sum_i w_i |xi_i (x) eta_i><...| with the raw (unnormalized)
     product vectors: the largest entry of the difference is at most ROUNDOFF
-    times the largest entry of X."""
-    acc = np.zeros_like(X.data)
+    times the largest entry of X.  Each term is summed in the units of X
+    unit-scaled, so the check holds at any scale of X and of the parts."""
+    U, e = unit_scaled(X.data)
+    acc = np.zeros_like(U)
     for xi, eta, weight in parts:
-        if weight <= 0:
-            raise ValueError("weights must be positive")
-        v = np.kron(np.asarray(xi, dtype=complex).ravel(),
-                    np.asarray(eta, dtype=complex).ravel())
-        acc = acc + weight * np.outer(v, v.conj())
-    return bool(np.max(np.abs(X.data - acc)) <= ROUNDOFF * np.max(np.abs(X.data)))
+        if not 0 < weight < math.inf:
+            raise ValueError("weights must be positive and finite")
+        v, k = _unit_kron(xi, eta)
+        w, j = math.frexp(weight)
+        t = 2 * k + j - e
+        # The term's largest diagonal entry is at least 2**t / 32 and that of
+        # U is below 1; the terms are PSD, so past t = 6 this one overshoots.
+        if t > 6:
+            return False
+        acc += math.ldexp(w, t) * np.outer(v, v.conj())
+    return bool(np.max(np.abs(U - acc)) <= ROUNDOFF * np.max(np.abs(U)))
 
 
 def product_decomposition_rho_1_pi() -> list[tuple[np.ndarray, np.ndarray, float]]:

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library but NumPy."""
+"""The package imports nothing outside the standard library but NumPy, and
+writes no tolerance literal outside the few that are documented."""
 import ast
 import sys
 from pathlib import Path
@@ -6,9 +7,14 @@ from pathlib import Path
 import pptgeo
 
 
-def test_absolute_imports_are_stdlib_or_numpy():
+def package_trees():
     for path in sorted(Path(pptgeo.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_absolute_imports_are_stdlib_or_numpy():
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -18,3 +24,15 @@ def test_absolute_imports_are_stdlib_or_numpy():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {name}"
+
+
+def test_tolerance_literals_are_the_documented_ones():
+    # linalg.CUTOFF and linalg.ROUNDOFF, states.PRODUCT_RESIDUAL, the _seesaw
+    # stopping fraction and the format_theta display rule; every other
+    # tolerance is one of these.
+    found = sorted((path.stem, node.value) for path, tree in package_trees()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and type(node.value) is float
+                   and 0 < node.value < 1e-3)
+    assert found == [("cli", 1e-15), ("linalg", 1e-12), ("linalg", 1e-9),
+                     ("states", 1e-15), ("states", 1e-7)]

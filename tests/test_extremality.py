@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pptgeo.extremality as extremality
 from oracles import eigh_oracle, kernel_intersection_dim_oracle, phi_D_operator, phi_E_operator
 from pptgeo.extremality import (
     FaceSpec,
@@ -16,6 +17,7 @@ from pptgeo.extremality import (
 )
 from pptgeo.linalg import (
     ROUNDOFF,
+    NumericalError,
     hermitian_basis,
     hermitian_to_real_vector,
     numerical_rank,
@@ -26,6 +28,7 @@ from pptgeo.states import (
     combine,
     is_ppt,
     kernel_vectors_w,
+    normalize,
     partial_transpose,
     product_state,
     rho,
@@ -162,8 +165,9 @@ class TestExtremality:
             )
             assert (p * p, q * q, oracle) == (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection)
             if rep.is_extreme:
-                target = X.data / np.trace(X.data).real
-                assert np.max(np.abs(rep.generator.data - target)) <= 1e-8
+                assert np.array_equal(rep.generator.data, normalize(X).data)
+            else:
+                assert rep.generator is None
 
     def test_sigma_not_extreme(self):
         rep = is_extreme_in_T(sigma(2, math.pi / 6))
@@ -206,10 +210,23 @@ class TestExtremality:
         assert rep.is_extreme == (family is rho)
 
     def test_one_by_one_state(self):
-        # p = q = 1 leaves a 0 x 1 system, the only wide input of the kernel solve
+        # p = q = 1 leaves an empty 0 x 1 face system: no singular value, dimension 1
         rep = is_extreme_in_T(BipartiteMatrix(1, 1, [[2.0]]))
         assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == (1, 1, 1)
         assert rep.is_extreme and np.array_equal(rep.generator.data, [[1.0]])
+
+    def test_corrupted_face_system_raises(self, monkeypatch):
+        # Transposing the second factor instead of the first builds a face
+        # system that X does not satisfy; the dimensions it gives (0 for the
+        # first two states, 12 for sigma(2, pi/3)) must not be reported.
+        def pt_second_factor(Z, m, n):
+            return Z.reshape(-1, m, n, m, n).transpose(0, 1, 4, 3, 2).reshape(Z.shape)
+
+        monkeypatch.setattr(extremality, "_pt", pt_second_factor)
+        for X in (rho(1, math.pi / 3), product_state([1, 1j, 0.5], [2, -1, 1j]),
+                  sigma(2, math.pi / 3), rho(2, math.pi / 6), sigma(2, math.pi / 6)):
+            with pytest.raises(NumericalError, match="not in its own face system"):
+                is_extreme_in_T(X)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix"):
@@ -254,11 +271,11 @@ class TestCachedSpectrum:
             assert partial_transpose(X) is partial_transpose(X)
 
     def test_singular_vectors_and_faces_per_grid_state(self, monkeypatch):
-        """One SVD per grid state, with singular vectors only when the
-        generator is needed: never for an off-boundary sigma (a 54 x 64
-        system, whose singular values decide), one economy SVD for rho's tall
-        system; and the face is built and checked once per state, by
-        face_of, and reused by is_extreme_in_T."""
+        """One SVD per state, singular values only: every grid state and the
+        near-boundary states read their dimension from the values, and the
+        generator of an extreme state is the state itself.  The face is
+        built and checked once per state, by face_of, and reused by
+        is_extreme_in_T."""
         with_vectors, faces = [], []
         svd, post_init = np.linalg.svd, FaceSpec.__post_init__
 
@@ -272,22 +289,19 @@ class TestCachedSpectrum:
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(FaceSpec, "__post_init__", counted_face)
-        for family in (rho, sigma):
-            for b in (0.25, 0.5, 1.0, 2.0, 4.0):
-                for k in range(24):
-                    X = family(b, k * math.pi / 12)
-                    with_vectors.clear()
-                    faces.clear()
-                    is_ppt(X)
-                    state_type(X)
-                    face = face_of(X)
-                    rep = is_extreme_in_T(X)
-                    assert face_of(X) is face
-                    assert len(faces) == 1
-                    assert len(with_vectors) == 1
-                    if family is sigma and k % 4:
-                        assert with_vectors == [False]
-                        assert (rep.dim_ker_D, rep.dim_ker_E) == (64, 36)
+        grid = [family(b, k * math.pi / 12) for family in (rho, sigma)
+                for b in (0.25, 0.5, 1.0, 2.0, 4.0) for k in range(24)]
+        near = [family(2, math.pi / 3 + eps) for family in (rho, sigma) for eps in (1e-9, 1e-11)]
+        for X in grid + near:
+            with_vectors.clear()
+            faces.clear()
+            is_ppt(X)
+            state_type(X)
+            face = face_of(X)
+            is_extreme_in_T(X)
+            assert face_of(X) is face
+            assert len(faces) == 1
+            assert with_vectors == [False]
 
     def test_cached_arrays_read_only(self):
         X = rho(2, math.pi / 6)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from pptgeo.cli import main
-from pptgeo.extremality import verify_combination_identity
+from pptgeo.extremality import appendix_basis_X, appendix_basis_Y, verify_combination_identity
+from pptgeo.linalg import NumericalError
 from pptgeo.maps import ChoiMap, decomposable_map, pairing, phi_theta_t
 from pptgeo.serialize import bipartite_to_json, choi_to_json
 from pptgeo.states import (
@@ -71,6 +72,31 @@ def test_combination_identity_near_the_range_limit():
                                    rep.y_residual_last_y7)))
     assert rep.y_residual_last_x7 == pytest.approx(
         verify_combination_identity(1e100, 0.3).y_residual_last_x7, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [1e154, 1e-154])
+def test_combination_identity_at_the_range_edge(b):
+    rep = verify_combination_identity(b, 0.3)
+    assert (rep.x_residual, rep.y_residual_last_y7) == (0.0, 0.0)
+    assert rep.y_residual_last_x7 == pytest.approx(0.816496580927726, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [1e155, 1e-155, 1e-160])
+@pytest.mark.parametrize("call", [appendix_basis_X, appendix_basis_Y, verify_combination_identity])
+def test_appendix_beyond_the_range_edge(call, b):
+    # The bases hold b^2 and 1/b^2; past 1e+-154 one of them leaves the range.
+    with pytest.raises(NumericalError, match="floating-point range"):
+        call(b, 0.3)
+
+
+def test_product_state_rejects_non_finite_vectors():
+    with pytest.raises(ValueError, match="product vectors must be finite"):
+        product_state([math.inf, 0, 0], [1, 0, 0])
+
+
+def test_product_decomposition_beyond_the_float_range():
+    # One part's projector alone exceeds the float range; X is finite.
+    assert not verify_product_decomposition(rho(1, math.pi), [(1e200 * E1, E1, 1.0)])
 
 
 @pytest.mark.parametrize("state,choi,out", [

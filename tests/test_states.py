@@ -367,11 +367,13 @@ class TestInputErrors:
          "all states must share local dimensions"),
         (lambda: verify_product_decomposition(rho(1, math.pi), [([1, 0, 0], [1, 0, 0], 0.0)]),
          "weights must be positive"),
+        (lambda: verify_product_decomposition(rho(1, math.pi), [([0, 0, 0], [1, 0, 0], 1.0)]),
+         "product vectors must be nonzero"),
         (lambda: search_product_vector_in_subspace(np.eye(3), 2, 2), "D must have m"),
         (lambda: BipartiteMatrix(1, 2, np.diag([math.inf, 1.0])), "matrix entries must be finite"),
     ], ids=["p_theta inf", "p_theta nan", "arc_of -inf", "arc_of nan", "kernel b zero",
             "combine empty", "combine weight count", "combine mixed dims",
-            "decomposition weight zero", "search D rows", "infinite entry"])
+            "decomposition weight zero", "decomposition zero vector", "search D rows", "infinite entry"])
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
