@@ -38,10 +38,10 @@ def parse_theta(text: str) -> float:
 
 
 def format_theta(theta: float) -> str:
-    """Shortest form accepted back by parse_theta."""
+    """Shortest form that parse_theta reads back as theta exactly: k*pi/d
+    when parse_theta computes theta itself from that text, else repr."""
     frac = Fraction(theta / math.pi).limit_denominator(10**6)
-    # Display only, outside the CUTOFF/ROUNDOFF policy: print pi fractions exactly.
-    if abs(float(frac) * math.pi - theta) <= 1e-15 * max(1.0, abs(theta)):
+    if abs(float(frac)) * math.pi == abs(theta):
         if frac == 0:
             return "0"
         sign = "-" if frac < 0 else ""

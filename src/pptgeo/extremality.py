@@ -237,9 +237,12 @@ def verify_combination_identity(b: float, theta: float) -> CombinationIdentityRe
     the Frobenius norm of rho, is within ROUNDOFF.  The norms are taken with
     rho and the three differences unit-scaled together, so they stay finite
     wherever the bases do."""
-    target = rho(b, theta).data
-    xs = appendix_basis_X(b, theta)
-    ys = appendix_basis_Y(b, theta)
+    return _combination_identity(rho(b, theta).data, appendix_basis_X(b, theta),
+                                 appendix_basis_Y(b, theta), theta)
+
+
+def _combination_identity(target, xs, ys, theta: float) -> CombinationIdentityReport:
+    """:func:`verify_combination_identity` on rho's data and the two bases."""
     c, s = np.cos(theta), np.sin(theta)
     combo_x = c * (xs[0] + xs[1] + xs[2]) + s * xs[3] - xs[4] - xs[5] - xs[6]
     y_head = c * (ys[0] + ys[1] + ys[2]) - s * ys[3] - ys[4] - ys[5]
@@ -284,7 +287,7 @@ def verify_appendix(b: float, theta: float) -> AppendixReport:
             x_res = np.linalg.norm(P_D @ xs @ P_D - xs, axis=(1, 2)).max()
             ys_E = _pt(P_E @ _pt(ys, X.m, X.n) @ P_E, X.m, X.n)
             y_res = np.linalg.norm(ys_E - ys, axis=(1, 2)).max()
-            ident = verify_combination_identity(b, theta)
+            ident = _combination_identity(X.data, xs, ys, theta)
     except ArithmeticError as exc:
         raise NumericalError(f"appendix check out of floating-point range at b={b!r}") from exc
     return AppendixReport(

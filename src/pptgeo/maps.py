@@ -179,7 +179,7 @@ def boundary_witness_search(
     Q = _pairing_form(spec)
     scale = np.max(np.abs(Q)) or 1.0  # 0 only for an all-zero spec
     _, eta = _product_starts(restarts, m, n, seed)
-    xi, eta, _ = _seesaw(Q, eta, target=ROUNDOFF * scale)
+    xi, eta, _ = _seesaw(Q, eta)
     residual = product_pairing(spec, xi, eta) / scale
     if residual <= ROUNDOFF:
         return xi, eta, residual

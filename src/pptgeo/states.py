@@ -347,7 +347,12 @@ def _gram_rows(v: np.ndarray) -> np.ndarray:
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
 
-def _seesaw(Q: np.ndarray, eta: np.ndarray, target: float | None = None, max_iter: int = 200):
+def _zero_level(Q: np.ndarray) -> float:
+    """ROUNDOFF * max|Q|: a product vector is a zero of the PSD form Q at or below it."""
+    return ROUNDOFF * np.max(np.abs(Q))
+
+
+def _seesaw(Q: np.ndarray, eta: np.ndarray, max_iter: int = 200):
     """Minimise <xi (x) eta| Q |xi (x) eta> over unit product vectors by
     alternating bottom-eigenvector updates, all restarts advanced as one stack.
 
@@ -356,13 +361,12 @@ def _seesaw(Q: np.ndarray, eta: np.ndarray, target: float | None = None, max_ite
     start pair is never read.  A restart stops after max_iter steps or once
     a step gains at most a fixed fraction of max|Q|; steps never lose (up to
     rounding), so its last value is its best.  Restart 0 runs alone, then
-    the rest run together; everything stops as soon as a stopped restart's
-    value reaches target (a restart is only judged once it has stopped, so a
-    caller's re-evaluation is not left at the edge of target).  Returns the
-    best (xi, eta, value) among the restarts that ran.
+    the rest run together; all stop once a stopped restart's value reaches
+    :func:`_zero_level` (restarts are judged only once stopped, far below that
+    level, not at its edge).  Returns the best (xi, eta, value) of those run.
     """
     m, n = Q.shape[:2]
-    reach = -np.inf if target is None else target
+    reach = _zero_level(Q)
     settled = 1e-15 * np.max(np.abs(Q))  # a restart's own convergence, relative to the form
     # The xi-form for fixed eta is _gram_rows(eta) @ to_xi, and symmetrically.
     to_xi = Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
@@ -396,11 +400,6 @@ def _lowest(best, x, e, v):
     return (x[k], e[k], v[k]) if v[k] < best[2] else best
 
 
-#: Distance from the subspace below which a unit product vector counts as
-#: inside it; the form I - P is a projector, so the distance is scale-free.
-PRODUCT_RESIDUAL = 1e-7
-
-
 def search_product_vector_in_subspace(
     D: np.ndarray,
     m: int,
@@ -414,15 +413,13 @@ def search_product_vector_in_subspace(
     Multi-start alternating minimisation of the squared distance
     <xi (x) eta| I - P |xi (x) eta> to the subspace by bottom-eigenvector
     updates in xi and eta (restart 0 first, then the others as one batch).
-    Returns (xi, eta) with ||(I - P)(xi (x) eta)|| <= PRODUCT_RESIDUAL, or
-    None.  A None result is not a proof that no product vector exists.
+    Returns (xi, eta) when that value is at most :func:`_zero_level` of
+    I - P, or None.  A None result is not a proof that no product vector exists.
     """
     D = np.asarray(D, dtype=complex)
     if D.ndim != 2 or D.shape[0] != m * n:
         raise ValueError("D must have m*n rows of orthonormal columns")
     Q = (np.eye(m * n) - D @ D.conj().T).reshape(m, n, m, n)
     _, eta = _product_starts(restarts, m, n, seed)
-    xi, eta, val = _seesaw(Q, eta, target=PRODUCT_RESIDUAL**2)
-    if val <= PRODUCT_RESIDUAL**2:
-        return xi, eta
-    return None
+    xi, eta, val = _seesaw(Q, eta)
+    return (xi, eta) if val <= _zero_level(Q) else None

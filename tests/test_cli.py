@@ -44,8 +44,17 @@ class TestParseTheta:
         assert parse_theta(text) == pytest.approx(value, abs=1e-15)
 
     def test_round_trip_through_format(self):
-        for th in (0.0, math.pi, -math.pi / 3, 5 * math.pi / 12, 0.123456):
-            assert parse_theta(format_theta(th)) == pytest.approx(th, abs=1e-14)
+        # exact, and angles next to a multiple of pi print as themselves
+        near = [1e-300, 5e-16, math.nextafter(parse_theta("pi/6"), 1), -0.0]
+        grid = [parse_theta(f"{k}pi/12") for k in range(-24, 25)]
+        for th in [0.0, math.pi, -math.pi / 3, 5 * math.pi / 12, 0.123456] + near + grid:
+            assert parse_theta(format_theta(th)) == th
+
+    def test_construct_reports_a_tiny_theta(self, capsys):
+        code, _, err = run(capsys, "state", "construct",
+                           "--family", "rho", "--b", "2", "--theta", "1e-300")
+        assert code == 0
+        assert "theta=1e-300" in err
 
     def test_rejects_garbage(self):
         import argparse

@@ -358,6 +358,31 @@ class TestAppendixBases:
         s = np.linalg.svd(op, compute_uv=False)
         assert np.sum(s <= 1e-9 * s[0]) == 25
 
+    # Y_i = sign * X_j^Gamma bitwise, as (i, j, sign); rho equals rho^Gamma,
+    # so the printed Y list re-lists the X list partially transposed.  Y23
+    # and Y24 have no such partner.
+    Y_FROM_X_GAMMA = [
+        (0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, -1),
+        (4, 6, 1), (5, 4, 1), (6, 5, 1),
+        (7, 7, -1), (8, 12, -1), (9, 10, 1), (10, 11, -1), (11, 8, -1), (12, 9, 1),
+        (13, 13, -1), (14, 14, -1), (15, 15, 1), (16, 16, -1), (17, 18, -1),
+        (18, 17, 1), (19, 19, 1), (20, 21, 1), (21, 22, -1), (22, 23, -1),
+    ]
+
+    @pytest.mark.parametrize("b", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_y_is_x_partially_transposed(self, b):
+        # span(Y) lies inside span(X^Gamma); both shrink at theta = 0 and pi,
+        # and Y alone at theta = pi/2 and 3pi/2
+        want = {0: (16, 16, 16), 12: (16, 16, 16), 6: (24, 25, 25), 18: (24, 25, 25)}
+        for k in range(24):
+            th = k * math.pi / 12
+            xg = [pt_oracle(BipartiteMatrix(3, 3, X)) for X in appendix_basis_X(b, th)]
+            ys = appendix_basis_Y(b, th)
+            for i, j, sign in self.Y_FROM_X_GAMMA:
+                assert np.array_equal(ys[i], sign * xg[j]), (k, i)
+            ranks = (basis_span_rank(ys), basis_span_rank(xg), basis_span_rank(ys + xg))
+            assert ranks == want.get(k, (25, 25, 25)), k
+
     def test_hermitian(self):
         for M in appendix_basis_X(1.7, 0.9) + appendix_basis_Y(1.7, 0.9):
             assert np.max(np.abs(M - M.conj().T)) <= 1e-12

@@ -13,12 +13,13 @@ from pptgeo.maps import (
     product_pairing,
     trace_map_decomposition_2n,
 )
-from pptgeo.states import _product_starts, _seesaw
+from pptgeo.linalg import range_mask
+from pptgeo.states import _product_starts, _seesaw, rho
 
 
 def seesaw_oracle(Q, eta_starts, max_iter=200):
     """One restart at a time, one 3-operand einsum and one eigh per half-step:
-    the reference for the batched kernel (no early stop on a target).  A
+    the reference for the batched kernel (no early stop at the zero level).  A
     restart stops once a step gains at most 1e-15 times the largest entry of Q."""
     settled = 1e-15 * np.max(np.abs(Q))
     best = None
@@ -97,12 +98,6 @@ class TestSeesawKernel:
         assert form_value(Q, xi_k, eta_k) == pytest.approx(val_k, abs=1e-10)
 
     def test_restart_schedule(self, monkeypatch):
-        # the complement of a projector onto a space holding a product vector:
-        # restart 0 reaches the target alone; without a target the other 49
-        # run as one stack, which empties as they converge, long before max_iter
-        v = np.kron([1.0, 1j, 0.0], [0.0, 1.0, 1.0]) / 2
-        Q = (np.eye(9) - np.outer(v, v.conj())).reshape(3, 3, 3, 3)
-        _, eta = _product_starts(50, 3, 3, seed=0)
         sizes = []
         eigh = np.linalg.eigh
 
@@ -111,23 +106,34 @@ class TestSeesawKernel:
             return eigh(A)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        val = _seesaw(Q, eta, target=1e-14)[2]
-        assert val <= 1e-14
+        _, eta = _product_starts(50, 3, 3, seed=0)
+        # the complement of a projector onto a space holding a product vector:
+        # restart 0 reaches the zero level alone and the other 49 never run
+        v = np.kron([1.0, 1j, 0.0], [0.0, 1.0, 1.0]) / 2
+        Q = (np.eye(9) - np.outer(v, v.conj())).reshape(3, 3, 3, 3)
+        assert _seesaw(Q, eta)[2] <= 1e-14
         assert set(sizes) == {1}
+        # the kernel of rho(2, pi/6) holds no product vector, so restart 0
+        # stops above the zero level and the other 49 follow as one stack,
+        # which only shrinks as its restarts converge
+        w, V = rho(2, math.pi / 6).spectrum
+        K = V[:, ~range_mask(w)]
+        Q = (np.eye(9) - K @ K.conj().T).reshape(3, 3, 3, 3)
         sizes.clear()
-        _seesaw(Q, eta)
-        assert sizes[0] == 1 and 49 in sizes
-        assert len(sizes) < 2 * 200
+        assert _seesaw(Q, eta)[2] == pytest.approx(0.10, abs=5e-3)
+        k = sizes.index(49)
+        assert set(sizes[:k]) == {1}
+        assert all(a >= b for a, b in zip(sizes[k:], sizes[k + 1:]))
 
     def test_target_judges_stopped_restarts(self):
         # a witness value is only accepted once its restart has converged, so
-        # it lands far below the target instead of just under it, where
+        # it lands far below the zero level instead of just under it, where
         # product_pairing's re-evaluation could round it back above
         rng = np.random.default_rng(2)
         for seed in range(5):
             spec = generic_spec(rng)
             _, eta = _product_starts(20, 3, 3, seed)
-            xi, eta, val = _seesaw(_pairing_form(spec), eta, target=1e-12)
+            xi, eta, val = _seesaw(_pairing_form(spec), eta)
             assert abs(val) <= 1e-14
             assert product_pairing(spec, xi, eta) <= 1e-14
 
