@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import apply_map, choi_of, identity_map, trace_map, transpose_map
-from pptgeo.linalg import NumericalError, spectrum_is_psd
+from pptgeo.krawtchouk import krawtchouk_sum
+from pptgeo.linalg import ROUNDOFF, NumericalError, spectrum_is_psd
 from pptgeo.maps import (
     ChoiMap,
     DecomposableSpec,
@@ -356,6 +357,23 @@ class TestBoundaryWitness:
         if found:
             assert out[2] <= 1e-12
 
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_every_witness_forced_by_krawtchouk_is_found(self, stream):
+        # m = 2, n in {3, 4, 5}, every split of k V's and l W's with k + l = n,
+        # 20 complex gaussian specs per split: a nonzero signed count
+        # krawtchouk_sum(k, l, 2) forces a common zero, so all 280 such specs
+        # have a witness (the plain seesaw left 3 per stream inconclusive)
+        rng = np.random.default_rng(stream)
+        missed = []
+        for n in (3, 4, 5):
+            for k in range(n + 1):
+                for i in range(20):
+                    g = lambda: rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))  # noqa: E731
+                    spec = DecomposableSpec(tuple(g() for _ in range(k)), tuple(g() for _ in range(n - k)))
+                    if krawtchouk_sum(k, n - k, 2) and boundary_witness_search(spec, restarts=200) is None:
+                        missed.append((n, k, i))
+        assert missed == []
+
     def test_zero_spec_is_a_witness(self):
         xi, eta, res = boundary_witness_search(DecomposableSpec((np.zeros((2, 3)),)), restarts=5)
         assert res == 0.0
@@ -384,6 +402,15 @@ class TestBlockPositivity:
         for k in (-200, -100, -7, 7, 100, 200):
             got = block_positivity_sample(scaled(phi, 10.0**k), samples=500) / 10.0**k
             assert got == pytest.approx(want, abs=1e-9 * np.max(np.abs(phi.choi.data)))
+
+    @pytest.mark.parametrize("theta,t", [(math.pi / 6, 1.0), (2.159, 1.174), (1.936, 0.998)])
+    def test_refine_reaches_the_zero_of_a_positive_map(self, theta, t):
+        # positive maps with a product zero, the last two near-Choi maps with
+        # a degenerate one (a about 0.03); the seesaw alone stopped at 8.2e-9,
+        # 2.0e-4 and 2.9e-4
+        phi = phi_theta_t(theta, t)
+        value = block_positivity_sample(phi, samples=600, seed=0)
+        assert abs(value) <= ROUNDOFF * np.max(np.abs(phi.choi.data))
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):

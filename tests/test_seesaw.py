@@ -14,7 +14,8 @@ from pptgeo.maps import (
     trace_map_decomposition_2n,
 )
 from pptgeo.linalg import range_mask
-from pptgeo.states import _product_starts, _seesaw, rho
+import pptgeo.states as states
+from pptgeo.states import _newton_model, _product_starts, _seesaw, rho
 
 
 def seesaw_oracle(Q, eta_starts, max_iter=200):
@@ -70,6 +71,14 @@ def choi_form(phi):
     return phi.choi.data.reshape(phi.m, phi.n, phi.m, phi.n)
 
 
+def edge_spec(m, n):
+    """A decomposable spec on C^m (x) C^n with m or n one: one tangent block
+    of the Newton step is empty."""
+    rng = np.random.default_rng(m + 10 * n)
+    g = lambda: rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))  # noqa: E731
+    return DecomposableSpec((g(), g()), (g(),))
+
+
 # (name, form builder from an rng)
 CASES = [
     ("max projector 3x3", lambda rng: random_complement(3, 3, 4, rng)),
@@ -79,6 +88,8 @@ CASES = [
     ("min witness trace 2x4", lambda rng: _pairing_form(trace_map_decomposition_2n(2))),
     ("min Choi 3x3", lambda rng: choi_form(phi_theta_t(math.pi / 6, 1.0))),
     ("min Choi 2x4", lambda rng: -choi_form(decomposable_map(trace_2n_plus_v(rng)))),
+    ("min witness 1x3", lambda rng: _pairing_form(edge_spec(1, 3))),
+    ("min witness 3x1", lambda rng: _pairing_form(edge_spec(3, 1))),
 ]
 
 
@@ -120,7 +131,10 @@ class TestSeesawKernel:
         K = V[:, ~range_mask(w)]
         Q = (np.eye(9) - K @ K.conj().T).reshape(3, 3, 3, 3)
         sizes.clear()
-        assert _seesaw(Q, eta)[2] == pytest.approx(0.10, abs=5e-3)
+        # the Newton steps settle the stack's linear tails: at most 150 eigh
+        # calls where the seesaw alone made 441, for the same best value
+        assert _seesaw(Q, eta)[2] == pytest.approx(0.10239322565748317, abs=1e-12)
+        assert len(sizes) <= 150
         k = sizes.index(49)
         assert set(sizes[:k]) == {1}
         assert all(a >= b for a, b in zip(sizes[k:], sizes[k + 1:]))
@@ -136,6 +150,98 @@ class TestSeesawKernel:
             xi, eta, val = _seesaw(_pairing_form(spec), eta)
             assert abs(val) <= 1e-14
             assert product_pairing(spec, xi, eta) <= 1e-14
+
+
+def random_frame(k, rng):
+    """A random unitary k x k, as a stack of one: its first column is a random
+    unit vector, the others an orthonormal basis of its complement."""
+    return np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0][None]
+
+
+def tangent_value(Q, Ux, U, z):
+    """The form value at (x + Bx a, e + Be c), normalised, for the real
+    coordinates z = (Re s_0, Im s_0, ...) of s = (a, c)."""
+    m = Ux.shape[-1]
+    s = z.view(complex)
+    xi, eta = Ux[0, :, 0] + Ux[0, :, 1:] @ s[:m - 1], U[0, :, 0] + U[0, :, 1:] @ s[m - 1:]
+    return form_value(Q, xi / np.linalg.norm(xi), eta / np.linalg.norm(eta))
+
+
+# forms on which the Newton model is checked, by name
+MODEL_FORMS = {
+    "projector complement 3x3": lambda rng: random_complement(3, 3, 4, rng),
+    "witness 2x4": lambda rng: _pairing_form(trace_2n_plus_v(rng)),
+    "Choi phi(pi/6, 1)": lambda rng: choi_form(phi_theta_t(math.pi / 6, 1.0)),
+    "witness 1x3": lambda rng: _pairing_form(edge_spec(1, 3)),
+    "witness 3x1": lambda rng: _pairing_form(edge_spec(3, 1)),
+}
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("name", MODEL_FORMS)
+    def test_model_matches_central_differences(self, name):
+        # the gradient and Hessian of the Newton model against central
+        # differences of the form value in the real tangent coordinates, at
+        # random unit pairs with random complements
+        rng = np.random.default_rng(4)
+        Q = MODEL_FORMS[name](rng)
+        m, n = Q.shape[:2]
+        t = 1e-4
+        for _ in range(3):
+            Ux, U = random_frame(m, rng), random_frame(n, rng)
+            f, g, H = _newton_model(Q, Ux, U)
+            assert f[0] == pytest.approx(tangent_value(Q, Ux, U, np.zeros(g.shape[1])), abs=1e-14)
+            E = t * np.eye(g.shape[1])
+            val = lambda z: tangent_value(Q, Ux, U, z)  # noqa: E731
+            grad = [(val(d) - val(-d)) / (2 * t) for d in E]
+            hess = [[(val(d + b) - val(d - b) - val(b - d) + val(-d - b)) / (4 * t * t) for b in E]
+                    for d in E]
+            scale = np.max(np.abs(Q))
+            assert np.max(np.abs(2 * g[0] - grad), initial=0) <= 1e-7 * scale
+            assert np.max(np.abs(2 * H[0] - np.array(hess).reshape(H[0].shape)), initial=0) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("name,build", CASES, ids=[c[0] for c in CASES])
+    def test_no_step_raises_the_value(self, name, build, monkeypatch):
+        # one restart, so that every value it takes can be followed: each
+        # seesaw step (the bottom eigenvalue of its eta-form) and each Newton
+        # step leaves the form value unchanged or lower
+        Q = build(np.random.default_rng(17))
+        trail, _ = value_trail(Q, monkeypatch)
+        slack = 1e-13 * np.max(np.abs(Q))
+        assert all(b <= a + slack for a, b in zip(trail, trail[1:]))
+
+    @pytest.mark.parametrize("name", ["max projector 3x3", "min witness 3x3", "min Choi 3x3"])
+    def test_newton_steps_are_kept(self, name, monkeypatch):
+        # the monotone trail above is not vacuous: here Newton steps are taken
+        Q = dict(CASES)[name](np.random.default_rng(17))
+        assert any(value_trail(Q, monkeypatch)[1])
+
+
+def value_trail(Q, monkeypatch):
+    """The values one restart of the seesaw takes on Q, in order, and for each
+    Newton step whether it lowered the value."""
+    trail, lowered = [], []
+    eigh, step = np.linalg.eigh, states._newton_step
+
+    def recording_eigh(A):
+        out = eigh(A)
+        if recording_eigh.calls % 2:
+            trail.append(out[0][0, 0])  # the eta-form's: the step's value
+        recording_eigh.calls += 1
+        return out
+
+    def recording_step(*args):
+        out = step(*args)
+        lowered.append(out[0][0] < trail[-1])
+        trail.append(out[0][0])
+        return out
+
+    recording_eigh.calls = 0
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(states, "_newton_step", recording_step)
+    m, n = Q.shape[:2]
+    _seesaw(Q, _product_starts(1, m, n, seed=3)[1])
+    return trail, lowered
 
 
 def decomposable_oracle(spec):
