@@ -164,7 +164,7 @@ def cmd_phi_theta(args) -> tuple[dict, str]:
 def cmd_antipodal_sum(args) -> tuple[dict, str]:
     phi = mp.antipodal_sum_choi(args.theta, args.t, args.s)
     out = ser.choi_to_json(phi)
-    out["interior_P_sufficient"] = mp.is_interior_of_P_sufficient(phi)
+    out["interior_P_sufficient"] = st.is_interior_of_S_sufficient(phi.choi)
     return out, f"diagonal Choi, interior_P_sufficient={out['interior_P_sufficient']}"
 
 

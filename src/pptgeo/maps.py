@@ -18,21 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import ROUNDOFF, NumericalError, unit_scaled
-from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern, _gram_rows,
-                     _product_starts, _seesaw, is_interior_of_S_sufficient, p_theta)
+from .seesaw import forms, minimize, starts
+from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern,
+                     is_interior_of_S_sufficient, p_theta)
 
 
 @dataclass(frozen=True)
 class ChoiMap:
     """A hermiticity-preserving linear map M_m -> M_n as its Choi matrix."""
 
-    m: int
-    n: int
     choi: BipartiteMatrix
-
-    def __post_init__(self):
-        if (self.choi.m, self.choi.n) != (self.m, self.n):
-            raise ValueError("Choi matrix dimensions disagree with the map's")
+    m = property(lambda self: self.choi.m)
+    n = property(lambda self: self.choi.n)
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ def phi_theta_t(theta: float, t: float) -> ChoiMap:
     Choi map phi[a, b, c; theta], whose Choi matrix is sigma's pattern with
     (a, c, b) in place of (p_theta, 1/b, b)."""
     a, b, c = phi_theta_coefficients(theta, t)
-    return ChoiMap(3, 3, _cyclic_pattern((a, c, b), theta, _SIGMA_PHASE_POSITIONS))
+    return ChoiMap(_cyclic_pattern((a, c, b), theta, _SIGMA_PHASE_POSITIONS))
 
 
 def antipodal_sum_choi(theta: float, t: float, s: float) -> ChoiMap:
@@ -113,14 +110,7 @@ def antipodal_sum_choi(theta: float, t: float, s: float) -> ChoiMap:
                         + phi_theta_t(theta + math.pi, s).choi.data)
     if not is_interior_of_S_sufficient(C):
         raise NumericalError("antipodal Choi sum is not diagonal with a positive diagonal")
-    return ChoiMap(3, 3, BipartiteMatrix(3, 3, np.diag(np.diag(C.data).real)))
-
-
-def is_interior_of_P_sufficient(phi: ChoiMap) -> bool:
-    """Sufficient interior test for the positive-map cone: the diagonal rule of
-    :func:`~pptgeo.states.is_interior_of_S_sufficient` on the Choi matrix.
-    False means undecided."""
-    return is_interior_of_S_sufficient(phi.choi)
+    return ChoiMap(BipartiteMatrix(3, 3, np.diag(np.diag(C.data).real)))
 
 
 def decomposable_map(spec: DecomposableSpec) -> ChoiMap:
@@ -128,7 +118,7 @@ def decomposable_map(spec: DecomposableSpec) -> ChoiMap:
     :func:`_pairing_form`."""
     m, n = spec.shape
     C = _pairing_form(spec).conj().reshape(m * n, m * n)
-    return ChoiMap(m, n, BipartiteMatrix(m, n, C))
+    return ChoiMap(BipartiteMatrix(m, n, C))
 
 
 def product_pairing(spec: DecomposableSpec, xi, eta) -> float:
@@ -166,9 +156,8 @@ def boundary_witness_search(
     The product pairing is the hermitian form <xi (x) eta| Q |xi (x) eta> with
     Q = conj(C) for the Choi matrix C of the decomposable map, built from the
     generators unit-scaled together (largest real or imaginary magnitude in
-    [1/2, 1)) so that it is finite at any scale.  Multi-start alternating
-    minimization (restart 0 first, then the others as one batch) takes
-    bottom eigenvectors in xi and eta in turn.
+    [1/2, 1)) so that it is finite at any scale, and minimised by
+    :func:`~pptgeo.seesaw.minimize`.
     Returns (xi, eta, residual) when the residual, :func:`product_pairing`
     of the scaled spec recomputed at (xi, eta) and divided by max|Q|, is at
     most ROUNDOFF; otherwise None, which is inconclusive.
@@ -178,8 +167,8 @@ def boundary_witness_search(
     spec = DecomposableSpec(tuple(G[:len(spec.Vs)]), tuple(G[len(spec.Vs):]))
     Q = _pairing_form(spec)
     scale = np.max(np.abs(Q)) or 1.0  # 0 only for an all-zero spec
-    _, eta = _product_starts(restarts, m, n, seed)
-    xi, eta, _ = _seesaw(Q, eta)
+    _, eta = starts(restarts, m, n, seed)
+    xi, eta, _ = minimize(Q, eta)
     residual = product_pairing(spec, xi, eta) / scale
     if residual <= ROUNDOFF:
         return xi, eta, residual
@@ -219,17 +208,17 @@ def trace_map_decomposition_33() -> DecomposableSpec:
 def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -> float:
     """Minimum of <eta| phi(|xi><xi|) |eta> = <xi_bar (x) eta| C |xi_bar (x) eta>
     over sampled unit product vectors, refined from the best sample by
-    alternating bottom-eigenvector descent on that same form.  Deterministic
-    per seed; a negative value certifies non-positivity."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    :func:`~pptgeo.seesaw.minimize` on that same form, built from the
+    unit-scaled Choi matrix; the value is scaled back, and one past the
+    floating-point range is an error.  Deterministic per seed; a negative
+    value certifies non-positivity."""
     m, n = phi.m, phi.n
-    C = phi.choi.data.reshape(m, n, m, n)
-    xi, eta = _product_starts(samples, m, n, seed)
-    # <xi (x) eta| C |xi (x) eta> for every sample at once, the value above at
-    # (xi_bar, eta); xi and xi_bar are equally distributed.
-    vals = np.einsum("sk,sk->s", _gram_rows(xi) @ C.transpose(0, 2, 1, 3).reshape(m * m, n * n),
-                     _gram_rows(eta)).real
-    vals /= (np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1)) ** 2
+    C, e = unit_scaled(phi.choi.data)
+    Q, (xi, eta) = C.reshape(m, n, m, n), starts(samples, m, n, seed)
+    # the form at each sample (xi, eta), the value above at an equally likely (xi_bar, eta)
+    vals = forms(Q, xi, eta)[1] / (np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1)) ** 2
     k = int(np.argmin(vals))
-    return float(_seesaw(C, eta[k:k + 1], max_iter=100)[2])
+    try:
+        return math.ldexp(minimize(Q, eta[k:k + 1])[2], e)
+    except OverflowError as exc:
+        raise NumericalError("block positivity value is out of floating-point range") from exc

@@ -156,8 +156,10 @@ def choi_to_json(phi: ChoiMap) -> dict:
 
 
 def choi_from_json(obj: dict) -> ChoiMap:
-    return _build(ChoiMap, _count(obj, "m"), _count(obj, "n"),
-                  bipartite_from_json(_field(obj, "choi")))
+    m, n, choi = _count(obj, "m"), _count(obj, "n"), bipartite_from_json(_field(obj, "choi"))
+    if (choi.m, choi.n) != (m, n):
+        raise FormatError("ChoiMap: Choi matrix dimensions disagree with the map's")
+    return ChoiMap(choi)
 
 
 def spec_to_json(spec: DecomposableSpec) -> dict:

@@ -23,6 +23,7 @@ from .linalg import (
     spectrum_rank,
     unit_scaled,
 )
+from .seesaw import minimize, starts, zero_level
 
 
 @dataclass(frozen=True)
@@ -332,177 +333,6 @@ def product_decomposition_rho_1_pi() -> list[tuple[np.ndarray, np.ndarray, float
     return [(np.array(s, dtype=complex), np.array(s, dtype=complex), 0.25) for s in signs]
 
 
-def _product_starts(restarts: int, m: int, n: int, seed: int):
-    """All start pairs of a multi-start search, drawn up front from
-    default_rng(seed): complex gaussian rows xi (restarts, m) and
-    eta (restarts, n), not normalized (their directions are uniform)."""
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    z = np.random.default_rng(seed).normal(size=(restarts, m + n, 2)).view(complex)[..., 0]
-    return z[:, :m], z[:, m:]
-
-
-def _gram_rows(v: np.ndarray) -> np.ndarray:
-    """conj(v_r) v_r^T for each row v_r of v, flattened: (R, k) -> (R, k*k)."""
-    return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
-
-
-def _zero_level(Q: np.ndarray) -> float:
-    """ROUNDOFF * max|Q|: a product vector is a zero of the PSD form Q at or below it."""
-    return ROUNDOFF * np.max(np.abs(Q))
-
-
-def _seesaw(Q: np.ndarray, eta: np.ndarray, max_iter: int = 200):
-    """Minimise <xi (x) eta| Q |xi (x) eta> over unit product vectors by
-    alternating bottom-eigenvector updates with damped Newton steps in their
-    slow tail, all restarts advanced as one stack.
-
-    Q is a hermitian form of shape (m, n, m, n) and eta (R, n) holds the
-    starts; each step sets xi from eta, then eta from xi, so the xi of a
-    start pair is never read.  A restart stops after max_iter steps or once
-    a step gains at most a fixed fraction of max|Q|.  A restart that has not
-    stopped and whose last step gained more than a tenth of the step before
-    (its linear tail, where a step buys less than a digit) then tries
-    :func:`_newton_step` from the new pair.  Neither half of a step ever
-    loses (up to rounding), so a restart's last value is its best.  Restart
-    0 runs alone, then the rest run together; all stop once a stopped
-    restart's value reaches :func:`_zero_level` (restarts are judged only
-    once stopped, far below that level, not at its edge).  Returns the best
-    (xi, eta, value) of those run, the pair and value of one seesaw step.
-    """
-    m, n = Q.shape[:2]
-    reach = _zero_level(Q)
-    scale = np.max(np.abs(Q))
-    settled = 1e-15 * scale  # a restart's own convergence, relative to the form
-    # The xi-form for fixed eta is _gram_rows(eta) @ to_xi, and symmetrically.
-    to_xi = Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
-    to_eta = Q.transpose(0, 2, 1, 3).reshape(m * m, n * n)
-    best = (None, None, np.inf)
-    for e in (eta[:1], eta[1:]):
-        if not len(e):
-            break
-        v = gain = np.full(len(e), np.inf)
-        mu = np.full(len(e), CUTOFF)  # each restart's Newton damping, relative to max|Q|
-        A = (_gram_rows(e) @ to_xi).reshape(-1, m, m)
-        for i in range(max_iter):
-            Ux = np.linalg.eigh(A)[1]
-            w, U = np.linalg.eigh((_gram_rows(Ux[:, :, 0]) @ to_eta).reshape(-1, n, n))
-            gain, last = v - w[:, 0], gain
-            stopped = gain <= settled
-            if stopped.any():
-                best = _lowest(best, Ux[stopped, :, 0], U[stopped, :, 0], w[stopped, 0])
-                if best[2] <= reach or stopped.all():
-                    break
-                live = np.flatnonzero(~stopped)
-                Ux, U, w, mu, gain, last = Ux[live], U[live], w[live], mu[live], gain[live], last[live]
-            v = w[:, 0]
-            A = (_gram_rows(U[:, :, 0]) @ to_xi).reshape(-1, m, m)
-            if i < 2 or not scale:  # no gain ratio yet; Q = 0 has nothing to polish
-                continue
-            j = np.flatnonzero(gain > last / 10)
-            if len(j):
-                v = v.copy()  # w stays the seesaw's, paired with Ux and U at max_iter
-                v[j], A[j], mu[j] = _newton_step(Q, to_xi, Ux[j], U[j], A[j], mu[j], scale)
-        else:
-            best = _lowest(best, Ux[:, :, 0], U[:, :, 0], w[:, 0])
-        if best[2] <= reach:
-            break
-    return best
-
-
-def _newton_model(Q, Ux, U):
-    """The second-order model of f = <y|Q|y> / (|x|^2 |e|^2) at the unit pair
-    (x, e) = (Ux[:, :, 0], U[:, :, 0]) of a seesaw step, y = x (x) e, over the
-    tangent steps s = (a, c) to (x + Bx a, e + Be c), where Bx = Ux[:, :, 1:]
-    and Be = U[:, :, 1:] span the complements of x and e.
-
-    Returns (f, g, H) with f(z) = f + 2 g.z + z.H z + O(|z|^3) in the real
-    coordinates z = s.view(float), (Re s_0, Im s_0, Re s_1, ...).  All three
-    are entries of Q in the product basis Ux (x) U, and g and H are a fixed
-    real-linear function of them, :func:`_model_map`."""
-    R, m = Ux.shape[:2]
-    n = U.shape[1]
-    W = (Ux[:, :, None, :, None] * U[:, None, :, None, :]).reshape(R, m * n, m * n)
-    G = W.conj().swapaxes(1, 2) @ Q.reshape(m * n, m * n) @ W
-    gH = G.view(float).reshape(R, -1) @ _model_map(m, n)
-    k = 2 * (m + n - 2)
-    return G[:, 0, 0].real, gH[:, :k], gH[:, k:].reshape(R, k, k)
-
-
-@functools.cache
-def _model_map(m: int, n: int) -> np.ndarray:
-    """The real matrix taking G.view(float) to the concatenated (g, H.ravel())
-    of :func:`_newton_model`, for G = Q in a product basis (u_p (x) v_q at
-    index p n + q, u_0 (x) v_0 = y); built by assembling the model for every
-    real coordinate of G at once.
-
-    With M = [Bx (x) e, x (x) Be] the complex model is
-    2 Re(h^dagger s) + s^dagger (M^dagger Q M - f) s + Re(s^T S s) for
-    h = M^dagger Q y and S = [[0, T], [T^T, 0]]: T = Bx^T conj(Q y) Be is the
-    complex-bilinear term of (Bx a) (x) (Be c), and conj(T) is the column of
-    G at y in the rows Bx (x) Be."""
-    d, k = m * n, m + n - 2
-    G = np.eye(2 * d * d).view(complex).reshape(-1, d, d)
-    R = len(G)
-    M = np.r_[np.arange(1, m) * n, np.arange(1, n)]
-    Hc = np.ascontiguousarray(G[:, M[:, None], M])
-    S = np.zeros_like(Hc)
-    S[:, :m - 1, m - 1:] = G.reshape(R, m, n, m, n)[:, 1:, 1:, 0, 0].conj()
-    S += S.swapaxes(1, 2)
-    # z -> H z is s -> (Hc - f) s + conj(S s).  A complex matrix P acting on s
-    # has the real rows conj(P).view(float) and the imaginary rows
-    # (1j conj(P)).view(float); conj(S s) has the real part of S s and the
-    # imaginary part of -S s, so the real rows take Hc + S, the imaginary Hc - S.
-    P, N = (Hc + S).conj(), (Hc - S).conj()
-    H = np.stack([P.view(float), (1j * N).view(float)], 2).reshape(R, 2 * k, 2 * k)
-    H.reshape(R, -1)[:, ::2 * k + 1] -= G[:, :1, 0].real
-    C = np.concatenate([np.ascontiguousarray(G[:, M, 0]).view(float), H.reshape(R, -1)], 1)
-    C.flags.writeable = False
-    return C
-
-
-def _newton_step(Q, to_xi, Ux, U, A, mu, scale):
-    """One Levenberg-Marquardt step on :func:`_newton_model` per row, from
-    the seesaw pair (x, e) = (Ux[:, :, 0], U[:, :, 0]).  A row keeps its
-    step only where the damped model H / scale + mu is positive definite, so
-    that the step heads for the model's minimum and stays in the seesaw's
-    basin, and only where the form value goes down.
-
-    A is the xi-form at e, scale = max|Q| and mu each row's damping relative
-    to it: after a kept step mu shrinks tenfold, down to CUTOFF; after a
-    refused one it becomes ten times mu plus what the damped model lacked of
-    being positive definite.  Returns (v, A, mu): the value and a positive
-    multiple of the xi-form at the kept step's eta, else at e, which is all
-    the next seesaw step reads."""
-    R, m = Ux.shape[:2]
-    v, g, H = _newton_model(Q, Ux, U)
-    k = H.shape[1]
-    H = H / scale
-    H.reshape(R, -1)[:, ::k + 1] += mu[:, None]
-    lam = np.linalg.eigvalsh(H)[:, 0]
-    pd = lam > 0
-    grown = 10 * (mu - np.minimum(lam, 0))
-    if not pd.any():
-        return v, A, grown
-    z = np.linalg.solve(H, -g[:, :, None] / scale)[..., 0]
-    s, p = z.view(complex), 2 * (m - 1)
-    # the trial pair, unnormalised: |xt|^2 = 1 + |a|^2 and |et|^2 = 1 + |c|^2
-    xt = Ux[:, :, 0] + (Ux[:, :, 1:] @ s[:, :m - 1, None])[..., 0]
-    et = U[:, :, 0] + (U[:, :, 1:] @ s[:, m - 1:, None])[..., 0]
-    At = (_gram_rows(et) @ to_xi).reshape(R, m, m)
-    ft = ((xt.conj()[:, None, :] @ At @ xt[:, :, None])[:, 0, 0].real
-          / ((1 + (z[:, :p] ** 2).sum(1)) * (1 + (z[:, p:] ** 2).sum(1))))
-    keep = pd & (ft < v)
-    return (np.where(keep, ft, v), np.where(keep[:, None, None], At, A),
-            np.where(keep, np.maximum(mu / 10, CUTOFF), grown))
-
-
-def _lowest(best, x, e, v):
-    """best, or the row of (x, e, v) with the lowest value if that is lower."""
-    k = int(np.argmin(v))
-    return (x[k], e[k], v[k]) if v[k] < best[2] else best
-
-
 def search_product_vector_in_subspace(
     D: np.ndarray,
     m: int,
@@ -513,16 +343,15 @@ def search_product_vector_in_subspace(
     """Heuristic search for a product vector xi (x) eta inside the span of the
     orthonormal columns D of C^m (x) C^n.
 
-    Multi-start alternating minimisation of the squared distance
-    <xi (x) eta| I - P |xi (x) eta> to the subspace by bottom-eigenvector
-    updates in xi and eta (restart 0 first, then the others as one batch).
-    Returns (xi, eta) when that value is at most :func:`_zero_level` of
-    I - P, or None.  A None result is not a proof that no product vector exists.
+    :func:`~pptgeo.seesaw.minimize` of the squared distance
+    <xi (x) eta| I - P |xi (x) eta> to the subspace.  Returns (xi, eta) when
+    that value is at most :func:`~pptgeo.seesaw.zero_level` of I - P, or
+    None.  A None result is not a proof that no product vector exists.
     """
     D = np.asarray(D, dtype=complex)
     if D.ndim != 2 or D.shape[0] != m * n:
         raise ValueError("D must have m*n rows of orthonormal columns")
     Q = (np.eye(m * n) - D @ D.conj().T).reshape(m, n, m, n)
-    _, eta = _product_starts(restarts, m, n, seed)
-    xi, eta, val = _seesaw(Q, eta)
-    return (xi, eta) if val <= _zero_level(Q) else None
+    _, eta = starts(restarts, m, n, seed)
+    xi, eta, val = minimize(Q, eta)
+    return (xi, eta) if val <= zero_level(Q) else None

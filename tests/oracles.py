@@ -84,7 +84,7 @@ def choi_of(action, m: int, n: int) -> ChoiMap:
             if img.shape != (n, n):
                 raise ValueError(f"image must be {n}x{n}, got {img.shape}")
             C[i * n:(i + 1) * n, j * n:(j + 1) * n] = img
-    return ChoiMap(m, n, BipartiteMatrix(m, n, C))
+    return ChoiMap(BipartiteMatrix(m, n, C))
 
 
 def apply_map(phi: ChoiMap, X) -> np.ndarray:

@@ -468,10 +468,22 @@ class TestMapCommands:
         sp = tmp_path / "state.json"
         mp_ = tmp_path / "map.json"
         sp.write_text(json.dumps(bipartite_to_json(BipartiteMatrix(1, 2, 1e200 * np.eye(2)))))
-        mp_.write_text(json.dumps(choi_to_json(ChoiMap(1, 2, BipartiteMatrix(1, 2, 1e200 * np.eye(2))))))
+        mp_.write_text(json.dumps(choi_to_json(ChoiMap(BipartiteMatrix(1, 2, 1e200 * np.eye(2))))))
         code, out, err = run(capsys, "map", "pair", "--state", str(sp), "--map", str(mp_))
         assert code == 3
         assert out == "" and "floating-point range" in err
+
+    def test_pair_map_dimensions_disagree_is_usage(self, capsys, tmp_path):
+        # the map document's m and n must be those of its Choi matrix
+        sp = tmp_path / "state.json"
+        mp_ = tmp_path / "map.json"
+        sp.write_text(json.dumps(bipartite_to_json(BipartiteMatrix(1, 2, np.eye(2)))))
+        doc = choi_to_json(ChoiMap(BipartiteMatrix(1, 2, np.eye(2))))
+        doc["m"], doc["n"] = 2, 1
+        mp_.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "map", "pair", "--state", str(sp), "--map", str(mp_))
+        assert code == 2
+        assert out == "" and "dimensions disagree" in err
 
     def test_boundary_witness(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

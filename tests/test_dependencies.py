@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library but NumPy, and
-writes no tolerance literal outside the few that are documented."""
+"""The package imports nothing outside the standard library but NumPy, no
+private name of the seesaw, and writes no tolerance literal outside the few
+that are documented."""
 import ast
 import sys
 from pathlib import Path
@@ -26,12 +27,19 @@ def test_absolute_imports_are_stdlib_or_numpy():
                 assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {name}"
 
 
+def test_seesaw_is_reached_by_public_names():
+    names = {alias.name for _, tree in package_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module in ("seesaw", "pptgeo.seesaw")
+             for alias in node.names}
+    assert names and not any(name.startswith("_") for name in names), names
+
+
 def test_tolerance_literals_are_the_documented_ones():
-    # linalg.CUTOFF and linalg.ROUNDOFF, and the _seesaw stopping fraction,
+    # linalg.CUTOFF and linalg.ROUNDOFF, and the seesaw.minimize stopping fraction,
     # which must sit far below the ROUNDOFF zero level it serves; every other
     # tolerance is one of these, and format_theta compares exactly.
     found = sorted((path.stem, node.value) for path, tree in package_trees()
                    for node in ast.walk(tree)
                    if isinstance(node, ast.Constant) and type(node.value) is float
                    and 0 < node.value < 1e-3)
-    assert found == [("linalg", 1e-12), ("linalg", 1e-9), ("states", 1e-15)]
+    assert found == [("linalg", 1e-12), ("linalg", 1e-9), ("seesaw", 1e-15)]

@@ -14,7 +14,6 @@ from pptgeo.maps import (
     block_positivity_sample,
     boundary_witness_search,
     decomposable_map,
-    is_interior_of_P_sufficient,
     pairing,
     phi_theta_coefficients,
     phi_theta_t,
@@ -22,7 +21,8 @@ from pptgeo.maps import (
     trace_map_decomposition_2n,
     trace_map_decomposition_33,
 )
-from pptgeo.states import BipartiteMatrix, p_theta, partial_transpose, rho, sigma
+from pptgeo.states import (BipartiteMatrix, is_interior_of_S_sufficient, p_theta, partial_transpose,
+                           rho, sigma)
 
 
 def phi_theta_oracle(theta, t):
@@ -47,7 +47,7 @@ def phi_theta_oracle(theta, t):
 
 
 def scaled(phi, factor):
-    return ChoiMap(phi.m, phi.n, BipartiteMatrix(phi.m, phi.n, factor * phi.choi.data))
+    return ChoiMap(BipartiteMatrix(phi.m, phi.n, factor * phi.choi.data))
 
 
 def random_density(m, rng):
@@ -123,7 +123,7 @@ class TestPairing:
             C = (B + B.conj().T) / 2
             C = C - np.trace(X @ C.T).real / np.trace(X @ X).real * X.T
             X, C = 10.0**ka * X, 10.0**kb * C
-            val = pairing(BipartiteMatrix(3, 3, X), ChoiMap(3, 3, BipartiteMatrix(3, 3, C)))
+            val = pairing(BipartiteMatrix(3, 3, X), ChoiMap(BipartiteMatrix(3, 3, C)))
             assert abs(val) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(C)
 
 
@@ -194,10 +194,10 @@ class TestAntipodalSum:
             C = phi.choi.data
             assert np.max(np.abs(C - np.diag(np.diag(C)))) == 0.0
             assert np.all(np.diag(C).real > 0)
-            assert is_interior_of_P_sufficient(phi)
+            assert is_interior_of_S_sufficient(phi.choi)
 
     def test_single_member_not_certified(self):
-        assert not is_interior_of_P_sufficient(phi_theta_t(1.0, 1.0))
+        assert not is_interior_of_S_sufficient(phi_theta_t(1.0, 1.0).choi)
 
     def test_verdict_is_scale_invariant(self):
         C = np.eye(9)
@@ -205,10 +205,10 @@ class TestAntipodalSum:
         cases = [(antipodal_sum_choi(th, t, s), True)
                  for th, t, s in [(math.pi / 6, 1.0, 1.0), (0.9, 0.5, 2.0), (-1.3, 1.7, 0.3)]]
         cases += [(phi_theta_t(th, t), False) for th, t in [(1.0, 1.0), (math.pi / 6, 0.3)]]
-        cases += [(ChoiMap(3, 3, BipartiteMatrix(3, 3, C)), False)]
+        cases += [(ChoiMap(BipartiteMatrix(3, 3, C)), False)]
         for phi, verdict in cases:
             for k in range(-12, 13):
-                assert is_interior_of_P_sufficient(scaled(phi, 10.0**k)) is verdict, k
+                assert is_interior_of_S_sufficient(scaled(phi, 10.0**k).choi) is verdict, k
 
 
 class TestDecomposable:
@@ -291,7 +291,7 @@ def _rank_one_dip(seed):
     a = rng.normal(size=3) + 1j * rng.normal(size=3)
     b = rng.normal(size=3) + 1j * rng.normal(size=3)
     v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-    return ChoiMap(3, 3, BipartiteMatrix(3, 3, np.eye(9) - 2 * np.outer(v, v.conj())))
+    return ChoiMap(BipartiteMatrix(3, 3, np.eye(9) - 2 * np.outer(v, v.conj())))
 
 
 # (name, spec, whether a witness exists)
@@ -302,7 +302,8 @@ WITNESS_SPECS = [
     ("generic 3x3", _generic_spec(0), True),
 ]
 
-POSITIVITY_MAPS = [("phi(pi/6, 1)", phi_theta_t(math.pi / 6, 1.0)), ("rank-one dip", _rank_one_dip(3))]
+POSITIVITY_MAPS = [("phi(pi/6, 1)", phi_theta_t(math.pi / 6, 1.0)), ("rank-one dip", _rank_one_dip(3)),
+                   ("phi(1.936, 0.998)", phi_theta_t(1.936, 0.998))]
 
 
 class TestBoundaryWitness:
@@ -397,9 +398,10 @@ class TestBlockPositivity:
 
     @pytest.mark.parametrize("name,phi", POSITIVITY_MAPS, ids=[c[0] for c in POSITIVITY_MAPS])
     def test_scale_free(self, name, phi):
-        # the refine stops relative to the form, so the value scales with the map
+        # the map is unit-scaled before sampling and the refine stops relative
+        # to the form, so the value scales with the map up to 1e307
         want = block_positivity_sample(phi, samples=500)
-        for k in (-200, -100, -7, 7, 100, 200):
+        for k in (-300, -200, -100, -7, 7, 100, 200, 300, 307):
             got = block_positivity_sample(scaled(phi, 10.0**k), samples=500) / 10.0**k
             assert got == pytest.approx(want, abs=1e-9 * np.max(np.abs(phi.choi.data)))
 
@@ -411,6 +413,12 @@ class TestBlockPositivity:
         phi = phi_theta_t(theta, t)
         value = block_positivity_sample(phi, samples=600, seed=0)
         assert abs(value) <= ROUNDOFF * np.max(np.abs(phi.choi.data))
+
+    def test_value_out_of_range_is_numerical(self):
+        # the minimum -9e308 of the all -1e308 Choi matrix is past the float range
+        phi = ChoiMap(BipartiteMatrix(3, 3, -1e308 * np.ones((9, 9))))
+        with pytest.raises(NumericalError, match="floating-point range"):
+            block_positivity_sample(phi, samples=50)
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError):

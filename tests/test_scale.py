@@ -62,7 +62,7 @@ def test_normalize_near_the_range_limit():
 
 def test_pairing_of_far_apart_scales_is_finite():
     X = BipartiteMatrix(1, 2, np.diag([1e170, 0.0]))
-    C = ChoiMap(1, 2, BipartiteMatrix(1, 2, np.diag([0.0, 1e170])))
+    C = ChoiMap(BipartiteMatrix(1, 2, np.diag([0.0, 1e170])))
     assert pairing(X, C) == 0.0
 
 
@@ -103,7 +103,7 @@ def test_product_decomposition_beyond_the_float_range():
     (scaled(rho(2, math.pi / 6), 1e-200), phi_theta_t(0.3, 1.0),
      '{"pairing": 1.137171754984327e-199}'),
     (BipartiteMatrix(1, 2, np.diag([1e170, 0.0])),
-     ChoiMap(1, 2, BipartiteMatrix(1, 2, np.diag([0.0, 1e170]))), '{"pairing": 0.0}'),
+     ChoiMap(BipartiteMatrix(1, 2, np.diag([0.0, 1e170]))), '{"pairing": 0.0}'),
 ], ids=["tiny state", "far-apart entries"])
 def test_map_pair_far_from_unit_scale(capsys, tmp_path, state, choi, out):
     sp, mp_ = tmp_path / "state.json", tmp_path / "map.json"

@@ -14,8 +14,9 @@ from pptgeo.maps import (
     trace_map_decomposition_2n,
 )
 from pptgeo.linalg import range_mask
-import pptgeo.states as states
-from pptgeo.states import _newton_model, _product_starts, _seesaw, rho
+import pptgeo.seesaw as seesaw
+from pptgeo.seesaw import _newton_model, minimize, starts
+from pptgeo.states import rho
 
 
 def seesaw_oracle(Q, eta_starts, max_iter=200):
@@ -100,8 +101,8 @@ class TestSeesawKernel:
         rng = np.random.default_rng(17)
         Q = build(rng)
         m, n = Q.shape[:2]
-        _, eta = _product_starts(restarts, m, n, seed=3)
-        xi_k, eta_k, val_k = _seesaw(Q, eta)
+        _, eta = starts(restarts, m, n, seed=3)
+        xi_k, eta_k, val_k = minimize(Q, eta)
         xi_o, eta_o, val_o = seesaw_oracle(Q, eta)
         assert val_k == pytest.approx(val_o, abs=1e-10)
         assert np.linalg.norm(xi_k) == pytest.approx(1.0, abs=1e-12)
@@ -117,12 +118,12 @@ class TestSeesawKernel:
             return eigh(A)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        _, eta = _product_starts(50, 3, 3, seed=0)
+        _, eta = starts(50, 3, 3, seed=0)
         # the complement of a projector onto a space holding a product vector:
         # restart 0 reaches the zero level alone and the other 49 never run
         v = np.kron([1.0, 1j, 0.0], [0.0, 1.0, 1.0]) / 2
         Q = (np.eye(9) - np.outer(v, v.conj())).reshape(3, 3, 3, 3)
-        assert _seesaw(Q, eta)[2] <= 1e-14
+        assert minimize(Q, eta)[2] <= 1e-14
         assert set(sizes) == {1}
         # the kernel of rho(2, pi/6) holds no product vector, so restart 0
         # stops above the zero level and the other 49 follow as one stack,
@@ -133,7 +134,7 @@ class TestSeesawKernel:
         sizes.clear()
         # the Newton steps settle the stack's linear tails: at most 150 eigh
         # calls where the seesaw alone made 441, for the same best value
-        assert _seesaw(Q, eta)[2] == pytest.approx(0.10239322565748317, abs=1e-12)
+        assert minimize(Q, eta)[2] == pytest.approx(0.10239322565748317, abs=1e-12)
         assert len(sizes) <= 150
         k = sizes.index(49)
         assert set(sizes[:k]) == {1}
@@ -146,8 +147,8 @@ class TestSeesawKernel:
         rng = np.random.default_rng(2)
         for seed in range(5):
             spec = generic_spec(rng)
-            _, eta = _product_starts(20, 3, 3, seed)
-            xi, eta, val = _seesaw(_pairing_form(spec), eta)
+            _, eta = starts(20, 3, 3, seed)
+            xi, eta, val = minimize(_pairing_form(spec), eta)
             assert abs(val) <= 1e-14
             assert product_pairing(spec, xi, eta) <= 1e-14
 
@@ -221,7 +222,7 @@ def value_trail(Q, monkeypatch):
     """The values one restart of the seesaw takes on Q, in order, and for each
     Newton step whether it lowered the value."""
     trail, lowered = [], []
-    eigh, step = np.linalg.eigh, states._newton_step
+    eigh, step = np.linalg.eigh, seesaw._newton_step
 
     def recording_eigh(A):
         out = eigh(A)
@@ -238,9 +239,9 @@ def value_trail(Q, monkeypatch):
 
     recording_eigh.calls = 0
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    monkeypatch.setattr(states, "_newton_step", recording_step)
+    monkeypatch.setattr(seesaw, "_newton_step", recording_step)
     m, n = Q.shape[:2]
-    _seesaw(Q, _product_starts(1, m, n, seed=3)[1])
+    minimize(Q, starts(1, m, n, seed=3)[1])
     return trail, lowered
 
 
