@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ROUNDOFF, NumericalError, unit_scaled
-from .seesaw import forms, minimize, starts
+from . import seesaw
+from .linalg import ROUNDOFF, NumericalError, spectrum_is_psd, spectrum_rank, unit_scaled
 from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern,
                      is_interior_of_S_sufficient, p_theta)
 
@@ -156,19 +156,26 @@ def boundary_witness_search(
     The product pairing is the hermitian form <xi (x) eta| Q |xi (x) eta> with
     Q = conj(C) for the Choi matrix C of the decomposable map, built from the
     generators unit-scaled together (largest real or imaginary magnitude in
-    [1/2, 1)) so that it is finite at any scale, and minimised by
-    :func:`~pptgeo.seesaw.minimize`.
-    Returns (xi, eta, residual) when the residual, :func:`product_pairing`
-    of the scaled spec recomputed at (xi, eta) and divided by max|Q|, is at
-    most ROUNDOFF; otherwise None, which is inconclusive.
+    [1/2, 1)) so that it is finite at any scale.  When Q is positive definite
+    under the CUTOFF rules (its eigenvalues are PSD and all in the range), the
+    pairing has no zero at all and the result is None, a proof that no
+    witness exists; the trace maps, with Q = I, are such forms.  Otherwise Q
+    is minimised by :func:`~pptgeo.seesaw.minimize` from ``restarts`` start
+    pairs, and the result is (xi, eta, residual) when the residual,
+    :func:`product_pairing` of the scaled spec recomputed at (xi, eta) and
+    divided by max|Q|, is at most ROUNDOFF; otherwise None, which is
+    inconclusive.
     """
     m, n = spec.shape
+    _, eta = seesaw.starts(restarts, m, n, seed)
     G, _ = unit_scaled(np.array(spec.Vs + spec.Ws))
     spec = DecomposableSpec(tuple(G[:len(spec.Vs)]), tuple(G[len(spec.Vs):]))
     Q = _pairing_form(spec)
+    w = np.linalg.eigvalsh(Q.reshape(m * n, m * n))[::-1]
+    if spectrum_is_psd(w) and spectrum_rank(w) == m * n:
+        return None
     scale = np.max(np.abs(Q)) or 1.0  # 0 only for an all-zero spec
-    _, eta = starts(restarts, m, n, seed)
-    xi, eta, _ = minimize(Q, eta)
+    xi, eta, _ = seesaw.minimize(Q, eta)
     residual = product_pairing(spec, xi, eta) / scale
     if residual <= ROUNDOFF:
         return xi, eta, residual
@@ -214,11 +221,11 @@ def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -
     value certifies non-positivity."""
     m, n = phi.m, phi.n
     C, e = unit_scaled(phi.choi.data)
-    Q, (xi, eta) = C.reshape(m, n, m, n), starts(samples, m, n, seed)
+    Q, (xi, eta) = C.reshape(m, n, m, n), seesaw.starts(samples, m, n, seed)
     # the form at each sample (xi, eta), the value above at an equally likely (xi_bar, eta)
-    vals = forms(Q, xi, eta)[1] / (np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1)) ** 2
+    vals = seesaw.forms(Q, xi, eta)[1] / (np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1)) ** 2
     k = int(np.argmin(vals))
     try:
-        return math.ldexp(minimize(Q, eta[k:k + 1])[2], e)
+        return math.ldexp(seesaw.minimize(Q, eta[k:k + 1])[2], e)
     except OverflowError as exc:
         raise NumericalError("block positivity value is out of floating-point range") from exc

@@ -1,7 +1,9 @@
 """The seesaw over product vectors: minimise <xi (x) eta| Q |xi (x) eta>, for a
 hermitian form Q of shape (m, n, m, n), over unit xi in C^m and eta in C^n.
-Every product-vector search is one form handed to :func:`minimize`, and this
-is the only module that reshapes a form for contraction."""
+The boundary-witness and block-positivity searches each hand one form to
+:func:`minimize`, and this is the only module that reshapes a form for
+contraction; product vectors in a subspace are decided by linear algebra in
+:mod:`pptgeo.states` instead."""
 from __future__ import annotations
 
 import functools
@@ -16,7 +18,7 @@ def starts(restarts: int, m: int, n: int, seed: int):
     default_rng(seed): complex gaussian rows xi (restarts, m) and
     eta (restarts, n), not normalized (their directions are uniform)."""
     if restarts < 1:
-        raise ValueError("need at least one restart")
+        raise ValueError("need at least one start pair")
     z = np.random.default_rng(seed).normal(size=(restarts, m + n, 2)).view(complex)[..., 0]
     return z[:, :m], z[:, m:]
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 from .linalg import (
     CUTOFF,
     ROUNDOFF,
+    NumericalError,
     as_hermitian,
     eigh_descending,
     range_mask,
@@ -23,7 +25,7 @@ from .linalg import (
     spectrum_rank,
     unit_scaled,
 )
-from .seesaw import minimize, starts, zero_level
+from .seesaw import zero_level
 
 
 @dataclass(frozen=True)
@@ -340,18 +342,164 @@ def search_product_vector_in_subspace(
     restarts: int = 100,
     seed: int = 0,
 ):
-    """Heuristic search for a product vector xi (x) eta inside the span of the
-    orthonormal columns D of C^m (x) C^n.
+    """Decide whether the span of the orthonormal columns D of C^m (x) C^n
+    (D^dagger D = I up to ROUNDOFF, else ValueError) holds a product vector
+    xi (x) eta, and return one as unit (xi, eta).
 
-    :func:`~pptgeo.seesaw.minimize` of the squared distance
-    <xi (x) eta| I - P |xi (x) eta> to the subspace.  Returns (xi, eta) when
-    that value is at most :func:`~pptgeo.seesaw.zero_level` of I - P, or
-    None.  A None result is not a proof that no product vector exists.
+    A None result is a proof, up to the CUTOFF rank rule, that the span holds
+    none: the Macaulay matrix of the 2x2 minors has full column rank, with
+    margin sigma_min / sigma_max (see :func:`_points`).  seed draws
+    the random coordinates and slices; restarts must be at least 1 and is
+    otherwise unused.  The vector returned is the first one the solver
+    enumerates, and it must meet the product-zero rule
+    <xi (x) eta| I - P |xi (x) eta> <= :func:`~pptgeo.seesaw.zero_level`
+    of I - P, else NumericalError.
     """
     D = np.asarray(D, dtype=complex)
-    if D.ndim != 2 or D.shape[0] != m * n:
+    if (D.ndim != 2 or D.shape[0] != m * n
+            or not np.max(np.abs(D.conj().T @ D - np.eye(D.shape[1])), initial=0.0) <= ROUNDOFF):
         raise ValueError("D must have m*n rows of orthonormal columns")
-    Q = (np.eye(m * n) - D @ D.conj().T).reshape(m, n, m, n)
-    _, eta = starts(restarts, m, n, seed)
-    xi, eta, val = minimize(Q, eta)
-    return (xi, eta) if val <= zero_level(Q) else None
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    found = _product_vectors(D, m, n, np.random.default_rng(seed))
+    if not found:
+        return None
+    xi, eta = found[0]
+    Q = np.eye(m * n) - D @ D.conj().T
+    v = np.kron(xi, eta)
+    if (v.conj() @ Q @ v).real > zero_level(Q):
+        raise NumericalError("the enumerated product vector is not in the subspace")
+    return xi, eta
+
+
+def _product_vectors(D: np.ndarray, m: int, n: int, rng: np.random.Generator) -> list:
+    """Every product vector in the span of D, as unit (xi, eta) pairs, when
+    the span holds finitely many; those of a random slice when it holds a
+    family; [] when it holds none.
+
+    x (x) y lies in span{B_k} (column k of D reshaped m x n) iff
+    M(c) = sum_k c_k B_k has rank one, i.e. iff the C(m,2) C(n,2) 2x2 minors
+    of M(c), quadrics in c, all vanish.  The span is first put in random
+    orthonormal coordinates c drawn from rng.  A span of dimension above
+    (m-1)(n-1)+1 always holds a family, and is cut down to that dimension by
+    dropping random coordinates (slicing with random linear forms).  Then
+    :func:`_points` reads the points off the Macaulay matrix, and a family
+    that it finds is sliced one dimension further.
+    """
+    d = D.shape[1]
+    if not d:
+        return []
+    G = rng.normal(size=(d, d, 2)).view(complex)[..., 0]
+    B = np.linalg.qr(D @ G)[0][:, :min(d, (m - 1) * (n - 1) + 1)]
+    while (P := _points(B, m, n, rng)) is None:
+        B = B[:, :-1]
+    if not P.shape[1]:
+        return []
+    U, _, Vh = np.linalg.svd((B @ P).T.reshape(-1, m, n))
+    return list(zip(U[:, :, 0], Vh[:, 0]))
+
+
+def _rank(s: np.ndarray) -> int:
+    """:func:`~pptgeo.linalg.spectrum_rank` of the singular values s next to
+    1, the scale of the matrices here: they are built from orthonormal bases,
+    and a vector's minors are at most its squared norm.  A Macaulay matrix
+    whose quadrics all vanish (a span of product vectors only) then has rank
+    0, not the rank of its rounding."""
+    return spectrum_rank(np.r_[1.0, s]) - 1
+
+
+#: The largest Macaulay matrix :func:`_points` builds (2**21 complex entries, 32 MiB).
+_MACAULAY_ENTRIES = 2**21
+
+
+@functools.cache
+def _minor_pairs(m: int, n: int):
+    """Composite indices (a, b, c, e) with the 2x2 minor of rows i < i' and
+    columns j < j' equal to M_a M_b - M_c M_e, one entry per minor."""
+    i, k = np.triu_indices(m, 1)
+    j, l = np.triu_indices(n, 1)
+    i, k, j, l = (np.repeat(i, len(j)), np.repeat(k, len(j)), np.tile(j, len(i)), np.tile(l, len(i)))
+    return i * n + j, k * n + l, i * n + l, k * n + j
+
+
+@functools.cache
+def _monomials(d: int, deg: int) -> dict:
+    """{exponent tuple: column} for the monomials of degree deg in d
+    variables, in lexicographic order, so that c_0^deg comes first."""
+    return {tuple(np.bincount(t, minlength=d)): i
+            for i, t in enumerate(itertools.combinations_with_replacement(range(d), deg))}
+
+
+@functools.cache
+def _macaulay_plan(d: int, deg: int):
+    """(fold, spread, shifts) for the degree-deg Macaulay matrix in d
+    variables, built on first use.
+
+    fold (d*d, q + 1) is 0/1: a quadric's coefficient matrix, raveled, times
+    fold gives its coefficients on the q degree-2 monomials and a trailing 0.
+    spread (rows, cols) holds, at (beta, alpha) for a monomial beta of degree
+    deg - 2 and one alpha of degree deg, the degree-2 monomial alpha - beta,
+    or q (the 0) where alpha - beta is none, so that coefficients[:, spread]
+    is the quadrics times each beta.  shifts (d, r) holds the columns of c_k
+    times each monomial of degree deg - 1."""
+    quads, cols = _monomials(d, 2), _monomials(d, deg)
+    fold = np.zeros((d, d, len(quads) + 1))
+    for k, l in itertools.product(range(d), repeat=2):
+        fold[k, l, quads[tuple(np.bincount([k, l], minlength=d))]] = 1
+    spread = np.full((len(_monomials(d, deg - 2)), len(cols)), len(quads))
+    for (beta, r), gamma in itertools.product(_monomials(d, deg - 2).items(), quads):
+        spread[r, cols[tuple(np.add(beta, gamma))]] = quads[gamma]
+    shifts = np.array([[cols[beta[:k] + (beta[k] + 1,) + beta[k + 1:]] for beta in _monomials(d, deg - 1)]
+                       for k in range(d)])
+    fold = fold.reshape(d * d, -1)
+    for a in (fold, spread, shifts):
+        a.flags.writeable = False
+    return fold, spread, shifts
+
+
+def _points(B: np.ndarray, m: int, n: int, rng: np.random.Generator):
+    """The points c (columns, c_0 = 1) with sum_k c_k B_k of rank one, for an
+    orthonormal B (mn, d) in random coordinates, d at most (m-1)(n-1)+1;
+    None when they form a family.
+
+    The Macaulay matrix at degree deg has the minors times each monomial of
+    degree deg - 2 as rows and the monomials of degree deg as columns.  Full
+    column rank means no point.  Otherwise its null space K, of dimension N,
+    holds the monomial vectors of the N points once deg is high enough, which
+    shows as the rows of K at c_0 times the degree-(deg - 1) monomials having
+    rank N (Stetter, Numerical Polynomial Algebra, SIAM 2004).  The points
+    are then read off the eigenvectors of a random multiplication map on K.
+    deg is raised from 3 until that holds, up to d + 2; a null space still
+    growing there is a family, one that is not is a NumericalError.
+    """
+    d, d0 = B.shape[1], (m - 1) * (n - 1) + 1
+    a, b, c, e = _minor_pairs(m, n)
+    # each minor M_a M_b - M_c M_e as a quadric in c: a difference of outer products of rows of B
+    quad = (B[a, :, None] * B[b, None, :] - B[c, :, None] * B[e, None, :]).reshape(len(a), d * d)
+    last = None
+    for deg in range(3, d + 3):
+        if len(quad) * math.comb(d + deg - 3, deg - 2) * math.comb(d + deg - 1, deg) > _MACAULAY_ENTRIES:
+            raise NumericalError(f"the degree-{deg} Macaulay matrix is too large to decide this subspace")
+        fold, spread, shifts = _macaulay_plan(d, deg)
+        cols = spread.shape[1]
+        M = (quad @ fold)[:, spread].reshape(-1, cols)
+        # below d0 a span generically holds no product vector: try singular values alone first
+        if deg == 3 and d < d0 and _rank(np.linalg.svd(M, compute_uv=False)) == cols:
+            return np.zeros((d, 0))
+        _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < cols)
+        r = _rank(s)
+        if r == cols:
+            return np.zeros((d, 0))
+        S = Vh[r:].conj().T[shifts]  # S[k]: the null basis at c_k times each monomial of degree deg - 1
+        U0, s0, V0h = np.linalg.svd(S[0], full_matrices=False)
+        if _rank(s0) == cols - r:
+            # S[k] = S[0] T_k for T_k the multiplication by c_k / c_0, which
+            # share one eigenbasis; a random combination of them separates the points
+            Sr = np.tensordot(rng.normal(size=(d, 2)).view(complex)[:, 0], S, 1)
+            T = V0h.conj().T @ ((U0.conj().T @ Sr) / s0[:, None])
+            Y = S @ np.linalg.eig(T)[1]  # Y[k] = Y[0] diag(c_k / c_0)
+            return np.sum(Y[0].conj() * Y, 1) / np.sum(np.abs(Y[0]) ** 2, 0)
+        grown, last = last is not None and cols - r > last, cols - r
+    if grown:
+        return None
+    raise NumericalError("the Macaulay null space did not settle")

@@ -6,11 +6,15 @@ kernels are the hermitian matrices supported on a face's two ranges; the
 kernel dimension of is_extreme_in_T is checked against the intersection of
 their kernels.  Rank and kernel cuts use the package's CUTOFF.  choi_of
 builds a Choi matrix one matrix unit at a time, from a map's action.
+seesaw_product_vector_search is the multi-start seesaw that searched a
+subspace for a product vector before the Macaulay solver; a None from it
+proves nothing.
 """
 import numpy as np
 
 from pptgeo.linalg import CUTOFF, hermitian_basis, numerical_rank
 from pptgeo.maps import ChoiMap
+from pptgeo.seesaw import minimize, starts, zero_level
 from pptgeo.states import BipartiteMatrix, _pt
 
 
@@ -68,6 +72,15 @@ def kernel_intersection_dim_oracle(op_a: np.ndarray, op_b: np.ndarray) -> int:
     if Ka.shape[1] == 0 or Kb.shape[1] == 0:
         return 0
     return Ka.shape[1] + Kb.shape[1] - numerical_rank(np.hstack([Ka, Kb]))
+
+
+def seesaw_product_vector_search(D: np.ndarray, m: int, n: int, restarts: int = 100, seed: int = 0):
+    """(xi, eta) when the seesaw minimum of the squared distance
+    <xi (x) eta| I - P |xi (x) eta> to the span of the orthonormal columns D
+    is at most the zero level of I - P, else None."""
+    Q = (np.eye(m * n) - D @ D.conj().T).reshape(m, n, m, n)
+    xi, eta, val = minimize(Q, starts(restarts, m, n, seed)[1])
+    return (xi, eta) if val <= zero_level(Q) else None
 
 
 def choi_of(action, m: int, n: int) -> ChoiMap:

@@ -28,10 +28,15 @@ def test_absolute_imports_are_stdlib_or_numpy():
 
 
 def test_seesaw_is_reached_by_public_names():
+    # names imported from the module, and attributes read off it where the
+    # module itself is imported
     names = {alias.name for _, tree in package_trees() for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module in ("seesaw", "pptgeo.seesaw")
              for alias in node.names}
-    assert names and not any(name.startswith("_") for name in names), names
+    names |= {node.attr for _, tree in package_trees() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "seesaw"}
+    assert {"zero_level", "minimize", "starts", "forms"} <= names
+    assert not any(name.startswith("_") for name in names), names
 
 
 def test_tolerance_literals_are_the_documented_ones():

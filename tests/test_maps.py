@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pptgeo.seesaw
 from oracles import apply_map, choi_of, identity_map, trace_map, transpose_map
 from pptgeo.krawtchouk import krawtchouk_sum
 from pptgeo.linalg import ROUNDOFF, NumericalError, spectrum_is_psd
@@ -342,8 +344,25 @@ class TestBoundaryWitness:
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_nonpositive_restarts(self, restarts):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one start pair"):
             boundary_witness_search(trace_map_decomposition_33(), restarts=restarts)
+
+    def test_positive_definite_form_is_proved_without_the_seesaw(self, monkeypatch):
+        # the trace maps' pairing form is I: positive definite, so it has no
+        # product zero, and the answer needs no search at any scale
+        def no_seesaw(*args):
+            raise AssertionError("the seesaw ran")
+
+        monkeypatch.setattr(pptgeo.seesaw, "minimize", no_seesaw)
+        specs = [trace_map_decomposition_33()] + [trace_map_decomposition_2n(mu) for mu in (1, 2, 3, 4)]
+        for spec, c in itertools.product(specs, (1e-300, 1.0, 1e300)):
+            scaled_spec = DecomposableSpec(tuple(c * V for V in spec.Vs), tuple(c * W for W in spec.Ws))
+            assert boundary_witness_search(scaled_spec, restarts=100) is None
+        # an indefinite form still goes to the seesaw
+        with pytest.raises(AssertionError, match="the seesaw ran"):
+            boundary_witness_search(_generic_spec(0), restarts=100)
+        monkeypatch.undo()
+        assert boundary_witness_search(_generic_spec(0), restarts=100) is not None
 
     @pytest.mark.parametrize("k", [-320, -300, -200, -100, -7, 0, 3, 100, 200, 300])
     @pytest.mark.parametrize("name,spec,found", WITNESS_SPECS, ids=[c[0] for c in WITNESS_SPECS])
@@ -421,5 +440,5 @@ class TestBlockPositivity:
             block_positivity_sample(phi, samples=50)
 
     def test_invalid_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one start pair"):
             block_positivity_sample(identity_map(2), samples=0)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import eigh_oracle
-from pptgeo.linalg import CUTOFF, ROUNDOFF, range_mask
+from oracles import eigh_oracle, seesaw_product_vector_search
+from pptgeo.linalg import CUTOFF, ROUNDOFF, NumericalError, range_mask
 from pptgeo.states import (
     Arc,
     BipartiteMatrix,
     StateType,
+    _product_vectors,
     _pt,
     arc_of,
     combine,
@@ -370,23 +371,56 @@ class TestInputErrors:
         (lambda: verify_product_decomposition(rho(1, math.pi), [([0, 0, 0], [1, 0, 0], 1.0)]),
          "product vectors must be nonzero"),
         (lambda: search_product_vector_in_subspace(np.eye(3), 2, 2), "D must have m"),
+        (lambda: search_product_vector_in_subspace(2 * np.eye(4), 2, 2), "orthonormal columns"),
+        (lambda: search_product_vector_in_subspace(np.full((4, 1), math.nan), 2, 2), "orthonormal columns"),
         (lambda: BipartiteMatrix(1, 2, np.diag([math.inf, 1.0])), "matrix entries must be finite"),
     ], ids=["p_theta inf", "p_theta nan", "arc_of -inf", "arc_of nan", "kernel b zero",
             "combine empty", "combine weight count", "combine mixed dims",
-            "decomposition weight zero", "decomposition zero vector", "search D rows", "infinite entry"])
+            "decomposition weight zero", "decomposition zero vector", "search D rows",
+            "search D not orthonormal", "search D not finite", "infinite entry"])
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def _unitary(rng, n):
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _cgauss(rng, *shape):
+    return rng.normal(size=shape + (2,)).view(complex)[..., 0]
+
+
+def _in_span(D, xi, eta):
+    """Distance of the unit product vector xi (x) eta from the span of D."""
+    v = np.kron(xi, eta)
+    v = v / np.linalg.norm(v)
+    return np.linalg.norm(v - D @ (D.conj().T @ v))
+
+
+def _grid_subspaces():
+    """(name, basis) for the kernel and range of rho and sigma at every b of
+    the grid and every theta off the boundary angles, each moved by a seeded
+    random local unitary."""
+    rng = np.random.default_rng(16)
+    for b, k, family in itertools.product(B_GRID, range(24), (rho, sigma)):
+        if k % 4:
+            w, V = family(b, THETA_GRID[k]).spectrum
+            for part, mask in (("range", range_mask(w)), ("kernel", ~range_mask(w))):
+                yield (f"{family.__name__}({b}, {k}pi/12) {part}",
+                       np.kron(_unitary(rng, 3), _unitary(rng, 3)) @ V[:, mask])
 
 
 class TestProductVectorSearch:
     def test_full_space(self):
         found = search_product_vector_in_subspace(np.eye(4), 2, 2, restarts=5)
         assert found is not None
+        assert _in_span(np.eye(4), *found) <= 1e-12
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_nonpositive_restarts(self, restarts):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
             search_product_vector_in_subspace(np.eye(4), 2, 2, restarts=restarts)
 
     def test_antisymmetric_subspace_empty(self):
@@ -403,3 +437,82 @@ class TestProductVectorSearch:
         P = D @ D.conj().T
         z = np.kron(xi, eta)
         assert np.linalg.norm(z - P @ z) <= 1e-7
+
+    def test_range_of_separable_rho_holds_its_four_vectors(self):
+        w, V = rho(1, math.pi).spectrum
+        found = _product_vectors(V[:, range_mask(w)], 3, 3, np.random.default_rng(0))
+        got = np.array([np.kron(xi, eta) for xi, eta in found])
+        want = np.array([np.kron(xi, eta) / 3 for xi, eta, _ in product_decomposition_rho_1_pi()])
+        assert len(found) == 4
+        assert_allclose(np.abs(got @ want.conj().T).max(0), 1, atol=1e-12)
+
+    @pytest.mark.parametrize("m,n,k", [(3, 3, 2), (3, 3, 3), (3, 3, 4), (2, 3, 2)])
+    def test_planted_vectors_all_returned(self, m, n, k):
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            planted = np.array([np.kron(_cgauss(rng, m), _cgauss(rng, n)) for _ in range(k)])
+            planted /= np.linalg.norm(planted, axis=1)[:, None]
+            D = np.linalg.qr(planted.T)[0]
+            found = _product_vectors(D, m, n, np.random.default_rng(1))
+            got = np.array([np.kron(xi, eta) for xi, eta in found])
+            assert len(found) == k
+            # each planted vector matches one found vector up to phase and scale
+            overlap = np.abs(planted.conj() @ got.T)
+            assert_allclose(overlap.max(1), 1, atol=1e-12)
+            assert_allclose(overlap.max(0), 1, atol=1e-12)
+
+    @pytest.mark.parametrize("name,m,n", [("x (x) span{y1, y2}", 2, 2), ("full 2x2", 2, 2),
+                                          ("x (x) C^3", 3, 3), ("one product vector", 3, 3)])
+    def test_family_returns_a_vector(self, name, m, n):
+        # spans on which every minor vanishes, or a family of product vectors
+        rng = np.random.default_rng(4)
+        x = _cgauss(rng, m)
+        x /= np.linalg.norm(x)
+        if name == "x (x) span{y1, y2}":
+            D = np.linalg.qr(np.array([np.kron(x, _cgauss(rng, n)) for _ in range(2)]).T)[0]
+        elif name == "full 2x2":
+            D = np.eye(4)
+        elif name == "x (x) C^3":
+            D = np.kron(x[:, None], _unitary(rng, 3))
+        else:
+            D = np.kron(x, _unitary(rng, 3)[0])[:, None]
+        found = search_product_vector_in_subspace(D, m, n)
+        assert found is not None
+        assert _in_span(D, *found) <= 1e-12
+
+    def test_generic_subspaces_follow_the_dimension_count(self):
+        # a generic span of dimension below (m-1)(n-1)+1 = 5 holds no product
+        # vector, one of dimension 5 holds the Segre degree C(4, 2) = 6
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 4, 5):
+            D = np.linalg.qr(_cgauss(rng, 9, d))[0]
+            assert len(_product_vectors(D, 3, 3, rng)) == (6 if d == 5 else 0)
+
+    def test_local_unitaries_and_column_phases_change_no_verdict(self):
+        rng = np.random.default_rng(6)
+        for name, D in itertools.islice(_grid_subspaces(), 0, None, 9):
+            verdict = search_product_vector_in_subspace(D, 3, 3) is not None
+            moved = np.kron(_unitary(rng, 3), _unitary(rng, 3)) @ D
+            phased = D * np.exp(2j * math.pi * rng.random(D.shape[1]))
+            for E in (moved, phased):
+                assert (search_product_vector_in_subspace(E, 3, 3) is not None) == verdict, name
+
+    def test_same_seed_is_bitwise_equal(self):
+        D = next(D for name, D in _grid_subspaces() if name.endswith("range"))
+        a, b = (search_product_vector_in_subspace(D, 3, 3, seed=9) for _ in range(2))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+    def test_too_large_a_system_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="too large"):
+            search_product_vector_in_subspace(np.eye(36), 6, 6)
+
+
+def test_search_agrees_with_the_seesaw_oracle_on_the_grid():
+    """Found / not found as the seesaw finds it, and every vector found in its
+    subspace, for the kernels and ranges of rho and sigma off the boundary
+    angles."""
+    for name, D in _grid_subspaces():
+        found = search_product_vector_in_subspace(D, 3, 3)
+        assert (found is None) == (seesaw_product_vector_search(D, 3, 3, restarts=6) is None), name
+        if found is not None:
+            assert _in_span(D, *found) <= 1e-12, name
