@@ -353,7 +353,9 @@ def search_product_vector_in_subspace(
     otherwise unused.  The vector returned is the first one the solver
     enumerates, and it must meet the product-zero rule
     <xi (x) eta| I - P |xi (x) eta> <= :func:`~pptgeo.seesaw.zero_level`
-    of I - P, else NumericalError.
+    of I - P, else NumericalError.  So is a span that needs a Macaulay matrix
+    of more than 2**21 entries (a full 6 (x) 6 span does), even where any
+    product vector would be an answer.
     """
     D = np.asarray(D, dtype=complex)
     if (D.ndim != 2 or D.shape[0] != m * n
@@ -472,7 +474,7 @@ def _points(B: np.ndarray, m: int, n: int, rng: np.random.Generator):
     deg is raised from 3 until that holds, up to d + 2; a null space still
     growing there is a family, one that is not is a NumericalError.
     """
-    d, d0 = B.shape[1], (m - 1) * (n - 1) + 1
+    d = B.shape[1]
     a, b, c, e = _minor_pairs(m, n)
     # each minor M_a M_b - M_c M_e as a quadric in c: a difference of outer products of rows of B
     quad = (B[a, :, None] * B[b, None, :] - B[c, :, None] * B[e, None, :]).reshape(len(a), d * d)
@@ -483,9 +485,6 @@ def _points(B: np.ndarray, m: int, n: int, rng: np.random.Generator):
         fold, spread, shifts = _macaulay_plan(d, deg)
         cols = spread.shape[1]
         M = (quad @ fold)[:, spread].reshape(-1, cols)
-        # below d0 a span generically holds no product vector: try singular values alone first
-        if deg == 3 and d < d0 and _rank(np.linalg.svd(M, compute_uv=False)) == cols:
-            return np.zeros((d, 0))
         _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < cols)
         r = _rank(s)
         if r == cols:
