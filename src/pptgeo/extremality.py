@@ -19,13 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    CUTOFF,
     ROUNDOFF,
     as_hermitian,
     hermitian_basis,
     NumericalError,
     hermitian_to_real_vector,
     numerical_rank,
+    orthonormal_system_rank,
     range_mask,
     unit_scaled,
 )
@@ -65,8 +65,8 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     Z = face.D @ hermitian_basis(p) @ face.D.conj().T
     W = F.conj().T @ _pt(Z, X.m, X.n)
     M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T
-    # D, F and the Herm(p) basis are orthonormal, so ||M|| <= 1: the cutoff is absolute.
-    dim = p * p - int(np.count_nonzero(np.linalg.svd(M, compute_uv=False) > CUTOFF))
+    # D, F and the Herm(p) basis are orthonormal, so ||M|| <= 1.
+    dim = p * p - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
     # X's coordinates c_k = Tr(Z_k U) = Tr(B_k D^dagger U D), U = X 2^-e, give
     # M c = [Re; Im] F^dagger (P_D U P_D)^Gamma: nonzero only by the eigenvalues
     # range_mask drops from U and from U^Gamma (a partial transpose keeps the

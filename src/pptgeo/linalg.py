@@ -7,7 +7,7 @@ coordinates are reproducible.
 
 Every numerical decision in the package uses one of two cutoffs, each relative
 to the largest magnitude involved, so that no verdict changes when an input is
-rescaled: :data:`CUTOFF` for rank, kernel and PSD decisions and
+rescaled: :data:`CUTOFF` for rank, kernel and definiteness decisions and
 :data:`ROUNDOFF` for deviations that can only be rounding.
 """
 from __future__ import annotations
@@ -77,8 +77,8 @@ def eigh_descending(H: np.ndarray):
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-# The cutoff rules, each a function of a descending spectrum w: every rank,
-# PSD, range and kernel decision reads one, from a cached spectrum.
+# The cutoff rules, each written once: every rank, definiteness, range, kernel,
+# orthonormality and product-zero decision reads one.  w and s are descending.
 
 def range_mask(w: np.ndarray) -> np.ndarray:
     """Which eigenvalues span the numerical range: |w| > CUTOFF * max |w|.
@@ -94,6 +94,26 @@ def spectrum_rank(w: np.ndarray) -> int:
 def spectrum_is_psd(w: np.ndarray) -> bool:
     """True iff the smallest eigenvalue is >= -CUTOFF * max |w|."""
     return bool(w.size == 0 or w[-1] >= -CUTOFF * np.max(np.abs(w)))
+
+
+def spectrum_is_pd(w: np.ndarray) -> bool:
+    """True iff every eigenvalue, in any order, is above CUTOFF * max |w|."""
+    return bool(np.all(w > CUTOFF * np.max(np.abs(w), initial=0.0)))
+
+
+def orthonormal_system_rank(s: np.ndarray) -> int:
+    """Rank of a system built from orthonormal bases: singular values s above CUTOFF * max(1, s[0])."""
+    return int(np.count_nonzero(s > CUTOFF * max(1.0, s[0] if len(s) else 0.0)))
+
+
+def has_orthonormal_columns(B: np.ndarray) -> bool:
+    """max |B^dagger B - I| <= ROUNDOFF: no columns pass, non-finite ones fail."""
+    return bool(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1])), initial=0.0) <= ROUNDOFF)
+
+
+def zero_level(Q: np.ndarray) -> float:
+    """ROUNDOFF * max|Q|: a product vector is a zero of the PSD form Q at or below it."""
+    return ROUNDOFF * np.max(np.abs(Q))
 
 
 def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:

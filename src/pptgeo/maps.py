@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seesaw
-from .linalg import ROUNDOFF, NumericalError, spectrum_is_psd, spectrum_rank, unit_scaled
+from .linalg import ROUNDOFF, NumericalError, spectrum_is_pd, unit_scaled, zero_level
 from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern,
                      is_interior_of_S_sufficient, p_theta)
 
@@ -157,28 +157,25 @@ def boundary_witness_search(
     Q = conj(C) for the Choi matrix C of the decomposable map, built from the
     generators unit-scaled together (largest real or imaginary magnitude in
     [1/2, 1)) so that it is finite at any scale.  When Q is positive definite
-    under the CUTOFF rules (its eigenvalues are PSD and all in the range), the
-    pairing has no zero at all and the result is None, a proof that no
-    witness exists; the trace maps, with Q = I, are such forms.  Otherwise Q
-    is minimised by :func:`~pptgeo.seesaw.minimize` from ``restarts`` start
-    pairs, and the result is (xi, eta, residual) when the residual,
-    :func:`product_pairing` of the scaled spec recomputed at (xi, eta) and
-    divided by max|Q|, is at most ROUNDOFF; otherwise None, which is
-    inconclusive.
+    (:func:`~pptgeo.linalg.spectrum_is_pd`), the pairing has no zero at all
+    and the result is None, a proof that no witness exists; the trace maps,
+    with Q = I, are such forms.  Otherwise Q is minimised by
+    :func:`~pptgeo.seesaw.minimize` from ``restarts`` start pairs, and the
+    result is (xi, eta, residual) when :func:`product_pairing` of the scaled
+    spec at (xi, eta) is at most :func:`~pptgeo.linalg.zero_level` of Q, the
+    residual being that pairing over max|Q|; else None, which is inconclusive.
     """
     m, n = spec.shape
     _, eta = seesaw.starts(restarts, m, n, seed)
     G, _ = unit_scaled(np.array(spec.Vs + spec.Ws))
     spec = DecomposableSpec(tuple(G[:len(spec.Vs)]), tuple(G[len(spec.Vs):]))
     Q = _pairing_form(spec)
-    w = np.linalg.eigvalsh(Q.reshape(m * n, m * n))[::-1]
-    if spectrum_is_psd(w) and spectrum_rank(w) == m * n:
+    if spectrum_is_pd(np.linalg.eigvalsh(Q.reshape(m * n, m * n))):
         return None
-    scale = np.max(np.abs(Q)) or 1.0  # 0 only for an all-zero spec
     xi, eta, _ = seesaw.minimize(Q, eta)
-    residual = product_pairing(spec, xi, eta) / scale
-    if residual <= ROUNDOFF:
-        return xi, eta, residual
+    value = product_pairing(spec, xi, eta)
+    if value <= zero_level(Q):
+        return xi, eta, value / (np.max(np.abs(Q)) or 1.0)  # max|Q| is 0 only for an all-zero spec
     return None
 
 

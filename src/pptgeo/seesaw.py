@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from .linalg import CUTOFF, ROUNDOFF
+from .linalg import CUTOFF, zero_level
 
 
 def starts(restarts: int, m: int, n: int, seed: int):
@@ -35,11 +35,6 @@ def forms(Q: np.ndarray, xi: np.ndarray, eta: np.ndarray):
     m, n = Q.shape[:2]
     A = (_gram_rows(eta) @ Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)).reshape(-1, m, m)
     return A, (xi.conj()[:, None, :] @ A @ xi[:, :, None])[:, 0, 0].real
-
-
-def zero_level(Q: np.ndarray) -> float:
-    """ROUNDOFF * max|Q|: a product vector is a zero of the PSD form Q at or below it."""
-    return ROUNDOFF * np.max(np.abs(Q))
 
 
 def minimize(Q: np.ndarray, eta: np.ndarray):
@@ -109,22 +104,26 @@ def _newton_model(Q, Ux, U):
     Returns (f, g, H) with f(z) = f + 2 g.z + z.H z + O(|z|^3) in the real
     coordinates z = s.view(float), (Re s_0, Im s_0, Re s_1, ...).  All three
     are entries of Q in the product basis Ux (x) U, and g and H are a fixed
-    real-linear function of them, :func:`_model_map`."""
+    real-linear function of some of them, :func:`_model_map`."""
     R, m = Ux.shape[:2]
     n = U.shape[1]
     W = (Ux[:, :, None, :, None] * U[:, None, :, None, :]).reshape(R, m * n, m * n)
     G = W.conj().swapaxes(1, 2) @ Q.reshape(m * n, m * n) @ W
-    gH = G.view(float).reshape(R, -1) @ _model_map(m, n)
+    coords, C = _model_map(m, n)
+    gH = G.view(float).reshape(R, -1)[:, coords] @ C
     k = 2 * (m + n - 2)
     return G[:, 0, 0].real, gH[:, :k], gH[:, k:].reshape(R, k, k)
 
 
 @functools.cache
-def _model_map(m: int, n: int) -> np.ndarray:
-    """The real matrix taking G.view(float) to the concatenated (g, H.ravel())
-    of :func:`_newton_model`, for G = Q in a product basis (u_p (x) v_q at
-    index p n + q, u_0 (x) v_0 = y); built by assembling the model for every
-    real coordinate of G at once.
+def _model_map(m: int, n: int):
+    """(coords, C): the real coordinates of G that :func:`_newton_model`
+    reads, as indices into G.view(float).ravel(), and the real matrix C
+    taking them to the concatenated (g, H.ravel()), for G = Q in a product
+    basis (u_p (x) v_q at index p n + q, u_0 (x) v_0 = y).  They are those of
+    G at (0, 0), (M, 0) and (M, M), and in the rows Bx (x) Be at y: about
+    (m + n)^2 of the (mn)^2 entries.  C is built by assembling the model for
+    each of them at once.
 
     With M = [Bx (x) e, x (x) Be] the complex model is
     2 Re(h^dagger s) + s^dagger (M^dagger Q M - f) s + Re(s^T S s) for
@@ -132,9 +131,15 @@ def _model_map(m: int, n: int) -> np.ndarray:
     complex-bilinear term of (Bx a) (x) (Be c), and conj(T) is the column of
     G at y in the rows Bx (x) Be."""
     d, k = m * n, m + n - 2
-    G = np.eye(2 * d * d).view(complex).reshape(-1, d, d)
-    R = len(G)
     M = np.r_[np.arange(1, m) * n, np.arange(1, n)]
+    read = np.zeros((d, d), dtype=bool)
+    read[0, 0] = read[M, 0] = read[M[:, None], M] = True
+    read.reshape(m, n, d)[1:, 1:, 0] = True
+    coords = np.flatnonzero(np.repeat(read.ravel(), 2))  # the two real coordinates of each entry read
+    G = np.zeros((len(coords), 2 * d * d))
+    G[np.arange(len(coords)), coords] = 1  # the rows of the identity at coords
+    G = G.view(complex).reshape(-1, d, d)
+    R = len(G)
     Hc = np.ascontiguousarray(G[:, M[:, None], M])
     S = np.zeros_like(Hc)
     S[:, :m - 1, m - 1:] = G.reshape(R, m, n, m, n)[:, 1:, 1:, 0, 0].conj()
@@ -147,8 +152,8 @@ def _model_map(m: int, n: int) -> np.ndarray:
     H = np.stack([P.view(float), (1j * N).view(float)], 2).reshape(R, 2 * k, 2 * k)
     H.reshape(R, -1)[:, ::2 * k + 1] -= G[:, :1, 0].real
     C = np.concatenate([np.ascontiguousarray(G[:, M, 0]).view(float), H.reshape(R, -1)], 1)
-    C.flags.writeable = False
-    return C
+    coords.flags.writeable = C.flags.writeable = False
+    return coords, C
 
 
 def _newton_step(Q, Ux, U, A, mu, scale):

@@ -15,17 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    CUTOFF,
     ROUNDOFF,
     NumericalError,
     as_hermitian,
     eigh_descending,
+    has_orthonormal_columns,
+    orthonormal_system_rank,
     range_mask,
+    spectrum_is_pd,
     spectrum_is_psd,
     spectrum_rank,
     unit_scaled,
+    zero_level,
 )
-from .seesaw import zero_level
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,7 @@ class FaceSpec:
 
     def __post_init__(self):
         for name, B in (("D", self.D), ("E", self.E)):
-            G = B.conj().T @ B
-            if np.max(np.abs(G - np.eye(B.shape[1]))) > ROUNDOFF:
+            if not has_orthonormal_columns(B):
                 raise ValueError(f"{name} columns are not orthonormal")
 
 
@@ -269,23 +270,20 @@ def conjugate_by_phase_unitary(X: BipartiteMatrix) -> BipartiteMatrix:
 
 
 def is_interior_of_T(X: BipartiteMatrix) -> bool:
-    """Interior of the PPT convex body: both ranges are the full space."""
+    """Interior of the PPT convex body: X and its partial transpose are positive definite."""
     if not is_ppt(X):
         raise ValueError("is_interior_of_T requires a PPT input")
-    st = state_type(X)
-    return st.p == X.dim and st.q == X.dim
+    return spectrum_is_pd(X.spectrum[0]) and spectrum_is_pd(partial_transpose(X).spectrum[0])
 
 
 def is_interior_of_S_sufficient(X: BipartiteMatrix) -> bool:
     """Sufficient interior test for the separable body (and, on Choi matrices,
-    the positive-map cone): off-diagonal entries within ROUNDOFF and diagonal
-    entries above CUTOFF, both times the largest entry.  False means
-    undecided, not "boundary"."""
+    the positive-map cone): off-diagonal entries within ROUNDOFF times the
+    largest entry and a positive definite diagonal.  False means undecided,
+    not "boundary"."""
     A = X.data
-    scale = float(np.max(np.abs(A)))
     off = A - np.diag(np.diag(A))
-    return bool(np.max(np.abs(off)) <= ROUNDOFF * scale
-                and np.all(np.diag(A).real > CUTOFF * scale))
+    return bool(np.max(np.abs(off)) <= ROUNDOFF * np.max(np.abs(A))) and spectrum_is_pd(np.diag(A).real)
 
 
 def _unit_kron(xi, eta):
@@ -352,14 +350,13 @@ def search_product_vector_in_subspace(
     the random coordinates and slices; restarts must be at least 1 and is
     otherwise unused.  The vector returned is the first one the solver
     enumerates, and it must meet the product-zero rule
-    <xi (x) eta| I - P |xi (x) eta> <= :func:`~pptgeo.seesaw.zero_level`
+    <xi (x) eta| I - P |xi (x) eta> <= :func:`~pptgeo.linalg.zero_level`
     of I - P, else NumericalError.  So is a span that needs a Macaulay matrix
     of more than 2**21 entries (a full 6 (x) 6 span does), even where any
     product vector would be an answer.
     """
     D = np.asarray(D, dtype=complex)
-    if (D.ndim != 2 or D.shape[0] != m * n
-            or not np.max(np.abs(D.conj().T @ D - np.eye(D.shape[1])), initial=0.0) <= ROUNDOFF):
+    if D.ndim != 2 or D.shape[0] != m * n or not has_orthonormal_columns(D):
         raise ValueError("D must have m*n rows of orthonormal columns")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -399,15 +396,6 @@ def _product_vectors(D: np.ndarray, m: int, n: int, rng: np.random.Generator) ->
         return []
     U, _, Vh = np.linalg.svd((B @ P).T.reshape(-1, m, n))
     return list(zip(U[:, :, 0], Vh[:, 0]))
-
-
-def _rank(s: np.ndarray) -> int:
-    """:func:`~pptgeo.linalg.spectrum_rank` of the singular values s next to
-    1, the scale of the matrices here: they are built from orthonormal bases,
-    and a vector's minors are at most its squared norm.  A Macaulay matrix
-    whose quadrics all vanish (a span of product vectors only) then has rank
-    0, not the rank of its rounding."""
-    return spectrum_rank(np.r_[1.0, s]) - 1
 
 
 #: The largest Macaulay matrix :func:`_points` builds (2**21 complex entries, 32 MiB).
@@ -486,12 +474,12 @@ def _points(B: np.ndarray, m: int, n: int, rng: np.random.Generator):
         cols = spread.shape[1]
         M = (quad @ fold)[:, spread].reshape(-1, cols)
         _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < cols)
-        r = _rank(s)
+        r = orthonormal_system_rank(s)
         if r == cols:
             return np.zeros((d, 0))
         S = Vh[r:].conj().T[shifts]  # S[k]: the null basis at c_k times each monomial of degree deg - 1
         U0, s0, V0h = np.linalg.svd(S[0], full_matrices=False)
-        if _rank(s0) == cols - r:
+        if orthonormal_system_rank(s0) == cols - r:
             # S[k] = S[0] T_k for T_k the multiplication by c_k / c_0, which
             # share one eigenbasis; a random combination of them separates the points
             Sr = np.tensordot(rng.normal(size=(d, 2)).view(complex)[:, 0], S, 1)

@@ -12,9 +12,9 @@ proves nothing.
 """
 import numpy as np
 
-from pptgeo.linalg import CUTOFF, hermitian_basis, numerical_rank
+from pptgeo.linalg import CUTOFF, hermitian_basis, numerical_rank, zero_level
 from pptgeo.maps import ChoiMap
-from pptgeo.seesaw import minimize, starts, zero_level
+from pptgeo.seesaw import minimize, starts
 from pptgeo.states import BipartiteMatrix, _pt
 
 

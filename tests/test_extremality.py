@@ -96,6 +96,15 @@ class TestFace:
         with pytest.raises(ValueError, match="not orthonormal"):
             FaceSpec(D * (1 + 5 * ROUNDOFF), D)
 
+    def test_zero_state_has_an_empty_face(self):
+        face = face_of(BipartiteMatrix(3, 3, np.zeros((9, 9))))
+        assert face.D.shape == face.E.shape == (9, 0)
+
+    def test_facespec_rejects_non_finite(self):
+        D = np.eye(9)[:, :3]
+        with pytest.raises(ValueError, match="not orthonormal"):
+            FaceSpec(D, np.where(D == 1, np.nan, D))
+
     def test_p_d_annihilates_kernel(self):
         for b, th in GENERIC:
             face = face_of(rho(b, th))

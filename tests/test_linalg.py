@@ -7,11 +7,15 @@ from numpy.testing import assert_allclose
 
 from pptgeo.linalg import (
     CUTOFF,
+    ROUNDOFF,
     as_hermitian,
+    has_orthonormal_columns,
     hermitian_basis,
     hermitian_to_real_vector,
     numerical_rank,
+    orthonormal_system_rank,
     range_mask,
+    spectrum_is_pd,
     spectrum_is_psd,
     spectrum_rank,
     unit_scaled,
@@ -310,6 +314,29 @@ class TestCutoff:
         s = 10.0**k
         assert spectrum_is_psd(s * np.array([1.0, -0.99 * CUTOFF]))
         assert not spectrum_is_psd(s * np.array([1.0, -1.01 * CUTOFF]))
+
+    @pytest.mark.parametrize("k", [-12, 0, 12])
+    def test_pd_switches_at_cutoff(self, k):
+        # in any order, and never for an all-zero spectrum
+        s = 10.0**k
+        assert spectrum_is_pd(s * np.array([1.01 * CUTOFF, 1.0]))
+        assert not spectrum_is_pd(s * np.array([1.0, 0.99 * CUTOFF]))
+        assert not spectrum_is_pd(s * np.array([1.0, -1.0]))
+        assert not spectrum_is_pd(np.zeros(2))
+
+    def test_orthonormal_system_rank_is_against_one(self):
+        # the scale is max(1, s[0]), so a system that is zero up to rounding has rank 0
+        assert orthonormal_system_rank(np.array([1e-3, 1.01 * CUTOFF])) == 2
+        assert orthonormal_system_rank(np.array([0.99 * CUTOFF])) == 0
+        assert orthonormal_system_rank(np.array([2.0, 1.5 * CUTOFF])) == 1
+        assert orthonormal_system_rank(np.zeros(0)) == 0
+
+    def test_orthonormal_columns_switch_at_roundoff(self):
+        D = np.eye(9)[:, :3]
+        assert has_orthonormal_columns(D * (1 + 0.25 * ROUNDOFF))
+        assert not has_orthonormal_columns(D * (1 + 5 * ROUNDOFF))
+        assert has_orthonormal_columns(np.zeros((9, 0)))
+        assert not has_orthonormal_columns(np.full((9, 1), np.nan))
 
     @pytest.mark.parametrize("k", [-12, 0, 12])
     def test_numerical_rank_switches_at_cutoff(self, k):

@@ -394,6 +394,17 @@ class TestBoundaryWitness:
                         missed.append((n, k, i))
         assert missed == []
 
+    def test_nothing_found_is_inconclusive(self, monkeypatch):
+        # five generic V's on 3 (x) 3: the form has rank 5 of 9, so the
+        # positive-definite proof does not apply, and the seesaw's best value
+        # stays near 3e-3 max|Q|, far above the zero level
+        rng = np.random.default_rng(0)
+        spec = DecomposableSpec(tuple(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(5)))
+        calls, minimize = [], pptgeo.seesaw.minimize
+        monkeypatch.setattr(pptgeo.seesaw, "minimize", lambda *args: calls.append(args) or minimize(*args))
+        assert boundary_witness_search(spec, restarts=50) is None
+        assert len(calls) == 1
+
     def test_zero_spec_is_a_witness(self):
         xi, eta, res = boundary_witness_search(DecomposableSpec((np.zeros((2, 3)),)), restarts=5)
         assert res == 0.0

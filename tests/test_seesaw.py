@@ -1,5 +1,6 @@
 """The batched product-vector seesaw against a plain per-restart loop."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ class TestNewtonStep:
             scale = np.max(np.abs(Q))
             assert np.max(np.abs(2 * g[0] - grad), initial=0) <= 1e-7 * scale
             assert np.max(np.abs(2 * H[0] - np.array(hess).reshape(H[0].shape)), initial=0) <= 1e-6 * scale
+
+    def test_model_memory_at_7x7(self):
+        # the model map covers only the entries of G the model reads, about
+        # (m + n)^2 of (mn)^2, so its memory grows as (m + n)^2 (mn)^2, not
+        # (mn)^4: about 21 MiB for 7 (x) 7
+        rng = np.random.default_rng(5)
+        Q = random_complement(7, 7, 20, rng)
+        Ux, U = random_frame(7, rng), random_frame(7, rng)
+        seesaw._model_map.cache_clear()
+        tracemalloc.start()
+        try:
+            _newton_model(Q, Ux, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("name,build", CASES, ids=[c[0] for c in CASES])
     def test_no_step_raises_the_value(self, name, build, monkeypatch):

@@ -423,6 +423,9 @@ class TestProductVectorSearch:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             search_product_vector_in_subspace(np.eye(4), 2, 2, restarts=restarts)
 
+    def test_empty_span_holds_none(self):
+        assert search_product_vector_in_subspace(np.zeros((9, 0)), 3, 3) is None
+
     def test_antisymmetric_subspace_empty(self):
         v = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
         found = search_product_vector_in_subspace(v[:, None], 2, 2, restarts=100)
