@@ -214,8 +214,10 @@ def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -
     over sampled unit product vectors, refined from the best sample by
     :func:`~pptgeo.seesaw.minimize` on that same form, built from the
     unit-scaled Choi matrix; the value is scaled back, and one past the
-    floating-point range is an error.  Deterministic per seed; a negative
-    value certifies non-positivity."""
+    floating-point range is an error.  Deterministic per seed; a value
+    below -ROUNDOFF times the largest entry of the Choi matrix (the form's
+    zero level, scaled back) certifies non-positivity, while a positive map
+    may read a little below 0 from rounding."""
     m, n = phi.m, phi.n
     C, e = unit_scaled(phi.choi.data)
     Q, (xi, eta) = C.reshape(m, n, m, n), seesaw.starts(samples, m, n, seed)

@@ -103,57 +103,47 @@ def _newton_model(Q, Ux, U):
 
     Returns (f, g, H) with f(z) = f + 2 g.z + z.H z + O(|z|^3) in the real
     coordinates z = s.view(float), (Re s_0, Im s_0, Re s_1, ...).  All three
-    are entries of Q in the product basis Ux (x) U, and g and H are a fixed
-    real-linear function of some of them, :func:`_model_map`."""
+    are entries of G, Q in the product basis Ux (x) U; each entry of g and H
+    is at most two of them with sign +-1, the selection :func:`_model_map`."""
     R, m = Ux.shape[:2]
     n = U.shape[1]
     W = (Ux[:, :, None, :, None] * U[:, None, :, None, :]).reshape(R, m * n, m * n)
     G = W.conj().swapaxes(1, 2) @ Q.reshape(m * n, m * n) @ W
-    coords, C = _model_map(m, n)
-    gH = G.view(float).reshape(R, -1)[:, coords] @ C
+    index, sign = _model_map(m, n)
+    gH = (G.view(float).reshape(R, -1)[:, index] * sign).sum(1)
     k = 2 * (m + n - 2)
     return G[:, 0, 0].real, gH[:, :k], gH[:, k:].reshape(R, k, k)
 
 
 @functools.cache
 def _model_map(m: int, n: int):
-    """(coords, C): the real coordinates of G that :func:`_newton_model`
-    reads, as indices into G.view(float).ravel(), and the real matrix C
-    taking them to the concatenated (g, H.ravel()), for G = Q in a product
-    basis (u_p (x) v_q at index p n + q, u_0 (x) v_0 = y).  They are those of
-    G at (0, 0), (M, 0) and (M, M), and in the rows Bx (x) Be at y: about
-    (m + n)^2 of the (mn)^2 entries.  C is built by assembling the model for
-    each of them at once.
+    """(index, sign), each (2, k + k^2) for k = 2 (m + n - 2) and read-only:
+    the concatenated (g, H.ravel()) of :func:`_newton_model` is
+    (Gr[:, index] * sign).sum(1) for Gr = G.view(float).reshape(R, -1), the
+    real coordinates of G = Q in a product basis (u_p (x) v_q at index
+    p n + q, u_0 (x) v_0 = y).  A sign 0 pads an entry that reads only one.
 
     With M = [Bx (x) e, x (x) Be] the complex model is
-    2 Re(h^dagger s) + s^dagger (M^dagger Q M - f) s + Re(s^T S s) for
-    h = M^dagger Q y and S = [[0, T], [T^T, 0]]: T = Bx^T conj(Q y) Be is the
-    complex-bilinear term of (Bx a) (x) (Be c), and conj(T) is the column of
-    G at y in the rows Bx (x) Be."""
-    d, k = m * n, m + n - 2
+    2 Re(h^dagger s) + s^dagger (Hc - f) s + Re(s^T S s) for h = G[M, 0],
+    Hc = G[M, M] and f = Re G[0, 0].  S_ij = conj(G[M_i + M_j, 0]) when
+    exactly one of s_i, s_j moves x, else 0, is the complex-bilinear term of
+    (Bx a) (x) (Be c).  z -> H z is s -> (Hc - f) s + conj(S s), so g holds
+    (Re h_i, Im h_i) and each (i, j) block of H is
+    [[Re(Hc+S), -Im(Hc+S)], [Im(Hc-S), Re(Hc-S)]], less f on the diagonal."""
+    d, k = m * n, 2 * (m + n - 2)
     M = np.r_[np.arange(1, m) * n, np.arange(1, n)]
-    read = np.zeros((d, d), dtype=bool)
-    read[0, 0] = read[M, 0] = read[M[:, None], M] = True
-    read.reshape(m, n, d)[1:, 1:, 0] = True
-    coords = np.flatnonzero(np.repeat(read.ravel(), 2))  # the two real coordinates of each entry read
-    G = np.zeros((len(coords), 2 * d * d))
-    G[np.arange(len(coords)), coords] = 1  # the rows of the identity at coords
-    G = G.view(complex).reshape(-1, d, d)
-    R = len(G)
-    Hc = np.ascontiguousarray(G[:, M[:, None], M])
-    S = np.zeros_like(Hc)
-    S[:, :m - 1, m - 1:] = G.reshape(R, m, n, m, n)[:, 1:, 1:, 0, 0].conj()
-    S += S.swapaxes(1, 2)
-    # z -> H z is s -> (Hc - f) s + conj(S s).  A complex matrix P acting on s
-    # has the real rows conj(P).view(float) and the imaginary rows
-    # (1j conj(P)).view(float); conj(S s) has the real part of S s and the
-    # imaginary part of -S s, so the real rows take Hc + S, the imaginary Hc - S.
-    P, N = (Hc + S).conj(), (Hc - S).conj()
-    H = np.stack([P.view(float), (1j * N).view(float)], 2).reshape(R, 2 * k, 2 * k)
-    H.reshape(R, -1)[:, ::2 * k + 1] -= G[:, :1, 0].real
-    C = np.concatenate([np.ascontiguousarray(G[:, M, 0]).view(float), H.reshape(R, -1)], 1)
-    coords.flags.writeable = C.flags.writeable = False
-    return coords, C
+    p, a = np.repeat(M, 2), np.arange(k) % 2  # z_r is the real (a = 0) or imaginary part of s at p
+    x = np.arange(k) < 2 * (m - 1)  # z_r moves x
+    cross = x[:, None] != x  # where S is read
+    off = a[:, None] ^ a  # each block reads imaginary parts off its diagonal
+    hc = 2 * (d * p[:, None] + p) + off  # G[M_i, M_j]
+    t = np.where(cross, 2 * d * (p[:, None] + p) + off, 0)  # G[M_i + M_j, 0], else f
+    index = np.stack([np.r_[2 * d * p + a, hc.ravel()], np.r_[np.zeros_like(p), t.ravel()]])
+    t_sign = np.where(cross, np.where(a[:, None] & a, -1.0, 1.0), -np.eye(k))  # -f on the diagonal
+    hc_sign = np.where(a[:, None] < a, -1.0, 1.0)
+    sign = np.stack([np.r_[np.ones(k), hc_sign.ravel()], np.r_[np.zeros(k), t_sign.ravel()]])
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
 
 
 def _newton_step(Q, Ux, U, A, mu, scale):

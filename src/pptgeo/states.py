@@ -87,6 +87,8 @@ class FaceSpec:
     E: np.ndarray
 
     def __post_init__(self):
+        if self.D.ndim != 2 or self.E.ndim != 2 or len(self.D) != len(self.E):
+            raise ValueError("D and E must be matrices with the same number of rows")
         for name, B in (("D", self.D), ("E", self.E)):
             if not has_orthonormal_columns(B):
                 raise ValueError(f"{name} columns are not orthonormal")
@@ -405,11 +407,14 @@ _MACAULAY_ENTRIES = 2**21
 @functools.cache
 def _minor_pairs(m: int, n: int):
     """Composite indices (a, b, c, e) with the 2x2 minor of rows i < i' and
-    columns j < j' equal to M_a M_b - M_c M_e, one entry per minor."""
+    columns j < j' equal to M_a M_b - M_c M_e, one entry per minor; read-only."""
     i, k = np.triu_indices(m, 1)
     j, l = np.triu_indices(n, 1)
     i, k, j, l = (np.repeat(i, len(j)), np.repeat(k, len(j)), np.tile(j, len(i)), np.tile(l, len(i)))
-    return i * n + j, k * n + l, i * n + l, k * n + j
+    pairs = i * n + j, k * n + l, i * n + l, k * n + j
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 @functools.cache

@@ -22,9 +22,12 @@ from pptgeo.linalg import (
     hermitian_to_real_vector,
     numerical_rank,
 )
+from pptgeo.seesaw import _model_map
 from pptgeo.states import (
     BipartiteMatrix,
     StateType,
+    _macaulay_plan,
+    _minor_pairs,
     combine,
     is_ppt,
     kernel_vectors_w,
@@ -104,6 +107,12 @@ class TestFace:
         D = np.eye(9)[:, :3]
         with pytest.raises(ValueError, match="not orthonormal"):
             FaceSpec(D, np.where(D == 1, np.nan, D))
+
+    def test_facespec_rejects_bases_of_different_spaces(self):
+        D = np.eye(9)[:, :3]
+        for E in (np.eye(4)[:, :2], np.ones(9) / 3):
+            with pytest.raises(ValueError, match="same number of rows"):
+                FaceSpec(D, E)
 
     def test_p_d_annihilates_kernel(self):
         for b, th in GENERIC:
@@ -316,7 +325,8 @@ class TestCachedSpectrum:
         X = rho(2, math.pi / 6)
         w, V = X.spectrum
         face = face_of(X)
-        for arr in (w, V, face.D, face.E, hermitian_basis(5)):
+        plans = (*_minor_pairs(3, 3), *_macaulay_plan(4, 3), *_model_map(3, 3))
+        for arr in (w, V, face.D, face.E, hermitian_basis(5), *plans):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

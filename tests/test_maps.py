@@ -444,6 +444,15 @@ class TestBlockPositivity:
         value = block_positivity_sample(phi, samples=600, seed=0)
         assert abs(value) <= ROUNDOFF * np.max(np.abs(phi.choi.data))
 
+    def test_positive_map_reads_zero_within_the_zero_level(self):
+        # X -> v^dagger X v with v all ones is positive, but its all-ones Choi
+        # matrix reads about -1e-15 from rounding: only a value below the zero
+        # level -ROUNDOFF max|C| certifies non-positivity
+        phi = decomposable_map(DecomposableSpec((np.ones((1, 4)),), ()))
+        level = ROUNDOFF * np.max(np.abs(phi.choi.data))
+        for samples, seed in itertools.product((5, 10000), range(3)):
+            assert abs(block_positivity_sample(phi, samples=samples, seed=seed)) <= level
+
     def test_value_out_of_range_is_numerical(self):
         # the minimum -9e308 of the all -1e308 Choi matrix is past the float range
         phi = ChoiMap(BipartiteMatrix(3, 3, -1e308 * np.ones((9, 9))))

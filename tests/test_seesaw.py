@@ -172,6 +172,7 @@ def tangent_value(Q, Ux, U, z):
 # forms on which the Newton model is checked, by name
 MODEL_FORMS = {
     "projector complement 3x3": lambda rng: random_complement(3, 3, 4, rng),
+    "projector complement 4x2": lambda rng: random_complement(4, 2, 3, rng),
     "witness 2x4": lambda rng: _pairing_form(trace_2n_plus_v(rng)),
     "Choi phi(pi/6, 1)": lambda rng: choi_form(phi_theta_t(math.pi / 6, 1.0)),
     "witness 1x3": lambda rng: _pairing_form(edge_spec(1, 3)),
@@ -202,13 +203,15 @@ class TestNewtonStep:
             assert np.max(np.abs(2 * g[0] - grad), initial=0) <= 1e-7 * scale
             assert np.max(np.abs(2 * H[0] - np.array(hess).reshape(H[0].shape)), initial=0) <= 1e-6 * scale
 
-    def test_model_memory_at_7x7(self):
-        # the model map covers only the entries of G the model reads, about
-        # (m + n)^2 of (mn)^2, so its memory grows as (m + n)^2 (mn)^2, not
-        # (mn)^4: about 21 MiB for 7 (x) 7
+    @pytest.mark.parametrize("m,n", [(7, 7), (9, 9), (2, 30)], ids=["7x7", "9x9", "2x30"])
+    def test_model_memory(self, m, n):
+        # each entry of (g, H) is at most two entries of G, so the model map is
+        # an index and a sign array of about 8 (m + n)^2 entries each and a
+        # first call stays far below 4 MiB, where a dense real-linear map of
+        # the entries read grows as (m + n)^4 (318 MiB at 2 (x) 30)
         rng = np.random.default_rng(5)
-        Q = random_complement(7, 7, 20, rng)
-        Ux, U = random_frame(7, rng), random_frame(7, rng)
+        Q = random_complement(m, n, 20, rng)
+        Ux, U = random_frame(m, rng), random_frame(n, rng)
         seesaw._model_map.cache_clear()
         tracemalloc.start()
         try:
@@ -216,7 +219,7 @@ class TestNewtonStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("name,build", CASES, ids=[c[0] for c in CASES])
     def test_no_step_raises_the_value(self, name, build, monkeypatch):
