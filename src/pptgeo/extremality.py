@@ -1,13 +1,16 @@
 """Extreme-point test for the PPT convex body, solved in face coordinates.
 
-A PPT state X determines the face given by the range D of X and the range E
-of its partial transpose.  X is an extreme point iff the real space of
-hermitian Z with Z supported on D and Z^Gamma supported on E is
-one-dimensional (Leinaas, Myrheim & Ovrum, PRA 76, 034304, 2007).  Writing
-Z = D H D^dagger with H hermitian on the p = dim D coordinates leaves one
-condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the complement
-of E (the kernel eigenvectors of X^Gamma); the intersection is the kernel of
-that real (2 mn (mn - q)) x p^2 system, whose singular values give its
+A PPT state X of type (p, q) determines the face given by the range D of X
+and the range E of its partial transpose.  X is an extreme point iff the real
+space of hermitian Z with Z supported on D and Z^Gamma supported on E is
+one-dimensional (Leinaas, Myrheim & Ovrum, PRA 76, 034304, 2007).  Z -> Z^Gamma
+maps that space one-to-one onto the same space for X^Gamma, whose ranges are
+E and D, so the system is posed for Y, the one of X and X^Gamma with the
+smaller range (X when p <= q).  Writing Z = D H D^dagger, with D the range
+basis of Y and H hermitian on its min(p, q) coordinates, leaves one
+condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the kernel of
+Y^Gamma; the intersection is the kernel of that real
+(2 mn (mn - max(p, q))) x min(p, q)^2 system, whose singular values give its
 dimension.  X lies in its own face, so an extreme X is its own generator.
 """
 from __future__ import annotations
@@ -59,21 +62,26 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
         raise ValueError("the zero matrix has no extremality report")
     face = face_of(X)
     p, q = face.D.shape[1], face.E.shape[1]
-    # F, the complement of E, is the kernel half of the same cached spectrum.
-    (wX, _), (wT, V) = X.spectrum, partial_transpose(X).spectrum
+    # The system is posed for Y, whichever of X and X^Gamma has the smaller
+    # range D (see the module docstring); Y^Gamma is the other one, and F,
+    # the complement of its range, is the kernel half of its cached spectrum.
+    Y, YT = (X, partial_transpose(X)) if p <= q else (partial_transpose(X), X)
+    D = face.D if p <= q else face.E
+    (w, _), (wT, V) = Y.spectrum, YT.spectrum
+    r = min(p, q)
     F = V[:, ~range_mask(wT)]
-    Z = face.D @ hermitian_basis(p) @ face.D.conj().T
+    Z = D @ hermitian_basis(r) @ D.conj().T
     W = F.conj().T @ _pt(Z, X.m, X.n)
-    M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T
-    # D, F and the Herm(p) basis are orthonormal, so ||M|| <= 1.
-    dim = p * p - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
-    # X's coordinates c_k = Tr(Z_k U) = Tr(B_k D^dagger U D), U = X 2^-e, give
+    M = np.concatenate([W.real, W.imag], axis=1).reshape(r * r, -1).T
+    # D, F and the Herm(r) basis are orthonormal, so ||M|| <= 1.
+    dim = r * r - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
+    # Y's coordinates c_k = Tr(Z_k U) = Tr(B_k D^dagger U D), U = Y 2^-e, give
     # M c = [Re; Im] F^dagger (P_D U P_D)^Gamma: nonzero only by the eigenvalues
     # range_mask drops from U and from U^Gamma (a partial transpose keeps the
     # Frobenius norm), scaled before the norm so that it cannot overflow.
-    U, e = unit_scaled(X.data)
-    c = (Z.reshape(p * p, -1) @ U.T.ravel()).real
-    slack = sum(np.linalg.norm(np.ldexp(w[~range_mask(w)], -e)) for w in (wX, wT))
+    U, e = unit_scaled(Y.data)
+    c = (Z.reshape(r * r, -1) @ U.T.ravel()).real
+    slack = sum(np.linalg.norm(np.ldexp(v[~range_mask(v)], -e)) for v in (w, wT))
     if np.linalg.norm(M @ c) > slack + ROUNDOFF * np.linalg.norm(c):
         raise NumericalError("the state is not in its own face system")
     return ExtremalityReport(p * p, q * q, dim, dim == 1, normalize(X) if dim == 1 else None)

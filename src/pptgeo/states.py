@@ -10,6 +10,7 @@ import enum
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -418,11 +419,11 @@ def _minor_pairs(m: int, n: int):
 
 
 @functools.cache
-def _monomials(d: int, deg: int) -> dict:
+def _monomials(d: int, deg: int) -> types.MappingProxyType:
     """{exponent tuple: column} for the monomials of degree deg in d
-    variables, in lexicographic order, so that c_0^deg comes first."""
-    return {tuple(np.bincount(t, minlength=d)): i
-            for i, t in enumerate(itertools.combinations_with_replacement(range(d), deg))}
+    variables, in lexicographic order, so that c_0^deg comes first; read-only."""
+    return types.MappingProxyType({tuple(np.bincount(t, minlength=d)): i for i, t in
+                                   enumerate(itertools.combinations_with_replacement(range(d), deg))})
 
 
 @functools.cache

@@ -4,7 +4,8 @@ used only by tests.
 phi_D and phi_E are the 81-dimensional operators on all of Herm(9) whose
 kernels are the hermitian matrices supported on a face's two ranges; the
 kernel dimension of is_extreme_in_T is checked against the intersection of
-their kernels.  Rank and kernel cuts use the package's CUTOFF.  choi_of
+their kernels, and against d_side_face_dim, the face system always posed on
+the range of X.  Rank and kernel cuts use the package's CUTOFF.  choi_of
 builds a Choi matrix one matrix unit at a time, from a map's action.
 seesaw_product_vector_search is the multi-start seesaw that searched a
 subspace for a product vector before the Macaulay solver; a None from it
@@ -12,7 +13,7 @@ proves nothing.
 """
 import numpy as np
 
-from pptgeo.linalg import CUTOFF, hermitian_basis, numerical_rank, zero_level
+from pptgeo.linalg import CUTOFF, hermitian_basis, numerical_rank, orthonormal_system_rank, zero_level
 from pptgeo.maps import ChoiMap
 from pptgeo.seesaw import minimize, starts
 from pptgeo.states import BipartiteMatrix, _pt
@@ -29,14 +30,36 @@ def numerical_kernel(M: np.ndarray) -> np.ndarray:
     return Vh[nkeep:].conj().T
 
 
-def eigh_oracle(H: np.ndarray):
-    """(smallest eigenvalue, PSD verdict, rank, range projector, kernel
-    projector) of a hermitian matrix, from one np.linalg.eigh and the CUTOFF
-    rule written out again, not from a package spectrum."""
+def _eigh_split(H: np.ndarray):
+    """(ascending eigenvalues, CUTOFF, range columns, kernel columns) of a
+    hermitian matrix, from one np.linalg.eigh and the CUTOFF rule written out
+    again, not from a package spectrum."""
     w, V = np.linalg.eigh(H)
     cut = CUTOFF * np.max(np.abs(w))
-    R, K = V[:, np.abs(w) > cut], V[:, np.abs(w) <= cut]
+    return w, cut, V[:, np.abs(w) > cut], V[:, np.abs(w) <= cut]
+
+
+def eigh_oracle(H: np.ndarray):
+    """(smallest eigenvalue, PSD verdict, rank, range projector, kernel
+    projector) of a hermitian matrix."""
+    w, cut, R, K = _eigh_split(H)
     return w[0], bool(w[0] >= -cut), R.shape[1], R @ R.conj().T, K @ K.conj().T
+
+
+def d_side_face_dim(X: BipartiteMatrix) -> int:
+    """The face-intersection dimension of a PPT state of type (p, q), from the
+    system on the range D of X whatever p and q are: Z = D H D^dagger over
+    the hermitian H on p coordinates, and F^dagger Z^Gamma = 0 for the kernel
+    F of X^Gamma, a real (2 mn (mn - q)) x p^2 matrix read by the package's
+    singular-value rule.  D and F come from _eigh_split."""
+    m, n = X.m, X.n
+    D = _eigh_split(X.data)[2]
+    F = _eigh_split(_pt(X.data, m, n))[3]
+    p = D.shape[1]
+    Z = D @ hermitian_basis(p) @ D.conj().T
+    W = F.conj().T @ _pt(Z, m, n)
+    M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T
+    return p * p - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
 
 
 def _operator(f, dim: int) -> np.ndarray:

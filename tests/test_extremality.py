@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pptgeo.extremality as extremality
-from oracles import eigh_oracle, kernel_intersection_dim_oracle, phi_D_operator, phi_E_operator
+from oracles import (
+    d_side_face_dim,
+    eigh_oracle,
+    kernel_intersection_dim_oracle,
+    phi_D_operator,
+    phi_E_operator,
+)
 from pptgeo.extremality import (
     FaceSpec,
     appendix_basis_X,
@@ -66,6 +72,19 @@ def oracle_states():
         X = random_separable(rng, rank)
         states += [BipartiteMatrix(3, 3, X.data * 10.0**e) for e in (-6, 6)]
     return states + [BipartiteMatrix(X.m, X.n, X.data.conj()) for X in states]
+
+
+def grid_states():
+    """Both families on the paper's 5 x 24 (b, theta) grid."""
+    return [family(b, k * math.pi / 12) for family in (rho, sigma)
+            for b in (0.25, 0.5, 1.0, 2.0, 4.0) for k in range(24)]
+
+
+def near_boundary_states():
+    """Both families at b = 2 and theta = pi/3 +- g, where the type is a
+    cutoff decision for the smallest g."""
+    return [family(2, math.pi / 3 + sign * g) for family in (rho, sigma)
+            for g in (1e-6, 1e-9, 1e-11, 1e-13) for sign in (1, -1)]
 
 
 def pt_oracle(X):
@@ -187,6 +206,21 @@ class TestExtremality:
             else:
                 assert rep.generator is None
 
+    def test_smaller_range_matches_d_side_oracle(self):
+        # is_extreme_in_T poses sigma's system, type (8, 6), on the range of
+        # sigma^Gamma; sigma^Gamma, type (6, 8), runs the p < q side.  X and
+        # X^Gamma have the same intersection with the kernel dims swapped.
+        states = grid_states() + near_boundary_states()
+        types = [state_type(X) for X in states]
+        states += [partial_transpose(X) for X, t in zip(states, types) if t.q < t.p]
+        assert len(states) == 240 + 16 + 128
+        for X in states:
+            rep = is_extreme_in_T(X)
+            assert rep.dim_intersection == d_side_face_dim(X)
+            rep_t = is_extreme_in_T(partial_transpose(X))
+            assert (rep_t.dim_ker_D, rep_t.dim_ker_E, rep_t.dim_intersection) == \
+                (rep.dim_ker_E, rep.dim_ker_D, rep.dim_intersection)
+
     def test_sigma_not_extreme(self):
         rep = is_extreme_in_T(sigma(2, math.pi / 6))
         assert not rep.is_extreme
@@ -237,14 +271,21 @@ class TestExtremality:
         # Transposing the second factor instead of the first builds a face
         # system that X does not satisfy; the dimensions it gives (0 for the
         # first two states, 12 for sigma(2, pi/3)) must not be reported.
+        # sigma's system is posed on the range of sigma^Gamma, and there the
+        # corruption (the entrywise conjugate) reads conj(F) for the kernel F
+        # of sigma.  F is real on the zero arc and at pi, where the corrupted
+        # system is the true one and reports the true dimensions; on the
+        # plus and minus arcs it raises.
         def pt_second_factor(Z, m, n):
             return Z.reshape(-1, m, n, m, n).transpose(0, 1, 4, 3, 2).reshape(Z.shape)
 
         monkeypatch.setattr(extremality, "_pt", pt_second_factor)
         for X in (rho(1, math.pi / 3), product_state([1, 1j, 0.5], [2, -1, 1j]),
-                  sigma(2, math.pi / 3), rho(2, math.pi / 6), sigma(2, math.pi / 6)):
+                  sigma(2, math.pi / 3), rho(2, math.pi / 6), sigma(2, 5 * math.pi / 6)):
             with pytest.raises(NumericalError, match="not in its own face system"):
                 is_extreme_in_T(X)
+        rep = is_extreme_in_T(sigma(2, math.pi / 6))
+        assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == (64, 36, 19)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix"):
@@ -289,16 +330,17 @@ class TestCachedSpectrum:
             assert partial_transpose(X) is partial_transpose(X)
 
     def test_singular_vectors_and_faces_per_grid_state(self, monkeypatch):
-        """One SVD per state, singular values only: every grid state and the
-        near-boundary states read their dimension from the values, and the
-        generator of an extreme state is the state itself.  The face is
-        built and checked once per state, by face_of, and reused by
-        is_extreme_in_T."""
-        with_vectors, faces = [], []
+        """One SVD per state, singular values only, of the system on the
+        smaller range: every grid state and the near-boundary states read
+        their dimension from the values, and the generator of an extreme
+        state is the state itself.  The face is built and checked once per
+        state, by face_of, and reused by is_extreme_in_T."""
+        with_vectors, shapes, faces = [], [], []
         svd, post_init = np.linalg.svd, FaceSpec.__post_init__
 
         def counted_svd(*args, **kwargs):
             with_vectors.append(kwargs.get("compute_uv", True))
+            shapes.append(args[0].shape)
             return svd(*args, **kwargs)
 
         def counted_face(face):
@@ -307,19 +349,19 @@ class TestCachedSpectrum:
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(FaceSpec, "__post_init__", counted_face)
-        grid = [family(b, k * math.pi / 12) for family in (rho, sigma)
-                for b in (0.25, 0.5, 1.0, 2.0, 4.0) for k in range(24)]
-        near = [family(2, math.pi / 3 + eps) for family in (rho, sigma) for eps in (1e-9, 1e-11)]
-        for X in grid + near:
+        for X in grid_states() + near_boundary_states():
             with_vectors.clear()
+            shapes.clear()
             faces.clear()
             is_ppt(X)
-            state_type(X)
+            t = state_type(X)
             face = face_of(X)
             is_extreme_in_T(X)
             assert face_of(X) is face
             assert len(faces) == 1
             assert with_vectors == [False]
+            # the system is posed on the smaller range
+            assert shapes == [(2 * 9 * (9 - max(t.p, t.q)), min(t.p, t.q) ** 2)]
 
     def test_cached_arrays_read_only(self):
         X = rho(2, math.pi / 6)

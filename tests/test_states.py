@@ -12,6 +12,7 @@ from pptgeo.states import (
     Arc,
     BipartiteMatrix,
     StateType,
+    _monomials,
     _product_vectors,
     _pt,
     arc_of,
@@ -508,6 +509,13 @@ class TestProductVectorSearch:
     def test_too_large_a_system_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="too large"):
             search_product_vector_in_subspace(np.eye(36), 6, 6)
+
+    def test_cached_monomial_table_read_only(self):
+        # the table is shared by every later call with the same (d, deg)
+        table = _monomials(4, 3)
+        with pytest.raises(TypeError):
+            table[(3, 0, 0, 0)] = 1
+        assert table[(3, 0, 0, 0)] == 0 and _monomials(4, 3) is table
 
 
 def test_search_agrees_with_the_seesaw_oracle_on_the_grid():
