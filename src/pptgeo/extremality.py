@@ -16,6 +16,7 @@ dimension.  X lies in its own face, so an extreme X is its own generator.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from .linalg import (
     ROUNDOFF,
-    as_hermitian,
     hermitian_basis,
     NumericalError,
     hermitian_to_real_vector,
@@ -87,12 +87,6 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     return ExtremalityReport(p * p, q * q, dim, dim == 1, normalize(X) if dim == 1 else None)
 
 
-def _E(i: int, j: int) -> np.ndarray:
-    M = np.zeros((9, 9), dtype=complex)
-    M[i - 1, j - 1] = 1.0
-    return M
-
-
 def _check_appendix_b(b: float) -> None:
     """b > 0, and NumericalError unless b^2 and 1/b^2, held by the bases, are finite."""
     if b <= 0:
@@ -101,125 +95,135 @@ def _check_appendix_b(b: float) -> None:
         raise NumericalError(f"appendix basis out of floating-point range at b={b!r}")
 
 
-def appendix_basis_X(b: float, theta: float) -> list[np.ndarray]:
-    """The 25 hermitian matrices spanning ker(phi_D) for the face of
-    rho(b, theta), materialized from their matrix-unit expressions."""
-    _check_appendix_b(b)
+# The appendix bases at the face of rho(b, theta) as term tables, one string
+# per basis element and one term per nonzero entry.  The term "rc<coefficient>"
+# puts the coefficient at row r, column c (1-based, the paper's E(r, c)).  A
+# coefficient is a sign, an optional i and a product (*) or quotient (/) of
+# 1, e = e^{i theta}, ec = e^{-i theta}, their squares e2 and ec2, b and b2.
+_X_TERMS = (
+    "11+1 55+1 15-1 51-1",
+    "11+1 99+1 19-1 91-1",
+    "55+1 99+1 59-1 95-1",
+    "19+i 15-i 59-i 91-i 51+i 95+i",
+    "24+ec 42+e 44-b 22-1/b",
+    "68+ec 86+e 88-b 66-1/b",
+    "73+ec 37+e 33-b 77-1/b",
+    "29+ec 21-ec 92+e 12-e 14+b 41+b 49-b 94-b",
+    "71+ec 75-ec 17+e 57-e 35+b 53+b 13-b 31-b",
+    "79+ec 71-ec 97+e 17-e 13+b 31+b 39-b 93-b",
+    "61+ec 65-ec 16+e 56-e 58+b 85+b 18-b 81-b",
+    "69+ec 61-ec 96+e 16-e 18+b 81+b 89-b 98-b",
+    # Signs on the (2,5)/(5,2) couplings must oppose the (2,1)/(1,2)
+    # ones, or the matrix fails to annihilate the face's kernel vectors.
+    "21-ec 25+ec 12-e 52+e 14+b 41+b 45-b 54-b",
+    "13+ec 53-ec 31+e 35-e 57+1/b 75+1/b 17-1/b 71-1/b",
+    "13+ec 93-ec 31+e 39-e 97+1/b 79+1/b 17-1/b 71-1/b",
+    "14+ec 54-ec 41+e 45-e 25+1/b 52+1/b 12-1/b 21-1/b",
+    "14+ec 94-ec 41+e 49-e 29+1/b 92+1/b 12-1/b 21-1/b",
+    "18+ec 98-ec 81+e 89-e 69+1/b 96+1/b 16-1/b 61-1/b",
+    "58+ec 18-ec 85+e 81-e 16+1/b 61+1/b 56-1/b 65-1/b",
+    "63+ec 78+ec 36+e 87+e 38-b 83-b 67-1/b 76-1/b",
+    "23-ec 74-ec 32-e 47-e 34+b 43+b 27+1/b 72+1/b",
+    "28-ec 64-ec 82-e 46-e 48+b 84+b 26+1/b 62+1/b",
+    "67+ec 83+ec*b2 63-ec2*b 76+e 38+e*b2 36-e2*b 78-b 87-b",
+    "48+ec 26+ec/b2 28-ec2/b 84+e 62+e/b2 82-e2/b 46-1/b 64-1/b",
+    "43-ec 27-ec/b2 23+ec2/b 34-e 72-e/b2 32+e2/b 47+1/b 74+1/b",
+)
+_Y_TERMS = (
+    "11+1 55+1 24-1 42-1",
+    "11+1 99+1 37-1 73-1",
+    "55+1 99+1 68-1 86-1",
+    "37+i 42+i 86+i 73-i 24-i 68-i",
+    "19+ec 91+e 33-b 77-1/b",
+    "51+ec 15+e 44-b 22-1/b",
+    "95+ec 59+e 88-b 66-1/b",
+    "21+ec 83-ec 12+e 38-e 67+b 76+b 14-b 41-b",
+    "21+ec 52-ec 12+e 25-e 45+b 54+b 14-b 41-b",
+    "34+ec 65-ec 43+e 56-e 58+b 85+b 27-b 72-b",
+    "34+ec 96-ec 43+e 69-e 89+b 98+b 27-b 72-b",
+    "48+ec 17-ec 84+e 71-e 13+b 31+b 26-b 62-b",
+    "79+ec 17-ec 97+e 71-e 13+b 31+b 39-b 93-b",
+    "26+ec 13-ec 62+e 31-e 17+1/b 71+1/b 48-1/b 84-1/b",
+    "39+ec 13-ec 93+e 31-e 17+1/b 71+1/b 79-1/b 97-1/b",
+    "41+ec 54-ec 14+e 45-e 25+1/b 52+1/b 12-1/b 21-1/b",
+    "67+ec 41-ec 76+e 14-e 12+1/b 21+1/b 38-1/b 83-1/b",
+    "72+ec 85-ec 27+e 58-e 56+1/b 65+1/b 34-1/b 43-1/b",
+    "72+ec 98-ec 27+e 89-e 69+1/b 96+1/b 34-1/b 43-1/b",
+    "36+ec 78+ec 63+e 87+e 29-b 92-b 49-1/b 94-1/b",
+    "64-ec 82-ec 46-e 28-e 57+b 75+b 35+1/b 53+1/b",
+    "36+ec2*b 94-ec 29-ec*b2 63+e2*b 49-e 92-e*b2 78+b 87+b",
+    "82+ec2/b 53-ec/b2 75-ec 28+e2/b 35-e/b2 57-e 46+1/b 64+1/b",
+    "23+ec2 16-ec*b 81-ec/b 32+e2 61-e*b 18-e/b 47+1 74+1",
+    "47+ec2 61-ec*b 18-ec/b 74+e2 16-e*b 81-e/b 23+1 32+1",
+)
+
+# A coefficient's sign and i as an index into _UNIT_VALUES, and each factor
+# as its (e exponent, b exponent).
+_UNITS = {"+": 0, "-": 1, "+i": 2, "-i": 3}
+_FACTORS = {"1": (0, 0), "e": (1, 0), "ec": (-1, 0), "e2": (2, 0), "ec2": (-2, 0), "b": (0, 1), "b2": (0, 2)}
+
+
+def _term_table(elements):
+    """(element, row, column, code) read-only index arrays of a term table;
+    code indexes the vector of :func:`_coefficients`."""
+    rows = []
+    for k, terms in enumerate(elements):
+        for term in terms.split():
+            unit, product = re.fullmatch(r"\d\d([+-]i?)(.*)", term).groups()
+            ke = kb = 0
+            for op, name in re.findall(r"([*/]?)(\w+)", product or "1"):
+                de, db = _FACTORS[name]
+                sign = -1 if op == "/" else 1
+                ke, kb = ke + sign * de, kb + sign * db
+            code = (5 * _UNITS[unit] + ke + 2) * 5 + kb + 2
+            rows.append((k, int(term[0]) - 1, int(term[1]) - 1, code))
+    table = tuple(np.array(rows).T)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+_X_TABLE, _Y_TABLE = _term_table(_X_TERMS), _term_table(_Y_TERMS)
+_UNIT_VALUES = np.array([1, -1, 1j, -1j])
+
+
+def _coefficients(b: float, theta: float) -> np.ndarray:
+    """The 100 values u e^{ik theta} b^j, for u in (1, -1, i, -i) and k, j in
+    -2..2, at code (5 u + k + 2) 5 + j + 2.  e^{+-2i theta} b^j is taken as
+    e^{+-i theta} (b^j e^{+-i theta}), the order of the printed formulas, and
+    each u is applied last, so a coefficient and its conjugate partner are
+    exact conjugates up to the sign of a zero: every matrix is hermitian."""
     e = np.exp(1j * theta)
     ec = np.conj(e)
-    E = _E
-    xs = [
-        E(1, 1) + E(5, 5) - E(1, 5) - E(5, 1),
-        E(1, 1) + E(9, 9) - E(1, 9) - E(9, 1),
-        E(5, 5) + E(9, 9) - E(5, 9) - E(9, 5),
-        1j * (E(1, 9) - E(1, 5) - E(5, 9)) - 1j * (E(9, 1) - E(5, 1) - E(9, 5)),
-        ec * E(2, 4) + e * E(4, 2) - b * E(4, 4) - (1 / b) * E(2, 2),
-        ec * E(6, 8) + e * E(8, 6) - b * E(8, 8) - (1 / b) * E(6, 6),
-        ec * E(7, 3) + e * E(3, 7) - b * E(3, 3) - (1 / b) * E(7, 7),
-        ec * (E(2, 9) - E(2, 1)) + e * (E(9, 2) - E(1, 2))
-        + b * (E(1, 4) + E(4, 1) - E(4, 9) - E(9, 4)),
-        ec * (E(7, 1) - E(7, 5)) + e * (E(1, 7) - E(5, 7))
-        + b * (E(3, 5) + E(5, 3) - E(1, 3) - E(3, 1)),
-        ec * (E(7, 9) - E(7, 1)) + e * (E(9, 7) - E(1, 7))
-        + b * (E(1, 3) + E(3, 1) - E(3, 9) - E(9, 3)),
-        ec * (E(6, 1) - E(6, 5)) + e * (E(1, 6) - E(5, 6))
-        + b * (E(5, 8) + E(8, 5) - E(1, 8) - E(8, 1)),
-        ec * (E(6, 9) - E(6, 1)) + e * (E(9, 6) - E(1, 6))
-        + b * (E(1, 8) + E(8, 1) - E(8, 9) - E(9, 8)),
-        # Signs on the (2,5)/(5,2) couplings must oppose the (2,1)/(1,2)
-        # ones, or the matrix fails to annihilate the face's kernel vectors.
-        -ec * (E(2, 1) - E(2, 5)) - e * (E(1, 2) - E(5, 2))
-        + b * (E(1, 4) + E(4, 1) - E(4, 5) - E(5, 4)),
-        ec * (E(1, 3) - E(5, 3)) + e * (E(3, 1) - E(3, 5))
-        + (1 / b) * (E(5, 7) + E(7, 5) - E(1, 7) - E(7, 1)),
-        ec * (E(1, 3) - E(9, 3)) + e * (E(3, 1) - E(3, 9))
-        + (1 / b) * (E(9, 7) + E(7, 9) - E(1, 7) - E(7, 1)),
-        ec * (E(1, 4) - E(5, 4)) + e * (E(4, 1) - E(4, 5))
-        + (1 / b) * (E(2, 5) + E(5, 2) - E(1, 2) - E(2, 1)),
-        ec * (E(1, 4) - E(9, 4)) + e * (E(4, 1) - E(4, 9))
-        + (1 / b) * (E(2, 9) + E(9, 2) - E(1, 2) - E(2, 1)),
-        ec * (E(1, 8) - E(9, 8)) + e * (E(8, 1) - E(8, 9))
-        + (1 / b) * (E(6, 9) + E(9, 6) - E(1, 6) - E(6, 1)),
-        ec * (E(5, 8) - E(1, 8)) + e * (E(8, 5) - E(8, 1))
-        + (1 / b) * (E(1, 6) + E(6, 1) - E(5, 6) - E(6, 5)),
-        ec * (E(6, 3) + E(7, 8)) + e * (E(3, 6) + E(8, 7))
-        - b * (E(3, 8) + E(8, 3)) - (1 / b) * (E(6, 7) + E(7, 6)),
-        -ec * (E(2, 3) + E(7, 4)) - e * (E(3, 2) + E(4, 7))
-        + b * (E(3, 4) + E(4, 3)) + (1 / b) * (E(2, 7) + E(7, 2)),
-        -ec * (E(2, 8) + E(6, 4)) - e * (E(8, 2) + E(4, 6))
-        + b * (E(4, 8) + E(8, 4)) + (1 / b) * (E(2, 6) + E(6, 2)),
-        ec * (E(6, 7) + b**2 * E(8, 3) - b * ec * E(6, 3))
-        + e * (E(7, 6) + b**2 * E(3, 8) - b * e * E(3, 6))
-        - b * (E(7, 8) + E(8, 7)),
-        ec * (E(4, 8) + (1 / b**2) * E(2, 6) - (1 / b) * ec * E(2, 8))
-        + e * (E(8, 4) + (1 / b**2) * E(6, 2) - (1 / b) * e * E(8, 2))
-        - (1 / b) * (E(4, 6) + E(6, 4)),
-        -ec * (E(4, 3) + (1 / b**2) * E(2, 7) - (1 / b) * ec * E(2, 3))
-        - e * (E(3, 4) + (1 / b**2) * E(7, 2) - (1 / b) * e * E(3, 2))
-        + (1 / b) * (E(4, 7) + E(7, 4)),
-    ]
-    return list(as_hermitian(xs))
+    once = np.array([[ec], [1], [e]]) * np.array([1 / (b * b), 1 / b, 1, b, b * b])
+    phased = np.concatenate([ec * once[:1], once, e * once[2:]])
+    return (_UNIT_VALUES[:, None, None] * phased).ravel()
+
+
+def _appendix_basis(table, b: float, theta: float) -> list[np.ndarray]:
+    """The 25 matrices of a term table at (b, theta), scattered at once."""
+    _check_appendix_b(b)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    element, row, col, code = table
+    out = np.zeros((25, 9, 9), dtype=complex)
+    out[element, row, col] = _coefficients(b, theta)[code]
+    return list(out)
+
+
+def appendix_basis_X(b: float, theta: float) -> list[np.ndarray]:
+    """The 25 hermitian matrices spanning ker(phi_D) for the face of
+    rho(b, theta), built from the term table ``_X_TERMS``."""
+    return _appendix_basis(_X_TABLE, b, theta)
 
 
 def appendix_basis_Y(b: float, theta: float) -> list[np.ndarray]:
     """The hermitian matrices listed for ker(phi_E) at the face of
-    rho(b, theta).  The source list repeats two entries verbatim; the repeats
-    are dropped, leaving 25 distinct formulas.  The achieved span dimension is
-    what :func:`basis_span_rank` reports, not an assumption."""
-    _check_appendix_b(b)
-    e = np.exp(1j * theta)
-    ec = np.conj(e)
-    E = _E
-    ys = [
-        E(1, 1) + E(5, 5) - E(2, 4) - E(4, 2),
-        E(1, 1) + E(9, 9) - E(3, 7) - E(7, 3),
-        E(5, 5) + E(9, 9) - E(6, 8) - E(8, 6),
-        1j * (E(3, 7) + E(4, 2) + E(8, 6)) - 1j * (E(7, 3) + E(2, 4) + E(6, 8)),
-        ec * E(1, 9) + e * E(9, 1) - b * E(3, 3) - (1 / b) * E(7, 7),
-        ec * E(5, 1) + e * E(1, 5) - b * E(4, 4) - (1 / b) * E(2, 2),
-        ec * E(9, 5) + e * E(5, 9) - b * E(8, 8) - (1 / b) * E(6, 6),
-        ec * (E(2, 1) - E(8, 3)) + e * (E(1, 2) - E(3, 8))
-        + b * (E(6, 7) + E(7, 6) - E(1, 4) - E(4, 1)),
-        ec * (E(2, 1) - E(5, 2)) + e * (E(1, 2) - E(2, 5))
-        + b * (E(4, 5) + E(5, 4) - E(1, 4) - E(4, 1)),
-        ec * (E(3, 4) - E(6, 5)) + e * (E(4, 3) - E(5, 6))
-        + b * (E(5, 8) + E(8, 5) - E(2, 7) - E(7, 2)),
-        ec * (E(3, 4) - E(9, 6)) + e * (E(4, 3) - E(6, 9))
-        + b * (E(8, 9) + E(9, 8) - E(2, 7) - E(7, 2)),
-        ec * (E(4, 8) - E(1, 7)) + e * (E(8, 4) - E(7, 1))
-        + b * (E(1, 3) + E(3, 1) - E(2, 6) - E(6, 2)),
-        ec * (E(7, 9) - E(1, 7)) + e * (E(9, 7) - E(7, 1))
-        + b * (E(1, 3) + E(3, 1) - E(3, 9) - E(9, 3)),
-        ec * (E(2, 6) - E(1, 3)) + e * (E(6, 2) - E(3, 1))
-        + (1 / b) * (E(1, 7) + E(7, 1) - E(4, 8) - E(8, 4)),
-        ec * (E(3, 9) - E(1, 3)) + e * (E(9, 3) - E(3, 1))
-        + (1 / b) * (E(1, 7) + E(7, 1) - E(7, 9) - E(9, 7)),
-        ec * (E(4, 1) - E(5, 4)) + e * (E(1, 4) - E(4, 5))
-        + (1 / b) * (E(2, 5) + E(5, 2) - E(1, 2) - E(2, 1)),
-        ec * (E(6, 7) - E(4, 1)) + e * (E(7, 6) - E(1, 4))
-        + (1 / b) * (E(1, 2) + E(2, 1) - E(3, 8) - E(8, 3)),
-        ec * (E(7, 2) - E(8, 5)) + e * (E(2, 7) - E(5, 8))
-        + (1 / b) * (E(5, 6) + E(6, 5) - E(3, 4) - E(4, 3)),
-        ec * (E(7, 2) - E(9, 8)) + e * (E(2, 7) - E(8, 9))
-        + (1 / b) * (E(6, 9) + E(9, 6) - E(3, 4) - E(4, 3)),
-        ec * (E(3, 6) + E(7, 8)) + e * (E(6, 3) + E(8, 7))
-        - b * (E(2, 9) + E(9, 2)) - (1 / b) * (E(4, 9) + E(9, 4)),
-        -ec * (E(6, 4) + E(8, 2)) - e * (E(4, 6) + E(2, 8))
-        + b * (E(5, 7) + E(7, 5)) + (1 / b) * (E(3, 5) + E(5, 3)),
-        ec * (b * ec * E(3, 6) - E(9, 4) - b**2 * E(2, 9))
-        + e * (b * e * E(6, 3) - E(4, 9) - b**2 * E(9, 2))
-        + b * (E(7, 8) + E(8, 7)),
-        ec * ((ec / b) * E(8, 2) - (1 / b**2) * E(5, 3) - E(7, 5))
-        + e * ((e / b) * E(2, 8) - (1 / b**2) * E(3, 5) - E(5, 7))
-        + (1 / b) * (E(4, 6) + E(6, 4)),
-        ec * (ec * E(2, 3) - b * E(1, 6) - (1 / b) * E(8, 1))
-        + e * (e * E(3, 2) - b * E(6, 1) - (1 / b) * E(1, 8))
-        + (E(4, 7) + E(7, 4)),
-        ec * (ec * E(4, 7) - b * E(6, 1) - (1 / b) * E(1, 8))
-        + e * (e * E(7, 4) - b * E(1, 6) - (1 / b) * E(8, 1))
-        + (E(2, 3) + E(3, 2)),
-    ]
-    return list(as_hermitian(ys))
+    rho(b, theta), built from the term table ``_Y_TERMS``.  The source list
+    repeats two entries verbatim; the repeats are dropped, leaving 25
+    distinct formulas.  The achieved span dimension is what
+    :func:`basis_span_rank` reports, not an assumption."""
+    return _appendix_basis(_Y_TABLE, b, theta)
 
 
 def basis_span_rank(mats: list[np.ndarray]) -> int:

@@ -33,18 +33,20 @@ def as_hermitian(A) -> np.ndarray:
     that entries near the floating-point limit stay finite, as a fresh array.
     A may be one matrix or a (..., d, d) stack; each matrix of a stack is held
     to its own largest entry, and the result is bitwise what one call per
-    matrix would return."""
+    matrix would return.  The halving divides: A * 0.5 rounds the same but
+    gives some zeros the other sign."""
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     half = A / 2
-    half_h = np.swapaxes(half, -2, -1).conj()
-    dev = np.max(np.abs(half - half_h), axis=(-2, -1), initial=0.0)
-    bad = dev > ROUNDOFF * np.max(np.abs(half), axis=(-2, -1), initial=0.0)
-    if np.any(bad):
-        raise ValueError(f"matrix is not hermitian (deviation {2 * np.max(dev[bad]):.3e})")
+    half_h = half.swapaxes(-2, -1).conj()
+    dev = np.abs(half - half_h).max(axis=(-2, -1), initial=0.0)
+    bad = dev > ROUNDOFF * np.abs(half).max(axis=(-2, -1), initial=0.0)
+    if bad.any():
+        # a Python float doubles past the float range to inf without a warning
+        raise ValueError(f"matrix is not hermitian (deviation {2 * float(dev[bad].max()):.3e})")
     return half + half_h
 
 

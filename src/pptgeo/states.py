@@ -12,6 +12,7 @@ import itertools
 import math
 import types
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -68,14 +69,20 @@ class BipartiteMatrix:
         return w, V
 
     @functools.cached_property
-    def _partial_transpose(self) -> BipartiteMatrix:
-        return BipartiteMatrix(self.m, self.n, _pt(self.data, self.m, self.n))
+    def _partial_transpose(self) -> Optional[BipartiteMatrix]:
+        """X^Gamma, or None when the permuted data is bitwise X's, signed
+        zeros included (every rho): X^Gamma is then X itself and shares its
+        spectrum, and None keeps X out of a reference cycle with itself."""
+        T = _pt(self.data, self.m, self.n)
+        if T.tobytes() == self.data.tobytes():
+            return None
+        return BipartiteMatrix(self.m, self.n, T)
 
     @functools.cached_property
     def _face(self) -> FaceSpec:
         """The range bases of X and of X^Gamma, read-only and read from the
         two cached spectra; extremality.face_of checks PPT before reading it."""
-        D, E = (V[:, range_mask(w)] for w, V in (self.spectrum, self._partial_transpose.spectrum))
+        D, E = (V[:, range_mask(w)] for w, V in (self.spectrum, partial_transpose(self).spectrum))
         D.flags.writeable = E.flags.writeable = False
         return FaceSpec(D, E)
 
@@ -154,7 +161,7 @@ def _family(b: float, theta: float, positions) -> BipartiteMatrix:
 
 def rho(b: float, theta: float) -> BipartiteMatrix:
     """The unnormalized 3x3-bipartite state rho(b, theta); equals its own
-    partial transpose."""
+    partial transpose bitwise, so :func:`partial_transpose` returns it."""
     return _family(b, theta, _RHO_PHASE_POSITIONS)
 
 
@@ -176,9 +183,11 @@ def partial_transpose(X: BipartiteMatrix) -> BipartiteMatrix:
     fixed and rho = sigma + sigma^Gamma - Diag(sigma) holds entrywise.
     Transposing the other factor instead gives the entrywise conjugate, so
     spectra, ranks and PPT verdicts are identical either way.  Every call
-    on the same X returns the same (cached) object.
+    on the same X returns the same (cached) object, X itself when the
+    transposed entries are bitwise X's (every rho).
     """
-    return X._partial_transpose
+    T = X._partial_transpose
+    return X if T is None else T
 
 
 def state_type(X: BipartiteMatrix) -> StateType:
@@ -238,6 +247,8 @@ def combine(states: list[BipartiteMatrix], weights) -> BipartiteMatrix:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(states),):
         raise ValueError("one weight per state required")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
     if abs(weights.sum() - 1.0) > ROUNDOFF:

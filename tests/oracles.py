@@ -9,14 +9,41 @@ the range of X.  Rank and kernel cuts use the package's CUTOFF.  choi_of
 builds a Choi matrix one matrix unit at a time, from a map's action.
 seesaw_product_vector_search is the multi-start seesaw that searched a
 subspace for a product vector before the Macaulay solver; a None from it
-proves nothing.
+proves nothing.  as_hermitian_oracle is the hermiticity check as first
+written, and appendix_basis_X_formula / _Y_formula build the appendix bases
+from their printed formulas, one dense matrix unit at a time.
 """
 import numpy as np
 
-from pptgeo.linalg import CUTOFF, hermitian_basis, numerical_rank, orthonormal_system_rank, zero_level
+from pptgeo.extremality import _check_appendix_b
+from pptgeo.linalg import (
+    CUTOFF,
+    ROUNDOFF,
+    hermitian_basis,
+    numerical_rank,
+    orthonormal_system_rank,
+    zero_level,
+)
 from pptgeo.maps import ChoiMap
 from pptgeo.seesaw import minimize, starts
 from pptgeo.states import BipartiteMatrix, _pt
+
+
+def as_hermitian_oracle(A) -> np.ndarray:
+    """linalg.as_hermitian as first written, with np.all/np.max/np.any calls
+    on the real and imaginary parts: the same decision, messages and bits."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+        raise ValueError("matrix entries must be finite")
+    half = A / 2
+    half_h = np.swapaxes(half, -2, -1).conj()
+    dev = np.max(np.abs(half - half_h), axis=(-2, -1), initial=0.0)
+    bad = dev > ROUNDOFF * np.max(np.abs(half), axis=(-2, -1), initial=0.0)
+    if np.any(bad):
+        raise ValueError(f"matrix is not hermitian (deviation {2 * np.max(dev[bad]):.3e})")
+    return half + half_h
 
 
 def numerical_kernel(M: np.ndarray) -> np.ndarray:
@@ -142,3 +169,130 @@ def transpose_map(n: int) -> ChoiMap:
 
 def trace_map(m: int, n: int) -> ChoiMap:
     return choi_of(lambda E: np.trace(E) * np.eye(n, dtype=complex), m, n)
+
+
+def _E(i: int, j: int) -> np.ndarray:
+    M = np.zeros((9, 9), dtype=complex)
+    M[i - 1, j - 1] = 1.0
+    return M
+
+
+def appendix_basis_X_formula(b: float, theta: float) -> list[np.ndarray]:
+    """The X basis of the appendix as its formulas read, one dense matrix
+    unit at a time: the oracle of the package's term table."""
+    _check_appendix_b(b)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(1j * theta)
+    ec = np.conj(e)
+    E = _E
+    xs = [
+        E(1, 1) + E(5, 5) - E(1, 5) - E(5, 1),
+        E(1, 1) + E(9, 9) - E(1, 9) - E(9, 1),
+        E(5, 5) + E(9, 9) - E(5, 9) - E(9, 5),
+        1j * (E(1, 9) - E(1, 5) - E(5, 9)) - 1j * (E(9, 1) - E(5, 1) - E(9, 5)),
+        ec * E(2, 4) + e * E(4, 2) - b * E(4, 4) - (1 / b) * E(2, 2),
+        ec * E(6, 8) + e * E(8, 6) - b * E(8, 8) - (1 / b) * E(6, 6),
+        ec * E(7, 3) + e * E(3, 7) - b * E(3, 3) - (1 / b) * E(7, 7),
+        ec * (E(2, 9) - E(2, 1)) + e * (E(9, 2) - E(1, 2))
+        + b * (E(1, 4) + E(4, 1) - E(4, 9) - E(9, 4)),
+        ec * (E(7, 1) - E(7, 5)) + e * (E(1, 7) - E(5, 7))
+        + b * (E(3, 5) + E(5, 3) - E(1, 3) - E(3, 1)),
+        ec * (E(7, 9) - E(7, 1)) + e * (E(9, 7) - E(1, 7))
+        + b * (E(1, 3) + E(3, 1) - E(3, 9) - E(9, 3)),
+        ec * (E(6, 1) - E(6, 5)) + e * (E(1, 6) - E(5, 6))
+        + b * (E(5, 8) + E(8, 5) - E(1, 8) - E(8, 1)),
+        ec * (E(6, 9) - E(6, 1)) + e * (E(9, 6) - E(1, 6))
+        + b * (E(1, 8) + E(8, 1) - E(8, 9) - E(9, 8)),
+        # Signs on the (2,5)/(5,2) couplings must oppose the (2,1)/(1,2)
+        # ones, or the matrix fails to annihilate the face's kernel vectors.
+        -ec * (E(2, 1) - E(2, 5)) - e * (E(1, 2) - E(5, 2))
+        + b * (E(1, 4) + E(4, 1) - E(4, 5) - E(5, 4)),
+        ec * (E(1, 3) - E(5, 3)) + e * (E(3, 1) - E(3, 5))
+        + (1 / b) * (E(5, 7) + E(7, 5) - E(1, 7) - E(7, 1)),
+        ec * (E(1, 3) - E(9, 3)) + e * (E(3, 1) - E(3, 9))
+        + (1 / b) * (E(9, 7) + E(7, 9) - E(1, 7) - E(7, 1)),
+        ec * (E(1, 4) - E(5, 4)) + e * (E(4, 1) - E(4, 5))
+        + (1 / b) * (E(2, 5) + E(5, 2) - E(1, 2) - E(2, 1)),
+        ec * (E(1, 4) - E(9, 4)) + e * (E(4, 1) - E(4, 9))
+        + (1 / b) * (E(2, 9) + E(9, 2) - E(1, 2) - E(2, 1)),
+        ec * (E(1, 8) - E(9, 8)) + e * (E(8, 1) - E(8, 9))
+        + (1 / b) * (E(6, 9) + E(9, 6) - E(1, 6) - E(6, 1)),
+        ec * (E(5, 8) - E(1, 8)) + e * (E(8, 5) - E(8, 1))
+        + (1 / b) * (E(1, 6) + E(6, 1) - E(5, 6) - E(6, 5)),
+        ec * (E(6, 3) + E(7, 8)) + e * (E(3, 6) + E(8, 7))
+        - b * (E(3, 8) + E(8, 3)) - (1 / b) * (E(6, 7) + E(7, 6)),
+        -ec * (E(2, 3) + E(7, 4)) - e * (E(3, 2) + E(4, 7))
+        + b * (E(3, 4) + E(4, 3)) + (1 / b) * (E(2, 7) + E(7, 2)),
+        -ec * (E(2, 8) + E(6, 4)) - e * (E(8, 2) + E(4, 6))
+        + b * (E(4, 8) + E(8, 4)) + (1 / b) * (E(2, 6) + E(6, 2)),
+        ec * (E(6, 7) + b**2 * E(8, 3) - b * ec * E(6, 3))
+        + e * (E(7, 6) + b**2 * E(3, 8) - b * e * E(3, 6))
+        - b * (E(7, 8) + E(8, 7)),
+        ec * (E(4, 8) + (1 / b**2) * E(2, 6) - (1 / b) * ec * E(2, 8))
+        + e * (E(8, 4) + (1 / b**2) * E(6, 2) - (1 / b) * e * E(8, 2))
+        - (1 / b) * (E(4, 6) + E(6, 4)),
+        -ec * (E(4, 3) + (1 / b**2) * E(2, 7) - (1 / b) * ec * E(2, 3))
+        - e * (E(3, 4) + (1 / b**2) * E(7, 2) - (1 / b) * e * E(3, 2))
+        + (1 / b) * (E(4, 7) + E(7, 4)),
+    ]
+    return list(as_hermitian_oracle(xs))
+
+
+def appendix_basis_Y_formula(b: float, theta: float) -> list[np.ndarray]:
+    """The Y basis of the appendix as its formulas read, with the source's
+    two verbatim repeats dropped: the oracle of the package's term table."""
+    _check_appendix_b(b)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(1j * theta)
+    ec = np.conj(e)
+    E = _E
+    ys = [
+        E(1, 1) + E(5, 5) - E(2, 4) - E(4, 2),
+        E(1, 1) + E(9, 9) - E(3, 7) - E(7, 3),
+        E(5, 5) + E(9, 9) - E(6, 8) - E(8, 6),
+        1j * (E(3, 7) + E(4, 2) + E(8, 6)) - 1j * (E(7, 3) + E(2, 4) + E(6, 8)),
+        ec * E(1, 9) + e * E(9, 1) - b * E(3, 3) - (1 / b) * E(7, 7),
+        ec * E(5, 1) + e * E(1, 5) - b * E(4, 4) - (1 / b) * E(2, 2),
+        ec * E(9, 5) + e * E(5, 9) - b * E(8, 8) - (1 / b) * E(6, 6),
+        ec * (E(2, 1) - E(8, 3)) + e * (E(1, 2) - E(3, 8))
+        + b * (E(6, 7) + E(7, 6) - E(1, 4) - E(4, 1)),
+        ec * (E(2, 1) - E(5, 2)) + e * (E(1, 2) - E(2, 5))
+        + b * (E(4, 5) + E(5, 4) - E(1, 4) - E(4, 1)),
+        ec * (E(3, 4) - E(6, 5)) + e * (E(4, 3) - E(5, 6))
+        + b * (E(5, 8) + E(8, 5) - E(2, 7) - E(7, 2)),
+        ec * (E(3, 4) - E(9, 6)) + e * (E(4, 3) - E(6, 9))
+        + b * (E(8, 9) + E(9, 8) - E(2, 7) - E(7, 2)),
+        ec * (E(4, 8) - E(1, 7)) + e * (E(8, 4) - E(7, 1))
+        + b * (E(1, 3) + E(3, 1) - E(2, 6) - E(6, 2)),
+        ec * (E(7, 9) - E(1, 7)) + e * (E(9, 7) - E(7, 1))
+        + b * (E(1, 3) + E(3, 1) - E(3, 9) - E(9, 3)),
+        ec * (E(2, 6) - E(1, 3)) + e * (E(6, 2) - E(3, 1))
+        + (1 / b) * (E(1, 7) + E(7, 1) - E(4, 8) - E(8, 4)),
+        ec * (E(3, 9) - E(1, 3)) + e * (E(9, 3) - E(3, 1))
+        + (1 / b) * (E(1, 7) + E(7, 1) - E(7, 9) - E(9, 7)),
+        ec * (E(4, 1) - E(5, 4)) + e * (E(1, 4) - E(4, 5))
+        + (1 / b) * (E(2, 5) + E(5, 2) - E(1, 2) - E(2, 1)),
+        ec * (E(6, 7) - E(4, 1)) + e * (E(7, 6) - E(1, 4))
+        + (1 / b) * (E(1, 2) + E(2, 1) - E(3, 8) - E(8, 3)),
+        ec * (E(7, 2) - E(8, 5)) + e * (E(2, 7) - E(5, 8))
+        + (1 / b) * (E(5, 6) + E(6, 5) - E(3, 4) - E(4, 3)),
+        ec * (E(7, 2) - E(9, 8)) + e * (E(2, 7) - E(8, 9))
+        + (1 / b) * (E(6, 9) + E(9, 6) - E(3, 4) - E(4, 3)),
+        ec * (E(3, 6) + E(7, 8)) + e * (E(6, 3) + E(8, 7))
+        - b * (E(2, 9) + E(9, 2)) - (1 / b) * (E(4, 9) + E(9, 4)),
+        -ec * (E(6, 4) + E(8, 2)) - e * (E(4, 6) + E(2, 8))
+        + b * (E(5, 7) + E(7, 5)) + (1 / b) * (E(3, 5) + E(5, 3)),
+        ec * (b * ec * E(3, 6) - E(9, 4) - b**2 * E(2, 9))
+        + e * (b * e * E(6, 3) - E(4, 9) - b**2 * E(9, 2))
+        + b * (E(7, 8) + E(8, 7)),
+        ec * ((ec / b) * E(8, 2) - (1 / b**2) * E(5, 3) - E(7, 5))
+        + e * ((e / b) * E(2, 8) - (1 / b**2) * E(3, 5) - E(5, 7))
+        + (1 / b) * (E(4, 6) + E(6, 4)),
+        ec * (ec * E(2, 3) - b * E(1, 6) - (1 / b) * E(8, 1))
+        + e * (e * E(3, 2) - b * E(6, 1) - (1 / b) * E(1, 8))
+        + (E(4, 7) + E(7, 4)),
+        ec * (ec * E(4, 7) - b * E(6, 1) - (1 / b) * E(1, 8))
+        + e * (e * E(7, 4) - b * E(1, 6) - (1 / b) * E(8, 1))
+        + (E(2, 3) + E(3, 2)),
+    ]
+    return list(as_hermitian_oracle(ys))

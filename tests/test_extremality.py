@@ -5,7 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pptgeo.extremality as extremality
+import pptgeo.linalg as linalg
+import pptgeo.states as states_module
 from oracles import (
+    appendix_basis_X_formula,
+    appendix_basis_Y_formula,
     d_side_face_dim,
     eigh_oracle,
     kernel_intersection_dim_oracle,
@@ -19,6 +23,7 @@ from pptgeo.extremality import (
     basis_span_rank,
     face_of,
     is_extreme_in_T,
+    verify_appendix,
     verify_combination_identity,
 )
 from pptgeo.linalg import (
@@ -312,6 +317,8 @@ class TestCachedSpectrum:
                 assert_allclose(B @ B.conj().T, P, atol=1e-10)
 
     def test_two_eigensolves_per_state(self, monkeypatch):
+        """Two eigensolves per state, one when the partial transpose permutes
+        the entries onto themselves bitwise: then X^Gamma is X."""
         calls = []
         eigh = np.linalg.eigh
 
@@ -326,8 +333,53 @@ class TestCachedSpectrum:
             state_type(X)
             face_of(X)
             is_extreme_in_T(X)
-            assert len(calls) == 2
+            self_pt = pt_oracle(X).tobytes() == X.data.tobytes()
+            assert len(calls) == (1 if self_pt else 2)
             assert partial_transpose(X) is partial_transpose(X)
+            assert (partial_transpose(X) is X) == self_pt
+
+    @pytest.mark.parametrize("b", [0.25, 1.0, 4.0, 1e-150, 1e150])
+    def test_rho_is_its_own_partial_transpose(self, b):
+        for k in range(24):
+            R, S = rho(b, k * math.pi / 12), sigma(b, k * math.pi / 12)
+            assert partial_transpose(R) is R
+            assert partial_transpose(S) is not S
+            assert np.array_equal(partial_transpose(S).data, pt_oracle(S))
+
+    def test_signed_zero_is_not_equal(self):
+        # -0.0 and 0.0 compare equal but differ in their bytes
+        A = np.zeros((4, 4), dtype=complex)
+        A[1, 2] = A[2, 1] = complex(-0.0, -0.0)
+        X = BipartiteMatrix(2, 2, A)
+        assert np.array_equal(pt_oracle(X), X.data)
+        assert pt_oracle(X).tobytes() != X.data.tobytes()
+        assert partial_transpose(X) is not X
+        assert np.array_equal(partial_transpose(X).data, X.data)
+
+    def test_hermiticity_checks_per_grid_op(self, monkeypatch):
+        """A paper_grid op checks hermiticity once per state built: rho (or
+        sigma), sigma^Gamma, and the generator of an extreme rho."""
+        calls = []
+        check = linalg.as_hermitian
+
+        def counted(A):
+            calls.append(1)
+            return check(A)
+
+        monkeypatch.setattr(linalg, "as_hermitian", counted)
+        monkeypatch.setattr(states_module, "as_hermitian", counted)
+        seen = set()
+        for family in (rho, sigma):
+            for k in range(24):
+                calls.clear()
+                X = family(2.0, k * math.pi / 12)
+                is_ppt(X)
+                state_type(X)
+                face_of(X)
+                rep = is_extreme_in_T(X)
+                seen.add((family.__name__, rep.is_extreme, len(calls)))
+        # rho is extreme except at theta = 0, 2pi/3 and 4pi/3; sigma never is
+        assert seen == {("rho", True, 2), ("rho", False, 1), ("sigma", False, 2)}
 
     def test_singular_vectors_and_faces_per_grid_state(self, monkeypatch):
         """One SVD per state, singular values only, of the system on the
@@ -447,6 +499,71 @@ class TestAppendixBases:
     def test_hermitian(self):
         for M in appendix_basis_X(1.7, 0.9) + appendix_basis_Y(1.7, 0.9):
             assert np.max(np.abs(M - M.conj().T)) <= 1e-12
+
+
+FORMULAS = [(appendix_basis_X, appendix_basis_X_formula), (appendix_basis_Y, appendix_basis_Y_formula)]
+
+
+def basis_outcome(f, b, theta):
+    try:
+        return np.array(f(b, theta))
+    except (ValueError, NumericalError) as exc:
+        return type(exc)
+
+
+class TestAppendixTermTables:
+    """The term tables against the appendix formulas, built one dense matrix
+    unit at a time (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("b", [0.25, 0.5, 1.0, 2.0, 4.0, 1e-150, 1e150])
+    def test_match_the_formulas(self, b):
+        for k in range(24):
+            th = k * math.pi / 12
+            for table, formula in FORMULAS:
+                got, want = np.array(table(b, th)), np.array(formula(b, th))
+                top = np.abs(want).max(axis=(1, 2))
+                assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 4 * np.spacing(top)), (b, k)
+                assert np.array_equal(got, np.swapaxes(got, 1, 2).conj())
+
+    def test_one_unit_term_per_entry(self):
+        # at b = 1, theta = 0 every coefficient is a unit: 174 terms per basis
+        for table, _ in FORMULAS:
+            M = np.array(table(1.0, 0.0))
+            assert np.count_nonzero(M) == 174
+            assert set(M[M != 0].tolist()) <= {1, -1, 1j, -1j}
+
+    @pytest.mark.parametrize("b,theta", [(0.0, 0.3), (-1.0, 0.3), (-math.inf, 0.3), (2.0, math.inf),
+                                         (2.0, -math.inf), (2.0, math.nan), (1e155, 0.3),
+                                         (1e-155, 0.3), (1e-160, 0.3), (1e-170, 0.3), (1e200, math.nan)])
+    def test_same_errors(self, b, theta):
+        for table, formula in FORMULAS:
+            want = basis_outcome(formula, b, theta)
+            assert want in (ValueError, NumericalError)
+            assert basis_outcome(table, b, theta) is want
+
+    @pytest.mark.parametrize("b,theta", ZERO_ARC + [(1e-60, 0.3), (1e60, 0.3), (1e-150, 0.3), (1e150, 0.3)])
+    def test_verify_appendix_reports_the_same(self, b, theta, monkeypatch):
+        def report():
+            try:
+                return verify_appendix(b, theta)
+            except NumericalError as exc:
+                return str(exc)
+
+        got = report()
+        monkeypatch.setattr(extremality, "appendix_basis_X", appendix_basis_X_formula)
+        monkeypatch.setattr(extremality, "appendix_basis_Y", appendix_basis_Y_formula)
+        want = report()
+        if isinstance(want, str):
+            # its norms square the entries: b^4 leaves the float range
+            assert got == want and abs(math.log10(b)) > 77
+            return
+        assert (got.x_span_rank, got.y_span_rank) == (want.x_span_rank, want.y_span_rank)
+        assert got.x_combination_residual == want.x_combination_residual
+        assert got.y_combination_residual_last_x7 == want.y_combination_residual_last_x7
+        assert got.y_combination_residual_last_y7 == want.y_combination_residual_last_y7
+        for r, r0 in ((got.x_membership_max_residual, want.x_membership_max_residual),
+                      (got.y_membership_max_residual, want.y_membership_max_residual)):
+            assert abs(r - r0) <= 1e-14 * max(b * b, 1 / (b * b))
 
 
 class TestCombinationIdentity:

@@ -20,6 +20,7 @@ from pptgeo.linalg import (
     spectrum_rank,
     unit_scaled,
 )
+from oracles import as_hermitian_oracle
 from pptgeo.states import BipartiteMatrix, p_theta, rho
 
 
@@ -110,6 +111,87 @@ class TestAsHermitian:
             warnings.simplefilter("error")
             H = as_hermitian(A)
         assert np.array_equal(H, A.astype(complex))
+
+
+def herm_outcome(f, A):
+    """(result bytes, shape) of f(A), or (exception type, message)."""
+    try:
+        H = f(A)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return H.tobytes(), H.shape
+
+
+class TestAsHermitianOracle:
+    """as_hermitian makes the decision of its first version, raises its
+    messages and returns its bits, signed zeros included."""
+
+    def assert_same(self, A):
+        # the oracle's message doubles the deviation in NumPy, which warns past the float range
+        with np.errstate(over="ignore"):
+            want = herm_outcome(as_hermitian_oracle, A)
+        assert herm_outcome(as_hermitian, A) == want
+
+    @staticmethod
+    def near_hermitian(rng, shape):
+        A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        H = (A + np.swapaxes(A, -2, -1).conj()) / 3
+        # hermitian up to rounding: one side of each pair off by an ulp or so
+        return H * (1 + 1e-16 * np.triu(rng.normal(size=shape[-2:])))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 9), (3, 4, 4), (2, 3, 5, 5), (0, 3, 3)])
+    def test_random_matrices_and_stacks(self, shape):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            self.assert_same(self.near_hermitian(rng, shape))
+            # far from hermitian: the same message, deviation included
+            self.assert_same(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 1e-310, 5e-324])
+    def test_extreme_scales_and_subnormals(self, scale):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            self.assert_same(scale * self.near_hermitian(rng, (4, 4)))
+            self.assert_same(scale * self.near_hermitian(rng, (3, 4, 4)))
+
+    def test_entries_near_the_float_limit(self):
+        top = 1.7e308
+        self.assert_same(np.array([[top, top * (0.5 + 0.5j)], [top * (0.5 - 0.5j), -top]]))
+        self.assert_same(np.array([[top, top], [-top, top]]))
+        assert herm_outcome(as_hermitian, np.array([[top, top], [-top, top]])) == (
+            ValueError, "matrix is not hermitian (deviation inf)")
+        self.assert_same(np.array([[[top, 0.0], [0.0, np.finfo(float).max]]] * 2))
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            signs = rng.choice([-0.0, 0.0], size=(2, 4, 4))
+            A = signs[0] + 1j * signs[1]
+            A[rng.integers(4), rng.integers(4)] = rng.choice([1.0, -1.0, 1j, -1j])
+            self.assert_same(A)
+            self.assert_same(A + np.swapaxes(A, -2, -1).conj())
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0), complex(-math.inf, 0), complex(math.nan, 0),
+                                     complex(0, math.inf), complex(0, -math.inf), complex(0, math.nan)],
+                             ids=["+inf real", "-inf real", "nan real", "+inf imag", "-inf imag", "nan imag"])
+    def test_non_finite_real_or_imaginary_part(self, bad):
+        for A in (np.eye(3, dtype=complex), np.array([np.eye(3)] * 2, dtype=complex)):
+            A[..., 0, 1] = bad
+            assert herm_outcome(as_hermitian, A) == (ValueError, "matrix entries must be finite")
+            self.assert_same(A)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_deviation_at_the_roundoff_slack(self, scale):
+        # max|A - A^dagger| / max|A| = t / (1 + t): rejected iff t / (1 + t) > ROUNDOFF
+        for t, rejected in ((ROUNDOFF * 1.001, True), (ROUNDOFF * 0.999, False)):
+            A = scale * np.array([[1.0, 1.0 + t], [1.0, 1.0]])
+            assert (herm_outcome(as_hermitian_oracle, A)[0] is ValueError) == rejected
+            self.assert_same(A)
+            self.assert_same(1j * A - 1j * A.T + A.T)
+
+    def test_shape_errors(self):
+        for A in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3)), 1.0):
+            self.assert_same(A)
 
 
 class TestUnitScaled:

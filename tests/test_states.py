@@ -248,6 +248,15 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine([rho(1, 0)], [-1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_weight_rejected(self, bad, position):
+        # NaN passes both the sign and the sum test, so it is named up front
+        weights = [0.5, 0.5]
+        weights[position] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            combine([rho(1, 0), rho(1, 1)], weights)
+
 
 class TestNormalize:
     def test_subnormal_state(self):
