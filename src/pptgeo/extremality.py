@@ -227,8 +227,10 @@ def appendix_basis_Y(b: float, theta: float) -> list[np.ndarray]:
 
 
 def basis_span_rank(mats: list[np.ndarray]) -> int:
-    """Real-linear span dimension of a list or stack of hermitian matrices."""
-    return numerical_rank(hermitian_to_real_vector(mats))
+    """Real-linear span dimension of a list or stack of hermitian matrices,
+    each unit-scaled first, so that the rank does not depend on how the
+    elements' sizes compare (the appendix bases hold b^2 next to 1)."""
+    return numerical_rank(hermitian_to_real_vector([unit_scaled(M)[0] for M in mats]))
 
 
 @dataclass(frozen=True)
@@ -282,12 +284,13 @@ class AppendixReport:
 def verify_appendix(b: float, theta: float) -> AppendixReport:
     """Check the appendix bases against the face of rho(b, theta).
 
-    The membership residuals are max ||P_D M P_D - M||_F over the X basis and
-    max ||(P_E M^Gamma P_E)^Gamma - M||_F over the Y basis; the real
-    vectorization is an isometry, so they equal the norms of phi_D and phi_E
-    applied to the basis elements.  The bases hold b^2 and 1/b^2 and the
-    norms square them, so a b that leaves the floating-point range raises
-    NumericalError instead of reporting an infinite residual."""
+    The membership residuals are max ||P_D M P_D - M||_F / ||M||_F over the
+    X basis and max ||(P_E M^Gamma P_E)^Gamma - M||_F / ||M||_F over the Y
+    basis; the real vectorization is an isometry, so they equal the norms of
+    phi_D and phi_E applied to the unit basis elements.  The bases hold b^2
+    and 1/b^2 and the norms square them, so a b that leaves the
+    floating-point range raises NumericalError instead of reporting an
+    infinite residual."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             X = rho(b, theta)
@@ -296,9 +299,10 @@ def verify_appendix(b: float, theta: float) -> AppendixReport:
             P_E = face.E @ face.E.conj().T
             xs = np.array(appendix_basis_X(b, theta))
             ys = np.array(appendix_basis_Y(b, theta))
-            x_res = np.linalg.norm(P_D @ xs @ P_D - xs, axis=(1, 2)).max()
+            x_norms, y_norms = (np.linalg.norm(B, axis=(1, 2)) for B in (xs, ys))
+            x_res = (np.linalg.norm(P_D @ xs @ P_D - xs, axis=(1, 2)) / x_norms).max()
             ys_E = _pt(P_E @ _pt(ys, X.m, X.n) @ P_E, X.m, X.n)
-            y_res = np.linalg.norm(ys_E - ys, axis=(1, 2)).max()
+            y_res = (np.linalg.norm(ys_E - ys, axis=(1, 2)) / y_norms).max()
             ident = _combination_identity(X.data, xs, ys, theta)
     except ArithmeticError as exc:
         raise NumericalError(f"appendix check out of floating-point range at b={b!r}") from exc

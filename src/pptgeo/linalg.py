@@ -61,7 +61,7 @@ def unit_scaled(A):
     through here."""
     A = np.ascontiguousarray(A, dtype=complex)
     R = A.view(float)
-    top = float(np.max(np.abs(R), initial=0.0))
+    top = float(np.abs(R).max(initial=0.0))
     if top == 0.0:
         return A, 0
     e = math.frexp(top)[1]

@@ -359,15 +359,18 @@ def search_product_vector_in_subspace(
     xi (x) eta, and return one as unit (xi, eta).
 
     A None result is a proof, up to the CUTOFF rank rule, that the span holds
-    none: the Macaulay matrix of the 2x2 minors has full column rank, with
-    margin sigma_min / sigma_max (see :func:`_points`).  seed draws
-    the random coordinates and slices; restarts must be at least 1 and is
+    none, from whichever side :func:`_product_vectors` decided it on: a
+    Macaulay matrix of minors, of the span's 2x2 minors or of its
+    complement's n x n minors, has full column rank, with margin
+    sigma_min / sigma_max (see :func:`_points`).  seed draws the random
+    coordinates, slices and frames; restarts must be at least 1 and is
     otherwise unused.  The vector returned is the first one the solver
     enumerates, and it must meet the product-zero rule
     <xi (x) eta| I - P |xi (x) eta> <= :func:`~pptgeo.linalg.zero_level`
-    of I - P, else NumericalError.  So is a span that needs a Macaulay matrix
-    of more than 2**21 entries (a full 6 (x) 6 span does), even where any
-    product vector would be an answer.
+    of I - P, else NumericalError.  So is a span whose span side needs a
+    Macaulay matrix of more than 2**21 entries and whose complement side,
+    counted by :func:`_cost`, is over that too (a full 6 (x) 6 span), even
+    where any product vector would be an answer.
     """
     D = np.asarray(D, dtype=complex)
     if D.ndim != 2 or D.shape[0] != m * n or not has_orthonormal_columns(D):
@@ -379,7 +382,7 @@ def search_product_vector_in_subspace(
         return None
     xi, eta = found[0]
     Q = np.eye(m * n) - D @ D.conj().T
-    v = np.kron(xi, eta)
+    v = np.outer(xi, eta).ravel()
     if (v.conj() @ Q @ v).real > zero_level(Q):
         raise NumericalError("the enumerated product vector is not in the subspace")
     return xi, eta
@@ -390,21 +393,50 @@ def _product_vectors(D: np.ndarray, m: int, n: int, rng: np.random.Generator) ->
     the span holds finitely many; those of a random slice when it holds a
     family; [] when it holds none.
 
-    x (x) y lies in span{B_k} (column k of D reshaped m x n) iff
-    M(c) = sum_k c_k B_k has rank one, i.e. iff the C(m,2) C(n,2) 2x2 minors
-    of M(c), quadrics in c, all vanish.  The span is first put in random
-    orthonormal coordinates c drawn from rng.  A span of dimension above
-    (m-1)(n-1)+1 always holds a family, and is cut down to that dimension by
-    dropping random coordinates (slicing with random linear forms).  Then
-    :func:`_points` reads the points off the Macaulay matrix, and a family
-    that it finds is sliced one dimension further.
+    The span is first put in random orthonormal coordinates drawn from rng.
+    A span of dimension above (m-1)(n-1)+1 always holds a family, and is cut
+    down to that dimension by dropping random coordinates (slicing with
+    random linear forms).  The slice is then decided on the side whose first
+    Macaulay matrix, counted with the products that expanding its minors
+    takes (:func:`_cost`), is smaller: the slice itself
+    (:func:`_span_vectors`) or its orthogonal complement
+    (:func:`_complement_vectors`), both read off one complete QR (whose
+    leading columns are bitwise the reduced QR's).  What the complement side
+    cannot decide goes to the span side.
     """
     d = D.shape[1]
     if not d:
         return []
     G = rng.normal(size=(d, d, 2)).view(complex)[..., 0]
-    B = np.linalg.qr(D @ G)[0][:, :min(d, (m - 1) * (n - 1) + 1)]
-    while (P := _points(B, m, n, rng)) is None:
+    Q = np.linalg.qr(D @ G, mode="complete")[0]
+    k = min(d, (m - 1) * (n - 1) + 1)
+    c = m * n - k
+    # the complement has n x n minors (c >= n) when m, n > 1, as the span has 2x2 ones
+    cost = _cost(c, n, n, m, n) if 1 < n <= c else math.inf
+    found = None
+    if cost <= _MACAULAY_ENTRIES and cost < _cost(m, n, 2, k, 3):
+        found = _complement_vectors(Q[:, k:], m, n, rng)
+    return _span_vectors(Q[:, :k], m, n, rng) if found is None else found
+
+
+def _span_vectors(B: np.ndarray, m: int, n: int, rng: np.random.Generator) -> list:
+    """The product vectors in the span of an orthonormal B (mn, d) in random
+    coordinates, d at most (m-1)(n-1)+1, as :func:`_product_vectors` lists
+    them.
+
+    x (x) y lies in span{B_k} (column k of B reshaped m x n) iff
+    M(c) = sum_k c_k B_k has rank one, i.e. iff the C(m,2) C(n,2) 2x2 minors
+    of M(c), quadrics in c, all vanish.  :func:`_points` tries the degrees 3
+    to d + 2.  A null space still growing at the last is a family, and the
+    span is sliced one dimension further (its last coordinate dropped); one
+    that is not is a NumericalError.
+    """
+    while True:
+        P, nulls = _points(B, m, n, 2, range(3, B.shape[1] + 3), rng)
+        if P is not None:
+            break
+        if len(nulls) < 2 or nulls[-1] <= nulls[-2]:
+            raise NumericalError("the Macaulay null space did not settle")
         B = B[:, :-1]
     if not P.shape[1]:
         return []
@@ -412,21 +444,83 @@ def _product_vectors(D: np.ndarray, m: int, n: int, rng: np.random.Generator) ->
     return list(zip(U[:, :, 0], Vh[:, 0]))
 
 
+def _complement_vectors(K: np.ndarray, m: int, n: int, rng: np.random.Generator):
+    """The product vectors orthogonal to the orthonormal columns K (mn, c),
+    c at least n, as :func:`_product_vectors` lists them, from one attempt
+    at degree n; None when that attempt decides nothing.
+
+    x (x) y is orthogonal to every K_k iff A(x) y = 0 for the c x n matrix
+    A(x)[k, j] = sum_i x_i conj(K_k[i*n + j]), i.e. iff A(x) has rank below
+    n: its C(c, n) n x n minors, forms of degree n in x, all vanish.  x is
+    put in a random unitary frame drawn from rng, and :func:`_points` reads
+    the points off the degree-n Macaulay matrix, whose rows are the minors
+    themselves.  Full column rank is a proof that there is none, since the
+    minors then span every form of degree n.  Otherwise every point x must
+    leave A(x) a one-dimensional kernel y (by the rank rule), and x (x) y
+    must be a product zero of K K^dagger; else the result is None, as it is
+    when the null space does not show the points at degree n.
+    """
+    c = K.shape[1]
+    U = np.linalg.qr(rng.normal(size=(m, m, 2)).view(complex)[..., 0])[0]
+    # row k * n + j holds A(x)[k, j] as a linear form in the frame coordinates
+    L = K.conj().reshape(m, n, c).transpose(2, 1, 0).reshape(c * n, m) @ U
+    P = _points(L, c, n, n, (n,), rng)[0]
+    if P is None:
+        return None
+    if not P.shape[1]:
+        return []
+    P = P / np.linalg.norm(P, axis=0)
+    _, s, Vh = np.linalg.svd((L @ P).T.reshape(-1, c, n))
+    # for unit x and y, <x (x) y| K K^dagger |x (x) y> = |A(x) y|^2 = s_min^2
+    if (any(orthonormal_system_rank(t) != n - 1 for t in s)
+            or np.any(s[:, -1] ** 2 > zero_level(K @ K.conj().T))):
+        return None
+    return list(zip((U @ P).T, Vh[:, -1].conj()))
+
+
 #: The largest Macaulay matrix :func:`_points` builds (2**21 complex entries, 32 MiB).
 _MACAULAY_ENTRIES = 2**21
 
 
+def _macaulay_entries(p: int, q: int, s: int, v: int, deg: int) -> int:
+    """The entries of the degree-deg Macaulay matrix of the s x s minors of a
+    p x q matrix of linear forms in v variables (see :func:`_points`)."""
+    rows = math.comb(p, s) * math.comb(q, s) * math.comb(v + deg - s - 1, deg - s)
+    return rows * math.comb(v + deg - 1, deg)
+
+
 @functools.cache
-def _minor_pairs(m: int, n: int):
-    """Composite indices (a, b, c, e) with the 2x2 minor of rows i < i' and
-    columns j < j' equal to M_a M_b - M_c M_e, one entry per minor; read-only."""
-    i, k = np.triu_indices(m, 1)
-    j, l = np.triu_indices(n, 1)
-    i, k, j, l = (np.repeat(i, len(j)), np.repeat(k, len(j)), np.tile(j, len(i)), np.tile(l, len(i)))
-    pairs = i * n + j, k * n + l, i * n + l, k * n + j
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
+def _cost(p: int, q: int, s: int, v: int, deg: int) -> int:
+    """The size of posing such a Macaulay matrix: its entries plus the
+    coefficient products that expanding the minors takes (:func:`_minor_forms`;
+    size t lists C(p, t) C(q - s + t, t) minors of t products each)."""
+    return _macaulay_entries(p, q, s, v, deg) + sum(
+        math.comb(p, t) * math.comb(q - s + t, t) * t * math.comb(v + t - 2, t - 1) * v
+        for t in range(2, s + 1))
+
+
+@functools.cache
+def _minor_plan(p: int, q: int, s: int):
+    """The s x s minors of a p x q matrix M, expanded along their last column
+    one size t = 2..s at a time: one (entry, sub) per t, with minor k of
+    size t equal to sum_i (-1)**(i + t - 1) M[entry[k, i]] (minor sub[k, i]
+    of size t - 1).  Entries are composite indices row * q + col, and the
+    minors of size 1 are the entries themselves.  Size t lists the minors on
+    every t-subset of the rows and every t-subset of the first q - s + t
+    columns (the leading t columns of the s-subsets), rows major, so the
+    last size lists every s x s minor; read-only."""
+    index = {((r,), (j,)): r * q + j for r, j in itertools.product(range(p), range(q))}
+    plan = []
+    for t in range(2, s + 1):
+        keys = list(itertools.product(itertools.combinations(range(p), t),
+                                      itertools.combinations(range(q - s + t), t)))
+        entry = np.array([[r * q + C[-1] for r in R] for R, C in keys], dtype=int).reshape(-1, t)
+        sub = np.array([[index[R[:i] + R[i + 1:], C[:-1]] for i in range(t)] for R, C in keys],
+                       dtype=int).reshape(-1, t)
+        entry.flags.writeable = sub.flags.writeable = False
+        plan.append((entry, sub))
+        index = {key: i for i, key in enumerate(keys)}
+    return tuple(plan)
 
 
 @functools.cache
@@ -437,73 +531,100 @@ def _monomials(d: int, deg: int) -> types.MappingProxyType:
                                    enumerate(itertools.combinations_with_replacement(range(d), deg))})
 
 
+def _shift_columns(d: int, deg: int) -> np.ndarray:
+    """(d, r): the column of c_k times each of the r monomials of degree deg - 1
+    among the monomials of degree deg."""
+    cols = _monomials(d, deg)
+    return np.array([[cols[beta[:k] + (beta[k] + 1,) + beta[k + 1:]] for beta in _monomials(d, deg - 1)]
+                     for k in range(d)])
+
+
 @functools.cache
-def _macaulay_plan(d: int, deg: int):
-    """(fold, spread, shifts) for the degree-deg Macaulay matrix in d
-    variables, built on first use.
+def _macaulay_plan(d: int, deg: int, s: int):
+    """(folds, spread, shifts) for the degree-deg Macaulay matrix of forms of
+    degree s in d variables, built on first use.
 
-    fold (d*d, q + 1) is 0/1: a quadric's coefficient matrix, raveled, times
-    fold gives its coefficients on the q degree-2 monomials and a trailing 0.
-    spread (rows, cols) holds, at (beta, alpha) for a monomial beta of degree
-    deg - 2 and one alpha of degree deg, the degree-2 monomial alpha - beta,
-    or q (the 0) where alpha - beta is none, so that coefficients[:, spread]
-    is the quadrics times each beta.  shifts (d, r) holds the columns of c_k
-    times each monomial of degree deg - 1."""
-    quads, cols = _monomials(d, 2), _monomials(d, deg)
-    fold = np.zeros((d, d, len(quads) + 1))
-    for k, l in itertools.product(range(d), repeat=2):
-        fold[k, l, quads[tuple(np.bincount([k, l], minlength=d))]] = 1
-    spread = np.full((len(_monomials(d, deg - 2)), len(cols)), len(quads))
-    for (beta, r), gamma in itertools.product(_monomials(d, deg - 2).items(), quads):
-        spread[r, cols[tuple(np.add(beta, gamma))]] = quads[gamma]
-    shifts = np.array([[cols[beta[:k] + (beta[k] + 1,) + beta[k + 1:]] for beta in _monomials(d, deg - 1)]
-                       for k in range(d)])
-    fold = fold.reshape(d * d, -1)
-    for a in (fold, spread, shifts):
+    folds holds one signed 0/1 matrix per minor size t = 2..s, the last with
+    a trailing zero column: the t products of a size-(t - 1) minor and an
+    entry (a form of degree t - 1 and a linear form) that expand a size-t
+    minor along its last column (:func:`_minor_plan`), raveled as outer
+    products of their coefficients, times folds[t - 2] give the coefficients
+    of the minor, the Laplace signs (-1)**(i + t - 1) included.  spread
+    (rows, cols) holds, at (beta, alpha) for a monomial beta of degree
+    deg - s and one alpha of degree deg, the degree-s monomial alpha - beta,
+    or the trailing 0 where alpha - beta is none, so that
+    coefficients[:, spread] is the forms times each beta.  shifts (d, r)
+    holds the columns of c_k times each monomial of degree deg - 1.  All
+    read-only."""
+    folds = []
+    for t in range(2, s + 1):
+        shift = _shift_columns(d, t)
+        fold = np.zeros((shift.shape[1], d, len(_monomials(d, t)) + (t == s)))
+        fold[np.arange(shift.shape[1]), np.arange(d)[:, None], shift] = 1
+        sign = (-1.0) ** (np.arange(t) + t - 1)
+        folds.append((sign[:, None, None, None] * fold).reshape(-1, fold.shape[2]))
+    forms, cols = _monomials(d, s), _monomials(d, deg)
+    spread = np.full((len(_monomials(d, deg - s)), len(cols)), len(forms))
+    for (beta, r), gamma in itertools.product(_monomials(d, deg - s).items(), forms):
+        spread[r, cols[tuple(np.add(beta, gamma))]] = forms[gamma]
+    shifts = _shift_columns(d, deg)
+    for a in (*folds, spread, shifts):
         a.flags.writeable = False
-    return fold, spread, shifts
+    return tuple(folds), spread, shifts
 
 
-def _points(B: np.ndarray, m: int, n: int, rng: np.random.Generator):
-    """The points c (columns, c_0 = 1) with sum_k c_k B_k of rank one, for an
-    orthonormal B (mn, d) in random coordinates, d at most (m-1)(n-1)+1;
-    None when they form a family.
+def _minor_forms(L: np.ndarray, p: int, q: int, s: int, folds) -> np.ndarray:
+    """The coefficients of the s x s minors of a p x q matrix of linear forms
+    in v variables, whose entry (row, col) has the coefficients
+    L[row * q + col]: one row per minor, as :func:`_minor_plan` lists them,
+    on the monomials of degree s and a trailing 0 (folds from
+    :func:`_macaulay_plan`)."""
+    F = L
+    for (entry, sub), fold in zip(_minor_plan(p, q, s), folds):
+        F = (F[sub][..., None] * L[entry][:, :, None, :]).reshape(len(entry), len(fold)) @ fold
+    return F
 
-    The Macaulay matrix at degree deg has the minors times each monomial of
-    degree deg - 2 as rows and the monomials of degree deg as columns.  Full
-    column rank means no point.  Otherwise its null space K, of dimension N,
-    holds the monomial vectors of the N points once deg is high enough, which
-    shows as the rows of K at c_0 times the degree-(deg - 1) monomials having
-    rank N (Stetter, Numerical Polynomial Algebra, SIAM 2004).  The points
-    are then read off the eigenvectors of a random multiplication map on K.
-    deg is raised from 3 until that holds, up to d + 2; a null space still
-    growing there is a family, one that is not is a NumericalError.
+
+def _points(L: np.ndarray, p: int, q: int, s: int, degrees, rng: np.random.Generator):
+    """(P, nulls): P holds the points c (columns, c_0 = 1) at which the p x q
+    matrix of linear forms M(c) = sum_k c_k L[:, k], entry (row, col) at
+    row * q + col, has rank below s, or is None when no degree in degrees
+    shows them; nulls holds the null-space dimension of each degree that
+    did not.
+
+    The Macaulay matrix at degree deg has the s x s minors of M(c) times each
+    monomial of degree deg - s as rows and the monomials of degree deg as
+    columns.  Full column rank means no point (P has no column); its margin
+    is sigma_min / sigma_max.  Otherwise its null space K, of dimension N,
+    holds the monomial vectors of the N points once deg is high enough,
+    which shows as the rows of K at c_0 times the degree-(deg - 1) monomials
+    having rank N (Stetter, Numerical Polynomial Algebra, SIAM 2004).  The
+    points are then read off the eigenvectors of a random multiplication
+    map on K.  A Macaulay matrix of more than _MACAULAY_ENTRIES entries is a
+    NumericalError.
     """
-    d = B.shape[1]
-    a, b, c, e = _minor_pairs(m, n)
-    # each minor M_a M_b - M_c M_e as a quadric in c: a difference of outer products of rows of B
-    quad = (B[a, :, None] * B[b, None, :] - B[c, :, None] * B[e, None, :]).reshape(len(a), d * d)
-    last = None
-    for deg in range(3, d + 3):
-        if len(quad) * math.comb(d + deg - 3, deg - 2) * math.comb(d + deg - 1, deg) > _MACAULAY_ENTRIES:
+    v = L.shape[1]
+    nulls, F = [], None
+    for deg in degrees:
+        if _macaulay_entries(p, q, s, v, deg) > _MACAULAY_ENTRIES:
             raise NumericalError(f"the degree-{deg} Macaulay matrix is too large to decide this subspace")
-        fold, spread, shifts = _macaulay_plan(d, deg)
+        folds, spread, shifts = _macaulay_plan(v, deg, s)
+        if F is None:
+            F = _minor_forms(L, p, q, s, folds)
         cols = spread.shape[1]
-        M = (quad @ fold)[:, spread].reshape(-1, cols)
-        _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < cols)
-        r = orthonormal_system_rank(s)
+        M = F[:, spread].reshape(-1, cols)
+        _, sv, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < cols)
+        r = orthonormal_system_rank(sv)
         if r == cols:
-            return np.zeros((d, 0))
+            return np.zeros((v, 0)), nulls
         S = Vh[r:].conj().T[shifts]  # S[k]: the null basis at c_k times each monomial of degree deg - 1
         U0, s0, V0h = np.linalg.svd(S[0], full_matrices=False)
         if orthonormal_system_rank(s0) == cols - r:
             # S[k] = S[0] T_k for T_k the multiplication by c_k / c_0, which
             # share one eigenbasis; a random combination of them separates the points
-            Sr = np.tensordot(rng.normal(size=(d, 2)).view(complex)[:, 0], S, 1)
+            Sr = (rng.normal(size=(v, 2)).view(complex)[:, 0] @ S.reshape(v, -1)).reshape(S.shape[1:])
             T = V0h.conj().T @ ((U0.conj().T @ Sr) / s0[:, None])
             Y = S @ np.linalg.eig(T)[1]  # Y[k] = Y[0] diag(c_k / c_0)
-            return np.sum(Y[0].conj() * Y, 1) / np.sum(np.abs(Y[0]) ** 2, 0)
-        grown, last = last is not None and cols - r > last, cols - r
-    if grown:
-        return None
-    raise NumericalError("the Macaulay null space did not settle")
+            return (Y[0].conj() * Y).sum(1) / (np.abs(Y[0]) ** 2).sum(0), nulls
+        nulls.append(cols - r)
+    return None, nulls

@@ -38,7 +38,7 @@ from pptgeo.states import (
     BipartiteMatrix,
     StateType,
     _macaulay_plan,
-    _minor_pairs,
+    _minor_plan,
     combine,
     is_ppt,
     kernel_vectors_w,
@@ -419,7 +419,12 @@ class TestCachedSpectrum:
         X = rho(2, math.pi / 6)
         w, V = X.spectrum
         face = face_of(X)
-        plans = (*_minor_pairs(3, 3), *_macaulay_plan(4, 3), *_model_map(3, 3))
+        # the index plans of both sides of the product-vector search
+        minors = [a for plan in (_minor_plan(3, 3, 2), _minor_plan(4, 3, 3))
+                  for level in plan for a in level]
+        macaulay = [a for folds, *rest in (_macaulay_plan(4, 3, 2), _macaulay_plan(3, 3, 3))
+                    for a in (*folds, *rest)]
+        plans = (*minors, *macaulay, *_model_map(3, 3))
         for arr in (w, V, face.D, face.E, hermitian_basis(5), *plans):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -453,6 +458,16 @@ class TestAppendixBases:
         b, th = 2.0, math.pi / 6
         assert basis_span_rank(appendix_basis_X(b, th)) == 25
         assert basis_span_rank(appendix_basis_Y(b, th)) == 25
+
+    @pytest.mark.parametrize("b", [1e-5, 1e5, 1e8])
+    def test_verify_appendix_far_from_b_one(self, b):
+        # the bases hold b^2 next to 1: the span ranks unit-scale each element
+        # and each membership residual is relative to its element's norm
+        # (the ranks read 14/14, 13/14 and 13/14 without, the residuals up to 9.5)
+        rep = verify_appendix(b, 0.3)
+        assert (rep.x_span_rank, rep.y_span_rank) == (25, 25)
+        assert rep.x_membership_max_residual <= 1e-8
+        assert rep.y_membership_max_residual <= 1e-8
 
     @pytest.mark.parametrize("basis", [appendix_basis_X, appendix_basis_Y])
     @pytest.mark.parametrize("b", [0.0, -1.0])

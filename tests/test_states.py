@@ -7,14 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import eigh_oracle, seesaw_product_vector_search
+from pptgeo import states
 from pptgeo.linalg import CUTOFF, ROUNDOFF, NumericalError, range_mask
 from pptgeo.states import (
     Arc,
     BipartiteMatrix,
     StateType,
+    _complement_vectors,
     _monomials,
     _product_vectors,
     _pt,
+    _span_vectors,
     arc_of,
     combine,
     conjugate_by_phase_unitary,
@@ -422,6 +425,34 @@ def _grid_subspaces():
                        np.kron(_unitary(rng, 3), _unitary(rng, 3)) @ V[:, mask])
 
 
+PLANTED = [(3, 3, 2), (3, 3, 3), (3, 3, 4), (2, 3, 2)]
+# spans on which every 2x2 minor vanishes, or a family of product vectors
+FAMILY_SPANS = [("x (x) span{y1, y2}", 2, 2), ("full 2x2", 2, 2),
+                ("x (x) C^3", 3, 3), ("one product vector", 3, 3)]
+
+
+def _family_span(name, m, n):
+    rng = np.random.default_rng(4)
+    x = _cgauss(rng, m)
+    x /= np.linalg.norm(x)
+    if name == "x (x) span{y1, y2}":
+        return np.linalg.qr(np.array([np.kron(x, _cgauss(rng, n)) for _ in range(2)]).T)[0]
+    if name == "full 2x2":
+        return np.eye(4)
+    if name == "x (x) C^3":
+        return np.kron(x[:, None], _unitary(rng, 3))
+    return np.kron(x, _unitary(rng, 3)[0])[:, None]
+
+
+def _planted_spans(m, n, k):
+    """Ten spans of k random product vectors each."""
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        planted = np.array([np.kron(_cgauss(rng, m), _cgauss(rng, n)) for _ in range(k)])
+        planted /= np.linalg.norm(planted, axis=1)[:, None]
+        yield planted, np.linalg.qr(planted.T)[0]
+
+
 class TestProductVectorSearch:
     def test_full_space(self):
         found = search_product_vector_in_subspace(np.eye(4), 2, 2, restarts=5)
@@ -459,13 +490,9 @@ class TestProductVectorSearch:
         assert len(found) == 4
         assert_allclose(np.abs(got @ want.conj().T).max(0), 1, atol=1e-12)
 
-    @pytest.mark.parametrize("m,n,k", [(3, 3, 2), (3, 3, 3), (3, 3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("m,n,k", PLANTED)
     def test_planted_vectors_all_returned(self, m, n, k):
-        rng = np.random.default_rng(k)
-        for _ in range(10):
-            planted = np.array([np.kron(_cgauss(rng, m), _cgauss(rng, n)) for _ in range(k)])
-            planted /= np.linalg.norm(planted, axis=1)[:, None]
-            D = np.linalg.qr(planted.T)[0]
+        for planted, D in _planted_spans(m, n, k):
             found = _product_vectors(D, m, n, np.random.default_rng(1))
             got = np.array([np.kron(xi, eta) for xi, eta in found])
             assert len(found) == k
@@ -474,21 +501,17 @@ class TestProductVectorSearch:
             assert_allclose(overlap.max(1), 1, atol=1e-12)
             assert_allclose(overlap.max(0), 1, atol=1e-12)
 
-    @pytest.mark.parametrize("name,m,n", [("x (x) span{y1, y2}", 2, 2), ("full 2x2", 2, 2),
-                                          ("x (x) C^3", 3, 3), ("one product vector", 3, 3)])
+    @pytest.mark.parametrize("name,m,n", FAMILY_SPANS)
     def test_family_returns_a_vector(self, name, m, n):
-        # spans on which every minor vanishes, or a family of product vectors
-        rng = np.random.default_rng(4)
-        x = _cgauss(rng, m)
-        x /= np.linalg.norm(x)
-        if name == "x (x) span{y1, y2}":
-            D = np.linalg.qr(np.array([np.kron(x, _cgauss(rng, n)) for _ in range(2)]).T)[0]
-        elif name == "full 2x2":
-            D = np.eye(4)
-        elif name == "x (x) C^3":
-            D = np.kron(x[:, None], _unitary(rng, 3))
-        else:
-            D = np.kron(x, _unitary(rng, 3)[0])[:, None]
+        D = _family_span(name, m, n)
+        found = search_product_vector_in_subspace(D, m, n)
+        assert found is not None
+        assert _in_span(D, *found) <= 1e-12
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (3, 1)])
+    def test_a_factor_of_dimension_one(self, m, n):
+        # every vector is a product vector, and there is no 2x2 minor
+        D = np.eye(3)[:, :2]
         found = search_product_vector_in_subspace(D, m, n)
         assert found is not None
         assert _in_span(D, *found) <= 1e-12
@@ -525,6 +548,66 @@ class TestProductVectorSearch:
         with pytest.raises(TypeError):
             table[(3, 0, 0, 0)] = 1
         assert table[(3, 0, 0, 0)] == 0 and _monomials(4, 3) is table
+
+
+def _slice_and_complement(D, m, n, rng):
+    """(B, K): the slice of the span of D in random coordinates and its
+    orthogonal complement, from one complete QR, as _product_vectors takes
+    them."""
+    d = D.shape[1]
+    Q = np.linalg.qr(D @ _cgauss(rng, d, d), mode="complete")[0]
+    k = min(d, (m - 1) * (n - 1) + 1)
+    return Q[:, :k], Q[:, k:]
+
+
+class TestSearchSides:
+    """The two sides of the product-vector search, called directly on one
+    slice: its own 2x2 minors, and the n x n minors over its complement."""
+
+    @staticmethod
+    def spans():
+        yield from ((name, D, 3, 3) for name, D in _grid_subspaces())
+        for m, n, k in PLANTED:
+            yield from ((f"{k} planted in {m}x{n}", D, m, n) for _, D in _planted_spans(m, n, k))
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 4, 5):
+            yield f"generic, dimension {d}", np.linalg.qr(_cgauss(rng, 9, d))[0], 3, 3
+
+    def test_sides_agree(self, monkeypatch):
+        # same verdict, count and points up to phase; a complement proof has
+        # a Macaulay margin sigma_min / sigma_max (its first SVD) of at least 1e-2
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(svd(*a, **k)) or calls[-1])
+        rng = np.random.default_rng(21)
+        for name, D, m, n in self.spans():
+            B, K = _slice_and_complement(D, m, n, rng)
+            calls.clear()
+            complement = _complement_vectors(K, m, n, rng)
+            s = calls[0][1]
+            span = _span_vectors(B, m, n, rng)
+            assert complement is not None, name
+            assert len(complement) == len(span), name
+            if not span:
+                assert s[-1] / s[0] >= 1e-2, name
+                continue
+            a, b = (np.array([np.kron(xi, eta) for xi, eta in found]) for found in (complement, span))
+            overlap = np.abs(a.conj() @ b.T)
+            assert_allclose(overlap.max(0), 1, atol=1e-9, err_msg=name)
+            assert_allclose(overlap.max(1), 1, atol=1e-9, err_msg=name)
+
+    @pytest.mark.parametrize("name,m,n", FAMILY_SPANS)
+    def test_family_spans_are_decided_on_the_span_side(self, name, m, n, monkeypatch):
+        # the 3x3 spans are posed on the span side, being small; x (x)
+        # span{y1, y2} is handed back, its point x leaving A(x) a 2-dimensional
+        # kernel.  The full 2x2 is sliced to a generic 2-dimensional span with
+        # two product vectors first, which the complement side decides.
+        results = []
+        complement = states._complement_vectors
+        monkeypatch.setattr(states, "_complement_vectors",
+                            lambda *a: results.append(complement(*a)) or results[-1])
+        assert search_product_vector_in_subspace(_family_span(name, m, n), m, n) is not None
+        want = {"x (x) span{y1, y2}": [None], "full 2x2": [2]}.get(name, [])
+        assert [r if r is None else len(r) for r in results] == want
 
 
 def test_search_agrees_with_the_seesaw_oracle_on_the_grid():
