@@ -29,7 +29,6 @@ from .linalg import (
     hermitian_to_real_vector,
     numerical_rank,
     orthonormal_system_rank,
-    range_mask,
     unit_scaled,
 )
 from .states import BipartiteMatrix, FaceSpec, _pt, is_ppt, normalize, partial_transpose, rho
@@ -67,9 +66,8 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     # the complement of its range, is the kernel half of its cached spectrum.
     Y, YT = (X, partial_transpose(X)) if p <= q else (partial_transpose(X), X)
     D = face.D if p <= q else face.E
-    (w, _), (wT, V) = Y.spectrum, YT.spectrum
     r = min(p, q)
-    F = V[:, ~range_mask(wT)]
+    F = YT.spectrum[1][:, ~YT._range_mask]
     Z = D @ hermitian_basis(r) @ D.conj().T
     W = F.conj().T @ _pt(Z, X.m, X.n)
     M = np.concatenate([W.real, W.imag], axis=1).reshape(r * r, -1).T
@@ -79,9 +77,9 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     # M c = [Re; Im] F^dagger (P_D U P_D)^Gamma: nonzero only by the eigenvalues
     # range_mask drops from U and from U^Gamma (a partial transpose keeps the
     # Frobenius norm), scaled before the norm so that it cannot overflow.
-    U, e = unit_scaled(Y.data)
+    U, e = Y._unit_scaled
     c = (Z.reshape(r * r, -1) @ U.T.ravel()).real
-    slack = sum(np.linalg.norm(np.ldexp(v[~range_mask(v)], -e)) for v in (w, wT))
+    slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~S._range_mask], -e)) for S in (Y, YT))
     if np.linalg.norm(M @ c) > slack + ROUNDOFF * np.linalg.norm(c):
         raise NumericalError("the state is not in its own face system")
     return ExtremalityReport(p * p, q * q, dim, dim == 1, normalize(X) if dim == 1 else None)
@@ -230,7 +228,7 @@ def basis_span_rank(mats: list[np.ndarray]) -> int:
     """Real-linear span dimension of a list or stack of hermitian matrices,
     each unit-scaled first, so that the rank does not depend on how the
     elements' sizes compare (the appendix bases hold b^2 next to 1)."""
-    return numerical_rank(hermitian_to_real_vector([unit_scaled(M)[0] for M in mats]))
+    return numerical_rank(hermitian_to_real_vector(unit_scaled(mats)[0]))
 
 
 @dataclass(frozen=True)
@@ -260,9 +258,10 @@ def _combination_identity(target, xs, ys, theta: float) -> CombinationIdentityRe
     c, s = np.cos(theta), np.sin(theta)
     combo_x = c * (xs[0] + xs[1] + xs[2]) + s * xs[3] - xs[4] - xs[5] - xs[6]
     y_head = c * (ys[0] + ys[1] + ys[2]) - s * ys[3] - ys[4] - ys[5]
-    scaled, _ = unit_scaled([target, target - combo_x, target - (y_head - xs[6]),
-                             target - (y_head - ys[6])])
-    scale, *norms = (np.linalg.norm(M) for M in scaled)
+    # one matrix of the four stacked, so that they share one exponent
+    scaled = unit_scaled(np.concatenate([target, target - combo_x, target - (y_head - xs[6]),
+                                         target - (y_head - ys[6])]))[0]
+    scale, *norms = (np.linalg.norm(M) for M in np.split(scaled, 4))
     rx, ry_x7, ry_y7 = (float(r / scale) for r in norms)
     return CombinationIdentityReport(rx, ry_x7, ry_y7, rx <= ROUNDOFF)
 

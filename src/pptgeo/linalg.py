@@ -54,6 +54,10 @@ def unit_scaled(A):
     """(A * 2**-e, e) as a complex array, with e the ``math.frexp`` exponent
     of A's largest real or imaginary magnitude, so that magnitude of the
     scaled array lies in [1/2, 1).  A zero A comes back unchanged with e = 0.
+    A of more than two dimensions is a (..., r, c) stack of matrices, each
+    scaled by its own exponent: e is then an integer array of shape
+    A.shape[:-2], a zero matrix keeps e = 0, and the result is bitwise what
+    one call per matrix would return.
 
     A power of two scales exactly, so a result computed on the scaled array
     and scaled back is bitwise the unscaled one wherever that stays in the
@@ -61,6 +65,9 @@ def unit_scaled(A):
     through here."""
     A = np.ascontiguousarray(A, dtype=complex)
     R = A.view(float)
+    if A.ndim > 2:
+        e = np.frexp(np.abs(R).max(axis=(-2, -1), initial=0.0))[1]
+        return np.ldexp(R, -e[..., None, None]).view(complex), e
     top = float(np.abs(R).max(initial=0.0))
     if top == 0.0:
         return A, 0

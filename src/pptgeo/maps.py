@@ -167,7 +167,7 @@ def boundary_witness_search(
     """
     m, n = spec.shape
     _, eta = seesaw.starts(restarts, m, n, seed)
-    G, _ = unit_scaled(np.array(spec.Vs + spec.Ws))
+    G = unit_scaled(np.concatenate(spec.Vs + spec.Ws))[0].reshape(-1, m, n)
     spec = DecomposableSpec(tuple(G[:len(spec.Vs)]), tuple(G[len(spec.Vs):]))
     Q = _pairing_form(spec)
     if spectrum_is_pd(np.linalg.eigvalsh(Q.reshape(m * n, m * n))):

@@ -26,7 +26,6 @@ from .linalg import (
     range_mask,
     spectrum_is_pd,
     spectrum_is_psd,
-    spectrum_rank,
     unit_scaled,
     zero_level,
 )
@@ -37,8 +36,9 @@ class BipartiteMatrix:
     """An mn x mn hermitian matrix tagged with its local dimensions.
 
     data is a read-only, exactly hermitian copy and the class is frozen, so
-    the spectrum, the partial transpose and the face are computed at most
-    once per object and cached.
+    the spectrum, the partial transpose and the face, and the decisions read
+    from them (the range mask, the PSD verdict and the unit-scaled data), are
+    computed at most once per object and cached.
     """
 
     m: int
@@ -69,6 +69,26 @@ class BipartiteMatrix:
         return w, V
 
     @functools.cached_property
+    def _range_mask(self) -> np.ndarray:
+        """:func:`~pptgeo.linalg.range_mask` of the spectrum, read-only; its
+        complement is the kernel."""
+        mask = range_mask(self.spectrum[0])
+        mask.flags.writeable = False
+        return mask
+
+    @functools.cached_property
+    def _is_psd(self) -> bool:
+        """:func:`~pptgeo.linalg.spectrum_is_psd` of the spectrum."""
+        return spectrum_is_psd(self.spectrum[0])
+
+    @functools.cached_property
+    def _unit_scaled(self) -> tuple[np.ndarray, int]:
+        """:func:`~pptgeo.linalg.unit_scaled` of data, the array read-only."""
+        U, e = unit_scaled(self.data)
+        U.flags.writeable = False
+        return U, e
+
+    @functools.cached_property
     def _partial_transpose(self) -> Optional[BipartiteMatrix]:
         """X^Gamma, or None when the permuted data is bitwise X's, signed
         zeros included (every rho): X^Gamma is then X itself and shares its
@@ -81,8 +101,9 @@ class BipartiteMatrix:
     @functools.cached_property
     def _face(self) -> FaceSpec:
         """The range bases of X and of X^Gamma, read-only and read from the
-        two cached spectra; extremality.face_of checks PPT before reading it."""
-        D, E = (V[:, range_mask(w)] for w, V in (self.spectrum, partial_transpose(self).spectrum))
+        two cached spectra and range masks; extremality.face_of checks PPT
+        before reading it."""
+        D, E = (Y.spectrum[1][:, Y._range_mask] for Y in (self, partial_transpose(self)))
         D.flags.writeable = E.flags.writeable = False
         return FaceSpec(D, E)
 
@@ -133,23 +154,31 @@ def p_theta(theta: float) -> float:
     return max(2.0 * math.cos(theta + 2.0 * math.pi * k / 3.0) for k in (-1, 0, 1))
 
 
+def _positions(*pairs) -> np.ndarray:
+    """(rows, columns), 0-based and read-only, of 1-based (row, column) pairs."""
+    index = np.array(pairs).T - 1
+    index.flags.writeable = False
+    return index
+
+
 # Positions (1-based composite indices) carrying -e^{i theta}; the hermitian
 # partners carry -e^{-i theta}.
-_RHO_PHASE_POSITIONS = ((1, 5), (5, 9), (9, 1), (3, 7), (4, 2), (8, 6))
-_SIGMA_PHASE_POSITIONS = ((1, 5), (5, 9), (9, 1))
+_RHO_PHASE_POSITIONS = _positions((1, 5), (5, 9), (9, 1), (3, 7), (4, 2), (8, 6))
+_SIGMA_PHASE_POSITIONS = _positions((1, 5), (5, 9), (9, 1))
 
 
 def _cyclic_pattern(diag, theta: float, positions) -> BipartiteMatrix:
     """The 3 (x) 3 matrix with diagonal (x, y, z, z, x, y, y, z, x), -e^{i theta}
-    at the 1-based positions and -e^{-i theta} at their partners.  rho and sigma
-    use (p_theta, 1/b, b); the generalized Choi map's Choi matrix is sigma's
-    pattern with (a, c, b)."""
+    at the (rows, columns) positions and -e^{-i theta} at their partners.
+    rho and sigma use (p_theta, 1/b, b); the generalized Choi map's Choi
+    matrix is sigma's pattern with (a, c, b)."""
     x, y, z = diag
-    M = np.diag([x, y, z, z, x, y, y, z, x]).astype(complex)
+    M = np.zeros((9, 9), dtype=complex)
+    np.fill_diagonal(M, (x, y, z, z, x, y, y, z, x))
     phase = -np.exp(1j * theta)
-    for i, j in positions:
-        M[i - 1, j - 1] = phase
-        M[j - 1, i - 1] = np.conj(phase)
+    i, j = positions
+    M[i, j] = phase
+    M[j, i] = np.conj(phase)
     return BipartiteMatrix(3, 3, M)
 
 
@@ -192,14 +221,14 @@ def partial_transpose(X: BipartiteMatrix) -> BipartiteMatrix:
 
 def state_type(X: BipartiteMatrix) -> StateType:
     """Rank pair of a PPT state and its partial transpose."""
-    if not spectrum_is_psd(X.spectrum[0]):
+    if not X._is_psd:
         raise ValueError("state_type requires a PSD input")
-    return StateType(spectrum_rank(X.spectrum[0]), spectrum_rank(partial_transpose(X).spectrum[0]))
+    return StateType(*(int(np.count_nonzero(Y._range_mask)) for Y in (X, partial_transpose(X))))
 
 
 def is_ppt(X: BipartiteMatrix) -> bool:
     """PSD together with PSD partial transpose."""
-    return spectrum_is_psd(X.spectrum[0]) and spectrum_is_psd(partial_transpose(X).spectrum[0])
+    return X._is_psd and partial_transpose(X)._is_psd
 
 
 def arc_of(theta: float) -> Arc:
@@ -264,7 +293,7 @@ def normalize(X: BipartiteMatrix) -> BipartiteMatrix:
     """Scale to unit trace.  X is unit-scaled before its trace is taken and
     divided by, so the result stays finite at any scale of X; the trace must
     be positive."""
-    A = unit_scaled(X.data)[0]
+    A = X._unit_scaled[0]
     tr = np.trace(A).real
     if tr <= 0:
         raise ValueError("trace must be positive to normalize")
@@ -427,21 +456,30 @@ def _span_vectors(B: np.ndarray, m: int, n: int, rng: np.random.Generator) -> li
     x (x) y lies in span{B_k} (column k of B reshaped m x n) iff
     M(c) = sum_k c_k B_k has rank one, i.e. iff the C(m,2) C(n,2) 2x2 minors
     of M(c), quadrics in c, all vanish.  :func:`_points` tries the degrees 3
-    to d + 2.  A null space still growing at the last is a family, and the
-    span is sliced one dimension further (its last coordinate dropped); one
-    that is not is a NumericalError.
+    to d + 2, and takes the points of a degree only when the leading
+    singular vectors u, v of every M(c) make u (x) v a product zero of
+    I - B B^dagger: a degree too low can pass the rank test of :func:`_points`
+    with points that are not there (a null space of dimension one always
+    passes it).  A null space still growing at the last degree is a family,
+    and the span is sliced one dimension further (its last coordinate
+    dropped); one that is not is a NumericalError.
     """
+    def read(P):
+        U, _, Vh = np.linalg.svd((B @ P).T.reshape(-1, m, n))
+        xi, eta = U[:, :, 0], Vh[:, 0]
+        v = (xi[:, :, None] * eta[:, None, :]).reshape(len(xi), -1)
+        Q = np.eye(m * n) - B @ B.conj().T
+        if np.any(((v.conj() @ Q) * v).sum(1).real > zero_level(Q)):
+            return None
+        return list(zip(xi, eta))
+
     while True:
-        P, nulls = _points(B, m, n, 2, range(3, B.shape[1] + 3), rng)
-        if P is not None:
-            break
+        found, nulls = _points(B, m, n, 2, range(3, B.shape[1] + 3), rng, read)
+        if found is not None:
+            return found
         if len(nulls) < 2 or nulls[-1] <= nulls[-2]:
             raise NumericalError("the Macaulay null space did not settle")
         B = B[:, :-1]
-    if not P.shape[1]:
-        return []
-    U, _, Vh = np.linalg.svd((B @ P).T.reshape(-1, m, n))
-    return list(zip(U[:, :, 0], Vh[:, 0]))
 
 
 def _complement_vectors(K: np.ndarray, m: int, n: int, rng: np.random.Generator):
@@ -464,18 +502,17 @@ def _complement_vectors(K: np.ndarray, m: int, n: int, rng: np.random.Generator)
     U = np.linalg.qr(rng.normal(size=(m, m, 2)).view(complex)[..., 0])[0]
     # row k * n + j holds A(x)[k, j] as a linear form in the frame coordinates
     L = K.conj().reshape(m, n, c).transpose(2, 1, 0).reshape(c * n, m) @ U
-    P = _points(L, c, n, n, (n,), rng)[0]
-    if P is None:
-        return None
-    if not P.shape[1]:
-        return []
-    P = P / np.linalg.norm(P, axis=0)
-    _, s, Vh = np.linalg.svd((L @ P).T.reshape(-1, c, n))
-    # for unit x and y, <x (x) y| K K^dagger |x (x) y> = |A(x) y|^2 = s_min^2
-    if (any(orthonormal_system_rank(t) != n - 1 for t in s)
-            or np.any(s[:, -1] ** 2 > zero_level(K @ K.conj().T))):
-        return None
-    return list(zip((U @ P).T, Vh[:, -1].conj()))
+
+    def read(P):
+        P = P / np.linalg.norm(P, axis=0)
+        _, s, Vh = np.linalg.svd((L @ P).T.reshape(-1, c, n))
+        # for unit x and y, <x (x) y| K K^dagger |x (x) y> = |A(x) y|^2 = s_min^2
+        if (any(orthonormal_system_rank(t) != n - 1 for t in s)
+                or np.any(s[:, -1] ** 2 > zero_level(K @ K.conj().T))):
+            return None
+        return list(zip((U @ P).T, Vh[:, -1].conj()))
+
+    return _points(L, c, n, n, (n,), rng, read)[0]
 
 
 #: The largest Macaulay matrix :func:`_points` builds (2**21 complex entries, 32 MiB).
@@ -585,16 +622,18 @@ def _minor_forms(L: np.ndarray, p: int, q: int, s: int, folds) -> np.ndarray:
     return F
 
 
-def _points(L: np.ndarray, p: int, q: int, s: int, degrees, rng: np.random.Generator):
-    """(P, nulls): P holds the points c (columns, c_0 = 1) at which the p x q
-    matrix of linear forms M(c) = sum_k c_k L[:, k], entry (row, col) at
-    row * q + col, has rank below s, or is None when no degree in degrees
-    shows them; nulls holds the null-space dimension of each degree that
-    did not.
+def _points(L: np.ndarray, p: int, q: int, s: int, degrees, rng: np.random.Generator, read):
+    """(found, nulls) for the points c at which the p x q matrix of linear
+    forms M(c) = sum_k c_k L[:, k], entry (row, col) at row * q + col, has
+    rank below s: found is [] when there are none and read(P) when a degree
+    shows some, P holding them as columns (c_0 = 1); read returns what the
+    caller makes of them, or None to reject them.  found is None when no
+    degree in degrees shows points that read takes; nulls holds the
+    null-space dimension of each degree that did not.
 
     The Macaulay matrix at degree deg has the s x s minors of M(c) times each
     monomial of degree deg - s as rows and the monomials of degree deg as
-    columns.  Full column rank means no point (P has no column); its margin
+    columns.  Full column rank means no point (found is []); its margin
     is sigma_min / sigma_max.  Otherwise its null space K, of dimension N,
     holds the monomial vectors of the N points once deg is high enough,
     which shows as the rows of K at c_0 times the degree-(deg - 1) monomials
@@ -616,7 +655,7 @@ def _points(L: np.ndarray, p: int, q: int, s: int, degrees, rng: np.random.Gener
         _, sv, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < cols)
         r = orthonormal_system_rank(sv)
         if r == cols:
-            return np.zeros((v, 0)), nulls
+            return [], nulls
         S = Vh[r:].conj().T[shifts]  # S[k]: the null basis at c_k times each monomial of degree deg - 1
         U0, s0, V0h = np.linalg.svd(S[0], full_matrices=False)
         if orthonormal_system_rank(s0) == cols - r:
@@ -625,6 +664,8 @@ def _points(L: np.ndarray, p: int, q: int, s: int, degrees, rng: np.random.Gener
             Sr = (rng.normal(size=(v, 2)).view(complex)[:, 0] @ S.reshape(v, -1)).reshape(S.shape[1:])
             T = V0h.conj().T @ ((U0.conj().T @ Sr) / s0[:, None])
             Y = S @ np.linalg.eig(T)[1]  # Y[k] = Y[0] diag(c_k / c_0)
-            return (Y[0].conj() * Y).sum(1) / (np.abs(Y[0]) ** 2).sum(0), nulls
+            found = read((Y[0].conj() * Y).sum(1) / (np.abs(Y[0]) ** 2).sum(0))
+            if found is not None:
+                return found, nulls
         nulls.append(cols - r)
     return None, nulls

@@ -8,6 +8,7 @@ import pptgeo.extremality as extremality
 import pptgeo.linalg as linalg
 import pptgeo.states as states_module
 from oracles import (
+    _eigh_split,
     appendix_basis_X_formula,
     appendix_basis_Y_formula,
     d_side_face_dim,
@@ -425,9 +426,61 @@ class TestCachedSpectrum:
         macaulay = [a for folds, *rest in (_macaulay_plan(4, 3, 2), _macaulay_plan(3, 3, 3))
                     for a in (*folds, *rest)]
         plans = (*minors, *macaulay, *_model_map(3, 3))
-        for arr in (w, V, face.D, face.E, hermitian_basis(5), *plans):
+        cached = (X._range_mask, X._unit_scaled[0], BipartiteMatrix(2, 2, np.zeros((4, 4)))._unit_scaled[0])
+        for arr in (w, V, face.D, face.E, hermitian_basis(5), *plans, *cached):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @staticmethod
+    def decided_states():
+        """The grid, b = 1e-3 and 7.3 off it, and each of them rescaled by 2**300 and 2**-300."""
+        states = grid_states() + [family(b, k * math.pi / 12) for family in (rho, sigma)
+                                  for b in (1e-3, 7.3) for k in range(24)]
+        return states + [BipartiteMatrix(3, 3, X.data * 2.0**e) for X in states for e in (300, -300)]
+
+    def test_cached_decisions_follow_the_rules(self):
+        """The cached range mask and PSD verdict are the linalg rules on the
+        oracle's spectra of X and of an entrywise X^Gamma, and agree with the
+        oracle's own cut; the cached scaling is unit_scaled of the data."""
+        for X in self.decided_states():
+            for Y, H in ((X, X.data), (partial_transpose(X), pt_oracle(X))):
+                w = _eigh_split(H)[0][::-1]
+                _, psd, rank, _, _ = eigh_oracle(H)
+                assert np.array_equal(Y._range_mask, linalg.range_mask(w))
+                assert np.count_nonzero(Y._range_mask) == rank
+                assert Y._is_psd == linalg.spectrum_is_psd(w) == psd
+                U, e = linalg.unit_scaled(Y.data)
+                assert Y._unit_scaled[1] == e
+                assert Y._unit_scaled[0].tobytes() == U.tobytes()
+
+    def test_each_decision_once_per_state_in_a_grid_op(self, monkeypatch):
+        """A paper_grid op makes each decision at most once per state: the
+        rules see each spectrum, and unit_scaled each data array, once."""
+        seen = []
+        for name in ("range_mask", "spectrum_is_psd", "unit_scaled"):
+            rule = getattr(linalg, name)
+
+            def counted(A, rule=rule, name=name):
+                seen.append((name, id(A)))
+                return rule(A)
+
+            for module in (linalg, states_module, extremality):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        for X in self.decided_states():
+            seen.clear()
+            is_ppt(X)
+            state_type(X)
+            face_of(X)
+            is_extreme_in_T(X)
+            assert len(seen) == len(set(seen))
+            # a rho is its own partial transpose: one state, one decision each
+            states = 1 if partial_transpose(X) is X else 2
+            assert sum(name == "range_mask" for name, _ in seen) == states
+            assert sum(name == "spectrum_is_psd" for name, _ in seen) == states
+            # the membership check scales Y, and normalize reuses that for an
+            # extreme rho, whose Y is X itself
+            assert sum(name == "unit_scaled" for name, _ in seen) == 1
 
 
 class TestAppendixBases:

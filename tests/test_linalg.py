@@ -217,6 +217,18 @@ class TestUnitScaled:
         S, e = unit_scaled(np.zeros((2, 2)))
         assert e == 0 and np.array_equal(S, np.zeros((2, 2)))
 
+    def test_stack_is_scaled_per_matrix(self):
+        # like as_hermitian, each matrix of a stack to its own scale, bitwise
+        # as one call per matrix; a zero matrix keeps e = 0
+        A = np.random.default_rng(37).normal(size=(2, 3, 4, 5, 2)) @ [1, 1j]
+        A *= 10.0 ** np.array([[-320, -300, -7], [0, 100, 300]])[..., None, None]
+        A[1, 0] = 0
+        S, e = unit_scaled(A)
+        assert e.shape == (2, 3) and e[1, 0] == 0
+        for i, j in np.ndindex(2, 3):
+            S1, e1 = unit_scaled(A[i, j])
+            assert e[i, j] == e1 and S[i, j].tobytes() == S1.tobytes()
+
     def test_non_contiguous_input(self):
         A = np.arange(12.0).reshape(3, 4).T * (1 + 2j)
         S, e = unit_scaled(A)

@@ -595,6 +595,17 @@ class TestSearchSides:
             assert_allclose(overlap.max(0), 1, atol=1e-9, err_msg=name)
             assert_allclose(overlap.max(1), 1, atol=1e-9, err_msg=name)
 
+    def test_span_side_returns_no_point_off_the_span(self):
+        # a generic 9-dimensional span of C^4 (x) C^4 holds no product vector;
+        # its degree-3 Macaulay matrix has a one-dimensional null space, which
+        # passes the rank test with a point 0.02-0.4 from the span, and degree
+        # 4 has full column rank
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            B, K = _slice_and_complement(np.linalg.qr(_cgauss(rng, 16, 9))[0], 4, 4, rng)
+            assert _span_vectors(B, 4, 4, rng) == []
+            assert _complement_vectors(K, 4, 4, rng) == []
+
     @pytest.mark.parametrize("name,m,n", FAMILY_SPANS)
     def test_family_spans_are_decided_on_the_span_side(self, name, m, n, monkeypatch):
         # the 3x3 spans are posed on the span side, being small; x (x)
