@@ -4,7 +4,7 @@ JSON reports go to stdout; a short human-readable summary goes to stderr, so
 pipelines can consume the JSON directly.  Exit codes: 0 success; 2 input
 error (a flag argparse rejects, a missing or conflicting flag, a file or JSON
 document without its documented layout); 3 a well-formed value outside a
-function's domain, or a numerical failure.
+function's domain, a numerical failure, or a result too large for memory.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from . import krawtchouk as kw
 from . import maps as mp
 from . import serialize as ser
 from . import states as st
-from .linalg import NumericalError, range_mask
+from .linalg import NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,16 +49,6 @@ def format_theta(theta: float) -> str:
         den = "" if frac.denominator == 1 else f"/{frac.denominator}"
         return f"{sign}{num}pi{den}"
     return repr(theta)
-
-
-def default_seed() -> int:
-    """PPTGEO_SEED as a non-negative integer, 0 when unset."""
-    text = os.environ.get("PPTGEO_SEED", "0")
-    try:
-        return _int_at_least(0)(text)
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(
-            f"PPTGEO_SEED must be a non-negative integer, got {text!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -127,8 +116,8 @@ def cmd_classify(args) -> tuple[dict, str]:
 
 
 def cmd_kernel(args) -> tuple[dict, str]:
-    w, V = _state_from_args(args)[0].spectrum
-    K = V[:, ~range_mask(w)]
+    X = _state_from_args(args)[0]
+    K = X.spectrum[1][:, ~X._range_mask]
     return ({"dim": K.shape[1], "basis": [ser.vector_to_json(K[:, i]) for i in range(K.shape[1])]},
             f"kernel dimension {K.shape[1]}")
 
@@ -189,9 +178,8 @@ def cmd_pair(args) -> tuple[dict, str]:
 
 
 def cmd_boundary_witness(args) -> tuple[dict, str]:
-    seed = default_seed() if args.seed is None else args.seed
     spec = ser.spec_from_json(ser.load_json(args.spec))
-    found = mp.boundary_witness_search(spec, restarts=args.restarts, seed=seed)
+    found = mp.boundary_witness_search(spec, restarts=args.restarts, seed=args.seed)
     if found is None:
         return {"found": False}, "no witness found (inconclusive)"
     xi, eta, res = found
@@ -267,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = msub.add_parser("boundary-witness")
     pm.add_argument("--spec", required=True, metavar="FILE")
     pm.add_argument("--restarts", type=_int_at_least(1), default=1000)
-    pm.add_argument("--seed", type=_int_at_least(0), help="default: PPTGEO_SEED, or 0")
+    pm.add_argument("--seed", type=_int_at_least(0), default=0)
     pm.set_defaults(func=cmd_boundary_witness)
 
     ksub = sub.add_parser("krawtchouk", help="alternating binomial sum diagnostics").add_subparsers(
@@ -297,8 +285,8 @@ def main(argv=None) -> int:
     except (argparse.ArgumentTypeError, ser.FormatError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, NumericalError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, NumericalError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return EXIT_NUMERICAL
 
 

@@ -12,6 +12,8 @@ condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the kernel of
 Y^Gamma; the intersection is the kernel of that real
 (2 mn (mn - max(p, q))) x min(p, q)^2 system, whose singular values give its
 dimension.  X lies in its own face, so an extreme X is its own generator.
+D, F and the bases of :func:`face_of` are read off the spectra and range
+masks that each state caches, so no basis is computed or checked twice.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .linalg import (
     orthonormal_system_rank,
     unit_scaled,
 )
-from .states import BipartiteMatrix, FaceSpec, _pt, is_ppt, normalize, partial_transpose, rho
+from .states import BipartiteMatrix, _pt, is_ppt, normalize, partial_transpose, rho
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,20 @@ class ExtremalityReport:
     generator: Optional[BipartiteMatrix]
 
 
+@dataclass(frozen=True)
+class FaceSpec:
+    """Orthonormal bases (columns) of the two range subspaces defining a face."""
+
+    D: np.ndarray
+    E: np.ndarray
+
+
 def face_of(X: BipartiteMatrix) -> FaceSpec:
-    """Range bases of X and of its partial transpose, built and checked once
-    per state and cached on X."""
+    """Range bases of a PPT X and of its partial transpose: the eigenvectors
+    that the cached range masks keep from the two cached spectra."""
     if not is_ppt(X):
         raise ValueError("face_of requires a PPT input")
-    return X._face
+    return FaceSpec(*(Y.spectrum[1][:, Y._range_mask] for Y in (X, partial_transpose(X))))
 
 
 def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
@@ -59,15 +69,16 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     X is normalize(X); NumericalError if the face system does not contain X."""
     if np.max(np.abs(X.data)) == 0:
         raise ValueError("the zero matrix has no extremality report")
-    face = face_of(X)
-    p, q = face.D.shape[1], face.E.shape[1]
+    if not is_ppt(X):
+        raise ValueError("is_extreme_in_T requires a PPT input")
+    XT = partial_transpose(X)
+    p, q = (int(np.count_nonzero(S._range_mask)) for S in (X, XT))
     # The system is posed for Y, whichever of X and X^Gamma has the smaller
     # range D (see the module docstring); Y^Gamma is the other one, and F,
     # the complement of its range, is the kernel half of its cached spectrum.
-    Y, YT = (X, partial_transpose(X)) if p <= q else (partial_transpose(X), X)
-    D = face.D if p <= q else face.E
+    Y, YT = (X, XT) if p <= q else (XT, X)
     r = min(p, q)
-    F = YT.spectrum[1][:, ~YT._range_mask]
+    D, F = Y.spectrum[1][:, Y._range_mask], YT.spectrum[1][:, ~YT._range_mask]
     Z = D @ hermitian_basis(r) @ D.conj().T
     W = F.conj().T @ _pt(Z, X.m, X.n)
     M = np.concatenate([W.real, W.imag], axis=1).reshape(r * r, -1).T

@@ -66,8 +66,7 @@ def pairing(rho: BipartiteMatrix, phi: ChoiMap) -> float:
     past the floating-point range."""
     if (rho.m, rho.n) != (phi.m, phi.n):
         raise ValueError("state and map live on different systems")
-    R, r = unit_scaled(rho.data)
-    C, c = unit_scaled(phi.choi.data)
+    (R, r), (C, c) = rho._unit_scaled, phi.choi._unit_scaled
     val = complex(np.trace(R @ C.T))
     if abs(val.imag) > ROUNDOFF * np.linalg.norm(R) * np.linalg.norm(C):
         raise NumericalError(f"pairing has a nonreal value {val} * 2**{r + c}")
@@ -79,15 +78,17 @@ def pairing(rho: BipartiteMatrix, phi: ChoiMap) -> float:
 
 def phi_theta_coefficients(theta: float, t: float):
     """The diagonal coefficients (a, b, c) of the one-parameter positive map
-    family; they always sum to p_theta."""
+    family; they always sum to p_theta and are finite at every finite t > 0."""
     if t <= 0:
         raise ValueError("t must be positive")
     p = p_theta(theta)
-    den = 1.0 - t + t * t
-    a = 1.0 - (p - 1.0) * t / den
-    b = (p - 1.0) * t * t / den
-    c = (p - 1.0) / den
-    return a, b, c
+    if t * t < math.inf:
+        den = 1.0 - t + t * t
+        return 1.0 - (p - 1.0) * t / den, (p - 1.0) * t * t / den, (p - 1.0) / den
+    # t * t overflows: the same formulas divided through by t^2, with s = 1/t
+    s = 1.0 / t
+    den = s * s - s + 1.0
+    return 1.0 - (p - 1.0) * s / den, (p - 1.0) / den, (p - 1.0) * s * s / den
 
 
 def phi_theta_t(theta: float, t: float) -> ChoiMap:
@@ -219,7 +220,7 @@ def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -
     zero level, scaled back) certifies non-positivity, while a positive map
     may read a little below 0 from rounding."""
     m, n = phi.m, phi.n
-    C, e = unit_scaled(phi.choi.data)
+    C, e = phi.choi._unit_scaled
     Q, (xi, eta) = C.reshape(m, n, m, n), seesaw.starts(samples, m, n, seed)
     # the form at each sample (xi, eta), the value above at an equally likely (xi_bar, eta)
     vals = seesaw.forms(Q, xi, eta)[1] / (np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1)) ** 2

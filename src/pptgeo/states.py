@@ -36,9 +36,9 @@ class BipartiteMatrix:
     """An mn x mn hermitian matrix tagged with its local dimensions.
 
     data is a read-only, exactly hermitian copy and the class is frozen, so
-    the spectrum, the partial transpose and the face, and the decisions read
-    from them (the range mask, the PSD verdict and the unit-scaled data), are
-    computed at most once per object and cached.
+    the spectrum and the partial transpose, and the decisions read from them
+    (the range mask, the PSD verdict and the unit-scaled data), are computed
+    at most once per object and cached; every per-state decision reads them.
     """
 
     m: int
@@ -97,30 +97,6 @@ class BipartiteMatrix:
         if T.tobytes() == self.data.tobytes():
             return None
         return BipartiteMatrix(self.m, self.n, T)
-
-    @functools.cached_property
-    def _face(self) -> FaceSpec:
-        """The range bases of X and of X^Gamma, read-only and read from the
-        two cached spectra and range masks; extremality.face_of checks PPT
-        before reading it."""
-        D, E = (Y.spectrum[1][:, Y._range_mask] for Y in (self, partial_transpose(self)))
-        D.flags.writeable = E.flags.writeable = False
-        return FaceSpec(D, E)
-
-
-@dataclass(frozen=True)
-class FaceSpec:
-    """Orthonormal bases (columns) of the two range subspaces defining a face."""
-
-    D: np.ndarray
-    E: np.ndarray
-
-    def __post_init__(self):
-        if self.D.ndim != 2 or self.E.ndim != 2 or len(self.D) != len(self.E):
-            raise ValueError("D and E must be matrices with the same number of rows")
-        for name, B in (("D", self.D), ("E", self.E)):
-            if not has_orthonormal_columns(B):
-                raise ValueError(f"{name} columns are not orthonormal")
 
 
 def _pt(Z: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -354,7 +330,7 @@ def verify_product_decomposition(X: BipartiteMatrix, parts) -> bool:
     product vectors: the largest entry of the difference is at most ROUNDOFF
     times the largest entry of X.  Each term is summed in the units of X
     unit-scaled, so the check holds at any scale of X and of the parts."""
-    U, e = unit_scaled(X.data)
+    U, e = X._unit_scaled
     acc = np.zeros_like(U)
     for xi, eta, weight in parts:
         if not 0 < weight < math.inf:

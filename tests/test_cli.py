@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pptgeo.maps as maps
 from oracles import eigh_oracle, trace_map
 from pptgeo.cli import build_parser, format_theta, main, parse_theta
 from pptgeo.serialize import (
@@ -416,6 +417,26 @@ class TestMapCommands:
         assert np.array_equal(C, np.eye(9).astype(complex))
         assert "(1,3)" in err
 
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 1.00 TiB for an array"), "error: Unable to allocate"),
+        (MemoryError(), "error: MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_numerical(self, capsys, monkeypatch, exc, message):
+        def exhausted(mu):
+            raise exc
+
+        monkeypatch.setattr(maps, "trace_map_decomposition_2n", exhausted)
+        code, out, err = run(capsys, "map", "trace-decomp", "--m", "2", "--mu", "2000")
+        assert code == 3
+        assert out == "" and err.startswith(message) and "Traceback" not in err
+
+    def test_phi_theta_at_huge_t(self, capsys):
+        # t * t overflows past about 1.34e154; the coefficients stay finite
+        code, out, _ = run(capsys, "map", "phi-theta", "--theta", "1", "--t", "1e160")
+        assert code == 0
+        C = matrix_from_json(json.loads(out)["choi"]["matrix"])
+        assert np.isfinite(C).all() and C[0, 0].real == 1.0
+
     def test_trace_decomp_2n_requires_mu(self, capsys):
         code, _, err = run(capsys, "map", "trace-decomp", "--m", "2")
         assert code == 2
@@ -546,29 +567,6 @@ class TestKrawtchoukCommands:
             assert code == 2
             assert out == "" and "must be at least 2" in err
 
-    def test_bad_seed_variable_is_usage(self, capsys, monkeypatch, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec_to_json(trace_map_decomposition_33())))
-        monkeypatch.setenv("PPTGEO_SEED", "abc")
-        code, out, err = run(capsys, "map", "boundary-witness", "--spec", str(path))
-        assert code == 2
-        assert out == "" and "PPTGEO_SEED" in err
-
-    def test_negative_seed_variable_is_usage(self, capsys, monkeypatch, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec_to_json(trace_map_decomposition_33())))
-        monkeypatch.setenv("PPTGEO_SEED", "-5")
-        code, out, err = run(capsys, "map", "boundary-witness", "--spec", str(path))
-        assert code == 2
-        assert out == "" and "PPTGEO_SEED" in err
-
-    def test_seed_variable_unread_without_seed(self, capsys, monkeypatch):
-        # only map boundary-witness takes a seed; other commands ignore the variable
-        monkeypatch.setenv("PPTGEO_SEED", "-5")
-        code, out, _ = run(capsys, "krawtchouk", "solve", "--m", "2", "--n", "4")
-        assert code == 0
-        assert json.loads(out)["solutions"]
-
     def test_negative_seed_flag_is_usage(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_to_json(trace_map_decomposition_33())))
@@ -576,17 +574,17 @@ class TestKrawtchoukCommands:
         assert code == 2
         assert out == "" and "--seed" in err
 
-    def test_seed_variable_sets_witness_seed(self, capsys, monkeypatch, tmp_path):
+    def test_seed_defaults_to_zero(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         g = lambda: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))  # noqa: E731
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_to_json(DecomposableSpec((g(),), (g(), g())))))
         argv = ("map", "boundary-witness", "--spec", str(path), "--restarts", "20")
-        by_flag = run(capsys, *argv, "--seed", "7")
-        monkeypatch.setenv("PPTGEO_SEED", "7")
-        by_variable = run(capsys, *argv)
+        by_flag = run(capsys, *argv, "--seed", "0")
         assert by_flag[0] == 0 and json.loads(by_flag[1])["found"]
-        assert by_variable == by_flag
+        assert run(capsys, *argv) == by_flag
+        # the seed is an input: another one gives another witness
+        assert run(capsys, *argv, "--seed", "7")[1] != by_flag[1]
 
 
 def test_no_subcommand_is_usage(capsys):

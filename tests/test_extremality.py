@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pptgeo.cli as cli
 import pptgeo.extremality as extremality
 import pptgeo.linalg as linalg
+import pptgeo.maps as maps
 import pptgeo.states as states_module
 from oracles import (
     _eigh_split,
@@ -45,10 +48,12 @@ from pptgeo.states import (
     kernel_vectors_w,
     normalize,
     partial_transpose,
+    product_decomposition_rho_1_pi,
     product_state,
     rho,
     sigma,
     state_type,
+    verify_product_decomposition,
 )
 
 GENERIC = [(2.0, math.pi / 6), (0.5, -1.1), (1.3, 2.0), (4.0, 5 * math.pi / 12)]
@@ -118,26 +123,9 @@ class TestFace:
             for B in (face.D, face.E):
                 assert np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))) <= ROUNDOFF
 
-    def test_facespec_rejects_beyond_roundoff(self):
-        D = np.eye(9)[:, :3]
-        FaceSpec(D * (1 + 0.25 * ROUNDOFF), D)
-        with pytest.raises(ValueError, match="not orthonormal"):
-            FaceSpec(D * (1 + 5 * ROUNDOFF), D)
-
     def test_zero_state_has_an_empty_face(self):
         face = face_of(BipartiteMatrix(3, 3, np.zeros((9, 9))))
         assert face.D.shape == face.E.shape == (9, 0)
-
-    def test_facespec_rejects_non_finite(self):
-        D = np.eye(9)[:, :3]
-        with pytest.raises(ValueError, match="not orthonormal"):
-            FaceSpec(D, np.where(D == 1, np.nan, D))
-
-    def test_facespec_rejects_bases_of_different_spaces(self):
-        D = np.eye(9)[:, :3]
-        for E in (np.eye(4)[:, :2], np.ones(9) / 3):
-            with pytest.raises(ValueError, match="same number of rows"):
-                FaceSpec(D, E)
 
     def test_p_d_annihilates_kernel(self):
         for b, th in GENERIC:
@@ -293,6 +281,13 @@ class TestExtremality:
         rep = is_extreme_in_T(sigma(2, math.pi / 6))
         assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == (64, 36, 19)
 
+    def test_non_ppt_state_rejected(self):
+        v = np.array([1.0, 0, 0, 1.0])
+        bell = BipartiteMatrix(2, 2, np.outer(v, v))  # its partial transpose has eigenvalue -1
+        for decide in (face_of, is_extreme_in_T):
+            with pytest.raises(ValueError, match=f"{decide.__name__} requires a PPT input"):
+                decide(bell)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix"):
             is_extreme_in_T(BipartiteMatrix(3, 3, np.zeros((9, 9))))
@@ -386,22 +381,22 @@ class TestCachedSpectrum:
         """One SVD per state, singular values only, of the system on the
         smaller range: every grid state and the near-boundary states read
         their dimension from the values, and the generator of an extreme
-        state is the state itself.  The face is built and checked once per
-        state, by face_of, and reused by is_extreme_in_T."""
+        state is the state itself.  The face is built once per op, by
+        face_of; is_extreme_in_T reads the cached spectra and builds none."""
         with_vectors, shapes, faces = [], [], []
-        svd, post_init = np.linalg.svd, FaceSpec.__post_init__
+        svd, face_spec = np.linalg.svd, extremality.FaceSpec
 
         def counted_svd(*args, **kwargs):
             with_vectors.append(kwargs.get("compute_uv", True))
             shapes.append(args[0].shape)
             return svd(*args, **kwargs)
 
-        def counted_face(face):
+        def counted_face(*args):
             faces.append(1)
-            post_init(face)
+            return face_spec(*args)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(FaceSpec, "__post_init__", counted_face)
+        monkeypatch.setattr(extremality, "FaceSpec", counted_face)
         for X in grid_states() + near_boundary_states():
             with_vectors.clear()
             shapes.clear()
@@ -410,7 +405,7 @@ class TestCachedSpectrum:
             t = state_type(X)
             face = face_of(X)
             is_extreme_in_T(X)
-            assert face_of(X) is face
+            assert isinstance(face, FaceSpec)
             assert len(faces) == 1
             assert with_vectors == [False]
             # the system is posed on the smaller range
@@ -419,7 +414,6 @@ class TestCachedSpectrum:
     def test_cached_arrays_read_only(self):
         X = rho(2, math.pi / 6)
         w, V = X.spectrum
-        face = face_of(X)
         # the index plans of both sides of the product-vector search
         minors = [a for plan in (_minor_plan(3, 3, 2), _minor_plan(4, 3, 3))
                   for level in plan for a in level]
@@ -427,7 +421,7 @@ class TestCachedSpectrum:
                     for a in (*folds, *rest)]
         plans = (*minors, *macaulay, *_model_map(3, 3))
         cached = (X._range_mask, X._unit_scaled[0], BipartiteMatrix(2, 2, np.zeros((4, 4)))._unit_scaled[0])
-        for arr in (w, V, face.D, face.E, hermitian_basis(5), *plans, *cached):
+        for arr in (w, V, hermitian_basis(5), *plans, *cached):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -481,6 +475,38 @@ class TestCachedSpectrum:
             # the membership check scales Y, and normalize reuses that for an
             # extreme rho, whose Y is X itself
             assert sum(name == "unit_scaled" for name, _ in seen) == 1
+
+    def test_consumers_reuse_each_states_decisions(self, monkeypatch, capsys):
+        """pairing, verify_product_decomposition, block_positivity_sample and
+        state kernel, each called twice on one state, scale its data and
+        mask its spectrum once between them: they read the cached decisions."""
+        seen = []
+        for name in ("range_mask", "unit_scaled"):
+            rule = getattr(linalg, name)
+
+            def counted(A, rule=rule, name=name):
+                seen.append((name, id(A)))
+                return rule(A)
+
+            for module in (linalg, states_module, extremality, maps, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        X, phi = rho(1, math.pi), maps.phi_theta_t(1.0, 1.5)
+        monkeypatch.setattr(cli, "_state_from_args", lambda args: (X, math.pi))
+        calls = (
+            lambda: maps.pairing(X, phi),
+            lambda: verify_product_decomposition(X, product_decomposition_rho_1_pi()),
+            lambda: maps.block_positivity_sample(phi, samples=20, seed=1),
+            lambda: cli.main(["state", "kernel", "--family", "rho", "--b", "1", "--theta", "pi"]),
+        )
+        for call in calls:
+            call()
+            call()
+        # the watched arrays stay alive, so no other argument shares their ids
+        watched = {("unit_scaled", id(X.data)), ("unit_scaled", id(phi.choi.data)),
+                   ("range_mask", id(X.spectrum[0]))}
+        assert sorted(key for key in seen if key in watched) == sorted(watched)
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["dim"] == 5
 
 
 class TestAppendixBases:

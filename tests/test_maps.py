@@ -136,6 +136,14 @@ class TestPhiTheta:
                 a, b, c = phi_theta_coefficients(th, t)
                 assert a + b + c == pytest.approx(p_theta(th), abs=1e-12)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-160, 1.0, 1.3e154, 1.4e154, 1e160, 1e300])
+    def test_coefficients_finite_at_any_t(self, t):
+        # t * t overflows between 1.3e154 and 1.4e154; b tends to p_theta - 1
+        for th in (0.3, 1.0, 2.5):
+            a, b, c = phi_theta_coefficients(th, t)
+            assert a + b + c == pytest.approx(p_theta(th), rel=ROUNDOFF)
+            assert b * c == pytest.approx((1 - a) ** 2, abs=ROUNDOFF)
+
     def test_values_at_t1(self):
         a, b, c = phi_theta_coefficients(math.pi / 6, 1.0)
         assert a == pytest.approx(2 - math.sqrt(3), abs=1e-12)
