@@ -11,7 +11,10 @@ basis of Y and H hermitian on its min(p, q) coordinates, leaves one
 condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the kernel of
 Y^Gamma; the intersection is the kernel of that real
 (2 mn (mn - max(p, q))) x min(p, q)^2 system, whose singular values give its
-dimension.  X lies in its own face, so an extreme X is its own generator.
+dimension.  The system is assembled from D and F alone by
+:func:`_face_system`, one contraction over the tensor indices followed by one
+product with the basis of Herm(min(p, q)), without forming any Z.  X lies in
+its own face, so an extreme X is its own generator.
 D, F and the bases of :func:`face_of` are read off the spectra and range
 masks that each state caches, so no basis is computed or checked twice.
 """
@@ -79,21 +82,42 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     Y, YT = (X, XT) if p <= q else (XT, X)
     r = min(p, q)
     D, F = Y.spectrum[1][:, Y._range_mask], YT.spectrum[1][:, ~YT._range_mask]
-    Z = D @ hermitian_basis(r) @ D.conj().T
-    W = F.conj().T @ _pt(Z, X.m, X.n)
-    M = np.concatenate([W.real, W.imag], axis=1).reshape(r * r, -1).T
+    M = _face_system(D, F, X.m, X.n)
     # D, F and the Herm(r) basis are orthonormal, so ||M|| <= 1.
     dim = r * r - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
-    # Y's coordinates c_k = Tr(Z_k U) = Tr(B_k D^dagger U D), U = Y 2^-e, give
-    # M c = [Re; Im] F^dagger (P_D U P_D)^Gamma: nonzero only by the eigenvalues
-    # range_mask drops from U and from U^Gamma (a partial transpose keeps the
-    # Frobenius norm), scaled before the norm so that it cannot overflow.
+    # Y's coordinates c_k = Tr(D B_k D^dagger U) = Re Tr(B_k D^dagger U D),
+    # U = Y 2^-e, give M c = [Re; Im] F^dagger (P_D U P_D)^Gamma: nonzero only
+    # by the eigenvalues range_mask drops from U and from U^Gamma (a partial
+    # transpose keeps the Frobenius norm), scaled before the norm so that it
+    # cannot overflow.
     U, e = Y._unit_scaled
-    c = (Z.reshape(r * r, -1) @ U.T.ravel()).real
+    C = D.conj().T @ U @ D
+    c = (C.T.ravel() @ hermitian_basis(r).reshape(r * r, r * r).T).real
     slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~S._range_mask], -e)) for S in (Y, YT))
     if np.linalg.norm(M @ c) > slack + ROUNDOFF * np.linalg.norm(c):
         raise NumericalError("the state is not in its own face system")
     return ExtremalityReport(p * p, q * q, dim, dim == 1, normalize(X) if dim == 1 else None)
+
+
+def _face_system(D: np.ndarray, F: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The real face system of :func:`is_extreme_in_T`: the matrix of
+    H -> [Re; Im] F^dagger (D H D^dagger)^Gamma over the hermitian basis B_k
+    of Herm(r), r = D.shape[1], with rows (part, f, j, b) and one column per k.
+
+    With i, j indexing the first factor and a, b the second,
+    F^dagger (D H D^dagger)^Gamma [f, (j, b)] = sum_{s,t} H[s, t] N[(f, j, b), (s, t)],
+    N[(f, j, b), (s, t)] = sum_{i,a} conj(F[(i, a), f]) D[(j, a), s] conj(D[(i, b), t]),
+    contracted first over a and then over i, and then with the basis."""
+    r, f = D.shape[1], F.shape[1]
+    D3 = D.reshape(m, n, r)
+    # G[(i, f), (j, s)] = sum_a conj(F[(i, a), f]) D[(j, a), s]
+    Fc = F.conj().reshape(m, n, f).transpose(0, 2, 1).reshape(m * f, n)
+    G = Fc @ D3.transpose(1, 0, 2).reshape(n, m * r)
+    # N[(f, j, s), (b, t)] = sum_i G[(i, f), (j, s)] conj(D[(i, b), t])
+    N = G.reshape(m, f * m * r).T @ D3.conj().reshape(m, n * r)
+    N = N.reshape(f, m, r, n, r).transpose(0, 1, 3, 2, 4).reshape(f * m * n, r * r)
+    W = N @ hermitian_basis(r).reshape(r * r, r * r).T
+    return np.concatenate([W.real, W.imag])
 
 
 def _check_appendix_b(b: float) -> None:

@@ -5,7 +5,8 @@ phi_D and phi_E are the 81-dimensional operators on all of Herm(9) whose
 kernels are the hermitian matrices supported on a face's two ranges; the
 kernel dimension of is_extreme_in_T is checked against the intersection of
 their kernels, and against d_side_face_dim, the face system always posed on
-the range of X.  Rank and kernel cuts use the package's CUTOFF.  choi_of
+the range of X and built by z_stack_face_system from a stack of r^2 mn x mn
+matrices Z_k.  Rank and kernel cuts use the package's CUTOFF.  choi_of
 builds a Choi matrix one matrix unit at a time, from a map's action.
 seesaw_product_vector_search is the multi-start seesaw that searched a
 subspace for a product vector before the Macaulay solver; a None from it
@@ -83,10 +84,19 @@ def d_side_face_dim(X: BipartiteMatrix) -> int:
     D = _eigh_split(X.data)[2]
     F = _eigh_split(_pt(X.data, m, n))[3]
     p = D.shape[1]
-    Z = D @ hermitian_basis(p) @ D.conj().T
-    W = F.conj().T @ _pt(Z, m, n)
-    M = np.concatenate([W.real, W.imag], axis=1).reshape(p * p, -1).T
+    M = z_stack_face_system(D, F, m, n)
     return p * p - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
+
+
+def z_stack_face_system(D: np.ndarray, F: np.ndarray, m: int, n: int, pt=_pt) -> np.ndarray:
+    """The real face system [Re; Im] F^dagger Z_k^Gamma, one column per
+    hermitian basis element B_k of Herm(r), built from the stack of the r^2
+    mn x mn matrices Z_k = D B_k D^dagger, partially transposed by pt (the
+    package's first-factor transpose unless given)."""
+    r = D.shape[1]
+    Z = D @ hermitian_basis(r) @ D.conj().T
+    W = F.conj().T @ pt(Z, m, n)
+    return np.concatenate([W.real, W.imag], axis=1).reshape(r * r, -1).T
 
 
 def _operator(f, dim: int) -> np.ndarray:

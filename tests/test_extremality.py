@@ -19,6 +19,7 @@ from oracles import (
     kernel_intersection_dim_oracle,
     phi_D_operator,
     phi_E_operator,
+    z_stack_face_system,
 )
 from pptgeo.extremality import (
     FaceSpec,
@@ -70,6 +71,36 @@ def random_separable(rng, rank):
         v = np.kron(a, b)
         X += np.outer(v, v.conj())
     return BipartiteMatrix(3, 3, X)
+
+
+def non_square_separable_states():
+    """Seeded separable states on 2x3, 3x2, 2x4, 4x2 and 3x4: sums of rank
+    1 .. mn - 1 random product projectors, of type (rank, rank), and a 2x2
+    block of four product projectors in a random local frame plus 0-2
+    random ones, of type (4 + k, 3 + k): the block's product vectors a b,
+    e0 e0, e1 e1, (e0 + e1)(e0 + e1) and (e0 + i e1)(e0 - i e1), span four
+    dimensions, and the vectors conj(a) b of its partial transpose three."""
+    rng = np.random.default_rng(24)
+
+    def product_projectors(vectors):
+        return sum(np.outer(v, v.conj()) for v in vectors)
+
+    def random_vectors(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    block = [(np.array(a), np.array(b)) for a, b in (
+        ((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 1), (1, 1)), ((1, 1j), (1, -1j)))]
+    states = []
+    for m, n in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 4)):
+        for rank in range(1, m * n):
+            pairs = zip(random_vectors((rank, m)), random_vectors((rank, n)))
+            states.append(BipartiteMatrix(m, n, product_projectors(np.kron(a, b) for a, b in pairs)))
+        for extra in range(min(3, m * n - 3)):
+            VA, VB = (np.linalg.qr(random_vectors((d, 2)))[0] for d in (m, n))
+            pairs = [(VA @ a, VB @ b) for a, b in block]
+            pairs += zip(random_vectors((extra, m)), random_vectors((extra, n)))
+            states.append(BipartiteMatrix(m, n, product_projectors(np.kron(a, b) for a, b in pairs)))
+    return states
 
 
 def oracle_states():
@@ -204,10 +235,16 @@ class TestExtremality:
         # is_extreme_in_T poses sigma's system, type (8, 6), on the range of
         # sigma^Gamma; sigma^Gamma, type (6, 8), runs the p < q side.  X and
         # X^Gamma have the same intersection with the kernel dims swapped.
+        # The non-square states and their partial transposes check that the
+        # assembly keeps the first factor's m and the second's n apart.
         states = grid_states() + near_boundary_states()
         types = [state_type(X) for X in states]
         states += [partial_transpose(X) for X, t in zip(states, types) if t.q < t.p]
         assert len(states) == 240 + 16 + 128
+        non_square = non_square_separable_states()
+        states += non_square + [partial_transpose(X) for X in non_square]
+        uneven = {(X.m, X.n) for X in non_square if state_type(X).p == state_type(X).q + 1}
+        assert uneven == {(2, 3), (3, 2), (2, 4), (4, 2), (3, 4)}
         for X in states:
             rep = is_extreme_in_T(X)
             assert rep.dim_intersection == d_side_face_dim(X)
@@ -273,7 +310,10 @@ class TestExtremality:
         def pt_second_factor(Z, m, n):
             return Z.reshape(-1, m, n, m, n).transpose(0, 1, 4, 3, 2).reshape(Z.shape)
 
-        monkeypatch.setattr(extremality, "_pt", pt_second_factor)
+        def corrupted_face_system(D, F, m, n):
+            return z_stack_face_system(D, F, m, n, pt=pt_second_factor)
+
+        monkeypatch.setattr(extremality, "_face_system", corrupted_face_system)
         for X in (rho(1, math.pi / 3), product_state([1, 1j, 0.5], [2, -1, 1j]),
                   sigma(2, math.pi / 3), rho(2, math.pi / 6), sigma(2, 5 * math.pi / 6)):
             with pytest.raises(NumericalError, match="not in its own face system"):
