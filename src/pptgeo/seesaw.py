@@ -47,13 +47,16 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
     start pair is never read.  A restart stops after 200 steps or once a
     step gains at most a fixed fraction of max|Q|.  A restart that has not
     stopped and whose last step gained more than a tenth of the step before
-    (its linear tail, where a step buys less than a digit) then tries
-    :func:`_newton_step` from the new pair.  Neither half of a step ever
-    loses (up to rounding), so a restart's last value is its best.  Restart
-    0 runs alone, then the rest run together; all stop once a stopped
-    restart's value reaches :func:`zero_level` (restarts are judged only
-    once stopped, far below that level, not at its edge).  Returns the best
-    (xi, eta, value) of those run, the pair and value of one seesaw step.
+    (its linear tail, where a step buys less than a digit) then takes
+    :func:`_newton_step` from the new pair, damped past any negative
+    curvature of the model, so a restart crossing an indefinite region keeps
+    moving.  Neither half of a step ever loses (up to rounding), and a Newton
+    step is kept only where it lowers the value, so a restart's last value
+    is its best.  Restart 0 runs alone, then the rest run together; all
+    stop once a stopped restart's value reaches :func:`zero_level`
+    (restarts are judged only once stopped, far below that level, not at its
+    edge).  Returns the best (xi, eta, value) of those run, the pair and
+    value of one seesaw step.
     """
     m, n = Q.shape[:2]
     reach = zero_level(Q)
@@ -148,27 +151,24 @@ def _model_map(m: int, n: int):
 
 def _newton_step(Q, Ux, U, A, mu, scale):
     """One Levenberg-Marquardt step on :func:`_newton_model` per row, from
-    the seesaw pair (x, e) = (Ux[:, :, 0], U[:, :, 0]).  A row keeps its
-    step only where the damped model H / scale + mu is positive definite, so
-    that the step heads for the model's minimum and stays in the seesaw's
-    basin, and only where the form value goes down.
+    the seesaw pair (x, e) = (Ux[:, :, 0], U[:, :, 0]), kept only where the
+    form value goes down.  Each row's damping is first shifted past the
+    model's negative curvature, shift = max(mu, -2 lambda_min(H / scale)),
+    so the damped model H / scale + shift is positive definite and the step
+    heads for its minimum (Hessian modification, Nocedal & Wright,
+    Numerical Optimization, section 3.4).
 
     A is the xi-form at e, scale = max|Q| and mu each row's damping relative
-    to it: after a kept step mu shrinks tenfold, down to CUTOFF; after a
-    refused one it becomes ten times mu plus what the damped model lacked of
-    being positive definite.  Returns (v, A, mu): the value and a positive
-    multiple of the xi-form at the kept step's eta, else at e, which is all
-    the next seesaw step reads."""
+    to it: after a kept step the shift shrinks tenfold, down to CUTOFF; after
+    a step that did not lower the value it grows tenfold.  Returns (v, A, mu):
+    the value and a positive multiple of the xi-form at the kept step's eta,
+    else at e, which is all the next seesaw step reads."""
     R, m = Ux.shape[:2]
     v, g, H = _newton_model(Q, Ux, U)
     k = H.shape[1]
     H = H / scale
+    mu = np.maximum(mu, -2 * np.linalg.eigvalsh(H)[:, 0])
     H.reshape(R, -1)[:, ::k + 1] += mu[:, None]
-    lam = np.linalg.eigvalsh(H)[:, 0]
-    pd = lam > 0
-    grown = 10 * (mu - np.minimum(lam, 0))
-    if not pd.any():
-        return v, A, grown
     z = np.linalg.solve(H, -g[:, :, None] / scale)[..., 0]
     s, p = z.view(complex), 2 * (m - 1)
     # the trial pair, unnormalised: |xt|^2 = 1 + |a|^2 and |et|^2 = 1 + |c|^2
@@ -176,9 +176,9 @@ def _newton_step(Q, Ux, U, A, mu, scale):
     et = U[:, :, 0] + (U[:, :, 1:] @ s[:, m - 1:, None])[..., 0]
     At, ft = forms(Q, xt, et)
     ft = ft / ((1 + (z[:, :p] ** 2).sum(1)) * (1 + (z[:, p:] ** 2).sum(1)))
-    keep = pd & (ft < v)
+    keep = ft < v
     return (np.where(keep, ft, v), np.where(keep[:, None, None], At, A),
-            np.where(keep, np.maximum(mu / 10, CUTOFF), grown))
+            np.where(keep, np.maximum(mu / 10, CUTOFF), 10 * mu))
 
 
 def _lowest(best, x, e, v):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import pptgeo.seesaw
 from oracles import apply_map, choi_of, identity_map, trace_map, transpose_map
 from pptgeo.krawtchouk import krawtchouk_sum
-from pptgeo.linalg import ROUNDOFF, NumericalError, spectrum_is_psd
+from pptgeo.linalg import ROUNDOFF, NumericalError, spectrum_is_psd, zero_level
 from pptgeo.maps import (
     ChoiMap,
     DecomposableSpec,
@@ -451,6 +451,28 @@ class TestBlockPositivity:
         phi = phi_theta_t(theta, t)
         value = block_positivity_sample(phi, samples=600, seed=0)
         assert abs(value) <= ROUNDOFF * np.max(np.abs(phi.choi.data))
+
+    def test_refine_does_not_crawl(self, monkeypatch):
+        # maps drawn as the certify_search benchmark draws them, each refined
+        # from 600 samples: no refinement takes more than 24 seesaw steps (two
+        # eigh calls each), where refusing the Newton steps of an indefinite
+        # model, instead of shifting the damping past it, took up to 36 here
+        rng = np.random.default_rng(0)
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(A):
+            calls.append(len(A))
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        steps = []
+        for _ in range(100):
+            phi = phi_theta_t(rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 2.0))
+            calls.clear()
+            value = block_positivity_sample(phi, samples=600, seed=int(rng.integers(2**31)))
+            steps.append(len(calls) // 2)
+            assert value >= -zero_level(phi.choi.data)
+        assert max(steps) <= 24
 
     def test_positive_map_reads_zero_within_the_zero_level(self):
         # X -> v^dagger X v with v all ones is positive, but its all-ones Choi

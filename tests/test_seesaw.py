@@ -14,9 +14,9 @@ from pptgeo.maps import (
     product_pairing,
     trace_map_decomposition_2n,
 )
-from pptgeo.linalg import range_mask
+from pptgeo.linalg import CUTOFF, range_mask
 import pptgeo.seesaw as seesaw
-from pptgeo.seesaw import _newton_model, minimize, starts
+from pptgeo.seesaw import _newton_model, forms, minimize, starts
 from pptgeo.states import rho
 
 
@@ -133,10 +133,12 @@ class TestSeesawKernel:
         K = V[:, ~range_mask(w)]
         Q = (np.eye(9) - K @ K.conj().T).reshape(3, 3, 3, 3)
         sizes.clear()
-        # the Newton steps settle the stack's linear tails: at most 150 eigh
-        # calls where the seesaw alone made 441, for the same best value
+        # the Newton steps settle the stack's linear tails: 64 eigh calls where
+        # the seesaw alone made 441, for the same best value.  Rows here crawl
+        # across an indefinite region; refusing their steps until mu outgrew
+        # the negative curvature, instead of shifting past it, took 142
         assert minimize(Q, eta)[2] == pytest.approx(0.10239322565748317, abs=1e-12)
-        assert len(sizes) <= 150
+        assert len(sizes) <= 80
         k = sizes.index(49)
         assert set(sizes[:k]) == {1}
         assert all(a >= b for a, b in zip(sizes[k:], sizes[k + 1:]))
@@ -220,6 +222,49 @@ class TestNewtonStep:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_damping_is_shifted_past_negative_curvature(self, monkeypatch):
+        # the step solves with shift = max(mu, -2 lambda_min(H / scale)), so its
+        # damped model is positive definite; it returns the trial value only
+        # below the seesaw value, and mu becomes max(shift / 10, CUTOFF) after a
+        # step that lowered the value and 10 shift after one that did not.  On
+        # seeded random frames every step lowers it; the frames the seesaw
+        # itself steps from add steps that do not
+        calls, step = [], seesaw._newton_step
+
+        def recording(*args):
+            out = step(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(seesaw, "_newton_step", recording)
+        rng = np.random.default_rng(6)
+        for build in MODEL_FORMS.values():
+            Q = build(rng)
+            m, n = Q.shape[:2]
+            for mu in (CUTOFF, 1e-3, 1e-1):
+                Ux, U = random_frame(m, rng), random_frame(n, rng)
+                seesaw._newton_step(Q, Ux, U, forms(Q, Ux[:, :, 0], U[:, :, 0])[0], np.array([mu]),
+                                    np.max(np.abs(Q)))
+            minimize(Q, starts(20, m, n, seed=3)[1])
+        negative, lowered = [], []
+        for (Q, Ux, U, A, mu, scale), (v, A_out, mu_out) in calls:
+            f, g, H = _newton_model(Q, Ux, U)
+            for i in range(len(f)):
+                lam = np.linalg.eigvalsh(H[i] / scale)[0]
+                shift = max(mu[i], -2 * lam)
+                z = np.linalg.solve(H[i] / scale + shift * np.eye(len(g[i])), -g[i] / scale)
+                trial = tangent_value(Q, Ux[i:i + 1], U[i:i + 1], z)
+                negative.append(lam < 0)
+                lowered.append(v[i] < f[i])
+                if lowered[-1]:
+                    assert v[i] == pytest.approx(trial, abs=1e-13 * scale)
+                    assert mu_out[i] == pytest.approx(max(shift / 10, CUTOFF), rel=1e-12, abs=1e-14)
+                else:
+                    assert v[i] == f[i] and np.array_equal(A_out[i], A[i])
+                    assert trial >= f[i] - 1e-13 * scale
+                    assert mu_out[i] == pytest.approx(10 * shift, rel=1e-12, abs=1e-13)
+        assert any(negative) and any(lowered) and not all(lowered)
 
     @pytest.mark.parametrize("name,build", CASES, ids=[c[0] for c in CASES])
     def test_no_step_raises_the_value(self, name, build, monkeypatch):
