@@ -162,10 +162,8 @@ def cmd_trace_decomp(args) -> tuple[dict, str]:
         if args.mu is None:
             raise argparse.ArgumentTypeError("--m 2 requires --mu")
         spec = mp.trace_map_decomposition_2n(args.mu)
-    elif args.m == 3:
-        spec = mp.trace_map_decomposition_33()
     else:
-        raise argparse.ArgumentTypeError(f"--m must be 2 or 3, got {args.m}")
+        spec = mp.trace_map_decomposition_33()
     out = ser.spec_to_json(spec)
     out["choi"] = ser.choi_to_json(mp.decomposable_map(spec))
     return out, f"(k,l)=({len(spec.Vs)},{len(spec.Ws)})"
@@ -245,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--s", type=_finite_float, required=True)
     pm.set_defaults(func=cmd_antipodal_sum)
     pm = msub.add_parser("trace-decomp")
-    pm.add_argument("--m", type=int, required=True)
+    pm.add_argument("--m", type=int, choices=(2, 3), required=True)
     pm.add_argument("--mu", type=_int_at_least(1))
     pm.set_defaults(func=cmd_trace_decomp)
     pm = msub.add_parser("pair")

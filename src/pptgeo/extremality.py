@@ -36,7 +36,7 @@ from .linalg import (
     orthonormal_system_rank,
     unit_scaled,
 )
-from .states import BipartiteMatrix, _pt, is_ppt, normalize, partial_transpose, rho
+from .states import BipartiteMatrix, _pt, is_ppt, normalize, partial_transpose, rho, state_type
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     if not is_ppt(X):
         raise ValueError("is_extreme_in_T requires a PPT input")
     XT = partial_transpose(X)
-    p, q = (int(np.count_nonzero(S._range_mask)) for S in (X, XT))
+    ty = state_type(X)
+    p, q = ty.p, ty.q
     # The system is posed for Y, whichever of X and X^Gamma has the smaller
     # range D (see the module docstring); Y^Gamma is the other one, and F,
     # the complement of its range, is the kernel half of its cached spectrum.

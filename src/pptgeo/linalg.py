@@ -51,9 +51,9 @@ def as_hermitian(A) -> np.ndarray:
 
 
 def unit_scaled(A):
-    """(A * 2**-e, e) as a complex array, with e the ``math.frexp`` exponent
-    of A's largest real or imaginary magnitude, so that magnitude of the
-    scaled array lies in [1/2, 1).  A zero A comes back unchanged with e = 0.
+    """(A * 2**-e, e) as a fresh complex array, with e the ``math.frexp``
+    exponent of A's largest real or imaginary magnitude, so that magnitude
+    of the scaled array lies in [1/2, 1); a zero A has e = 0.
     A of more than two dimensions is a (..., r, c) stack of matrices, each
     scaled by its own exponent: e is then an integer array of shape
     A.shape[:-2], a zero matrix keeps e = 0, and the result is bitwise what
@@ -68,10 +68,7 @@ def unit_scaled(A):
     if A.ndim > 2:
         e = np.frexp(np.abs(R).max(axis=(-2, -1), initial=0.0))[1]
         return np.ldexp(R, -e[..., None, None]).view(complex), e
-    top = float(np.abs(R).max(initial=0.0))
-    if top == 0.0:
-        return A, 0
-    e = math.frexp(top)[1]
+    e = math.frexp(float(np.abs(R).max(initial=0.0)))[1]
     return np.ldexp(R, -e).view(complex), e
 
 

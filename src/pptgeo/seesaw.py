@@ -44,13 +44,13 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
 
     Q is a hermitian form of shape (m, n, m, n) and eta (R, n) holds the
     starts; each step sets xi from eta, then eta from xi, so the xi of a
-    start pair is never read.  A restart stops after 200 steps or once a
-    step gains at most a fixed fraction of max|Q|.  A restart that has not
-    stopped and whose last step gained more than a tenth of the step before
-    (its linear tail, where a step buys less than a digit) then takes
-    :func:`_newton_step` from the new pair, damped past any negative
-    curvature of the model, so a restart crossing an indefinite region keeps
-    moving.  Neither half of a step ever loses (up to rounding), and a Newton
+    start pair is never read.  A restart stops once a step gains at most a
+    fixed fraction of max|Q|, and its 200th step stops it the same way.  A
+    restart that has not stopped and whose last step gained more than a
+    tenth of the step before (its linear tail, where a step buys less than a
+    digit) then takes :func:`_newton_step` from the new pair, damped past
+    any negative curvature of the model, so a restart crossing an indefinite
+    region keeps moving.  Neither half of a step ever loses (up to rounding), and a Newton
     step is kept only where it lowers the value, so a restart's last value
     is its best.  Restart 0 runs alone, then the rest run together; all
     stop once a stopped restart's value reaches :func:`zero_level`
@@ -76,7 +76,7 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
             Ux = np.linalg.eigh(A)[1]
             w, U = np.linalg.eigh((_gram_rows(Ux[:, :, 0]) @ to_eta).reshape(-1, n, n))
             gain, last = v - w[:, 0], gain
-            stopped = gain <= settled
+            stopped = (gain <= settled) | (i == 199)
             if stopped.any():
                 best = _lowest(best, Ux[stopped, :, 0], U[stopped, :, 0], w[stopped, 0])
                 if best[2] <= reach or stopped.all():
@@ -89,10 +89,7 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
                 continue
             j = np.flatnonzero(gain > last / 10)
             if len(j):
-                v = v.copy()  # w stays the seesaw's, paired with Ux and U at the step limit
                 v[j], A[j], mu[j] = _newton_step(Q, Ux[j], U[j], A[j], mu[j], scale)
-        else:
-            best = _lowest(best, Ux[:, :, 0], U[:, :, 0], w[:, 0])
         if best[2] <= reach:
             break
     return best

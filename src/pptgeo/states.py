@@ -56,10 +56,6 @@ class BipartiteMatrix:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
-    @property
-    def dim(self) -> int:
-        return self.m * self.n
-
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, V): eigenvalues descending and the matching orthonormal
@@ -289,10 +285,12 @@ def conjugate_by_phase_unitary(X: BipartiteMatrix) -> BipartiteMatrix:
 
 
 def is_interior_of_T(X: BipartiteMatrix) -> bool:
-    """Interior of the PPT convex body: X and its partial transpose are positive definite."""
+    """Interior of the PPT convex body: X and its partial transpose are
+    positive definite.  Both are PSD, so that is every eigenvalue of each
+    in its cached range mask."""
     if not is_ppt(X):
         raise ValueError("is_interior_of_T requires a PPT input")
-    return spectrum_is_pd(X.spectrum[0]) and spectrum_is_pd(partial_transpose(X).spectrum[0])
+    return all(Y._range_mask.all() for Y in (X, partial_transpose(X)))
 
 
 def is_interior_of_S_sufficient(X: BipartiteMatrix) -> bool:

@@ -98,6 +98,10 @@ class TestSerialize:
         assert (Y.m, Y.n) == (3, 3)
         assert np.array_equal(Y.data, X.data)
 
+    def test_matrix_of_one_dimension_rejected(self):
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
+            matrix_to_json(np.ones(3))
+
     def test_entry_count_check(self):
         obj = matrix_to_json(np.eye(2))
         obj["entries"] = obj["entries"][:-1]
@@ -156,7 +160,7 @@ class TestStateCommands:
             code, out, _ = run(capsys, "state", "kernel", "--in", str(path))
             rep = json.loads(out)
             assert code == 0
-            K = np.array([vector_from_json(v) for v in rep["basis"]]).reshape(rep["dim"], X.dim).T
+            K = np.array([vector_from_json(v) for v in rep["basis"]]).reshape(rep["dim"], X.m * X.n).T
             assert_allclose(K.conj().T @ K, np.eye(rep["dim"]), atol=1e-12)
             assert_allclose(K @ K.conj().T, eigh_oracle(X.data)[4], atol=1e-10)
 
@@ -173,6 +177,15 @@ class TestStateCommands:
         code, _, _ = run(capsys, "state", "construct",
                          "--family", "rho", "--b", "-1", "--theta", "0")
         assert code == 3
+
+    def test_failed_eigendecomposition_is_numerical_exit(self, capsys, monkeypatch):
+        def fail(H):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run(capsys, "state", "classify", "--family", "rho", "--b", "2", "--theta", "0.5")
+        assert code == 3
+        assert out == "" and "eigendecomposition failed" in err
 
     def test_missing_source_is_usage(self, capsys):
         code, _, _ = run(capsys, "state", "classify", "--family", "rho")
@@ -447,7 +460,7 @@ class TestMapCommands:
         assert len(rep["Vs"]) == 2 and len(rep["Ws"]) == 2
 
     @pytest.mark.parametrize("argv,message", [
-        (["--m", "5"], "--m must be 2 or 3"),
+        (["--m", "5"], "invalid choice"),
         (["--m", "2", "--mu", "0"], "positive integer"),
     ], ids=["m 5", "mu 0"])
     def test_trace_decomp_bad_sizes_are_usage(self, capsys, argv, message):

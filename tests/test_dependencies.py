@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library but NumPy, no
 private name of the seesaw, writes no tolerance literal outside the few that
-are documented, and reads CUTOFF only through the linalg rules."""
+are documented, reads CUTOFF only through the linalg rules, and applies those
+rules to a state's spectrum only in the state's cached decisions."""
 import ast
 import sys
 from pathlib import Path
@@ -50,19 +51,37 @@ def test_tolerance_literals_are_the_documented_ones():
     assert found == [("linalg", 1e-12), ("linalg", 1e-9), ("seesaw", 1e-15)]
 
 
-def cutoff_readers(node, scope="<module>"):
-    """The innermost enclosing function (or <module>) of each read of CUTOFF under node."""
+def readers_of(names, node, scope="<module>"):
+    """The innermost enclosing function or class (or <module>) of each read
+    of one of names under node, a method named Class.method."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Name) and child.id == "CUTOFF"
-                or isinstance(child, ast.Attribute) and child.attr == "CUTOFF"):
+        if (isinstance(child, ast.Name) and child.id in names
+                or isinstance(child, ast.Attribute) and child.attr in names):
             yield scope
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from cutoff_readers(child, inner)
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+        yield from readers_of(names, child, inner)
+
+
+def readers_outside_linalg(*names):
+    return {(path.stem, scope) for path, tree in package_trees() if path.stem != "linalg"
+            for scope in readers_of(names, tree)}
 
 
 def test_cutoff_is_read_outside_linalg_only_by_the_newton_damping():
     # every rank, definiteness and kernel decision goes through a linalg rule;
     # the seesaw's Newton damping starts at CUTOFF and never drops below it
-    readers = {(path.stem, scope) for path, tree in package_trees() if path.stem != "linalg"
-               for scope in cutoff_readers(tree)}
-    assert readers == {("seesaw", "minimize"), ("seesaw", "_newton_step")}
+    assert readers_outside_linalg("CUTOFF") == {("seesaw", "minimize"), ("seesaw", "_newton_step")}
+
+
+def test_spectrum_rules_are_applied_to_a_state_only_by_its_cached_decisions():
+    # every per-state verdict reads BipartiteMatrix's cached range mask or PSD
+    # verdict; the other two apply a rule to a diagonal and to a form's spectrum
+    readers = readers_outside_linalg("range_mask", "spectrum_is_psd", "spectrum_is_pd", "spectrum_rank")
+    assert readers == {
+        ("states", "BipartiteMatrix._range_mask"),
+        ("states", "BipartiteMatrix._is_psd"),
+        ("states", "is_interior_of_S_sufficient"),
+        ("maps", "boundary_witness_search"),
+    }

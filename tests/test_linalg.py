@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from pptgeo.linalg import (
     CUTOFF,
     ROUNDOFF,
+    NumericalError,
     as_hermitian,
+    eigh_descending,
     has_orthonormal_columns,
     hermitian_basis,
     hermitian_to_real_vector,
@@ -96,6 +98,14 @@ class TestEig:
     def test_not_hermitian_rejected(self):
         with pytest.raises(ValueError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_lapack_failure_is_a_numerical_error(self, monkeypatch):
+        def fail(H):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="eigendecomposition failed: Eigenvalues did not converge"):
+            eigh_descending(np.eye(2))
 
 
 class TestAsHermitian:
@@ -214,8 +224,10 @@ class TestUnitScaled:
         assert e == 1024 and 0.5 <= S[0].real < 1 and S[1] == 0
 
     def test_zero_comes_back_unchanged(self):
-        S, e = unit_scaled(np.zeros((2, 2)))
-        assert e == 0 and np.array_equal(S, np.zeros((2, 2)))
+        # through the general path: frexp(0) has exponent 0, signed zeros kept
+        A = np.array([[0.0, -0.0], [-0.0j, 0.0]])
+        S, e = unit_scaled(A)
+        assert e == 0 and S.tobytes() == A.tobytes() and S is not A
 
     def test_stack_is_scaled_per_matrix(self):
         # like as_hermitian, each matrix of a stack to its own scale, bitwise

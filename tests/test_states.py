@@ -542,6 +542,21 @@ class TestProductVectorSearch:
         with pytest.raises(NumericalError, match="too large"):
             search_product_vector_in_subspace(np.eye(36), 6, 6)
 
+    def test_enumerated_vector_off_the_span_is_a_numerical_error(self, monkeypatch):
+        # e0 (x) e0 is orthogonal to the antisymmetric span
+        monkeypatch.setattr(states, "_product_vectors",
+                            lambda D, m, n, rng: [(np.array([1, 0j]), np.array([1, 0j]))])
+        D = np.array([[0], [1], [-1], [0]], dtype=complex) / math.sqrt(2)
+        with pytest.raises(NumericalError, match="not in the subspace"):
+            search_product_vector_in_subspace(D, 2, 2)
+
+    @pytest.mark.parametrize("nulls", [[4], [3, 3], [5, 2]], ids=["one degree", "flat", "shrinking"])
+    def test_span_side_null_space_that_stops_growing_is_a_numerical_error(self, nulls, monkeypatch):
+        # only a null space still growing at the last degree is a family to slice
+        monkeypatch.setattr(states, "_points", lambda *a: (None, nulls))
+        with pytest.raises(NumericalError, match="did not settle"):
+            _span_vectors(np.eye(4)[:, :2], 2, 2, np.random.default_rng(0))
+
     def test_cached_monomial_table_read_only(self):
         # the table is shared by every later call with the same (d, deg)
         table = _monomials(4, 3)
