@@ -39,18 +39,17 @@ def forms(Q: np.ndarray, xi: np.ndarray, eta: np.ndarray):
 
 def minimize(Q: np.ndarray, eta: np.ndarray):
     """Minimise <xi (x) eta| Q |xi (x) eta> over unit product vectors by
-    alternating bottom-eigenvector updates with damped Newton steps in their
-    slow tail, all restarts advanced as one stack.
+    alternating bottom-eigenvector updates with damped Newton steps, all
+    restarts advanced as one stack.
 
     Q is a hermitian form of shape (m, n, m, n) and eta (R, n) holds the
     starts; each step sets xi from eta, then eta from xi, so the xi of a
     start pair is never read.  A restart stops once a step gains at most a
-    fixed fraction of max|Q|, and its 200th step stops it the same way.  A
-    restart that has not stopped and whose last step gained more than a
-    tenth of the step before (its linear tail, where a step buys less than a
-    digit) then takes :func:`_newton_step` from the new pair, damped past
-    any negative curvature of the model, so a restart crossing an indefinite
-    region keeps moving.  Neither half of a step ever loses (up to rounding), and a Newton
+    fixed fraction of max|Q|, and its 200th step stops it the same way.
+    From its second step on, each restart that has not stopped then takes
+    :func:`_newton_step` from the new pair, damped past any negative
+    curvature of the model, so a restart crossing an indefinite region keeps
+    moving.  Neither half of a step ever loses (up to rounding), and a Newton
     step is kept only where it lowers the value, so a restart's last value
     is its best.  Restart 0 runs alone, then the rest run together; all
     stop once a stopped restart's value reaches :func:`zero_level`
@@ -69,27 +68,22 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
     for e in (eta[:1], eta[1:]):
         if not len(e):
             break
-        v = gain = np.full(len(e), np.inf)
+        v = np.full(len(e), np.inf)
         mu = np.full(len(e), CUTOFF)  # each restart's Newton damping, relative to max|Q|
         A = (_gram_rows(e) @ to_xi).reshape(-1, m, m)
         for i in range(200):
             Ux = np.linalg.eigh(A)[1]
             w, U = np.linalg.eigh((_gram_rows(Ux[:, :, 0]) @ to_eta).reshape(-1, n, n))
-            gain, last = v - w[:, 0], gain
-            stopped = (gain <= settled) | (i == 199)
+            stopped = (v - w[:, 0] <= settled) | (i == 199)
             if stopped.any():
                 best = _lowest(best, Ux[stopped, :, 0], U[stopped, :, 0], w[stopped, 0])
                 if best[2] <= reach or stopped.all():
                     break
-                live = np.flatnonzero(~stopped)
-                Ux, U, w, mu, gain, last = Ux[live], U[live], w[live], mu[live], gain[live], last[live]
+                Ux, U, w, mu = Ux[~stopped], U[~stopped], w[~stopped], mu[~stopped]
             v = w[:, 0]
             A = (_gram_rows(U[:, :, 0]) @ to_xi).reshape(-1, m, m)
-            if i < 2 or not scale:  # no gain ratio yet; Q = 0 has nothing to polish
-                continue
-            j = np.flatnonzero(gain > last / 10)
-            if len(j):
-                v[j], A[j], mu[j] = _newton_step(Q, Ux[j], U[j], A[j], mu[j], scale)
+            if i and scale:  # Q = 0 has nothing to polish
+                v, A, mu = _newton_step(Q, Ux, U, A, mu, scale)
         if best[2] <= reach:
             break
     return best

@@ -9,6 +9,8 @@ from oracles import choi_of
 from pptgeo.maps import (
     DecomposableSpec,
     _pairing_form,
+    block_positivity_sample,
+    boundary_witness_search,
     decomposable_map,
     phi_theta_t,
     product_pairing,
@@ -54,6 +56,14 @@ def random_complement(m, n, k, rng):
     A = rng.normal(size=(m * n, k)) + 1j * rng.normal(size=(m * n, k))
     D = np.linalg.qr(A)[0]
     return (np.eye(m * n) - D @ D.conj().T).reshape(m, n, m, n)
+
+
+def rho_kernel_complement():
+    """I - P for the projector P onto the kernel of rho(2, pi/6), which holds
+    no product vector: its minimum over product vectors is about 0.1024."""
+    w, V = rho(2, math.pi / 6).spectrum
+    K = V[:, ~range_mask(w)]
+    return (np.eye(9) - K @ K.conj().T).reshape(3, 3, 3, 3)
 
 
 def generic_spec(rng):
@@ -129,19 +139,68 @@ class TestSeesawKernel:
         # the kernel of rho(2, pi/6) holds no product vector, so restart 0
         # stops above the zero level and the other 49 follow as one stack,
         # which only shrinks as its restarts converge
-        w, V = rho(2, math.pi / 6).spectrum
-        K = V[:, ~range_mask(w)]
-        Q = (np.eye(9) - K @ K.conj().T).reshape(3, 3, 3, 3)
+        Q = rho_kernel_complement()
         sizes.clear()
-        # the Newton steps settle the stack's linear tails: 64 eigh calls where
-        # the seesaw alone made 441, for the same best value.  Rows here crawl
-        # across an indefinite region; refusing their steps until mu outgrew
-        # the negative curvature, instead of shifting past it, took 142
+        # a Newton step after every seesaw step from the second on: 46 eigh
+        # calls where the seesaw alone made 441, for the same best value.
+        # Holding Newton back until a restart's gain ratio passed 1/10 took 64,
+        # and refusing steps across this form's indefinite region until mu
+        # outgrew the negative curvature, instead of shifting past it, 142
         assert minimize(Q, eta)[2] == pytest.approx(0.10239322565748317, abs=1e-12)
-        assert len(sizes) <= 80
+        assert len(sizes) <= 50
         k = sizes.index(49)
         assert set(sizes[:k]) == {1}
         assert all(a >= b for a, b in zip(sizes[k:], sizes[k + 1:]))
+
+    def test_step_limit_stops_each_restart(self, monkeypatch):
+        # eigh lowers each eta-form's eigenvalues by 1e-9 times its call count,
+        # so no step's gain settles: each of the two restarts runs to its
+        # 200th step, which stops it, and the search returns the lower of the
+        # two 200th steps' pairs and values, as those steps produced them
+        out = []
+        eigh = np.linalg.eigh
+
+        def unsettling(A):
+            w, U = eigh(A)
+            if len(out) % 2:  # the eta-form's: the step's value
+                w = w - 1e-9 * len(out)
+            out.append((w, U))
+            return w, U
+
+        Q = rho_kernel_complement()
+        monkeypatch.setattr(np.linalg, "eigh", unsettling)
+        xi, eta, val = minimize(Q, starts(2, 3, 3, seed=0)[1])
+        assert len(out) == 800
+        ends = [(out[k - 1][1][0, :, 0], out[k][1][0, :, 0], out[k][0][0, 0]) for k in (399, 799)]
+        want = min(ends, key=lambda end: end[2])
+        assert val == want[2] and np.array_equal(xi, want[0]) and np.array_equal(eta, want[1])
+        assert val > 0.1  # far above the zero level: restart 0's limit did not end the search
+
+    def test_mean_steps_per_search(self, monkeypatch):
+        # seesaw steps (two eigh calls each) per minimize call, over the
+        # refinements of 16 block-positivity samples of phi_theta_t and 16
+        # witness searches on generic 1V + 2W specs: 6.59 with a Newton step
+        # after every seesaw step from the second on, 10.59 when only restarts
+        # whose last gain was over a tenth of the one before took one
+        steps, eigh = [], np.linalg.eigh
+
+        def counting_eigh(A):
+            steps[-1] += 0.5
+            return eigh(A)
+
+        def counting_minimize(Q, eta):
+            steps.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", counting_eigh)
+                return minimize(Q, eta)
+
+        monkeypatch.setattr(seesaw, "minimize", counting_minimize)
+        rng = np.random.default_rng(0)
+        for k in range(16):
+            theta, t = rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 2.0)
+            assert block_positivity_sample(phi_theta_t(theta, t), samples=600, seed=k) >= -1e-9
+            assert boundary_witness_search(generic_spec(rng), restarts=100, seed=k) is not None
+        assert len(steps) == 32 and np.mean(steps) <= 8
 
     def test_target_judges_stopped_restarts(self):
         # a witness value is only accepted once its restart has converged, so
