@@ -1,9 +1,10 @@
 """The seesaw over product vectors: minimise <xi (x) eta| Q |xi (x) eta>, for a
 hermitian form Q of shape (m, n, m, n), over unit xi in C^m and eta in C^n.
 The boundary-witness and block-positivity searches each hand one form to
-:func:`minimize`, and this is the only module that reshapes a form for
-contraction; product vectors in a subspace are decided by linear algebra in
-:mod:`pptgeo.states` instead."""
+:func:`minimize`; block positivity first ranks its samples by
+:func:`values` and scores the lowest by :func:`partial_minima`.  This is
+the only module that reshapes a form for contraction; product vectors in a
+subspace are decided by linear algebra in :mod:`pptgeo.states` instead."""
 from __future__ import annotations
 
 import functools
@@ -19,7 +20,7 @@ def starts(restarts: int, m: int, n: int, seed: int):
     eta (restarts, n), not normalized (their directions are uniform)."""
     if restarts < 1:
         raise ValueError("need at least one start pair")
-    z = np.random.default_rng(seed).normal(size=(restarts, m + n, 2)).view(complex)[..., 0]
+    z = np.random.default_rng(seed).standard_normal((restarts, m + n, 2)).view(complex)[..., 0]
     return z[:, :m], z[:, m:]
 
 
@@ -28,13 +29,28 @@ def _gram_rows(v: np.ndarray) -> np.ndarray:
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
 
-def forms(Q: np.ndarray, xi: np.ndarray, eta: np.ndarray):
-    """(A, f) for rows xi (R, m) and eta (R, n): A (R, m, m) the xi-form of Q
-    at each eta row and f (R,) the form value <xi (x) eta| Q |xi (x) eta> at
-    each row pair, neither normalised by |xi|^2 |eta|^2."""
+def _xi_map(Q: np.ndarray) -> np.ndarray:
+    """Q as the map (n*n, m*m) with xi-form(eta) = _gram_rows(eta) @ it."""
     m, n = Q.shape[:2]
-    A = (_gram_rows(eta) @ Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)).reshape(-1, m, m)
-    return A, (xi.conj()[:, None, :] @ A @ xi[:, :, None])[:, 0, 0].real
+    return Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
+
+
+def values(Q: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The form value y^dagger Q y / y^dagger y, shape (R,), at each product
+    row y = xi_r (x) eta_r of rows xi (R, m) and eta (R, n)."""
+    m, n = Q.shape[:2]
+    y = (xi[:, :, None] * eta[:, None, :]).reshape(len(xi), m * n)
+    yc = y.conj()
+    return ((yc @ Q.reshape(m * n, m * n)) * y).sum(1).real / (yc * y).sum(1).real
+
+
+def partial_minima(Q: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The minimum of the form value over xi at each row of eta (R, n): the
+    bottom eigenvalue of the xi-form at eta_r over |eta_r|^2, one batched
+    eigvalsh for all rows."""
+    m = Q.shape[0]
+    A = (_gram_rows(eta) @ _xi_map(Q)).reshape(-1, m, m)
+    return np.linalg.eigvalsh(A)[:, 0] / (eta.conj() * eta).sum(1).real
 
 
 def minimize(Q: np.ndarray, eta: np.ndarray):
@@ -44,7 +60,8 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
 
     Q is a hermitian form of shape (m, n, m, n) and eta (R, n) holds the
     starts; each step sets xi from eta, then eta from xi, so the xi of a
-    start pair is never read.  A restart stops once a step gains at most a
+    start pair is never read, and builds one xi-form, at the eta that the
+    last step kept.  A restart stops once a step gains at most a
     fixed fraction of max|Q|, and its 200th step stops it the same way.
     From its second step on, each restart that has not stopped then takes
     :func:`_newton_step` from the new pair, damped past any negative
@@ -62,7 +79,7 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
     scale = np.max(np.abs(Q))
     settled = 1e-15 * scale  # a restart's own convergence, relative to the form
     # The xi-form for fixed eta is _gram_rows(eta) @ to_xi, and symmetrically.
-    to_xi = Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
+    to_xi = _xi_map(Q)
     to_eta = Q.transpose(0, 2, 1, 3).reshape(m * m, n * n)
     best = (None, None, np.inf)
     for e in (eta[:1], eta[1:]):
@@ -70,9 +87,8 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
             break
         v = np.full(len(e), np.inf)
         mu = np.full(len(e), CUTOFF)  # each restart's Newton damping, relative to max|Q|
-        A = (_gram_rows(e) @ to_xi).reshape(-1, m, m)
         for i in range(200):
-            Ux = np.linalg.eigh(A)[1]
+            Ux = np.linalg.eigh((_gram_rows(e) @ to_xi).reshape(-1, m, m))[1]
             w, U = np.linalg.eigh((_gram_rows(Ux[:, :, 0]) @ to_eta).reshape(-1, n, n))
             stopped = (v - w[:, 0] <= settled) | (i == 199)
             if stopped.any():
@@ -80,10 +96,9 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
                 if best[2] <= reach or stopped.all():
                     break
                 Ux, U, w, mu = Ux[~stopped], U[~stopped], w[~stopped], mu[~stopped]
-            v = w[:, 0]
-            A = (_gram_rows(U[:, :, 0]) @ to_xi).reshape(-1, m, m)
+            v, e = w[:, 0], U[:, :, 0]
             if i and scale:  # Q = 0 has nothing to polish
-                v, A, mu = _newton_step(Q, Ux, U, A, mu, scale)
+                v, e, mu = _newton_step(Q, Ux, U, mu, scale)
         if best[2] <= reach:
             break
     return best
@@ -140,7 +155,7 @@ def _model_map(m: int, n: int):
     return index, sign
 
 
-def _newton_step(Q, Ux, U, A, mu, scale):
+def _newton_step(Q, Ux, U, mu, scale):
     """One Levenberg-Marquardt step on :func:`_newton_model` per row, from
     the seesaw pair (x, e) = (Ux[:, :, 0], U[:, :, 0]), kept only where the
     form value goes down.  Each row's damping is first shifted past the
@@ -149,11 +164,11 @@ def _newton_step(Q, Ux, U, A, mu, scale):
     heads for its minimum (Hessian modification, Nocedal & Wright,
     Numerical Optimization, section 3.4).
 
-    A is the xi-form at e, scale = max|Q| and mu each row's damping relative
-    to it: after a kept step the shift shrinks tenfold, down to CUTOFF; after
-    a step that did not lower the value it grows tenfold.  Returns (v, A, mu):
-    the value and a positive multiple of the xi-form at the kept step's eta,
-    else at e, which is all the next seesaw step reads."""
+    scale = max|Q| and mu is each row's damping relative to it: after a kept
+    step the shift shrinks tenfold, down to CUTOFF; after a step that did not
+    lower the value it grows tenfold.  Returns (v, e, mu): the value and a
+    nonzero multiple of eta at the kept step, else the seesaw's value and e
+    itself, which is all the next seesaw step reads."""
     R, m = Ux.shape[:2]
     v, g, H = _newton_model(Q, Ux, U)
     k = H.shape[1]
@@ -161,14 +176,13 @@ def _newton_step(Q, Ux, U, A, mu, scale):
     mu = np.maximum(mu, -2 * np.linalg.eigvalsh(H)[:, 0])
     H.reshape(R, -1)[:, ::k + 1] += mu[:, None]
     z = np.linalg.solve(H, -g[:, :, None] / scale)[..., 0]
-    s, p = z.view(complex), 2 * (m - 1)
+    s = z.view(complex)
     # the trial pair, unnormalised: |xt|^2 = 1 + |a|^2 and |et|^2 = 1 + |c|^2
     xt = Ux[:, :, 0] + (Ux[:, :, 1:] @ s[:, :m - 1, None])[..., 0]
     et = U[:, :, 0] + (U[:, :, 1:] @ s[:, m - 1:, None])[..., 0]
-    At, ft = forms(Q, xt, et)
-    ft = ft / ((1 + (z[:, :p] ** 2).sum(1)) * (1 + (z[:, p:] ** 2).sum(1)))
+    ft = values(Q, xt, et)
     keep = ft < v
-    return (np.where(keep, ft, v), np.where(keep[:, None, None], At, A),
+    return (np.where(keep, ft, v), np.where(keep[:, None], et, U[:, :, 0]),
             np.where(keep, np.maximum(mu / 10, CUTOFF), 10 * mu))
 
 

@@ -357,11 +357,13 @@ class TestBoundaryWitness:
 
     def test_positive_definite_form_is_proved_without_the_seesaw(self, monkeypatch):
         # the trace maps' pairing form is I: positive definite, so it has no
-        # product zero, and the answer needs no search at any scale
+        # product zero, and the answer needs no search, nor its start pairs,
+        # at any scale
         def no_seesaw(*args):
             raise AssertionError("the seesaw ran")
 
         monkeypatch.setattr(pptgeo.seesaw, "minimize", no_seesaw)
+        monkeypatch.setattr(pptgeo.seesaw, "starts", no_seesaw)
         specs = [trace_map_decomposition_33()] + [trace_map_decomposition_2n(mu) for mu in (1, 2, 3, 4)]
         for spec, c in itertools.product(specs, (1e-300, 1.0, 1e300)):
             scaled_spec = DecomposableSpec(tuple(c * V for V in spec.Vs), tuple(c * W for W in spec.Ws))
