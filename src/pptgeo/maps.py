@@ -23,12 +23,6 @@ from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern,
                      is_interior_of_S_sufficient, p_theta)
 
 
-# How many of its lowest samples block_positivity_sample scores by their
-# minimum over xi before it refines one.  Scoring starts the refine nearer the
-# minimum; one batched eigvalsh of every sample would cost more than it saves.
-SCORED_SAMPLES = 16
-
-
 @dataclass(frozen=True)
 class ChoiMap:
     """A hermiticity-preserving linear map M_m -> M_n as its Choi matrix."""
@@ -166,9 +160,9 @@ def boundary_witness_search(
     [1/2, 1)) so that it is finite at any scale.  When Q is positive definite
     (:func:`~pptgeo.linalg.spectrum_is_pd`), the pairing has no zero at all
     and the result is None, a proof that no witness exists, reached
-    without drawing a start pair; the trace maps, with Q = I, are such
+    without drawing a start; the trace maps, with Q = I, are such
     forms.  Otherwise Q is minimised by
-    :func:`~pptgeo.seesaw.minimize` from ``restarts`` start pairs, and the
+    :func:`~pptgeo.seesaw.minimize` from ``restarts`` seeded starts, and the
     result is (xi, eta, residual) when :func:`product_pairing` of the scaled
     spec at (xi, eta) is at most :func:`~pptgeo.linalg.zero_level` of Q, the
     residual being that pairing over max|Q|; else None, which is inconclusive.
@@ -181,7 +175,7 @@ def boundary_witness_search(
     Q = _pairing_form(spec)
     if spectrum_is_pd(np.linalg.eigvalsh(Q.reshape(m * n, m * n))):
         return None
-    xi, eta, _ = seesaw.minimize(Q, seesaw.starts(restarts, m, n, seed)[1])
+    xi, eta, _ = seesaw.minimize(Q, seesaw.starts(restarts, n, seed))
     value = product_pairing(spec, xi, eta)
     if value <= zero_level(Q):
         return xi, eta, value / (np.max(np.abs(Q)) or 1.0)  # max|Q| is 0 only for an all-zero spec
@@ -220,21 +214,19 @@ def trace_map_decomposition_33() -> DecomposableSpec:
 
 def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -> float:
     """Minimum of <eta| phi(|xi><xi|) |eta> = <xi_bar (x) eta| C |xi_bar (x) eta>
-    over sampled unit product vectors, refined by
+    over unit product vectors, from ``samples`` sampled directions eta: each is
+    scored by its exact minimum over xi (:func:`~pptgeo.seesaw.partial_minima`,
+    in closed form for m = 3), and the best-scoring one is refined by
     :func:`~pptgeo.seesaw.minimize` on that same form, built from the
-    unit-scaled Choi matrix.  The SCORED_SAMPLES lowest samples are scored by
-    their exact minimum over xi (:func:`~pptgeo.seesaw.partial_minima`) and
-    the refine starts from the best-scoring one.  The value is scaled back,
-    and one past the floating-point range is an error.  Deterministic per
-    seed; a value below -ROUNDOFF times the largest entry of the Choi matrix
-    (the form's zero level, scaled back) certifies non-positivity, while a
-    positive map may read a little below 0 from rounding."""
+    unit-scaled Choi matrix.  The value is scaled back, and one past the
+    floating-point range is an error.  Deterministic per seed; a value below
+    -ROUNDOFF times the largest entry of the Choi matrix (the form's zero
+    level, scaled back) certifies non-positivity, while a positive map may
+    read a little below 0 from rounding."""
     m, n = phi.m, phi.n
     C, e = phi.choi._unit_scaled
-    Q, (xi, eta) = C.reshape(m, n, m, n), seesaw.starts(samples, m, n, seed)
-    # the form at each sample (xi, eta), the value above at an equally likely (xi_bar, eta)
-    low = np.argsort(seesaw.values(Q, xi, eta))[:SCORED_SAMPLES]
-    k = low[np.argmin(seesaw.partial_minima(Q, eta[low]))]
+    Q, eta = C.reshape(m, n, m, n), seesaw.starts(samples, n, seed)
+    k = np.argmin(seesaw.partial_minima(Q, eta))
     try:
         return math.ldexp(seesaw.minimize(Q, eta[k:k + 1])[2], e)
     except OverflowError as exc:

@@ -1,27 +1,26 @@
 """The seesaw over product vectors: minimise <xi (x) eta| Q |xi (x) eta>, for a
 hermitian form Q of shape (m, n, m, n), over unit xi in C^m and eta in C^n.
 The boundary-witness and block-positivity searches each hand one form to
-:func:`minimize`; block positivity first ranks its samples by
-:func:`values` and scores the lowest by :func:`partial_minima`.  This is
-the only module that reshapes a form for contraction; product vectors in a
-subspace are decided by linear algebra in :mod:`pptgeo.states` instead."""
+:func:`minimize`; block positivity first scores every sample by
+:func:`partial_minima`, in closed form for m = 3.  This is the only module
+that reshapes a form for contraction; product vectors in a subspace are
+decided by linear algebra in :mod:`pptgeo.states` instead."""
 from __future__ import annotations
 
 import functools
 
 import numpy as np
 
-from .linalg import CUTOFF, zero_level
+from .linalg import CUTOFF, unit_scaled, zero_level
 
 
-def starts(restarts: int, m: int, n: int, seed: int):
-    """All start pairs of a multi-start search, drawn up front from
-    default_rng(seed): complex gaussian rows xi (restarts, m) and
-    eta (restarts, n), not normalized (their directions are uniform)."""
+def starts(restarts: int, n: int, seed: int):
+    """The eta rows (restarts, n) of a multi-start search, drawn up front from
+    default_rng(seed) as complex gaussians, not normalized (their directions
+    are uniform); :func:`minimize` sets each start's xi from its eta."""
     if restarts < 1:
         raise ValueError("need at least one start pair")
-    z = np.random.default_rng(seed).standard_normal((restarts, m + n, 2)).view(complex)[..., 0]
-    return z[:, :m], z[:, m:]
+    return np.random.default_rng(seed).standard_normal((restarts, n, 2)).view(complex)[..., 0]
 
 
 def _gram_rows(v: np.ndarray) -> np.ndarray:
@@ -35,7 +34,7 @@ def _xi_map(Q: np.ndarray) -> np.ndarray:
     return Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
 
 
-def values(Q: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _values(Q: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The form value y^dagger Q y / y^dagger y, shape (R,), at each product
     row y = xi_r (x) eta_r of rows xi (R, m) and eta (R, n)."""
     m, n = Q.shape[:2]
@@ -46,11 +45,63 @@ def values(Q: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 def partial_minima(Q: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The minimum of the form value over xi at each row of eta (R, n): the
-    bottom eigenvalue of the xi-form at eta_r over |eta_r|^2, one batched
-    eigvalsh for all rows."""
-    m = Q.shape[0]
-    A = (_gram_rows(eta) @ _xi_map(Q)).reshape(-1, m, m)
-    return np.linalg.eigvalsh(A)[:, 0] / (eta.conj() * eta).sum(1).real
+    bottom eigenvalue of the xi-form at eta_r over |eta_r|^2.  For m = 3 it
+    is read in closed form (:func:`_bottom_eigenvalues_3`) from the forms of
+    the unit-scaled Q, so no step leaves the float range, and scaled back;
+    for any other m, one batched eigvalsh of all rows."""
+    m, n = Q.shape[:2]
+    norms = (eta.conj() * eta).sum(1).real
+    if m != 3:
+        return np.linalg.eigvalsh((_gram_rows(eta) @ _xi_map(Q)).reshape(-1, m, m))[:, 0] / norms
+    Q, e = unit_scaled(Q.reshape(m * n, m * n))
+    # the entries 00, 11, 22, 01, 02, 12 of every xi-form, one row each
+    A = _xi_map(Q.reshape(m, n, m, n))[:, [0, 4, 8, 1, 2, 5]].T @ _gram_rows(eta).T
+    return np.ldexp(_bottom_eigenvalues_3(A), e) / norms
+
+
+def _bottom_eigenvalues_3(A: np.ndarray) -> np.ndarray:
+    """The bottom eigenvalue of each hermitian 3 x 3 matrix, given as the
+    rows (a00, a11, a22, a01, a02, a12) of A (6, R), in closed form
+    (O. K. Smith, Commun. ACM 4, 168, 1961).
+
+    With q the mean diagonal and p = sqrt(tr (A - q)^2 / 6), the eigenvalues
+    of C = (A - q) / p are 2 cos(phi + 2 pi k / 3), phi = arccos(r) / 3 for
+    r = det C / 2 clipped to [-1, 1]; p = 0 reads as q.  Read that way alone,
+    the bottom eigenvalue loses half its digits when the lower two nearly
+    coincide (r near 1), so only t = 2 cos(arccos |r| / 3) in [sqrt 3, 2],
+    the eigenvalue of sign(r) C farthest from the other two, is read from r.
+    For r < 0 the bottom eigenvalue is -t.  Otherwise it is -(t + g) / 2,
+    where g, the gap between the lower two, is sqrt 2 times the Frobenius
+    norm of M = C + t / 2 - a (C^2 + t C + t^2 - 3), a = t / (2 (t^2 - 1)):
+    the bracket is 3 (t^2 - 1) times the projector onto t's eigenvector, so M
+    has eigenvalues 0 and +-g / 2, and its entries carry no cancellation."""
+    a0, a1, a2 = A[0].real, A[1].real, A[2].real
+    q = (a0 + a1 + a2) / 3
+    d0, d1, d2 = a0 - q, a1 - q, a2 - q
+    u01, u02, u12 = _sq(A[3]), _sq(A[4]), _sq(A[5])
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2 * (u01 + u02 + u12)) / 6)
+    k = 1 / np.where(p > 0, p, 1)
+    d0, d1, d2, b01, b02, b12 = d0 * k, d1 * k, d2 * k, A[3] * k, A[4] * k, A[5] * k
+    k = k * k
+    u01, u02, u12 = u01 * k, u02 * k, u12 * k
+    r = (d0 * d1 * d2 + 2 * (b01 * b12 * b02.conj()).real - d0 * u12 - d1 * u02 - d2 * u01) / 2
+    t = 2 * np.cos(np.arccos(np.minimum(np.abs(r), 1)) / 3)
+    # the entries of M, with those of C^2 written out
+    a = t / (2 * (t * t - 1))
+    c = t / 2 - a * (t * t - 3)
+    m0 = d0 + c - a * (d0 * d0 + u01 + u02 + t * d0)
+    m1 = d1 + c - a * (d1 * d1 + u01 + u12 + t * d1)
+    m2 = d2 + c - a * (d2 * d2 + u02 + u12 + t * d2)
+    m01 = b01 - a * ((d0 + d1 + t) * b01 + b02 * b12.conj())
+    m02 = b02 - a * ((d0 + d2 + t) * b02 + b01 * b12)
+    m12 = b12 - a * ((d1 + d2 + t) * b12 + b01.conj() * b02)
+    g = np.sqrt(2 * (m0 * m0 + m1 * m1 + m2 * m2 + 2 * (_sq(m01) + _sq(m02) + _sq(m12))))
+    return q + p * np.where(r < 0, -t, -(t + g) / 2)
+
+
+def _sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2, entrywise."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def minimize(Q: np.ndarray, eta: np.ndarray):
@@ -59,10 +110,10 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
     restarts advanced as one stack.
 
     Q is a hermitian form of shape (m, n, m, n) and eta (R, n) holds the
-    starts; each step sets xi from eta, then eta from xi, so the xi of a
-    start pair is never read, and builds one xi-form, at the eta that the
-    last step kept.  A restart stops once a step gains at most a
-    fixed fraction of max|Q|, and its 200th step stops it the same way.
+    starts (:func:`starts`); each step sets xi from eta, then eta from xi,
+    and builds one xi-form, at the eta that the last step kept.  A restart
+    stops once a step gains at most a fixed fraction of max|Q|, and its
+    200th step stops it the same way.
     From its second step on, each restart that has not stopped then takes
     :func:`_newton_step` from the new pair, damped past any negative
     curvature of the model, so a restart crossing an indefinite region keeps
@@ -180,7 +231,7 @@ def _newton_step(Q, Ux, U, mu, scale):
     # the trial pair, unnormalised: |xt|^2 = 1 + |a|^2 and |et|^2 = 1 + |c|^2
     xt = Ux[:, :, 0] + (Ux[:, :, 1:] @ s[:, :m - 1, None])[..., 0]
     et = U[:, :, 0] + (U[:, :, 1:] @ s[:, m - 1:, None])[..., 0]
-    ft = values(Q, xt, et)
+    ft = _values(Q, xt, et)
     keep = ft < v
     return (np.where(keep, ft, v), np.where(keep[:, None], et, U[:, :, 0]),
             np.where(keep, np.maximum(mu / 10, CUTOFF), 10 * mu))

@@ -139,7 +139,7 @@ def seesaw_product_vector_search(D: np.ndarray, m: int, n: int, restarts: int = 
     <xi (x) eta| I - P |xi (x) eta> to the span of the orthonormal columns D
     is at most the zero level of I - P, else None."""
     Q = (np.eye(m * n) - D @ D.conj().T).reshape(m, n, m, n)
-    xi, eta, val = minimize(Q, starts(restarts, m, n, seed)[1])
+    xi, eta, val = minimize(Q, starts(restarts, n, seed))
     return (xi, eta) if val <= zero_level(Q) else None
 
 

@@ -36,7 +36,7 @@ def test_seesaw_is_reached_by_public_names():
              for alias in node.names}
     names |= {node.attr for _, tree in package_trees() for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "seesaw"}
-    assert {"minimize", "starts", "values", "partial_minima"} <= names
+    assert {"minimize", "starts", "partial_minima"} <= names
     assert not any(name.startswith("_") for name in names), names
 
 
