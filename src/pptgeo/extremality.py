@@ -70,13 +70,14 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     dim_ker_D and dim_ker_E are p^2 and q^2, the real dimensions of the
     hermitian matrices supported on D and on E.  The generator of an extreme
     X is normalize(X); NumericalError if the face system does not contain X."""
-    if np.max(np.abs(X.data)) == 0:
-        raise ValueError("the zero matrix has no extremality report")
     if not is_ppt(X):
         raise ValueError("is_extreme_in_T requires a PPT input")
     XT = partial_transpose(X)
     ty = state_type(X)
     p, q = ty.p, ty.q
+    # only the zero matrix has an empty range mask
+    if p == 0:
+        raise ValueError("the zero matrix has no extremality report")
     # The system is posed for Y, whichever of X and X^Gamma has the smaller
     # range D (see the module docstring); Y^Gamma is the other one, and F,
     # the complement of its range, is the kernel half of its cached spectrum.

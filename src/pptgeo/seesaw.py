@@ -50,7 +50,7 @@ def partial_minima(Q: np.ndarray, eta: np.ndarray) -> np.ndarray:
     the unit-scaled Q, so no step leaves the float range, and scaled back;
     for any other m, one batched eigvalsh of all rows."""
     m, n = Q.shape[:2]
-    norms = (eta.conj() * eta).sum(1).real
+    norms = np.einsum("ij,ij->i", eta.conj(), eta).real
     if m != 3:
         return np.linalg.eigvalsh((_gram_rows(eta) @ _xi_map(Q)).reshape(-1, m, m))[:, 0] / norms
     Q, e = unit_scaled(Q.reshape(m * n, m * n))

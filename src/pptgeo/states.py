@@ -37,8 +37,16 @@ class BipartiteMatrix:
 
     data is a read-only, exactly hermitian copy and the class is frozen, so
     the spectrum and the partial transpose, and the decisions read from them
-    (the range mask, the PSD verdict and the unit-scaled data), are computed
-    at most once per object and cached; every per-state decision reads them.
+    (the range mask and rank, the PSD verdict and the unit-scaled data), are
+    computed at most once per object and cached; every per-state decision
+    reads them.
+
+    Hermiticity is checked once, where data enters: this constructor
+    validates it through :func:`~pptgeo.linalg.as_hermitian` (finite,
+    hermitian within ROUNDOFF) and keeps the exact symmetrization.  The
+    matrices the package derives exactly hermitian itself (the cyclic
+    pattern of rho, sigma and phi_theta_t, a partial transpose, a
+    normalization) are wrapped by :meth:`_exact`, which checks nothing.
     """
 
     m: int
@@ -55,6 +63,18 @@ class BipartiteMatrix:
             )
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _exact(cls, m: int, n: int, data: np.ndarray) -> BipartiteMatrix:
+        """Wrap data with no check: a fresh, finite, exactly hermitian
+        mn x mn complex array, with m, n >= 1, that nothing else holds.  It
+        is made read-only in place.  Its callers are the derivation sites
+        only (a guard in tests/test_dependencies.py holds this)."""
+        data.flags.writeable = False
+        X = object.__new__(cls)
+        for name, value in (("m", m), ("n", n), ("data", data)):
+            object.__setattr__(X, name, value)
+        return X
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +93,11 @@ class BipartiteMatrix:
         return mask
 
     @functools.cached_property
+    def _rank(self) -> int:
+        """The numerical rank: the eigenvalues in the range mask."""
+        return int(np.count_nonzero(self._range_mask))
+
+    @functools.cached_property
     def _is_psd(self) -> bool:
         """:func:`~pptgeo.linalg.spectrum_is_psd` of the spectrum."""
         return spectrum_is_psd(self.spectrum[0])
@@ -88,11 +113,13 @@ class BipartiteMatrix:
     def _partial_transpose(self) -> Optional[BipartiteMatrix]:
         """X^Gamma, or None when the permuted data is bitwise X's, signed
         zeros included (every rho): X^Gamma is then X itself and shares its
-        spectrum, and None keeps X out of a reference cycle with itself."""
+        spectrum, and None keeps X out of a reference cycle with itself.
+        The permutation maps each conjugate pair of entries onto a conjugate
+        pair, so X^Gamma is exactly hermitian and is not checked again."""
         T = _pt(self.data, self.m, self.n)
         if T.tobytes() == self.data.tobytes():
             return None
-        return BipartiteMatrix(self.m, self.n, T)
+        return BipartiteMatrix._exact(self.m, self.n, T)
 
 
 def _pt(Z: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -143,15 +170,24 @@ def _cyclic_pattern(diag, theta: float, positions) -> BipartiteMatrix:
     """The 3 (x) 3 matrix with diagonal (x, y, z, z, x, y, y, z, x), -e^{i theta}
     at the (rows, columns) positions and -e^{-i theta} at their partners.
     rho and sigma use (p_theta, 1/b, b); the generalized Choi map's Choi
-    matrix is sigma's pattern with (a, c, b)."""
-    x, y, z = diag
+    matrix is sigma's pattern with (a, c, b).  Each entry is written next
+    to its conjugate, bitwise as :func:`~pptgeo.linalg.as_hermitian` would
+    return it, so only finiteness is checked: of the diagonal here, and of
+    theta by :func:`p_theta` in every caller."""
+    if not all(map(math.isfinite, diag)):
+        raise ValueError("matrix entries must be finite")
+    # adding 0 turns a -0 into +0, as the halving in as_hermitian does here:
+    # to a diagonal -0 (an underflowed coefficient of phi_theta_t), and to
+    # the imaginary part of -e^{i theta} or of its conjugate at theta = +-0,
+    # the only angles where sin(theta) is 0
+    x, y, z = (v + 0.0 for v in diag)
     M = np.zeros((9, 9), dtype=complex)
     np.fill_diagonal(M, (x, y, z, z, x, y, y, z, x))
-    phase = -np.exp(1j * theta)
+    phase = -np.exp(1j * theta) + 0.0
     i, j = positions
     M[i, j] = phase
-    M[j, i] = np.conj(phase)
-    return BipartiteMatrix(3, 3, M)
+    M[j, i] = np.conj(phase) + 0.0
+    return BipartiteMatrix._exact(3, 3, M)
 
 
 def _family(b: float, theta: float, positions) -> BipartiteMatrix:
@@ -195,7 +231,7 @@ def state_type(X: BipartiteMatrix) -> StateType:
     """Rank pair of a PPT state and its partial transpose."""
     if not X._is_psd:
         raise ValueError("state_type requires a PSD input")
-    return StateType(*(int(np.count_nonzero(Y._range_mask)) for Y in (X, partial_transpose(X))))
+    return StateType(X._rank, partial_transpose(X)._rank)
 
 
 def is_ppt(X: BipartiteMatrix) -> bool:
@@ -264,12 +300,18 @@ def combine(states: list[BipartiteMatrix], weights) -> BipartiteMatrix:
 def normalize(X: BipartiteMatrix) -> BipartiteMatrix:
     """Scale to unit trace.  X is unit-scaled before its trace is taken and
     divided by, so the result stays finite at any scale of X; the trace must
-    be positive."""
+    be positive.  A power of two and a positive real divisor keep every
+    conjugate pair of entries exact, so only finiteness is checked again
+    (a trace far below the largest entry, as a non-PSD X can have, can
+    overflow the quotient)."""
     A = X._unit_scaled[0]
     tr = np.trace(A).real
     if tr <= 0:
         raise ValueError("trace must be positive to normalize")
-    return BipartiteMatrix(X.m, X.n, A / tr)
+    N = A / tr
+    if not np.isfinite(N).all():
+        raise ValueError("matrix entries must be finite")
+    return BipartiteMatrix._exact(X.m, X.n, N)
 
 
 _PHASE_U = np.diag([1.0, np.exp(-2j * math.pi / 3.0), np.exp(2j * math.pi / 3.0)])

@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library but NumPy, no
 private name of the seesaw, writes no tolerance literal outside the few that
-are documented, reads CUTOFF only through the linalg rules, and applies those
-rules to a state's spectrum only in the state's cached decisions."""
+are documented, reads CUTOFF only through the linalg rules, applies those
+rules to a state's spectrum only in the state's cached decisions, and skips
+the hermiticity check only where it derives a matrix exactly hermitian."""
 import ast
 import sys
 from pathlib import Path
@@ -84,4 +85,16 @@ def test_spectrum_rules_are_applied_to_a_state_only_by_its_cached_decisions():
         ("states", "BipartiteMatrix._is_psd"),
         ("states", "is_interior_of_S_sufficient"),
         ("maps", "boundary_witness_search"),
+    }
+
+
+def test_unchecked_constructor_serves_only_the_derivation_sites():
+    # BipartiteMatrix._exact wraps data without as_hermitian; every other
+    # constructor call, outside input included, goes through the check
+    readers = {(path.stem, scope) for path, tree in package_trees()
+               for scope in readers_of(("_exact",), tree)}
+    assert readers == {
+        ("states", "_cyclic_pattern"),
+        ("states", "BipartiteMatrix._partial_transpose"),
+        ("states", "normalize"),
     }

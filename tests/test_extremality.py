@@ -9,6 +9,7 @@ import pptgeo.cli as cli
 import pptgeo.extremality as extremality
 import pptgeo.linalg as linalg
 import pptgeo.maps as maps
+import pptgeo.serialize as serialize
 import pptgeo.states as states_module
 from oracles import (
     _eigh_split,
@@ -393,8 +394,10 @@ class TestCachedSpectrum:
         assert np.array_equal(partial_transpose(X).data, X.data)
 
     def test_hermiticity_checks_per_grid_op(self, monkeypatch):
-        """A paper_grid op checks hermiticity once per state built: rho (or
-        sigma), sigma^Gamma, and the generator of an extreme rho."""
+        """Hermiticity is checked where data enters: a paper_grid op builds
+        rho (or sigma), sigma^Gamma and the generator of an extreme rho
+        exactly hermitian and checks none of them, while each public
+        constructor call checks its input once."""
         calls = []
         check = linalg.as_hermitian
 
@@ -415,7 +418,17 @@ class TestCachedSpectrum:
                 rep = is_extreme_in_T(X)
                 seen.add((family.__name__, rep.is_extreme, len(calls)))
         # rho is extreme except at theta = 0, 2pi/3 and 4pi/3; sigma never is
-        assert seen == {("rho", True, 2), ("rho", False, 1), ("sigma", False, 2)}
+        assert seen == {("rho", True, 0), ("rho", False, 0), ("sigma", False, 0)}
+        X = sigma(2.0, math.pi / 6)
+        for build in (lambda: BipartiteMatrix(3, 3, X.data),
+                      lambda: combine([X, rho(1.0, 0.5)], [0.5, 0.5]),
+                      lambda: states_module.conjugate_by_phase_unitary(X),
+                      lambda: product_state([1.0, 1j, 0.0], [0.5, 0.0, 2.0]),
+                      lambda: maps.decomposable_map(maps.trace_map_decomposition_33()),
+                      lambda: serialize.bipartite_from_json(serialize.bipartite_to_json(X))):
+            calls.clear()
+            build()
+            assert len(calls) == 1
 
     def test_singular_vectors_and_faces_per_grid_state(self, monkeypatch):
         """One SVD per state, singular values only, of the system on the

@@ -152,6 +152,16 @@ class TestSeesawKernel:
         k = sizes.index(49)
         assert set(sizes[:k]) == {1}
         assert all(a >= b for a, b in zip(sizes[k:], sizes[k + 1:]))
+        # one draw pins one path; over the eta starts of seeds 0-9 the same
+        # search took 52-82 eigh calls, 65.2 on average, when these bounds
+        # were set, so they hold the Newton schedule rather than a draw
+        calls = []
+        for seed in range(10):
+            sizes.clear()
+            assert minimize(Q, starts(50, 3, seed))[2] == pytest.approx(0.10239322565748317, abs=1e-12)
+            calls.append(len(sizes))
+        assert max(calls) <= 82
+        assert sum(calls) <= 652  # a mean of 65.2 over the ten seeds
 
     def test_step_limit_stops_each_restart(self, monkeypatch):
         # eigh lowers each eta-form's eigenvalues by 1e-9 times its call count,

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from oracles import eigh_oracle, seesaw_product_vector_search
 from pptgeo import states
-from pptgeo.linalg import CUTOFF, ROUNDOFF, NumericalError, range_mask
+from pptgeo.linalg import CUTOFF, ROUNDOFF, NumericalError, as_hermitian, range_mask
+from pptgeo.maps import phi_theta_t
 from pptgeo.states import (
     Arc,
     BipartiteMatrix,
@@ -272,6 +273,50 @@ class TestNormalize:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="trace must be positive"):
             normalize(BipartiteMatrix(3, 3, np.zeros((9, 9))))
+
+
+def derived_states():
+    """Every matrix the package wraps without a hermiticity check: rho and
+    sigma on and off the grid, from b = 1e-8 to 1e8, with theta = +-0 and
+    +-pi among the angles, and some of them rescaled by 2**+-300; the Choi
+    matrices of phi_theta_t from t = 1e-8 to 1e200 (where t * t
+    overflows); and the partial transpose and normalization of each."""
+    thetas = THETA_GRID + [-0.0, math.pi, -math.pi, 0.1234, -2.9, 1e-9, 5 * math.pi / 3 + 1e-11]
+    bases = [family(b, theta) for family in (rho, sigma)
+             for b in B_GRID + [1e-8, 3.7e-5, 7.3, 1e8] for theta in thetas]
+    bases += [BipartiteMatrix(3, 3, np.ldexp(X.data.view(float), s).view(complex))
+              for X in bases[::7] for s in (300, -300)]
+    bases += [phi_theta_t(theta, t).choi for theta in thetas[::3] + [math.pi / 3]
+              for t in (1e-8, 0.3, 1.0, 2.5, 1e8, 1e200)]
+    bases += [partial_transpose(X) for X in bases]
+    return bases + [normalize(X) for X in bases]
+
+
+class TestExactDerivations:
+    def test_derived_data_is_its_own_symmetrization(self):
+        # the constructor would store as_hermitian(data); the derivation
+        # sites store data itself, so the two must agree bit for bit
+        for Y in derived_states():
+            assert not Y.data.flags.writeable
+            assert as_hermitian(Y.data).tobytes() == Y.data.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda: rho(math.inf, 1.0),
+        lambda: rho(math.nan, 1.0),
+        lambda: sigma(math.inf, 0.0),
+        lambda: sigma(math.nan, 2.0),
+        lambda: rho(1e-320, 1.0),
+        lambda: phi_theta_t(1.0, math.nan),
+    ], ids=["rho b inf", "rho b nan", "sigma b inf", "sigma b nan", "rho 1/b overflows", "phi t nan"])
+    def test_non_finite_pattern_rejected(self, call):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            call()
+
+    def test_overflowing_normalization_rejected(self):
+        # a non-PSD X can have a trace far below its largest entry
+        X = BipartiteMatrix(1, 3, np.diag([1.0, -1.0, 1e-310]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="matrix entries must be finite"):
+            normalize(X)
 
 
 class TestCovariance:
