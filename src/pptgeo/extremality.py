@@ -15,8 +15,9 @@ dimension.  The system is assembled from D and F alone by
 :func:`_face_system`, one contraction over the tensor indices followed by one
 product with the basis of Herm(min(p, q)), without forming any Z.  X lies in
 its own face, so an extreme X is its own generator.
-D, F and the bases of :func:`face_of` are read off the spectra and range
-masks that each state caches, so no basis is computed or checked twice.
+D, F, the bases of :func:`face_of` and Y's own coordinates, which check
+that Y satisfies the system, are read off the spectra and range masks that
+each state caches, so no basis is computed or checked twice.
 """
 from __future__ import annotations
 
@@ -87,18 +88,32 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     M = _face_system(D, F, X.m, X.n)
     # D, F and the Herm(r) basis are orthonormal, so ||M|| <= 1.
     dim = r * r - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
-    # Y's coordinates c_k = Tr(D B_k D^dagger U) = Re Tr(B_k D^dagger U D),
-    # U = Y 2^-e, give M c = [Re; Im] F^dagger (P_D U P_D)^Gamma: nonzero only
-    # by the eigenvalues range_mask drops from U and from U^Gamma (a partial
-    # transpose keeps the Frobenius norm), scaled before the norm so that it
-    # cannot overflow.
-    U, e = Y._unit_scaled
-    C = D.conj().T @ U @ D
-    c = (C.T.ravel() @ hermitian_basis(r).reshape(r * r, r * r).T).real
-    slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~S._range_mask], -e)) for S in (Y, YT))
-    if np.linalg.norm(M @ c) > slack + ROUNDOFF * np.linalg.norm(c):
+    # X lies in its own face, so Y must satisfy the system up to what the
+    # cutoff drops; its coordinates are read off its spectrum
+    residual, bound = _membership(Y, YT, M)
+    if residual > bound:
         raise NumericalError("the state is not in its own face system")
     return ExtremalityReport(p * p, q * q, dim, dim == 1, normalize(X) if dim == 1 else None)
+
+
+def _membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray) -> tuple[float, float]:
+    """(||M c||, bound) for the face system M of :func:`is_extreme_in_T` and
+    Y's coordinates c; Y lies in its own face system when the first is at
+    most the second.
+
+    c_k = Re Tr(B_k D^dagger U D), U = Y 2^-e with e the exponent of
+    Y's unit-scaled data, is read off Y's spectrum: D holds Y's own
+    eigenvectors, so D^dagger U D is diag(w_D) 2^-e, and the first r
+    elements B_k of the Herm(r) basis are the diagonal units, so c is
+    w_D 2^-e on the first r columns of M and 0 on the rest.
+    M c = [Re; Im] F^dagger (P_D U P_D)^Gamma is nonzero only by the
+    eigenvalues range_mask drops from U and from U^Gamma (a partial
+    transpose keeps the Frobenius norm), scaled before the norm so that it
+    cannot overflow; the bound is their norms plus ROUNDOFF ||c||."""
+    e = Y._unit_scaled[1]
+    c = np.ldexp(Y.spectrum[0][Y._range_mask], -e)
+    slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~S._range_mask], -e)) for S in (Y, YT))
+    return np.linalg.norm(M[:, :c.size] @ c), slack + ROUNDOFF * np.linalg.norm(c)
 
 
 def _face_system(D: np.ndarray, F: np.ndarray, m: int, n: int) -> np.ndarray:

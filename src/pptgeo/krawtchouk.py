@@ -61,13 +61,17 @@ def nu_summary(m: int, n: int) -> dict:
 
     S = mn always holds.  T and P equal 2 only in the 3x3 case (the only
     proved instance); elsewhere they are reported as unknown (None).  D is
-    exact for m = 2, where it equals the lower bound (n + 1 for odd n, n for
-    even n), and for (3, 3); otherwise only the lower bound is known.
+    exact when m or n is 2, where it equals the lower bound (k + 1 for the
+    other dimension k odd, k for k even), and for (3, 3); otherwise only the
+    lower bound is known.  Swapping the tensor factors maps D(M_m, M_n) onto
+    D(M_n, M_m), and the alternating sum of order m vanishes at (k, l)
+    exactly when that of order n does, so the report is symmetric in (m, n)
+    apart from its "m" and "n" entries.
     """
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
     lower = nu_lower_bound_D(m, n)
-    if m == 2:
+    if min(m, n) == 2:
         d_value, d_status = lower, "exact"
     elif (m, n) == (3, 3):
         d_value, d_status = 4, "exact"

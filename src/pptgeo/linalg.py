@@ -86,10 +86,15 @@ def eigh_descending(H: np.ndarray):
 # The cutoff rules, each written once: every rank, definiteness, range, kernel,
 # orthonormality and product-zero decision reads one.  w and s are descending.
 
+def _largest_magnitude(w: np.ndarray) -> float:
+    """max |w| of a descending w, read off its two ends; 0 when w is empty."""
+    return max(float(w[0]), -float(w[-1])) if w.size else 0.0
+
+
 def range_mask(w: np.ndarray) -> np.ndarray:
     """Which eigenvalues span the numerical range: |w| > CUTOFF * max |w|.
     None do when w is all zero; the kernel is the complement."""
-    return np.abs(w) > CUTOFF * (np.max(np.abs(w)) if w.size else 0.0)
+    return np.abs(w) > CUTOFF * _largest_magnitude(w)
 
 
 def spectrum_rank(w: np.ndarray) -> int:
@@ -99,7 +104,7 @@ def spectrum_rank(w: np.ndarray) -> int:
 
 def spectrum_is_psd(w: np.ndarray) -> bool:
     """True iff the smallest eigenvalue is >= -CUTOFF * max |w|."""
-    return bool(w.size == 0 or w[-1] >= -CUTOFF * np.max(np.abs(w)))
+    return w.size == 0 or float(w[-1]) >= -CUTOFF * _largest_magnitude(w)
 
 
 def spectrum_is_pd(w: np.ndarray) -> bool:

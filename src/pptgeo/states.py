@@ -31,6 +31,27 @@ from .linalg import (
 )
 
 
+class _cached:
+    """A computed attribute stored in the instance's ``__dict__`` on first
+    read, after which the plain attribute shadows this non-data descriptor.
+    Unlike ``functools.cached_property`` before Python 3.12 it takes no lock,
+    which made a first read there cost about three times as much.  Two threads
+    reading it first may both compute it; the state is frozen, so both get
+    equal values."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class BipartiteMatrix:
     """An mn x mn hermitian matrix tagged with its local dimensions.
@@ -76,7 +97,7 @@ class BipartiteMatrix:
             object.__setattr__(X, name, value)
         return X
 
-    @functools.cached_property
+    @_cached
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, V): eigenvalues descending and the matching orthonormal
         eigenvectors as columns, both read-only."""
@@ -84,7 +105,7 @@ class BipartiteMatrix:
         w.flags.writeable = V.flags.writeable = False
         return w, V
 
-    @functools.cached_property
+    @_cached
     def _range_mask(self) -> np.ndarray:
         """:func:`~pptgeo.linalg.range_mask` of the spectrum, read-only; its
         complement is the kernel."""
@@ -92,24 +113,24 @@ class BipartiteMatrix:
         mask.flags.writeable = False
         return mask
 
-    @functools.cached_property
+    @_cached
     def _rank(self) -> int:
         """The numerical rank: the eigenvalues in the range mask."""
         return int(np.count_nonzero(self._range_mask))
 
-    @functools.cached_property
+    @_cached
     def _is_psd(self) -> bool:
         """:func:`~pptgeo.linalg.spectrum_is_psd` of the spectrum."""
         return spectrum_is_psd(self.spectrum[0])
 
-    @functools.cached_property
+    @_cached
     def _unit_scaled(self) -> tuple[np.ndarray, int]:
         """:func:`~pptgeo.linalg.unit_scaled` of data, the array read-only."""
         U, e = unit_scaled(self.data)
         U.flags.writeable = False
         return U, e
 
-    @functools.cached_property
+    @_cached
     def _partial_transpose(self) -> Optional[BipartiteMatrix]:
         """X^Gamma, or None when the permuted data is bitwise X's, signed
         zeros included (every rho): X^Gamma is then X itself and shares its
@@ -147,7 +168,10 @@ class StateType:
 
 def p_theta(theta: float) -> float:
     """The smallest a making the 3x3 circulant with off-diagonals -e^{+-i theta}
-    positive semidefinite; equals max_k 2cos(theta + 2k pi/3), in [1, 2]."""
+    positive semidefinite; equals max_k 2cos(theta + 2k pi/3), in [1, 2] in
+    exact arithmetic.  Rounded, it can fall a few units in the last place
+    below 1 at the odd multiples of pi/3, where it is smallest: p_theta(pi)
+    is 0.9999999999999998 and p_theta(3 pi) 0.9999999999999994."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     return max(2.0 * math.cos(theta + 2.0 * math.pi * k / 3.0) for k in (-1, 0, 1))

@@ -6,7 +6,9 @@ kernels are the hermitian matrices supported on a face's two ranges; the
 kernel dimension of is_extreme_in_T is checked against the intersection of
 their kernels, and against d_side_face_dim, the face system always posed on
 the range of X and built by z_stack_face_system from a stack of r^2 mn x mn
-matrices Z_k.  Rank and kernel cuts use the package's CUTOFF.  choi_of
+matrices Z_k; compression_membership is its membership check as first
+written, with Y's coordinates read from its compression onto its range
+(compression_coordinates).  Rank and kernel cuts use the package's CUTOFF.  choi_of
 builds a Choi matrix one matrix unit at a time, from a map's action.
 seesaw_product_vector_search is the multi-start seesaw that searched a
 subspace for a product vector before the Macaulay solver; a None from it
@@ -23,6 +25,7 @@ from pptgeo.linalg import (
     hermitian_basis,
     numerical_rank,
     orthonormal_system_rank,
+    unit_scaled,
     zero_level,
 )
 from pptgeo.maps import ChoiMap
@@ -86,6 +89,27 @@ def d_side_face_dim(X: BipartiteMatrix) -> int:
     p = D.shape[1]
     M = z_stack_face_system(D, F, m, n)
     return p * p - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
+
+
+def compression_coordinates(Y: BipartiteMatrix):
+    """(c, e): Y's coordinates c_k = Re Tr(B_k D^dagger U D) over all r^2
+    elements of the Herm(r) basis, read from the compression of U = Y 2^-e,
+    unit-scaled, onto the range D of Y, as the membership check of
+    is_extreme_in_T first read them."""
+    U, e = unit_scaled(Y.data)
+    D = Y.spectrum[1][:, Y._range_mask]
+    r = D.shape[1]
+    C = D.conj().T @ U @ D
+    return (C.T.ravel() @ hermitian_basis(r).reshape(r * r, r * r).T).real, e
+
+
+def compression_membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray):
+    """The membership check of is_extreme_in_T as first written, for the face
+    system M posed on the range of Y, on the coordinates of
+    :func:`compression_coordinates`: (c, ||M c||, bound)."""
+    c, e = compression_coordinates(Y)
+    slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~S._range_mask], -e)) for S in (Y, YT))
+    return c, np.linalg.norm(M @ c), slack + ROUNDOFF * np.linalg.norm(c)
 
 
 def z_stack_face_system(D: np.ndarray, F: np.ndarray, m: int, n: int, pt=_pt) -> np.ndarray:

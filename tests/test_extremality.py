@@ -15,6 +15,8 @@ from oracles import (
     _eigh_split,
     appendix_basis_X_formula,
     appendix_basis_Y_formula,
+    compression_coordinates,
+    compression_membership,
     d_side_face_dim,
     eigh_oracle,
     kernel_intersection_dim_oracle,
@@ -499,6 +501,51 @@ class TestCachedSpectrum:
                 U, e = linalg.unit_scaled(Y.data)
                 assert Y._unit_scaled[1] == e
                 assert Y._unit_scaled[0].tobytes() == U.tobytes()
+
+    @staticmethod
+    def membership_systems():
+        """(Y, Y^Gamma, face system) as is_extreme_in_T poses them, for the
+        decided states and for rho and sigma at (2, pi/3 +- g), where the
+        dropped eigenvalues set the membership bound."""
+        near = [family(2, math.pi / 3 + sign * g) for family in (rho, sigma)
+                for g in (1e-6, 1e-9, 1e-10, 1e-11, 1e-13) for sign in (1, -1)]
+        for X in TestCachedSpectrum.decided_states() + near:
+            t, XT = state_type(X), partial_transpose(X)
+            Y, YT = (X, XT) if t.p <= t.q else (XT, X)
+            D, F = Y.spectrum[1][:, Y._range_mask], YT.spectrum[1][:, ~YT._range_mask]
+            yield Y, YT, extremality._face_system(D, F, X.m, X.n)
+
+    def test_coordinates_are_the_scaled_range_eigenvalues(self):
+        # Y's coordinates from its compression D^dagger U D onto its own
+        # eigenvectors are its range eigenvalues on the diagonal units, the
+        # first r of the Herm(r) basis, and 0 on the rest
+        for Y, _, _ in self.membership_systems():
+            c_old = compression_coordinates(Y)[0]
+            c = np.zeros_like(c_old)
+            c[:Y._rank] = np.ldexp(Y.spectrum[0][Y._range_mask], -Y._unit_scaled[1])
+            assert np.linalg.norm(c - c_old) <= ROUNDOFF * np.linalg.norm(c_old)
+
+    def test_membership_reads_as_the_compression_form(self):
+        # the two residuals differ by rounding; where the dropped eigenvalues
+        # set the bound, far above rounding, the ratio agrees to 1e-5
+        eps = np.finfo(float).eps
+        for Y, YT, M in self.membership_systems():
+            c_old, residual_old, bound_old = compression_membership(Y, YT, M)
+            residual, bound = extremality._membership(Y, YT, M)
+            assert residual <= bound
+            assert abs(residual - residual_old) <= 8 * eps * np.linalg.norm(c_old)
+            if bound_old > 1e-10 * np.linalg.norm(c_old):
+                assert abs(residual / bound - residual_old / bound_old) <= 1e-5
+        # sigma at pi/3 +- 1e-10 reads 0.987 of its bound under both forms
+        for sign in (1, -1):
+            X = sigma(2, math.pi / 3 + sign * 1e-10)
+            Y, YT = partial_transpose(X), X
+            D, F = Y.spectrum[1][:, Y._range_mask], YT.spectrum[1][:, ~YT._range_mask]
+            M = extremality._face_system(D, F, 3, 3)
+            _, residual_old, bound_old = compression_membership(Y, YT, M)
+            residual, bound = extremality._membership(Y, YT, M)
+            assert 0.98 < residual / bound < 1 and 0.98 < residual_old / bound_old < 1
+            assert is_extreme_in_T(X).dim_intersection > 1
 
     def test_each_decision_once_per_state_in_a_grid_op(self, monkeypatch):
         """A paper_grid op makes each decision at most once per state: the

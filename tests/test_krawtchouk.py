@@ -101,6 +101,16 @@ class TestNu:
             want = n + 1 if n % 2 else n
             assert nu_summary(2, n)["D"]["value"] == nu_lower_bound_D(2, n) == want
 
+    def test_summary_symmetric_in_m_and_n(self):
+        # swapping the tensor factors maps D(M_m, M_n) onto D(M_n, M_m)
+        for m in range(2, 13):
+            for n in range(2, 13):
+                s, t = nu_summary(m, n), nu_summary(n, m)
+                assert s["D"] == t["D"]
+                assert (s["S"], s["T"], s["P"]) == (t["S"], t["T"], t["P"])
+        assert nu_summary(3, 2)["D"] == {"value": 4, "lower_bound": 4, "status": "exact"}
+        assert nu_summary(5, 2)["D"] == {"value": 6, "lower_bound": 6, "status": "exact"}
+
     def test_summary_3_3(self):
         s = nu_summary(3, 3)
         assert s["S"] == 9

@@ -430,6 +430,21 @@ class TestCutoff:
         assert not spectrum_is_pd(s * np.array([1.0, -1.0]))
         assert not spectrum_is_pd(np.zeros(2))
 
+    @pytest.mark.parametrize("w", [
+        [], [0.0, 0.0, 0.0], [-1e-12, -0.5, -3.0], [2.5], [-2.5], [0.0], [-0.0], [0.0, -0.0],
+        [5.0, 1.0, -0.5], [0.5, 1e-10, -5.0], [1.0, 0.0, -1.0],
+        [1.0, 1.01 * CUTOFF, 0.99 * CUTOFF, 0.0, -0.99 * CUTOFF, -1.01 * CUTOFF],
+        [1.01 * CUTOFF, 0.99 * CUTOFF, -0.99 * CUTOFF, -1.0],
+    ])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**1000, 2.0**-1000])
+    def test_descending_rules_read_the_ends(self, w, scale):
+        # range_mask and spectrum_is_psd take max |w| of a descending w from
+        # its two ends; they decide as the former pass over every |w| did
+        w = np.array(w) * scale
+        largest = np.max(np.abs(w)) if w.size else 0.0
+        assert np.array_equal(range_mask(w), np.abs(w) > CUTOFF * largest)
+        assert spectrum_is_psd(w) is bool(w.size == 0 or w[-1] >= -CUTOFF * largest)
+
     def test_orthonormal_system_rank_is_against_one(self):
         # the scale is max(1, s[0]), so a system that is zero up to rounding has rank 0
         assert orthonormal_system_rank(np.array([1e-3, 1.01 * CUTOFF])) == 2
