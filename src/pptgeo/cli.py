@@ -80,7 +80,11 @@ def _int_at_least(low: int):
 
 def _state_from_args(args) -> tuple[st.BipartiteMatrix, float | None]:
     """Resolve a state plus (when known) its theta from --in or family flags."""
-    if args.infile:
+    if args.infile is not None:
+        given = [f"--{name}" for name in ("family", "b", "theta") if getattr(args, name) is not None]
+        if given:
+            raise argparse.ArgumentTypeError(
+                f"give --in FILE or the family flags, not both (--in with {', '.join(given)})")
         return ser.bipartite_from_json(ser.load_json(args.infile)), None
     missing = [f"--{name}" for name in ("family", "b", "theta") if getattr(args, name) is None]
     if missing:
@@ -163,6 +167,8 @@ def cmd_trace_decomp(args) -> tuple[dict, str]:
             raise argparse.ArgumentTypeError("--m 2 requires --mu")
         spec = mp.trace_map_decomposition_2n(args.mu)
     else:
+        if args.mu is not None:
+            raise argparse.ArgumentTypeError("--m 3 takes no --mu")
         spec = mp.trace_map_decomposition_33()
     out = ser.spec_to_json(spec)
     out["choi"] = ser.choi_to_json(mp.decomposable_map(spec))

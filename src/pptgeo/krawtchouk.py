@@ -59,14 +59,17 @@ def nu_lower_bound_D(m: int, n: int) -> int:
 def nu_summary(m: int, n: int) -> dict:
     """Structured report of the known interior-combination numbers.
 
-    S = mn always holds.  T and P equal 2 only in the 3x3 case (the only
-    proved instance); elsewhere they are reported as unknown (None).  D is
-    exact when m or n is 2, where it equals the lower bound (k + 1 for the
-    other dimension k odd, k for k even), and for (3, 3); otherwise only the
-    lower bound is known.  Swapping the tensor factors maps D(M_m, M_n) onto
-    D(M_n, M_m), and the alternating sum of order m vanishes at (k, l)
-    exactly when that of order n does, so the report is symmetric in (m, n)
-    apart from its "m" and "n" entries.
+    S = mn always holds.  At 2x2, 2x3 and 3x2 every PPT state is separable
+    (M., P. & R. Horodecki, Phys. Lett. A 223, 1, 1996), so T = S = mn, and
+    every positive map is decomposable (Størmer, Acta Math. 110, 233, 1963;
+    Woronowicz, Rep. Math. Phys. 10, 165, 1976), so P = D.  At 3x3, T and P
+    are 2; elsewhere they are reported as unknown (None).  D is exact when m
+    or n is 2, where it equals the lower bound (k + 1 for the other dimension
+    k odd, k for k even), and for (3, 3); otherwise only the lower bound is
+    known.  Swapping the tensor factors maps D(M_m, M_n) onto D(M_n, M_m),
+    and the alternating sum of order m vanishes at (k, l) exactly when that
+    of order n does, so the report is symmetric in (m, n) apart from its "m"
+    and "n" entries.
     """
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
@@ -77,11 +80,17 @@ def nu_summary(m: int, n: int) -> dict:
         d_value, d_status = 4, "exact"
     else:
         d_value, d_status = None, "bound"
+    if m * n <= 6:  # 2x2, 2x3 and 3x2
+        t_value, p_value = m * n, d_value
+    elif (m, n) == (3, 3):
+        t_value = p_value = 2
+    else:
+        t_value = p_value = None
     return {
         "m": m,
         "n": n,
         "S": m * n,
-        "T": 2 if (m, n) == (3, 3) else None,
-        "P": 2 if (m, n) == (3, 3) else None,
+        "T": t_value,
+        "P": p_value,
         "D": {"value": d_value, "lower_bound": lower, "status": d_status},
     }

@@ -191,6 +191,23 @@ class TestStateCommands:
         code, _, _ = run(capsys, "state", "classify", "--family", "rho")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["state", "classify"], ["state", "kernel"], ["extremality"]])
+    @pytest.mark.parametrize("flags", [["--family", "sigma", "--b", "1", "--theta", "1"], ["--b", "2"],
+                                       ["--theta", "pi/6"]], ids=["all three", "b", "theta"])
+    def test_file_with_family_flags_is_usage(self, capsys, tmp_path, command, flags):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(bipartite_to_json(rho(2, math.pi / 6))))
+        code, out, err = run(capsys, *command, "--in", str(path), *flags)
+        assert code == 2
+        assert out == "" and err.startswith("input error:") and "not both" in err
+
+    def test_empty_file_name_is_not_ignored(self, capsys):
+        code, out, err = run(capsys, "state", "classify", "--in", "", "--family", "rho", "--b", "2",
+                             "--theta", "pi/6")
+        assert code == 2
+        assert out == "" and "not both" in err
+        assert run(capsys, "state", "classify", "--in", "")[0] == 2
+
     @pytest.mark.parametrize("missing", ["--family", "--b", "--theta"])
     def test_missing_flag_is_named(self, capsys, missing):
         flags = {"--family": "rho", "--b": "2", "--theta": "pi/6"}
@@ -462,7 +479,8 @@ class TestMapCommands:
     @pytest.mark.parametrize("argv,message", [
         (["--m", "5"], "invalid choice"),
         (["--m", "2", "--mu", "0"], "positive integer"),
-    ], ids=["m 5", "mu 0"])
+        (["--m", "3", "--mu", "2"], "--m 3 takes no --mu"),
+    ], ids=["m 5", "mu 0", "m 3 with mu"])
     def test_trace_decomp_bad_sizes_are_usage(self, capsys, argv, message):
         code, out, err = run(capsys, "map", "trace-decomp", *argv)
         assert code == 2

@@ -1,9 +1,12 @@
 """The package imports nothing outside the standard library but NumPy, no
 private name of the seesaw, writes no tolerance literal outside the few that
 are documented, reads CUTOFF only through the linalg rules, applies those
-rules to a state's spectrum only in the state's cached decisions, and skips
-the hermiticity check only where it derives a matrix exactly hermitian."""
+rules to a state's spectrum only in the state's cached decisions, skips
+the hermiticity check only where it derives a matrix exactly hermitian, and
+reaches each public name through its defining module alone."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +101,23 @@ def test_unchecked_constructor_serves_only_the_derivation_sites():
         ("states", "BipartiteMatrix._partial_transpose"),
         ("states", "normalize"),
     }
+
+
+def test_package_init_holds_only_its_docstring():
+    # every public name is imported from its defining module; the package
+    # itself binds nothing, so importing one module loads no other
+    path = Path(pptgeo.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1, [type(node).__name__ for node in tree.body]
+
+
+def test_krawtchouk_runs_without_numpy():
+    # the integer combinatorics load nothing numerical
+    code = ("import sys; from pptgeo.krawtchouk import solve; "
+            "assert [(s.k, s.l) for s in solve(3, 3)] == [(1, 3), (3, 1)]; "
+            "print(sorted(name for name in sys.modules if name.partition('.')[0] in ('numpy', 'pptgeo')))")
+    src = str(Path(pptgeo.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "['pptgeo', 'pptgeo.krawtchouk']"

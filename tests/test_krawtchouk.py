@@ -118,10 +118,18 @@ class TestNu:
         assert s["P"] == 2
         assert s["D"] == {"value": 4, "lower_bound": 4, "status": "exact"}
 
+    @pytest.mark.parametrize("m,n,t,p", [(2, 2, 4, 2), (2, 3, 6, 4), (3, 2, 6, 4)])
+    def test_summary_small_t_and_p(self, m, n, t, p):
+        # PPT equals separable there, so T = S = mn; every positive map is
+        # decomposable there, so P = D
+        s = nu_summary(m, n)
+        assert (s["S"], s["T"], s["P"]) == (m * n, t, p)
+        assert s["D"] == {"value": p, "lower_bound": p, "status": "exact"}
+
     def test_summary_2_4(self):
         s = nu_summary(2, 4)
         assert s["S"] == 8
-        assert s["T"] is None
+        assert s["T"] is None and s["P"] is None
         assert s["D"]["value"] == 4
         assert s["D"]["status"] == "exact"
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pptgeo.states as states
 from oracles import eigh_oracle, seesaw_product_vector_search
-from pptgeo import states
 from pptgeo.linalg import CUTOFF, ROUNDOFF, NumericalError, as_hermitian, range_mask
 from pptgeo.maps import phi_theta_t
 from pptgeo.states import (
