@@ -16,8 +16,10 @@ dimension.  The system is assembled from D and F alone by
 product with the basis of Herm(min(p, q)), without forming any Z.  X lies in
 its own face, so an extreme X is its own generator.
 D, F, the bases of :func:`face_of` and Y's own coordinates, which check
-that Y satisfies the system, are read off the spectra and range masks that
-each state caches, so no basis is computed or checked twice.
+that Y satisfies the system, are read off the spectra and ranks that each
+state caches, so no basis is computed or checked twice.  Every spectrum
+read here is PSD and descending, so its range is its first rank entries and
+its kernel the rest: each basis is a slice of the cached eigenvectors.
 """
 from __future__ import annotations
 
@@ -51,18 +53,20 @@ class ExtremalityReport:
 
 @dataclass(frozen=True)
 class FaceSpec:
-    """Orthonormal bases (columns) of the two range subspaces defining a face."""
+    """Orthonormal bases (columns) of the two range subspaces defining a
+    face: read-only views of the states' cached eigenvectors."""
 
     D: np.ndarray
     E: np.ndarray
 
 
 def face_of(X: BipartiteMatrix) -> FaceSpec:
-    """Range bases of a PPT X and of its partial transpose: the eigenvectors
-    that the cached range masks keep from the two cached spectra."""
+    """Range bases of a PPT X and of its partial transpose: the leading
+    eigenvectors of the two cached spectra, as read-only views of them.  A
+    PSD spectrum is descending, so its range mask is its first rank entries."""
     if not is_ppt(X):
         raise ValueError("face_of requires a PPT input")
-    return FaceSpec(*(Y.spectrum[1][:, Y._range_mask] for Y in (X, partial_transpose(X))))
+    return FaceSpec(*(Y.spectrum[1][:, :Y._rank] for Y in (X, partial_transpose(X))))
 
 
 def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
@@ -82,9 +86,11 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     # The system is posed for Y, whichever of X and X^Gamma has the smaller
     # range D (see the module docstring); Y^Gamma is the other one, and F,
     # the complement of its range, is the kernel half of its cached spectrum.
+    # Both spectra are PSD and descending, so D is the first r eigenvectors
+    # of Y and F the eigenvectors of Y^Gamma past its rank max(p, q).
     Y, YT = (X, XT) if p <= q else (XT, X)
     r = min(p, q)
-    D, F = Y.spectrum[1][:, Y._range_mask], YT.spectrum[1][:, ~YT._range_mask]
+    D, F = Y.spectrum[1][:, :r], YT.spectrum[1][:, max(p, q):]
     M = _face_system(D, F, X.m, X.n)
     # D, F and the Herm(r) basis are orthonormal, so ||M|| <= 1.
     dim = r * r - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
@@ -109,11 +115,23 @@ def _membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray) -> tuple
     M c = [Re; Im] F^dagger (P_D U P_D)^Gamma is nonzero only by the
     eigenvalues range_mask drops from U and from U^Gamma (a partial
     transpose keeps the Frobenius norm), scaled before the norm so that it
-    cannot overflow; the bound is their norms plus ROUNDOFF ||c||."""
-    e = Y._unit_scaled[1]
-    c = np.ldexp(Y.spectrum[0][Y._range_mask], -e)
-    slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~S._range_mask], -e)) for S in (Y, YT))
-    return np.linalg.norm(M[:, :c.size] @ c), slack + ROUNDOFF * np.linalg.norm(c)
+    cannot overflow; the bound is their norms plus ROUNDOFF ||c||.
+
+    Both spectra are PSD and descending, so w_D is the first r = rank Y
+    eigenvalues and the dropped ones are the rest.  Y^Gamma is Y itself for
+    every rho, whose slack term is then taken once and doubled.  Each norm
+    is sqrt(x . x), what np.linalg.norm takes of a real vector."""
+    e, r = Y._unit_scaled[1], Y._rank
+    w = np.ldexp(Y.spectrum[0], -e)
+    c = w[:r]
+    slack = _norm(w[r:])
+    slack += slack if YT is Y else _norm(np.ldexp(YT.spectrum[0][YT._rank:], -e))
+    return _norm(M[:, :r] @ c), slack + ROUNDOFF * _norm(c)
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a real vector, as np.linalg.norm computes it."""
+    return math.sqrt(x.dot(x))
 
 
 def _face_system(D: np.ndarray, F: np.ndarray, m: int, n: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Exact combinatorics behind the decomposable-cone bounds.
 
-Everything here is integer arithmetic (math.comb, so arbitrary precision);
-results are independent of evaluation order.
+Everything here is integer arithmetic (math.comb and exact integer
+division, so arbitrary precision); results are independent of evaluation
+order.
 """
 from __future__ import annotations
 
@@ -38,15 +39,24 @@ def krawtchouk_sum(k: int, l: int, m: int) -> int:
 
 
 def solve(m: int, n: int) -> list[KrawtchoukSolution]:
-    """All (k, l) with k + l = m + n - 2 and vanishing sum, lexicographic."""
+    """All (k, l) with k + l = m + n - 2 and vanishing sum, lexicographic.
+
+    With N = m + n - 2 and j = m - 1, A(k) = krawtchouk_sum(k, N - k, m) is
+    the symmetric Krawtchouk polynomial of degree k at j, scaled by C(N, j),
+    so A(0) = C(N, j) and (N - k) A(k + 1) = (N - 2j) A(k) - k A(k - 1)
+    (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials,
+    section 9.11); every A(k) is an integer, so the division is exact."""
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
-    total = m + n - 2
-    return [
-        KrawtchoukSolution(k, total - k, m, n)
-        for k in range(total + 1)
-        if krawtchouk_sum(k, total - k, m) == 0
-    ]
+    total, j = m + n - 2, m - 1
+    zeros = []
+    previous, a = 0, math.comb(total, j)
+    for k in range(total + 1):
+        if a == 0:
+            zeros.append(KrawtchoukSolution(k, total - k, m, n))
+        if k < total:
+            previous, a = a, ((total - 2 * j) * a - k * previous) // (total - k)
+    return zeros
 
 
 def nu_lower_bound_D(m: int, n: int) -> int:

@@ -352,11 +352,10 @@ def conjugate_by_phase_unitary(X: BipartiteMatrix) -> BipartiteMatrix:
 
 def is_interior_of_T(X: BipartiteMatrix) -> bool:
     """Interior of the PPT convex body: X and its partial transpose are
-    positive definite.  Both are PSD, so that is every eigenvalue of each
-    in its cached range mask."""
+    positive definite.  Both are PSD, so that is full cached rank for each."""
     if not is_ppt(X):
         raise ValueError("is_interior_of_T requires a PPT input")
-    return all(Y._range_mask.all() for Y in (X, partial_transpose(X)))
+    return all(Y._rank == Y.m * Y.n for Y in (X, partial_transpose(X)))
 
 
 def is_interior_of_S_sufficient(X: BipartiteMatrix) -> bool:

@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library but NumPy, no
 private name of the seesaw, writes no tolerance literal outside the few that
 are documented, reads CUTOFF only through the linalg rules, applies those
-rules to a state's spectrum only in the state's cached decisions, skips
+rules to a state's spectrum only in the state's cached decisions, reads a
+state's range mask only where its spectrum may be indefinite, skips
 the hermiticity check only where it derives a matrix exactly hermitian, and
 reaches each public name through its defining module alone."""
 import ast
@@ -89,6 +90,15 @@ def test_spectrum_rules_are_applied_to_a_state_only_by_its_cached_decisions():
         ("states", "is_interior_of_S_sufficient"),
         ("maps", "boundary_witness_search"),
     }
+
+
+def test_range_mask_is_read_only_where_a_spectrum_may_be_indefinite():
+    # a PSD spectrum is descending, so its range is the prefix of length
+    # _rank; only the rank itself and the kernel of a --in state, which may
+    # be indefinite, read the mask
+    readers = {(path.stem, scope) for path, tree in package_trees()
+               for scope in readers_of(("_range_mask",), tree)}
+    assert readers == {("states", "BipartiteMatrix._rank"), ("cli", "cmd_kernel")}
 
 
 def test_unchecked_constructor_serves_only_the_derivation_sites():

@@ -502,6 +502,26 @@ class TestCachedSpectrum:
                 assert Y._unit_scaled[1] == e
                 assert Y._unit_scaled[0].tobytes() == U.tobytes()
 
+    def test_range_mask_is_the_rank_prefix_of_a_psd_spectrum(self):
+        # face_of and is_extreme_in_T slice their bases by rank on this
+        near = near_boundary_states() + [family(2, math.pi / 3 + sign * 1e-10)
+                                         for family in (rho, sigma) for sign in (1, -1)]
+        near += [BipartiteMatrix(3, 3, X.data * 2.0**e) for X in near for e in (300, -300)]
+        for X in self.decided_states() + near:
+            for Y in (X, partial_transpose(X)):
+                assert Y._is_psd
+                assert np.array_equal(Y._range_mask, np.arange(Y.m * Y.n) < Y._rank)
+
+    def test_face_bases_are_read_only_views_of_the_spectrum(self):
+        for X in grid_states() + near_boundary_states():
+            face = face_of(X)
+            for B, Y in ((face.D, X), (face.E, partial_transpose(X))):
+                V = Y.spectrum[1]
+                assert np.shares_memory(B, V)
+                assert np.ascontiguousarray(B).tobytes() == V[:, Y._range_mask].tobytes()
+                with pytest.raises(ValueError):
+                    B[0, 0] = 0
+
     @staticmethod
     def membership_systems():
         """(Y, Y^Gamma, face system) as is_extreme_in_T poses them, for the

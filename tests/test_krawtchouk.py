@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pptgeo.krawtchouk import (
@@ -9,6 +10,7 @@ from pptgeo.krawtchouk import (
     nu_summary,
     solve,
 )
+from pptgeo.states import combine, is_interior_of_S_sufficient, is_interior_of_T, product_state, state_type
 
 
 def brute_force_sum(k, l, m):
@@ -74,6 +76,15 @@ class TestSolve:
         targets = {mu * (mu + 2) for mu in range(1, 12)}
         for n in range(2, 100):
             assert bool(solve(3, n)) == (n in targets), n
+
+    def test_recurrence_matches_brute_force_scan(self):
+        # solve's three-term recurrence finds exactly the zeros of the
+        # one-value definition along k + l = m + n - 2
+        for m in range(2, 13):
+            for n in range(2, 81):
+                total = m + n - 2
+                want = [(k, total - k) for k in range(total + 1) if krawtchouk_sum(k, total - k, m) == 0]
+                assert [(s.k, s.l) for s in solve(m, n)] == want, (m, n)
 
     def test_solution_validation(self):
         with pytest.raises(ValueError):
@@ -144,3 +155,39 @@ class TestNu:
             nu_summary(1, 3)
         with pytest.raises(ValueError):
             nu_summary(2, 1)
+
+
+class TestSeparableNumber:
+    """S = mn: the mn product states |ij><ij| sum to an interior point of the
+    separable body, and no mn - 1 of them do."""
+
+    SIZES = [(2, 2), (2, 3), (3, 3), (2, 4)]
+
+    @staticmethod
+    def basis_products(m, n):
+        return [product_state(np.eye(m)[i], np.eye(n)[j]) for i in range(m) for j in range(n)]
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_all_mn_products_reach_the_interior(self, m, n):
+        parts = self.basis_products(m, n)
+        assert len(parts) == nu_summary(m, n)["S"] == m * n
+        X = combine(parts, np.full(m * n, 1 / (m * n)))
+        assert is_interior_of_S_sufficient(X)
+        assert is_interior_of_T(X)
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_any_mn_minus_one_products_stay_on_the_boundary(self, m, n):
+        parts = self.basis_products(m, n)
+        for left_out in range(m * n):
+            kept = parts[:left_out] + parts[left_out + 1:]
+            X = combine(kept, np.full(m * n - 1, 1 / (m * n - 1)))
+            assert state_type(X).p == m * n - 1
+            assert not is_interior_of_T(X)
+            assert not is_interior_of_S_sufficient(X)
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_summary_shape(self, m, n):
+        s = nu_summary(m, n)
+        assert list(s) == ["m", "n", "S", "T", "P", "D"]
+        assert list(s["D"]) == ["value", "lower_bound", "status"]
+        assert (s["m"], s["n"], s["S"]) == (m, n, m * n)
