@@ -20,7 +20,7 @@ from . import krawtchouk as kw
 from . import maps as mp
 from . import serialize as ser
 from . import states as st
-from .linalg import NumericalError
+from .linalg import NumericalError, range_mask
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -121,7 +121,8 @@ def cmd_classify(args) -> tuple[dict, str]:
 
 def cmd_kernel(args) -> tuple[dict, str]:
     X = _state_from_args(args)[0]
-    K = X.spectrum[1][:, ~X._range_mask]
+    w, V = X.spectrum
+    K = V[:, ~range_mask(w)]
     return ({"dim": K.shape[1], "basis": [ser.vector_to_json(K[:, i]) for i in range(K.shape[1])]},
             f"kernel dimension {K.shape[1]}")
 

@@ -107,22 +107,25 @@ def _membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray) -> tuple
     Y's coordinates c; Y lies in its own face system when the first is at
     most the second.
 
-    c_k = Re Tr(B_k D^dagger U D), U = Y 2^-e with e the exponent of
-    Y's unit-scaled data, is read off Y's spectrum: D holds Y's own
-    eigenvectors, so D^dagger U D is diag(w_D) 2^-e, and the first r
-    elements B_k of the Herm(r) basis are the diagonal units, so c is
+    c_k = Re Tr(B_k D^dagger U D), U = Y 2^-e with e the ``math.frexp``
+    exponent of Y's largest eigenvalue, is read off Y's spectrum: D holds
+    Y's own eigenvectors, so D^dagger U D is diag(w_D) 2^-e, and the first
+    r elements B_k of the Herm(r) basis are the diagonal units, so c is
     w_D 2^-e on the first r columns of M and 0 on the rest.
     M c = [Re; Im] F^dagger (P_D U P_D)^Gamma is nonzero only by the
     eigenvalues range_mask drops from U and from U^Gamma (a partial
     transpose keeps the Frobenius norm), scaled before the norm so that it
-    cannot overflow; the bound is their norms plus ROUNDOFF ||c||.
+    cannot overflow; the bound is their norms plus ROUNDOFF ||c||.  A power
+    of two scales exactly, so e moves both by one factor and not the verdict.
 
     Both spectra are PSD and descending, so w_D is the first r = rank Y
-    eigenvalues and the dropped ones are the rest.  Y^Gamma is Y itself for
-    every rho, whose slack term is then taken once and doubled.  Each norm
-    is sqrt(x . x), what np.linalg.norm takes of a real vector."""
-    e, r = Y._unit_scaled[1], Y._rank
-    w = np.ldexp(Y.spectrum[0], -e)
+    eigenvalues, w[0] the largest magnitude, and the dropped ones are the
+    rest.  Y^Gamma is Y itself for every rho, whose slack term is then
+    taken once and doubled.  Each norm is sqrt(x . x), what np.linalg.norm
+    takes of a real vector."""
+    w, r = Y.spectrum[0], Y._rank
+    e = math.frexp(w[0])[1]
+    w = np.ldexp(w, -e)
     c = w[:r]
     slack = _norm(w[r:])
     slack += slack if YT is Y else _norm(np.ldexp(YT.spectrum[0][YT._rank:], -e))

@@ -66,7 +66,7 @@ def pairing(rho: BipartiteMatrix, phi: ChoiMap) -> float:
     past the floating-point range."""
     if (rho.m, rho.n) != (phi.m, phi.n):
         raise ValueError("state and map live on different systems")
-    (R, r), (C, c) = rho._unit_scaled, phi.choi._unit_scaled
+    (R, r), (C, c) = unit_scaled(rho.data), unit_scaled(phi.choi.data)
     val = complex(np.trace(R @ C.T))
     if abs(val.imag) > ROUNDOFF * np.linalg.norm(R) * np.linalg.norm(C):
         raise NumericalError(f"pairing has a nonreal value {val} * 2**{r + c}")
@@ -224,7 +224,7 @@ def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -
     level, scaled back) certifies non-positivity, while a positive map may
     read a little below 0 from rounding."""
     m, n = phi.m, phi.n
-    C, e = phi.choi._unit_scaled
+    C, e = unit_scaled(phi.choi.data)
     Q, eta = C.reshape(m, n, m, n), seesaw.starts(samples, n, seed)
     k = np.argmin(seesaw.partial_minima(Q, eta))
     try:

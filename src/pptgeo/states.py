@@ -23,9 +23,9 @@ from .linalg import (
     eigh_descending,
     has_orthonormal_columns,
     orthonormal_system_rank,
-    range_mask,
     spectrum_is_pd,
     spectrum_is_psd,
+    spectrum_rank,
     unit_scaled,
     zero_level,
 )
@@ -57,10 +57,11 @@ class BipartiteMatrix:
     """An mn x mn hermitian matrix tagged with its local dimensions.
 
     data is a read-only, exactly hermitian copy and the class is frozen, so
-    the spectrum and the partial transpose, and the decisions read from them
-    (the range mask and rank, the PSD verdict and the unit-scaled data), are
+    the spectrum and the partial transpose, and the two decisions that a
+    grid op reads more than once (the rank and the PSD verdict), are
     computed at most once per object and cached; every per-state decision
-    reads them.
+    reads them.  What a caller reads once, a range mask or unit-scaled
+    data, it computes by the linalg rule itself.
 
     Hermiticity is checked once, where data enters: this constructor
     validates it through :func:`~pptgeo.linalg.as_hermitian` (finite,
@@ -106,29 +107,14 @@ class BipartiteMatrix:
         return w, V
 
     @_cached
-    def _range_mask(self) -> np.ndarray:
-        """:func:`~pptgeo.linalg.range_mask` of the spectrum, read-only; its
-        complement is the kernel."""
-        mask = range_mask(self.spectrum[0])
-        mask.flags.writeable = False
-        return mask
-
-    @_cached
     def _rank(self) -> int:
-        """The numerical rank: the eigenvalues in the range mask."""
-        return int(np.count_nonzero(self._range_mask))
+        """:func:`~pptgeo.linalg.spectrum_rank` of the spectrum."""
+        return spectrum_rank(self.spectrum[0])
 
     @_cached
     def _is_psd(self) -> bool:
         """:func:`~pptgeo.linalg.spectrum_is_psd` of the spectrum."""
         return spectrum_is_psd(self.spectrum[0])
-
-    @_cached
-    def _unit_scaled(self) -> tuple[np.ndarray, int]:
-        """:func:`~pptgeo.linalg.unit_scaled` of data, the array read-only."""
-        U, e = unit_scaled(self.data)
-        U.flags.writeable = False
-        return U, e
 
     @_cached
     def _partial_transpose(self) -> Optional[BipartiteMatrix]:
@@ -168,13 +154,13 @@ class StateType:
 
 def p_theta(theta: float) -> float:
     """The smallest a making the 3x3 circulant with off-diagonals -e^{+-i theta}
-    positive semidefinite; equals max_k 2cos(theta + 2k pi/3), in [1, 2] in
-    exact arithmetic.  Rounded, it can fall a few units in the last place
-    below 1 at the odd multiples of pi/3, where it is smallest: p_theta(pi)
-    is 0.9999999999999998 and p_theta(3 pi) 0.9999999999999994."""
+    positive semidefinite; equals max_k 2cos(theta + 2k pi/3), in [1, 2].
+    The largest of the three cosines is the one whose angle lies nearest a
+    multiple of 2 pi, so one cosine is taken, of theta reduced into
+    [-pi/3, pi/3]; on that arc the reduction returns theta itself."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    return max(2.0 * math.cos(theta + 2.0 * math.pi * k / 3.0) for k in (-1, 0, 1))
+    return 2.0 * math.cos(math.remainder(theta, 2.0 * math.pi / 3.0))
 
 
 def _positions(*pairs) -> np.ndarray:
@@ -328,7 +314,7 @@ def normalize(X: BipartiteMatrix) -> BipartiteMatrix:
     conjugate pair of entries exact, so only finiteness is checked again
     (a trace far below the largest entry, as a non-PSD X can have, can
     overflow the quotient)."""
-    A = X._unit_scaled[0]
+    A = unit_scaled(X.data)[0]
     tr = np.trace(A).real
     if tr <= 0:
         raise ValueError("trace must be positive to normalize")
@@ -393,7 +379,7 @@ def verify_product_decomposition(X: BipartiteMatrix, parts) -> bool:
     product vectors: the largest entry of the difference is at most ROUNDOFF
     times the largest entry of X.  Each term is summed in the units of X
     unit-scaled, so the check holds at any scale of X and of the parts."""
-    U, e = X._unit_scaled
+    U, e = unit_scaled(X.data)
     acc = np.zeros_like(U)
     for xi, eta, weight in parts:
         if not 0 < weight < math.inf:

@@ -25,6 +25,7 @@ from pptgeo.linalg import (
     hermitian_basis,
     numerical_rank,
     orthonormal_system_rank,
+    range_mask,
     unit_scaled,
     zero_level,
 )
@@ -97,7 +98,8 @@ def compression_coordinates(Y: BipartiteMatrix):
     unit-scaled, onto the range D of Y, as the membership check of
     is_extreme_in_T first read them."""
     U, e = unit_scaled(Y.data)
-    D = Y.spectrum[1][:, Y._range_mask]
+    w, V = Y.spectrum
+    D = V[:, range_mask(w)]
     r = D.shape[1]
     C = D.conj().T @ U @ D
     return (C.T.ravel() @ hermitian_basis(r).reshape(r * r, r * r).T).real, e
@@ -108,7 +110,7 @@ def compression_membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarra
     system M posed on the range of Y, on the coordinates of
     :func:`compression_coordinates`: (c, ||M c||, bound)."""
     c, e = compression_coordinates(Y)
-    slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~S._range_mask], -e)) for S in (Y, YT))
+    slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~range_mask(S.spectrum[0])], -e)) for S in (Y, YT))
     return c, np.linalg.norm(M @ c), slack + ROUNDOFF * np.linalg.norm(c)
 
 

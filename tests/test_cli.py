@@ -154,8 +154,20 @@ class TestStateCommands:
             assert np.linalg.norm(R @ v) <= 1e-8
 
     def test_kernel_from_file_matches_oracle(self, capsys, tmp_path):
+        # an --in state may be indefinite: its kernel eigenvalues then sit
+        # between the positive and the negative ones of the descending
+        # spectrum, not at its end (U diag(...) U^dagger, U seeded unitary)
+        rng = np.random.default_rng(11)
+
+        def rotated(m, n, diag):
+            U = np.linalg.qr(rng.normal(size=(m * n, m * n, 2)).view(complex)[..., 0])[0]
+            return BipartiteMatrix(m, n, U @ np.diag(diag) @ U.conj().T)
+
+        Z = rotated(3, 3, [5.0, 2.0, 1.0, 0.0, 0.0, 0.0, -1.0, -3.0, -4.0]).data
+        indefinite = [rotated(2, 2, [3.0, 0.0, 0.0, -2.0])]
+        indefinite += [BipartiteMatrix(3, 3, Z * scale) for scale in (1e6, 1e-6)]
         path = tmp_path / "state.json"
-        for X in oracle_states():
+        for X in oracle_states() + indefinite:
             path.write_text(json.dumps(bipartite_to_json(X)))
             code, out, _ = run(capsys, "state", "kernel", "--in", str(path))
             rep = json.loads(out)

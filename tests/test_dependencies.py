@@ -1,10 +1,11 @@
 """The package imports nothing outside the standard library but NumPy, no
 private name of the seesaw, writes no tolerance literal outside the few that
 are documented, reads CUTOFF only through the linalg rules, applies those
-rules to a state's spectrum only in the state's cached decisions, reads a
-state's range mask only where its spectrum may be indefinite, skips
-the hermiticity check only where it derives a matrix exactly hermitian, and
-reaches each public name through its defining module alone."""
+rules to a state's spectrum only in the state's cached decisions and in the
+kernel of a state that may be indefinite, caches per state only the spectrum,
+the partial transpose and the two decisions a grid op reads more than once,
+skips the hermiticity check only where it derives a matrix exactly
+hermitian, and reaches each public name through its defining module alone."""
 import ast
 import os
 import subprocess
@@ -81,24 +82,38 @@ def test_cutoff_is_read_outside_linalg_only_by_the_newton_damping():
 
 
 def test_spectrum_rules_are_applied_to_a_state_only_by_its_cached_decisions():
-    # every per-state verdict reads BipartiteMatrix's cached range mask or PSD
-    # verdict; the other two apply a rule to a diagonal and to a form's spectrum
+    # every per-state verdict reads BipartiteMatrix's cached rank or PSD
+    # verdict, and the kernel of a --in state masks its own spectrum; the
+    # other two apply a rule to a diagonal and to a form's spectrum
     readers = readers_outside_linalg("range_mask", "spectrum_is_psd", "spectrum_is_pd", "spectrum_rank")
     assert readers == {
-        ("states", "BipartiteMatrix._range_mask"),
+        ("states", "BipartiteMatrix._rank"),
         ("states", "BipartiteMatrix._is_psd"),
+        ("cli", "cmd_kernel"),
         ("states", "is_interior_of_S_sufficient"),
         ("maps", "boundary_witness_search"),
     }
 
 
-def test_range_mask_is_read_only_where_a_spectrum_may_be_indefinite():
+def test_range_rule_is_read_only_where_a_spectrum_may_be_indefinite():
     # a PSD spectrum is descending, so its range is the prefix of length
     # _rank; only the rank itself and the kernel of a --in state, which may
-    # be indefinite, read the mask
-    readers = {(path.stem, scope) for path, tree in package_trees()
-               for scope in readers_of(("_range_mask",), tree)}
-    assert readers == {("states", "BipartiteMatrix._rank"), ("cli", "cmd_kernel")}
+    # be indefinite, apply the range rule
+    assert readers_outside_linalg("range_mask", "spectrum_rank") == {
+        ("states", "BipartiteMatrix._rank"),
+        ("cli", "cmd_kernel"),
+    }
+
+
+def test_per_state_cache_holds_the_spectrum_and_reused_decisions():
+    # the eigensolve, the partial transpose, and the two decisions that a
+    # grid op reads more than once; anything read once is recomputed
+    tree = next(tree for path, tree in package_trees() if path.stem == "states")
+    cls = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "BipartiteMatrix")
+    cached = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+              and any(isinstance(d, ast.Name) and d.id == "_cached" for d in node.decorator_list)}
+    assert cached == {"spectrum", "_rank", "_is_psd", "_partial_transpose"}
 
 
 def test_unchecked_constructor_serves_only_the_derivation_sites():

@@ -48,6 +48,7 @@ from pptgeo.states import (
     _macaulay_plan,
     _minor_plan,
     combine,
+    is_interior_of_T,
     is_ppt,
     kernel_vectors_w,
     normalize,
@@ -140,6 +141,13 @@ def pt_oracle(X):
     for i, j, k, l in np.ndindex(m, n, m, n):
         T[i * n + j, k * n + l] = X.data[k * n + j, i * n + l]
     return T
+
+
+def range_and_kernel(Y, YT):
+    """(D, F): the range basis of Y and the kernel basis of YT, each picked
+    off the cached spectrum by the range mask rather than sliced by rank."""
+    (w, V), (wT, VT) = Y.spectrum, YT.spectrum
+    return V[:, linalg.range_mask(w)], VT[:, ~linalg.range_mask(wT)]
 
 
 class TestFace:
@@ -475,8 +483,8 @@ class TestCachedSpectrum:
         macaulay = [a for folds, *rest in (_macaulay_plan(4, 3, 2), _macaulay_plan(3, 3, 3))
                     for a in (*folds, *rest)]
         plans = (*minors, *macaulay, *_model_map(3, 3))
-        cached = (X._range_mask, X._unit_scaled[0], BipartiteMatrix(2, 2, np.zeros((4, 4)))._unit_scaled[0])
-        for arr in (w, V, hermitian_basis(5), *plans, *cached):
+        zero = BipartiteMatrix(2, 2, np.zeros((4, 4))).spectrum
+        for arr in (w, V, *zero, hermitian_basis(5), *plans):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -488,21 +496,18 @@ class TestCachedSpectrum:
         return states + [BipartiteMatrix(3, 3, X.data * 2.0**e) for X in states for e in (300, -300)]
 
     def test_cached_decisions_follow_the_rules(self):
-        """The cached range mask and PSD verdict are the linalg rules on the
-        oracle's spectra of X and of an entrywise X^Gamma, and agree with the
-        oracle's own cut; the cached scaling is unit_scaled of the data."""
+        """The range mask of the cached spectrum, the cached rank and the
+        cached PSD verdict are the linalg rules on the oracle's spectra of X
+        and of an entrywise X^Gamma, and agree with the oracle's own cut."""
         for X in self.decided_states():
             for Y, H in ((X, X.data), (partial_transpose(X), pt_oracle(X))):
                 w = _eigh_split(H)[0][::-1]
                 _, psd, rank, _, _ = eigh_oracle(H)
-                assert np.array_equal(Y._range_mask, linalg.range_mask(w))
-                assert np.count_nonzero(Y._range_mask) == rank
+                assert np.array_equal(linalg.range_mask(Y.spectrum[0]), linalg.range_mask(w))
+                assert Y._rank == linalg.spectrum_rank(w) == rank
                 assert Y._is_psd == linalg.spectrum_is_psd(w) == psd
-                U, e = linalg.unit_scaled(Y.data)
-                assert Y._unit_scaled[1] == e
-                assert Y._unit_scaled[0].tobytes() == U.tobytes()
 
-    def test_range_mask_is_the_rank_prefix_of_a_psd_spectrum(self):
+    def test_range_is_the_rank_prefix_of_a_psd_spectrum(self):
         # face_of and is_extreme_in_T slice their bases by rank on this
         near = near_boundary_states() + [family(2, math.pi / 3 + sign * 1e-10)
                                          for family in (rho, sigma) for sign in (1, -1)]
@@ -510,15 +515,15 @@ class TestCachedSpectrum:
         for X in self.decided_states() + near:
             for Y in (X, partial_transpose(X)):
                 assert Y._is_psd
-                assert np.array_equal(Y._range_mask, np.arange(Y.m * Y.n) < Y._rank)
+                assert np.array_equal(linalg.range_mask(Y.spectrum[0]), np.arange(Y.m * Y.n) < Y._rank)
 
     def test_face_bases_are_read_only_views_of_the_spectrum(self):
         for X in grid_states() + near_boundary_states():
             face = face_of(X)
             for B, Y in ((face.D, X), (face.E, partial_transpose(X))):
-                V = Y.spectrum[1]
+                w, V = Y.spectrum
                 assert np.shares_memory(B, V)
-                assert np.ascontiguousarray(B).tobytes() == V[:, Y._range_mask].tobytes()
+                assert np.ascontiguousarray(B).tobytes() == V[:, linalg.range_mask(w)].tobytes()
                 with pytest.raises(ValueError):
                     B[0, 0] = 0
 
@@ -532,17 +537,17 @@ class TestCachedSpectrum:
         for X in TestCachedSpectrum.decided_states() + near:
             t, XT = state_type(X), partial_transpose(X)
             Y, YT = (X, XT) if t.p <= t.q else (XT, X)
-            D, F = Y.spectrum[1][:, Y._range_mask], YT.spectrum[1][:, ~YT._range_mask]
-            yield Y, YT, extremality._face_system(D, F, X.m, X.n)
+            yield Y, YT, extremality._face_system(*range_and_kernel(Y, YT), X.m, X.n)
 
     def test_coordinates_are_the_scaled_range_eigenvalues(self):
         # Y's coordinates from its compression D^dagger U D onto its own
         # eigenvectors are its range eigenvalues on the diagonal units, the
         # first r of the Herm(r) basis, and 0 on the rest
         for Y, _, _ in self.membership_systems():
-            c_old = compression_coordinates(Y)[0]
+            c_old, e = compression_coordinates(Y)
             c = np.zeros_like(c_old)
-            c[:Y._rank] = np.ldexp(Y.spectrum[0][Y._range_mask], -Y._unit_scaled[1])
+            w = Y.spectrum[0]
+            c[:Y._rank] = np.ldexp(w[linalg.range_mask(w)], -e)
             assert np.linalg.norm(c - c_old) <= ROUNDOFF * np.linalg.norm(c_old)
 
     def test_membership_reads_as_the_compression_form(self):
@@ -560,72 +565,83 @@ class TestCachedSpectrum:
         for sign in (1, -1):
             X = sigma(2, math.pi / 3 + sign * 1e-10)
             Y, YT = partial_transpose(X), X
-            D, F = Y.spectrum[1][:, Y._range_mask], YT.spectrum[1][:, ~YT._range_mask]
-            M = extremality._face_system(D, F, 3, 3)
+            M = extremality._face_system(*range_and_kernel(Y, YT), 3, 3)
             _, residual_old, bound_old = compression_membership(Y, YT, M)
             residual, bound = extremality._membership(Y, YT, M)
             assert 0.98 < residual / bound < 1 and 0.98 < residual_old / bound_old < 1
             assert is_extreme_in_T(X).dim_intersection > 1
 
-    def test_each_decision_once_per_state_in_a_grid_op(self, monkeypatch):
-        """A paper_grid op makes each decision at most once per state: the
-        rules see each spectrum, and unit_scaled each data array, once."""
+    @staticmethod
+    def count_rules(monkeypatch, names, modules):
+        """Wrap the linalg rules names wherever modules hold them; the list
+        returned collects (name, id of the argument) per call."""
         seen = []
-        for name in ("range_mask", "spectrum_is_psd", "unit_scaled"):
+        for name in names:
             rule = getattr(linalg, name)
 
             def counted(A, rule=rule, name=name):
                 seen.append((name, id(A)))
                 return rule(A)
 
-            for module in (linalg, states_module, extremality):
+            for module in modules:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
+        return seen
+
+    def test_each_decision_once_per_state_in_a_grid_op(self, monkeypatch):
+        """A paper_grid op makes each decision at most once per state: the
+        rules see each spectrum once, and unit_scaled runs once on an extreme
+        X, for its generator, and never on any other op."""
+        seen = self.count_rules(monkeypatch, ("range_mask", "spectrum_is_psd", "unit_scaled"),
+                                (linalg, states_module, extremality))
         for X in self.decided_states():
             seen.clear()
             is_ppt(X)
             state_type(X)
             face_of(X)
-            is_extreme_in_T(X)
+            report = is_extreme_in_T(X)
             assert len(seen) == len(set(seen))
             # a rho is its own partial transpose: one state, one decision each
             states = 1 if partial_transpose(X) is X else 2
             assert sum(name == "range_mask" for name, _ in seen) == states
             assert sum(name == "spectrum_is_psd" for name, _ in seen) == states
-            # the membership check scales Y, and normalize reuses that for an
-            # extreme rho, whose Y is X itself
-            assert sum(name == "unit_scaled" for name, _ in seen) == 1
+            scaled = [key for key in seen if key[0] == "unit_scaled"]
+            assert scaled == ([("unit_scaled", id(X.data))] if report.is_extreme else [])
 
     def test_consumers_reuse_each_states_decisions(self, monkeypatch, capsys):
-        """pairing, verify_product_decomposition, block_positivity_sample and
-        state kernel, each called twice on one state, scale its data and
-        mask its spectrum once between them: they read the cached decisions."""
-        seen = []
-        for name in ("range_mask", "unit_scaled"):
-            rule = getattr(linalg, name)
-
-            def counted(A, rule=rule, name=name):
-                seen.append((name, id(A)))
-                return rule(A)
-
-            for module in (linalg, states_module, extremality, maps, cli):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted)
+        """is_ppt, state_type, face_of, is_interior_of_T and is_extreme_in_T,
+        each called twice on one state, apply range_mask and spectrum_is_psd
+        once per state between them: they read the cached decisions.
+        pairing, verify_product_decomposition, block_positivity_sample and
+        state kernel keep nothing of a state: each call scales its data, or
+        masks its spectrum, once."""
+        seen = self.count_rules(monkeypatch, ("range_mask", "spectrum_is_psd", "unit_scaled"),
+                                (linalg, states_module, extremality, maps, cli))
+        for X in (rho(2, math.pi / 6), sigma(2, math.pi / 6), sigma(2, 2.0)):
+            seen.clear()
+            for decide in (is_ppt, state_type, face_of, is_interior_of_T, is_extreme_in_T):
+                decide(X)
+                decide(X)
+            spectra = {id(Y.spectrum[0]) for Y in (X, partial_transpose(X))}
+            assert sorted(key for key in seen if key[0] != "unit_scaled") == sorted(
+                (name, i) for name in ("range_mask", "spectrum_is_psd") for i in spectra)
         X, phi = rho(1, math.pi), maps.phi_theta_t(1.0, 1.5)
         monkeypatch.setattr(cli, "_state_from_args", lambda args: (X, math.pi))
-        calls = (
-            lambda: maps.pairing(X, phi),
-            lambda: verify_product_decomposition(X, product_decomposition_rho_1_pi()),
-            lambda: maps.block_positivity_sample(phi, samples=20, seed=1),
-            lambda: cli.main(["state", "kernel", "--family", "rho", "--b", "1", "--theta", "pi"]),
-        )
-        for call in calls:
-            call()
-            call()
         # the watched arrays stay alive, so no other argument shares their ids
-        watched = {("unit_scaled", id(X.data)), ("unit_scaled", id(phi.choi.data)),
-                   ("range_mask", id(X.spectrum[0]))}
-        assert sorted(key for key in seen if key in watched) == sorted(watched)
+        data, choi, spectrum = (("unit_scaled", id(X.data)), ("unit_scaled", id(phi.choi.data)),
+                                ("range_mask", id(X.spectrum[0])))
+        calls = (
+            (lambda: maps.pairing(X, phi), [data, choi]),
+            (lambda: verify_product_decomposition(X, product_decomposition_rho_1_pi()), [data]),
+            (lambda: maps.block_positivity_sample(phi, samples=20, seed=1), [choi]),
+            (lambda: cli.main(["state", "kernel", "--family", "rho", "--b", "1", "--theta", "pi"]),
+             [spectrum]),
+        )
+        for call, keys in calls:
+            seen.clear()
+            call()
+            call()
+            assert sorted(key for key in seen if key in (data, choi, spectrum)) == sorted(2 * keys)
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["dim"] == 5
 
 

@@ -138,11 +138,13 @@ class TestPhiTheta:
 
     @pytest.mark.parametrize("t", [1e-300, 1e-160, 1.0, 1.3e154, 1.4e154, 1e160, 1e300])
     def test_coefficients_finite_at_any_t(self, t):
-        # t * t overflows between 1.3e154 and 1.4e154; b tends to p_theta - 1
-        for th in (0.3, 1.0, 2.5):
+        # t * t overflows between 1.3e154 and 1.4e154; b tends to p_theta - 1,
+        # which is 0 at pi, so there the Choi diagonal rests on p_theta >= 1
+        for th in (0.3, 1.0, 2.5, math.pi):
             a, b, c = phi_theta_coefficients(th, t)
             assert a + b + c == pytest.approx(p_theta(th), rel=ROUNDOFF)
             assert b * c == pytest.approx((1 - a) ** 2, abs=ROUNDOFF)
+            assert np.diag(phi_theta_t(th, t).choi.data).real.min() >= 0
 
     def test_values_at_t1(self):
         a, b, c = phi_theta_coefficients(math.pi / 6, 1.0)

@@ -55,13 +55,21 @@ class TestPTheta:
         assert p_theta(math.pi / 6) == pytest.approx(math.sqrt(3.0))
 
     def test_range(self):
-        for th in np.linspace(-7, 7, 200):
-            assert 1.0 - 1e-12 <= p_theta(th) <= 2.0 + 1e-12
+        # exactly, also at the odd multiples of pi/3, where two of the three
+        # cosines tie for the largest and p_theta is smallest
+        for th in [*np.linspace(-7, 7, 200), *(k * math.pi / 3 for k in range(-300, 301))]:
+            assert 1.0 <= p_theta(th) <= 2.0
 
     def test_antipodal_sum_exceeds_two(self):
         for deg in range(360):
             th = math.radians(deg)
             assert p_theta(th) + p_theta(th + math.pi) > 2.0
+
+    def test_matches_the_max_of_three_cosines(self):
+        rng = np.random.default_rng(3)
+        for th in np.concatenate([rng.uniform(-20, 20, 2000), np.arange(-48, 49) * math.pi / 12]):
+            three = max(2.0 * math.cos(th + 2.0 * math.pi * k / 3.0) for k in (-1, 0, 1))
+            assert abs(p_theta(th) - three) <= 1e-14
 
 
 class TestFamilies:
