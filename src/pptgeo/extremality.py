@@ -34,8 +34,6 @@ from .linalg import (
     ROUNDOFF,
     hermitian_basis,
     NumericalError,
-    hermitian_to_real_vector,
-    numerical_rank,
     orthonormal_system_rank,
     unit_scaled,
 )
@@ -298,10 +296,22 @@ def appendix_basis_Y(b: float, theta: float) -> list[np.ndarray]:
 
 
 def basis_span_rank(mats: list[np.ndarray]) -> int:
-    """Real-linear span dimension of a list or stack of hermitian matrices,
-    each unit-scaled first, so that the rank does not depend on how the
-    elements' sizes compare (the appendix bases hold b^2 next to 1)."""
-    return numerical_rank(hermitian_to_real_vector(unit_scaled(mats)[0]))
+    """Real-linear span dimension of a (k, r, c) stack, or a list, of finite
+    complex matrices; for hermitian ones, their span in Herm(d).  Each matrix
+    is unit-scaled, so that the rank does not depend on how the elements'
+    sizes compare (the appendix bases hold b^2 next to 1), and the real and
+    imaginary parts of its entries make one row of a values-only SVD, ranked
+    by :func:`orthonormal_system_rank` (a nonzero row's largest entry lies in
+    [1/2, 1), so the scale is 1).  For hermitian matrices the rows are an
+    isometric image of the coordinates Tr(B_k H) over
+    :func:`~pptgeo.linalg.hermitian_basis`, so the singular values are theirs."""
+    rows = unit_scaled(mats)[0]
+    if rows.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got shape {rows.shape}")
+    rows = rows.reshape(len(rows), -1).view(float)
+    if not np.isfinite(rows).all():
+        raise ValueError("matrix entries must be finite")
+    return orthonormal_system_rank(np.linalg.svd(rows, compute_uv=False))
 
 
 @dataclass(frozen=True)

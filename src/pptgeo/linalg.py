@@ -1,9 +1,10 @@
 """Dense complex hermitian linear algebra under one tolerance policy.
 
 All matrices are small (at most 81x81 here), so everything is plain dense
-numpy.  The real vectorization of hermitian space uses one fixed orthonormal
-basis, documented and built at :func:`hermitian_basis`, so that real
-coordinates are reproducible.
+numpy.  Hermitian space has one fixed orthonormal real basis, documented and
+built at :func:`hermitian_basis`: the real coordinates of a hermitian H are
+Tr(B_k H) over it, and the extremality test writes its face system and
+its membership check in them.
 
 Every numerical decision in the package uses one of two cutoffs, each relative
 to the largest magnitude involved, so that no verdict changes when an input is
@@ -127,17 +128,6 @@ def zero_level(Q: np.ndarray) -> float:
     return ROUNDOFF * np.max(np.abs(Q))
 
 
-def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
-    """Coordinates Tr(B_k H) of hermitian H over the :func:`hermitian_basis`
-    stack B, or of each matrix of a (..., d, d) stack along the last axis.
-    The map is an isometry: Tr(XY) equals the Euclidean dot product of the
-    coordinate vectors."""
-    H = as_hermitian(H)
-    d = H.shape[-1]
-    cols = np.swapaxes(H, -2, -1).reshape(*H.shape[:-2], d * d)
-    return (cols @ hermitian_basis(d).reshape(d * d, d * d).T).real
-
-
 @functools.lru_cache(maxsize=16)
 def hermitian_basis(dim: int) -> np.ndarray:
     """The fixed orthonormal real basis of Herm(dim) as a (dim^2, dim, dim)
@@ -146,9 +136,10 @@ def hermitian_basis(dim: int) -> np.ndarray:
       2. symmetric off-diagonals (E_ij + E_ji)/sqrt(2), i < j, row-major;
       3. antisymmetric off-diagonals i(E_ij - E_ji)/sqrt(2), i < j, row-major.
 
-    Element k is the hermitian matrix with coordinate vector e_k under
-    :func:`hermitian_to_real_vector`.  Memoised per dim and returned
-    read-only."""
+    The basis is orthonormal under Tr(XY), so the coordinates Tr(B_k H) of a
+    hermitian H are an isometry onto R^(dim^2), and element k is the
+    hermitian matrix with coordinate vector e_k.  Memoised per dim and
+    returned read-only."""
     B = np.zeros((dim * dim, dim, dim), dtype=complex)
     d = np.arange(dim)
     B[d, d, d] = 1.0
@@ -162,8 +153,3 @@ def hermitian_basis(dim: int) -> np.ndarray:
     B.flags.writeable = False
     return B
 
-
-def numerical_rank(M: np.ndarray) -> int:
-    """Numerical rank of a rectangular matrix: :func:`spectrum_rank` of its
-    singular values."""
-    return spectrum_rank(np.linalg.svd(np.asarray(M), compute_uv=False))

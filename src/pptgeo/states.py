@@ -266,24 +266,37 @@ def arc_of(theta: float) -> Arc:
 
 
 def kernel_vectors_w(b: float, theta: float) -> list[np.ndarray]:
-    """The explicit kernel vectors of rho(b, theta): w_1, w_2, w_3 always,
-    plus the arc-dependent w_-, w_0, or w_+ away from boundary angles."""
+    """The whole kernel of rho(b, theta): w_1, w_2, w_3, then in increasing k
+    each Fourier vector f_k = |00> + w^k |11> + w^2k |22>, w = e^{2 pi i/3},
+    with 2cos(theta + 2k pi/3) = p_theta.
+
+    k is read off the reduction that :func:`p_theta` takes:
+    theta + 2k pi/3 = r = remainder(theta, 2 pi/3) (mod 2 pi).  Where |r| lies
+    within ROUNDOFF of pi/3, the tolerance of :func:`arc_of`, theta is an odd
+    multiple of pi/3, two cosines tie, and the neighbouring k is taken too.
+    That gives 9 - p vectors for rho's type (p, p): five at the odd
+    multiples of pi/3 and four elsewhere."""
     if b <= 0:
         raise ValueError("b must be positive")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     e = np.exp(1j * theta)
     vecs = [
         np.array([0, b, 0, e, 0, 0, 0, 0, 0], dtype=complex),
         np.array([0, 0, 0, 0, 0, b, 0, e, 0], dtype=complex),
         np.array([0, 0, e, 0, 0, 0, b, 0, 0], dtype=complex),
     ]
+    step = 2.0 * math.pi / 3.0
+    r = math.remainder(theta, step)
+    k = -round((theta - r) / step) % 3
+    ks = {k}
+    if abs(r) >= math.pi / 3.0 - ROUNDOFF:
+        ks.add((k - 1 if r > 0 else k + 1) % 3)
     w = np.exp(2j * math.pi / 3.0)
-    arc = arc_of(theta)
-    if arc is Arc.MINUS:
-        vecs.append(np.array([1, 0, 0, 0, w, 0, 0, 0, np.conj(w)], dtype=complex))
-    elif arc is Arc.ZERO:
-        vecs.append(np.array([1, 0, 0, 0, 1, 0, 0, 0, 1], dtype=complex))
-    elif arc is Arc.PLUS:
-        vecs.append(np.array([1, 0, 0, 0, np.conj(w), 0, 0, 0, w], dtype=complex))
+    phases = ((1, 1), (w, np.conj(w)), (np.conj(w), w))
+    for j in sorted(ks):
+        u, v = phases[j]
+        vecs.append(np.array([1, 0, 0, 0, u, 0, 0, 0, v], dtype=complex))
     return vecs
 
 

@@ -15,6 +15,10 @@ subspace for a product vector before the Macaulay solver; a None from it
 proves nothing.  as_hermitian_oracle is the hermiticity check as first
 written, and appendix_basis_X_formula / _Y_formula build the appendix bases
 from their printed formulas, one dense matrix unit at a time.
+hermitian_to_real_vector gives the coordinates Tr(B_k H) over the package's
+Herm(d) basis, on which phi_D and phi_E act, and numerical_rank ranks a
+rectangular matrix by the spectrum rule on its singular values; the package
+ranks the appendix spans off the real entries of the stack instead.
 """
 import numpy as np
 
@@ -22,10 +26,11 @@ from pptgeo.extremality import _check_appendix_b
 from pptgeo.linalg import (
     CUTOFF,
     ROUNDOFF,
+    as_hermitian,
     hermitian_basis,
-    numerical_rank,
     orthonormal_system_rank,
     range_mask,
+    spectrum_rank,
     unit_scaled,
     zero_level,
 )
@@ -123,6 +128,23 @@ def z_stack_face_system(D: np.ndarray, F: np.ndarray, m: int, n: int, pt=_pt) ->
     Z = D @ hermitian_basis(r) @ D.conj().T
     W = F.conj().T @ pt(Z, m, n)
     return np.concatenate([W.real, W.imag], axis=1).reshape(r * r, -1).T
+
+
+def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
+    """Coordinates Tr(B_k H) of hermitian H over the :func:`hermitian_basis`
+    stack B, or of each matrix of a (..., d, d) stack along the last axis.
+    The map is an isometry: Tr(XY) equals the Euclidean dot product of the
+    coordinate vectors."""
+    H = as_hermitian(H)
+    d = H.shape[-1]
+    cols = np.swapaxes(H, -2, -1).reshape(*H.shape[:-2], d * d)
+    return (cols @ hermitian_basis(d).reshape(d * d, d * d).T).real
+
+
+def numerical_rank(M: np.ndarray) -> int:
+    """Numerical rank of a rectangular matrix: :func:`spectrum_rank` of its
+    singular values."""
+    return spectrum_rank(np.linalg.svd(np.asarray(M), compute_uv=False))
 
 
 def _operator(f, dim: int) -> np.ndarray:

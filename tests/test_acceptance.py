@@ -8,7 +8,14 @@ import math
 
 import numpy as np
 
-from oracles import eigh_oracle, kernel_intersection_dim_oracle, phi_D_operator, phi_E_operator
+from oracles import (
+    eigh_oracle,
+    hermitian_to_real_vector,
+    kernel_intersection_dim_oracle,
+    numerical_rank,
+    phi_D_operator,
+    phi_E_operator,
+)
 from pptgeo.extremality import (
     appendix_basis_X,
     appendix_basis_Y,
@@ -19,12 +26,14 @@ from pptgeo.extremality import (
     verify_combination_identity,
 )
 from pptgeo.krawtchouk import nu_summary, solve
-from pptgeo.linalg import hermitian_to_real_vector, numerical_rank
+from pptgeo.linalg import ROUNDOFF
 from pptgeo.maps import (
     DecomposableSpec,
     antipodal_sum_choi,
+    block_positivity_sample,
     decomposable_map,
     pairing,
+    phi_theta_t,
     product_pairing,
     trace_map_decomposition_2n,
     trace_map_decomposition_33,
@@ -213,10 +222,18 @@ def test_criterion_10_maps():
     for mu in (1, 2, 3, 4):
         C = decomposable_map(trace_map_decomposition_2n(mu)).choi.data
         ok &= np.array_equal(C, np.eye(4 * mu).astype(complex))
-    phi = antipodal_sum_choi(math.pi / 6, 1.0, 1.0)
+    th = math.pi / 6
+    phi = antipodal_sum_choi(th, 1.0, 1.0)
     Cd = phi.choi.data
     ok &= np.max(np.abs(Cd - np.diag(np.diag(Cd)))) == 0.0
     ok &= bool(np.all(np.diag(Cd).real > 0))
+    # each summand reads a product zero and no certificate of non-positivity,
+    # so it lies on the boundary of P (numerically; Cho, Kye & Lee 1992 prove it)
+    positivity = []
+    for summand in (phi_theta_t(th, 1.0), phi_theta_t(th + math.pi, 1.0)):
+        v = block_positivity_sample(summand, samples=600, seed=0)
+        positivity.append(v)
+        ok &= abs(v) <= ROUNDOFF * np.max(np.abs(summand.choi.data))
     worst = 0.0
     for spec, xi, eta in criterion_10_instances():
         direct = product_pairing(spec, xi, eta)
@@ -225,7 +242,8 @@ def test_criterion_10_maps():
         scale = max(1.0, abs(direct))
         worst = max(worst, abs(direct - via_choi) / scale)
     ok &= worst <= 1e-10
-    report(10, f"trace-map Chois exact; antipodal Choi diagonal; pairing formula "
+    report(10, f"trace-map Chois exact; antipodal Choi diagonal, summands' block "
+               f"positivity {positivity[0]:.1e} / {positivity[1]:.1e}; pairing formula "
                f"max deviation {worst:.1e} over 100 instances", ok)
 
 

@@ -105,6 +105,21 @@ def test_range_rule_is_read_only_where_a_spectrum_may_be_indefinite():
     }
 
 
+def test_every_public_linalg_name_is_read_by_another_module():
+    # linalg holds the tolerance policy and what the package reads of it; a
+    # helper that no other module reads belongs in the tests' oracles
+    tree = next(tree for path, tree in package_trees() if path.stem == "linalg")
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    public |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets if not target.id.startswith("_")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path, tree in package_trees() if path.stem != "linalg"
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert {"CUTOFF", "ROUNDOFF", "hermitian_basis", "orthonormal_system_rank"} <= public
+    assert public - read == set()
+
+
 def test_per_state_cache_holds_the_spectrum_and_reused_decisions():
     # the eigensolve, the partial transpose, and the two decisions that a
     # grid op reads more than once; anything read once is recomputed

@@ -19,7 +19,9 @@ from oracles import (
     compression_membership,
     d_side_face_dim,
     eigh_oracle,
+    hermitian_to_real_vector,
     kernel_intersection_dim_oracle,
+    numerical_rank,
     phi_D_operator,
     phi_E_operator,
     z_stack_face_system,
@@ -38,8 +40,7 @@ from pptgeo.linalg import (
     ROUNDOFF,
     NumericalError,
     hermitian_basis,
-    hermitian_to_real_vector,
-    numerical_rank,
+    unit_scaled,
 )
 from pptgeo.seesaw import _model_map
 from pptgeo.states import (
@@ -729,6 +730,84 @@ class TestAppendixBases:
     def test_hermitian(self):
         for M in appendix_basis_X(1.7, 0.9) + appendix_basis_Y(1.7, 0.9):
             assert np.max(np.abs(M - M.conj().T)) <= 1e-12
+
+
+def coordinate_span_rank(mats):
+    """The span rank as first read: the spectrum rule on the singular values
+    of the Herm(d) coordinates of the unit-scaled, hermiticity-checked stack."""
+    return numerical_rank(hermitian_to_real_vector(unit_scaled(mats)[0]))
+
+
+class TestBasisSpanRank:
+    """basis_span_rank reads the span off the real entries of the unit-scaled
+    stack, an isometric image of its Herm(d) coordinates."""
+
+    def test_one_svd_and_no_hermiticity_check(self, monkeypatch):
+        calls = []
+        svd, check = np.linalg.svd, linalg.as_hermitian
+
+        def counted_svd(*args, **kwargs):
+            calls.append("svd")
+            return svd(*args, **kwargs)
+
+        def counted_check(A):
+            calls.append("as_hermitian")
+            return check(A)
+
+        xs = appendix_basis_X(2.0, math.pi / 6)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(linalg, "as_hermitian", counted_check)
+        assert basis_span_rank(xs) == 25
+        assert calls == ["svd"]
+
+    @pytest.mark.parametrize("b", [1e-8, 1e-3, 0.25, 1.0, 4.0, 1e3, 1e8])
+    def test_matches_the_coordinate_rank_on_appendix_stacks(self, b):
+        # the multiples of pi/12 include the angles where the spans shrink
+        for k in range(-24, 25):
+            xs, ys = appendix_basis_X(b, k * math.pi / 12), appendix_basis_Y(b, k * math.pi / 12)
+            for mats in (xs, ys, xs + ys):
+                assert basis_span_rank(mats) == coordinate_span_rank(mats), (b, k)
+
+    def test_matches_the_coordinate_rank_with_a_planted_deficit(self):
+        # real combinations of r random hermitian generators, elements of
+        # sizes 2^-40 to 2^40, span r dimensions
+        rng = np.random.default_rng(31)
+        for d in (2, 3, 5, 9):
+            for _ in range(8):
+                k = int(rng.integers(1, d * d + 4))
+                r = int(rng.integers(0, min(k, d * d) + 1))
+                A = rng.normal(size=(r, d, d)) + 1j * rng.normal(size=(r, d, d))
+                gens = (A + np.swapaxes(A, 1, 2).conj()) / 2
+                mats = np.einsum("kr,rab->kab", rng.normal(size=(k, r)), gens)
+                mats *= 2.0 ** rng.integers(-40, 41, size=k)[:, None, None]
+                assert basis_span_rank(mats) == coordinate_span_rank(mats) == r, (d, k, r)
+
+    @pytest.mark.parametrize("j", [-300, 300])
+    def test_rescaling_each_element(self, j):
+        # elements alternately rescaled by 2^j and 2^-j keep the rank
+        for b, th in ((2.0, math.pi / 6), (0.5, 0.0), (4.0, math.pi / 2)):
+            xs, ys = appendix_basis_X(b, th), appendix_basis_Y(b, th)
+            for mats in (xs, ys, xs + ys):
+                scaled = [M * 2.0 ** (j if i % 2 else -j) for i, M in enumerate(mats)]
+                assert basis_span_rank(scaled) == basis_span_rank(mats), (b, th)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+    def test_non_finite_entry_rejected(self, bad):
+        mats = np.array(appendix_basis_X(2.0, 0.3))
+        mats[3, 1, 2] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            basis_span_rank(mats)
+
+    @pytest.mark.parametrize("mats", [np.eye(3), [], np.zeros((2, 2, 3, 3))], ids=["matrix", "empty", "4-d"])
+    def test_rejects_what_is_not_a_stack(self, mats):
+        with pytest.raises(ValueError, match="expected a stack of matrices"):
+            basis_span_rank(mats)
+
+    def test_non_hermitian_stack_reads_its_real_span(self):
+        E = np.zeros((2, 2), dtype=complex)
+        E[0, 1] = 1.0
+        assert basis_span_rank([E, 1j * E, (1 + 1j) * E]) == 2
+        assert basis_span_rank([E, E.T, 1j * E]) == 3
 
 
 FORMULAS = [(appendix_basis_X, appendix_basis_X_formula), (appendix_basis_Y, appendix_basis_Y_formula)]

@@ -13,8 +13,6 @@ from pptgeo.linalg import (
     eigh_descending,
     has_orthonormal_columns,
     hermitian_basis,
-    hermitian_to_real_vector,
-    numerical_rank,
     orthonormal_system_rank,
     range_mask,
     spectrum_is_pd,
@@ -22,7 +20,7 @@ from pptgeo.linalg import (
     spectrum_rank,
     unit_scaled,
 )
-from oracles import as_hermitian_oracle
+from oracles import as_hermitian_oracle, hermitian_to_real_vector, numerical_rank
 from pptgeo.states import BipartiteMatrix, p_theta, rho
 
 
@@ -248,8 +246,9 @@ class TestUnitScaled:
 
 
 class TestStackedValidation:
-    """as_hermitian and hermitian_to_real_vector on a (k, d, d) stack agree
-    with one call per matrix, and hold each matrix to its own scale."""
+    """as_hermitian on a (k, d, d) stack agrees with one call per matrix and
+    holds each matrix to its own scale; so does the tests' coordinate oracle
+    hermitian_to_real_vector, which the span-rank tests apply to stacks."""
 
     def stack(self):
         rng = np.random.default_rng(23)
@@ -277,8 +276,6 @@ class TestStackedValidation:
         # the small matrix's asymmetry is far below the big one's scale
         with pytest.raises(ValueError, match="not hermitian"):
             as_hermitian(np.array([big, small]))
-        with pytest.raises(ValueError, match="not hermitian"):
-            hermitian_to_real_vector(np.array([big, small]))
         as_hermitian(np.array([big, (small + small.T) / 2]))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
@@ -367,6 +364,9 @@ class TestRangeProjection:
 
 
 class TestVectorization:
+    """The order and orthonormality of hermitian_basis, read through the
+    coordinates Tr(B_k H) of the tests' oracle hermitian_to_real_vector."""
+
     def test_e11_in_m2(self):
         E11 = np.diag([1.0, 0.0])
         assert_allclose(hermitian_to_real_vector(E11), [1, 0, 0, 0])
@@ -459,6 +459,7 @@ class TestCutoff:
         assert has_orthonormal_columns(np.zeros((9, 0)))
         assert not has_orthonormal_columns(np.full((9, 1), np.nan))
 
+    # numerical_rank is the tests' oracle for ranks of rectangular matrices
     @pytest.mark.parametrize("k", [-12, 0, 12])
     def test_numerical_rank_switches_at_cutoff(self, k):
         s = 10.0**k

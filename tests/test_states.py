@@ -187,15 +187,32 @@ def identity_state():
 
 class TestKernelVectors:
     def test_counts_and_residuals(self):
+        # rho's whole kernel, 9 - p of the type table: five vectors at the odd
+        # multiples of pi/3, where two Fourier vectors tie, and four elsewhere
         for b in B_GRID:
             for th in THETA_GRID:
                 vecs = kernel_vectors_w(b, th)
                 R = rho(b, th)
-                expected = 3 if arc_of(th) is Arc.BOUNDARY else 4
-                assert len(vecs) == expected
+                k = round(th / (math.pi / 3))
+                odd = abs(th - k * math.pi / 3) <= ROUNDOFF and k % 2 == 1
+                assert len(vecs) == (5 if odd else 4), (b, th)
                 for v in vecs:
                     assert (np.linalg.norm(R.data @ v)
                             <= 1e-9 * np.linalg.norm(R.data) * np.linalg.norm(v))
+
+    def test_span_the_kernel_at_the_multiples_of_pi_over_3(self):
+        # the vectors lie in the oracle's kernel, are orthogonal (the w_i and
+        # the f_k have disjoint supports, and the f_k are Fourier vectors) and
+        # are as many as its dimension, so they span it
+        for b in B_GRID:
+            for k in range(-6, 7):
+                th = k * math.pi / 3
+                V = np.column_stack(kernel_vectors_w(b, th))
+                _, _, p, _, K = eigh_oracle(rho(b, th).data)
+                assert V.shape[1] == 9 - p == (5 if k % 2 else 4), (b, k)
+                assert np.linalg.norm(K @ V - V) <= 1e-9 * np.linalg.norm(V)
+                U = V / np.linalg.norm(V, axis=0)
+                assert_allclose(U.conj().T @ U, np.eye(V.shape[1]), atol=1e-15)
 
     def test_arc_dependent_vector(self):
         w0 = kernel_vectors_w(2, math.pi / 6)[3]
@@ -203,8 +220,16 @@ class TestKernelVectors:
         wm = kernel_vectors_w(2, -math.pi / 2)[3]
         assert wm[4] == pytest.approx(np.exp(2j * math.pi / 3))
 
-    def test_boundary_has_no_extra(self):
-        assert len(kernel_vectors_w(1, math.pi / 3)) == 3
+    def test_boundary_holds_both_tied_vectors(self):
+        # at pi/3 the angles of f_0 and f_2 lie at +-pi/3, within arc_of's ROUNDOFF
+        w = np.exp(2j * math.pi / 3)
+        for th in (math.pi / 3, math.pi / 3 + 0.5 * ROUNDOFF):
+            vecs = kernel_vectors_w(1, th)
+            assert len(vecs) == 5
+            assert_allclose(vecs[3][[0, 4, 8]], [1, 1, 1])
+            assert_allclose(vecs[4][[0, 4, 8]], [1, np.conj(w), w])
+        assert len(kernel_vectors_w(1, math.pi / 3 + 2 * ROUNDOFF)) == 4
+        assert len(kernel_vectors_w(1, 0.0)) == 4
 
 
 class TestArcs:
@@ -428,6 +453,7 @@ class TestInputErrors:
         (lambda: arc_of(-math.inf), "theta must be finite"),
         (lambda: arc_of(math.nan), "theta must be finite"),
         (lambda: kernel_vectors_w(0.0, 0.3), "b must be positive"),
+        (lambda: kernel_vectors_w(1.0, math.inf), "theta must be finite"),
         (lambda: combine([], []), "need at least one state"),
         (lambda: combine([rho(1, 0)], [0.5, 0.5]), "one weight per state required"),
         (lambda: combine([rho(1, 0), product_state([1, 0], [1, 0])], [0.5, 0.5]),
@@ -440,7 +466,7 @@ class TestInputErrors:
         (lambda: search_product_vector_in_subspace(2 * np.eye(4), 2, 2), "orthonormal columns"),
         (lambda: search_product_vector_in_subspace(np.full((4, 1), math.nan), 2, 2), "orthonormal columns"),
         (lambda: BipartiteMatrix(1, 2, np.diag([math.inf, 1.0])), "matrix entries must be finite"),
-    ], ids=["p_theta inf", "p_theta nan", "arc_of -inf", "arc_of nan", "kernel b zero",
+    ], ids=["p_theta inf", "p_theta nan", "arc_of -inf", "arc_of nan", "kernel b zero", "kernel theta inf",
             "combine empty", "combine weight count", "combine mixed dims",
             "decomposition weight zero", "decomposition zero vector", "search D rows",
             "search D not orthonormal", "search D not finite", "infinite entry"])
