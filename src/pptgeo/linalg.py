@@ -30,24 +30,21 @@ class NumericalError(RuntimeError):
 
 def as_hermitian(A) -> np.ndarray:
     """Validate that max |A - A^dagger| <= ROUNDOFF * max |A| (a relative slack)
-    and return the exact symmetrization A/2 + A^dagger/2, halved first so
-    that entries near the floating-point limit stay finite, as a fresh array.
-    A may be one matrix or a (..., d, d) stack; each matrix of a stack is held
-    to its own largest entry, and the result is bitwise what one call per
-    matrix would return.  The halving divides: A * 0.5 rounds the same but
-    gives some zeros the other sign."""
+    for one square matrix A and return the exact symmetrization
+    A/2 + A^dagger/2, halved first so that entries near the floating-point
+    limit stay finite, as a fresh array.  The halving divides: A * 0.5
+    rounds the same but gives some zeros the other sign."""
     A = np.asarray(A, dtype=complex)
-    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     half = A / 2
-    half_h = half.swapaxes(-2, -1).conj()
-    dev = np.abs(half - half_h).max(axis=(-2, -1), initial=0.0)
-    bad = dev > ROUNDOFF * np.abs(half).max(axis=(-2, -1), initial=0.0)
-    if bad.any():
+    half_h = half.T.conj()
+    dev = float(np.abs(half - half_h).max(initial=0.0))
+    if dev > ROUNDOFF * float(np.abs(half).max(initial=0.0)):
         # a Python float doubles past the float range to inf without a warning
-        raise ValueError(f"matrix is not hermitian (deviation {2 * float(dev[bad].max()):.3e})")
+        raise ValueError(f"matrix is not hermitian (deviation {2 * dev:.3e})")
     return half + half_h
 
 

@@ -138,10 +138,6 @@ def vector_to_json(v: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in v]
 
 
-def vector_from_json(obj) -> np.ndarray:
-    return _complex_entries(obj)
-
-
 def bipartite_to_json(X: BipartiteMatrix) -> dict:
     return {"m": X.m, "n": X.n, "matrix": matrix_to_json(X.data)}
 

@@ -152,15 +152,23 @@ class StateType:
     q: int
 
 
+def _turn(theta: float) -> float:
+    """theta reduced by an exact 2 pi into [-pi, pi], as np.exp(1j * theta)
+    reduces it: theta itself where |theta| <= pi, else atan2(sin, cos), whose
+    sine and cosine reduce exactly.  p_theta, arc_of and kernel_vectors_w
+    read theta through it; the phases reduce exactly by themselves."""
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    return theta if abs(theta) <= math.pi else math.atan2(math.sin(theta), math.cos(theta))
+
+
 def p_theta(theta: float) -> float:
     """The smallest a making the 3x3 circulant with off-diagonals -e^{+-i theta}
     positive semidefinite; equals max_k 2cos(theta + 2k pi/3), in [1, 2].
     The largest of the three cosines is the one whose angle lies nearest a
-    multiple of 2 pi, so one cosine is taken, of theta reduced into
-    [-pi/3, pi/3]; on that arc the reduction returns theta itself."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    return 2.0 * math.cos(math.remainder(theta, 2.0 * math.pi / 3.0))
+    multiple of 2 pi, so one cosine is taken, of :func:`_turn`'s angle
+    reduced into [-pi/3, pi/3]; on that arc both reductions return theta."""
+    return 2.0 * math.cos(math.remainder(_turn(theta), 2.0 * math.pi / 3.0))
 
 
 def _positions(*pairs) -> np.ndarray:
@@ -250,14 +258,12 @@ def is_ppt(X: BipartiteMatrix) -> bool:
 
 
 def arc_of(theta: float) -> Arc:
-    """Classify theta into the three open arcs, or BOUNDARY within ROUNDOFF
-    (radians) of n*pi/3."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    if abs(math.remainder(theta, math.pi / 3.0)) <= ROUNDOFF:
+    """Classify theta, reduced by :func:`_turn`, into the three open arcs, or
+    BOUNDARY within ROUNDOFF (radians) of n*pi/3."""
+    t = _turn(theta)
+    if abs(math.remainder(t, math.pi / 3.0)) <= ROUNDOFF:
         return Arc.BOUNDARY
-    # Odd multiples of pi, the only theta reduced to -pi, returned BOUNDARY above.
-    t = math.remainder(theta, math.tau)
+    # t = +-pi, the ends of the reduction, returned BOUNDARY above.
     if t < -math.pi / 3.0:
         return Arc.MINUS
     if t < math.pi / 3.0:
@@ -270,16 +276,15 @@ def kernel_vectors_w(b: float, theta: float) -> list[np.ndarray]:
     each Fourier vector f_k = |00> + w^k |11> + w^2k |22>, w = e^{2 pi i/3},
     with 2cos(theta + 2k pi/3) = p_theta.
 
-    k is read off the reduction that :func:`p_theta` takes:
-    theta + 2k pi/3 = r = remainder(theta, 2 pi/3) (mod 2 pi).  Where |r| lies
-    within ROUNDOFF of pi/3, the tolerance of :func:`arc_of`, theta is an odd
+    k is read off the reduction that :func:`p_theta` takes: theta + 2k pi/3 =
+    r = remainder(_turn(theta), 2 pi/3) (mod 2 pi).  Where |r| lies within
+    ROUNDOFF of pi/3, the tolerance of :func:`arc_of`, theta is an odd
     multiple of pi/3, two cosines tie, and the neighbouring k is taken too.
     That gives 9 - p vectors for rho's type (p, p): five at the odd
     multiples of pi/3 and four elsewhere."""
     if b <= 0:
         raise ValueError("b must be positive")
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    t = _turn(theta)
     e = np.exp(1j * theta)
     vecs = [
         np.array([0, b, 0, e, 0, 0, 0, 0, 0], dtype=complex),
@@ -287,8 +292,8 @@ def kernel_vectors_w(b: float, theta: float) -> list[np.ndarray]:
         np.array([0, 0, e, 0, 0, 0, b, 0, 0], dtype=complex),
     ]
     step = 2.0 * math.pi / 3.0
-    r = math.remainder(theta, step)
-    k = -round((theta - r) / step) % 3
+    r = math.remainder(t, step)
+    k = -round((t - r) / step) % 3
     ks = {k}
     if abs(r) >= math.pi / 3.0 - ROUNDOFF:
         ks.add((k - 1 if r > 0 else k + 1) % 3)

@@ -13,12 +13,14 @@ builds a Choi matrix one matrix unit at a time, from a map's action.
 seesaw_product_vector_search is the multi-start seesaw that searched a
 subspace for a product vector before the Macaulay solver; a None from it
 proves nothing.  as_hermitian_oracle is the hermiticity check as first
-written, and appendix_basis_X_formula / _Y_formula build the appendix bases
-from their printed formulas, one dense matrix unit at a time.
+written, stacks included, and appendix_basis_X_formula / _Y_formula build
+the appendix bases from their printed formulas, one dense matrix unit at a
+time.
 hermitian_to_real_vector gives the coordinates Tr(B_k H) over the package's
 Herm(d) basis, on which phi_D and phi_E act, and numerical_rank ranks a
 rectangular matrix by the spectrum rule on its singular values; the package
 ranks the appendix spans off the real entries of the stack instead.
+json_vector reads a vector the CLI prints, a JSON list of [re, im] pairs.
 """
 import numpy as np
 
@@ -26,7 +28,6 @@ from pptgeo.extremality import _check_appendix_b
 from pptgeo.linalg import (
     CUTOFF,
     ROUNDOFF,
-    as_hermitian,
     hermitian_basis,
     orthonormal_system_rank,
     range_mask,
@@ -41,7 +42,9 @@ from pptgeo.states import BipartiteMatrix, _pt
 
 def as_hermitian_oracle(A) -> np.ndarray:
     """linalg.as_hermitian as first written, with np.all/np.max/np.any calls
-    on the real and imaginary parts: the same decision, messages and bits."""
+    on the real and imaginary parts: on one matrix the same decision and
+    bits, and the same messages but the shape error's.  It also takes a
+    (..., d, d) stack, each matrix held to its own largest entry."""
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
@@ -135,10 +138,15 @@ def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
     stack B, or of each matrix of a (..., d, d) stack along the last axis.
     The map is an isometry: Tr(XY) equals the Euclidean dot product of the
     coordinate vectors."""
-    H = as_hermitian(H)
+    H = as_hermitian_oracle(H)
     d = H.shape[-1]
     cols = np.swapaxes(H, -2, -1).reshape(*H.shape[:-2], d * d)
     return (cols @ hermitian_basis(d).reshape(d * d, d * d).T).real
+
+
+def json_vector(entries) -> np.ndarray:
+    """The complex vector of a JSON list of [re, im] pairs."""
+    return np.array([complex(re, im) for re, im in entries])
 
 
 def numerical_rank(M: np.ndarray) -> int:

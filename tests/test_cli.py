@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pptgeo.maps as maps
-from oracles import eigh_oracle, trace_map
+from oracles import eigh_oracle, json_vector, trace_map
 from pptgeo.cli import build_parser, format_theta, main, parse_theta
 from pptgeo.serialize import (
     bipartite_from_json,
@@ -17,7 +17,6 @@ from pptgeo.serialize import (
     matrix_from_json,
     matrix_to_json,
     spec_to_json,
-    vector_from_json,
     vector_to_json,
 )
 from pptgeo.maps import ChoiMap, DecomposableSpec, trace_map_decomposition_2n, trace_map_decomposition_33
@@ -90,7 +89,7 @@ class TestSerialize:
 
     def test_vector_round_trip(self):
         v = np.array([1 + 2j, -0.5, 3j])
-        assert np.array_equal(vector_from_json(vector_to_json(v)), v)
+        assert np.array_equal(json_vector(vector_to_json(v)), v)
 
     def test_bipartite_round_trip(self):
         X = rho(2, math.pi / 6)
@@ -142,6 +141,13 @@ class TestStateCommands:
         assert rep["type"] == [4, 4]
         assert rep["arc"] == "boundary"
 
+    def test_classify_large_angle(self, capsys):
+        # theta is reduced by an exact 2 pi, as its phases are
+        code, out, _ = run(capsys, "state", "classify",
+                           "--family", "rho", "--b", "1", "--theta", "1e13")
+        assert code == 0
+        assert json.loads(out)["type"] == [5, 5]
+
     def test_kernel(self, capsys):
         code, out, _ = run(capsys, "state", "kernel",
                            "--family", "rho", "--b", "2", "--theta", "pi/6")
@@ -150,7 +156,7 @@ class TestStateCommands:
         assert rep["dim"] == 4
         R = rho(2, math.pi / 6).data
         for entry in rep["basis"]:
-            v = vector_from_json(entry)
+            v = json_vector(entry)
             assert np.linalg.norm(R @ v) <= 1e-8
 
     def test_kernel_from_file_matches_oracle(self, capsys, tmp_path):
@@ -172,7 +178,7 @@ class TestStateCommands:
             code, out, _ = run(capsys, "state", "kernel", "--in", str(path))
             rep = json.loads(out)
             assert code == 0
-            K = np.array([vector_from_json(v) for v in rep["basis"]]).reshape(rep["dim"], X.m * X.n).T
+            K = np.array([json_vector(v) for v in rep["basis"]]).reshape(rep["dim"], X.m * X.n).T
             assert_allclose(K.conj().T @ K, np.eye(rep["dim"]), atol=1e-12)
             assert_allclose(K @ K.conj().T, eigh_oracle(X.data)[4], atol=1e-10)
 

@@ -5,7 +5,8 @@ rules to a state's spectrum only in the state's cached decisions and in the
 kernel of a state that may be indefinite, caches per state only the spectrum,
 the partial transpose and the two decisions a grid op reads more than once,
 skips the hermiticity check only where it derives a matrix exactly
-hermitian, and reaches each public name through its defining module alone."""
+hermitian, reaches each public name through its defining module alone, and
+reads every public name somewhere in the package."""
 import ast
 import os
 import subprocess
@@ -105,19 +106,64 @@ def test_range_rule_is_read_only_where_a_spectrum_may_be_indefinite():
     }
 
 
-def test_every_public_linalg_name_is_read_by_another_module():
-    # linalg holds the tolerance policy and what the package reads of it; a
-    # helper that no other module reads belongs in the tests' oracles
-    tree = next(tree for path, tree in package_trees() if path.stem == "linalg")
-    public = {node.name for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
-    public |= {target.id for node in tree.body if isinstance(node, ast.Assign)
-               for target in node.targets if not target.id.startswith("_")}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for path, tree in package_trees() if path.stem != "linalg"
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
-    assert {"CUTOFF", "ROUNDOFF", "hermitian_basis", "orthonormal_system_rank"} <= public
-    assert public - read == set()
+# Public names that only the tests read, each with the open ROADMAP item
+# that gives it a reader in the package; the list may only shrink
+UNREAD = {
+    # item 17, `pptgeo reproduce`: the acceptance scorecard reads these
+    ("states", "kernel_vectors_w"),
+    ("states", "conjugate_by_phase_unitary"),
+    ("states", "product_state"),
+    ("states", "verify_product_decomposition"),
+    ("states", "product_decomposition_rho_1_pi"),
+    ("maps", "block_positivity_sample"),
+    ("extremality", "verify_combination_identity"),
+    # item 16: the subspace search, which the certify_search benchmark calls
+    ("states", "search_product_vector_in_subspace"),
+}
+
+
+def public_definitions(tree):
+    """(name, statement) of each public module-level function, class or
+    assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def names_read(node, skip=None):
+    """Each loaded name, attribute and imported name under node, outside the
+    statement skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from names_read(child, skip)
+
+
+def test_every_public_name_is_read_in_the_package():
+    # a public name is read by another package module, the CLI included, or
+    # by its own module outside its definition; linalg holds the tolerance
+    # policy and what the package reads of it, so its names need a reader in
+    # another module, and a helper that only tests read belongs in the oracles
+    trees = {path.stem: tree for path, tree in package_trees()}
+    unread = set()
+    for stem, tree in trees.items():
+        elsewhere = {name for other, t in trees.items() if other != stem for name in names_read(t)}
+        for name, node in public_definitions(tree):
+            if name not in elsewhere and (stem == "linalg" or name not in names_read(tree, node)):
+                unread.add((stem, name))
+    assert unread == UNREAD
 
 
 def test_per_state_cache_holds_the_spectrum_and_reused_decisions():

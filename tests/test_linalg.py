@@ -131,8 +131,8 @@ def herm_outcome(f, A):
 
 
 class TestAsHermitianOracle:
-    """as_hermitian makes the decision of its first version, raises its
-    messages and returns its bits, signed zeros included."""
+    """On one matrix, as_hermitian makes the decision of its first version,
+    raises its messages and returns its bits, signed zeros included."""
 
     def assert_same(self, A):
         # the oracle's message doubles the deviation in NumPy, which warns past the float range
@@ -147,7 +147,7 @@ class TestAsHermitianOracle:
         # hermitian up to rounding: one side of each pair off by an ulp or so
         return H * (1 + 1e-16 * np.triu(rng.normal(size=shape[-2:])))
 
-    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 9), (3, 4, 4), (2, 3, 5, 5), (0, 3, 3)])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 9)])
     def test_random_matrices_and_stacks(self, shape):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -160,7 +160,6 @@ class TestAsHermitianOracle:
         rng = np.random.default_rng(43)
         for _ in range(10):
             self.assert_same(scale * self.near_hermitian(rng, (4, 4)))
-            self.assert_same(scale * self.near_hermitian(rng, (3, 4, 4)))
 
     def test_entries_near_the_float_limit(self):
         top = 1.7e308
@@ -168,7 +167,7 @@ class TestAsHermitianOracle:
         self.assert_same(np.array([[top, top], [-top, top]]))
         assert herm_outcome(as_hermitian, np.array([[top, top], [-top, top]])) == (
             ValueError, "matrix is not hermitian (deviation inf)")
-        self.assert_same(np.array([[[top, 0.0], [0.0, np.finfo(float).max]]] * 2))
+        self.assert_same(np.array([[top, 0.0], [0.0, np.finfo(float).max]]))
 
     def test_signed_zeros(self):
         rng = np.random.default_rng(47)
@@ -183,10 +182,10 @@ class TestAsHermitianOracle:
                                      complex(0, math.inf), complex(0, -math.inf), complex(0, math.nan)],
                              ids=["+inf real", "-inf real", "nan real", "+inf imag", "-inf imag", "nan imag"])
     def test_non_finite_real_or_imaginary_part(self, bad):
-        for A in (np.eye(3, dtype=complex), np.array([np.eye(3)] * 2, dtype=complex)):
-            A[..., 0, 1] = bad
-            assert herm_outcome(as_hermitian, A) == (ValueError, "matrix entries must be finite")
-            self.assert_same(A)
+        A = np.eye(3, dtype=complex)
+        A[0, 1] = bad
+        assert herm_outcome(as_hermitian, A) == (ValueError, "matrix entries must be finite")
+        self.assert_same(A)
 
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
     def test_deviation_at_the_roundoff_slack(self, scale):
@@ -198,8 +197,11 @@ class TestAsHermitianOracle:
             self.assert_same(1j * A - 1j * A.T + A.T)
 
     def test_shape_errors(self):
+        # both reject these; the first version also took stacks, and said so
         for A in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3)), 1.0):
-            self.assert_same(A)
+            assert herm_outcome(as_hermitian_oracle, A)[0] is ValueError
+            assert herm_outcome(as_hermitian, A) == (
+                ValueError, f"expected a square matrix, got shape {np.shape(A)}")
 
 
 class TestUnitScaled:
@@ -228,8 +230,8 @@ class TestUnitScaled:
         assert e == 0 and S.tobytes() == A.tobytes() and S is not A
 
     def test_stack_is_scaled_per_matrix(self):
-        # like as_hermitian, each matrix of a stack to its own scale, bitwise
-        # as one call per matrix; a zero matrix keeps e = 0
+        # each matrix of a stack to its own scale, bitwise as one call per
+        # matrix; a zero matrix keeps e = 0
         A = np.random.default_rng(37).normal(size=(2, 3, 4, 5, 2)) @ [1, 1j]
         A *= 10.0 ** np.array([[-320, -300, -7], [0, 100, 300]])[..., None, None]
         A[1, 0] = 0
@@ -246,9 +248,10 @@ class TestUnitScaled:
 
 
 class TestStackedValidation:
-    """as_hermitian on a (k, d, d) stack agrees with one call per matrix and
-    holds each matrix to its own scale; so does the tests' coordinate oracle
-    hermitian_to_real_vector, which the span-rank tests apply to stacks."""
+    """as_hermitian validates one matrix and rejects a stack as it rejects
+    any non-square input.  The tests' coordinate oracle
+    hermitian_to_real_vector, which the span-rank tests apply to stacks,
+    reads a stack row by row, each matrix held to its own scale."""
 
     def stack(self):
         rng = np.random.default_rng(23)
@@ -257,12 +260,6 @@ class TestStackedValidation:
         H = (A + np.swapaxes(A, -2, -1).conj()) / 2
         return H * 10.0 ** np.array([-13, -6, 0, 3, 8, 12])[:, None, None]
 
-    def test_as_hermitian_bitwise_per_matrix(self):
-        H = self.stack()
-        assert np.array_equal(as_hermitian(H), np.array([as_hermitian(M) for M in H]))
-        assert np.array_equal(as_hermitian(H.reshape(2, 3, 5, 5)),
-                              as_hermitian(H).reshape(2, 3, 5, 5))
-
     def test_real_vector_row_by_row(self):
         H = self.stack()
         rows = hermitian_to_real_vector(H)
@@ -270,15 +267,7 @@ class TestStackedValidation:
         for row, M in zip(rows, H):
             assert np.array_equal(row, hermitian_to_real_vector(M))
 
-    def test_slack_is_per_matrix(self):
-        big = 1e12 * random_hermitian(3, np.random.default_rng(29))
-        small = 1e-13 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        # the small matrix's asymmetry is far below the big one's scale
-        with pytest.raises(ValueError, match="not hermitian"):
-            as_hermitian(np.array([big, small]))
-        as_hermitian(np.array([big, (small + small.T) / 2]))
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 3, 3)])
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="square"):
             as_hermitian(np.zeros(shape))

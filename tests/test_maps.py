@@ -456,6 +456,12 @@ class TestBlockPositivity:
         value = block_positivity_sample(phi, samples=600, seed=0)
         assert abs(value) <= ROUNDOFF * np.max(np.abs(phi.choi.data))
 
+    def test_positive_at_a_large_angle(self):
+        # phi's coefficients read p_theta of theta reduced as its phases are
+        phi = phi_theta_t(1e16 + 0.1, 1.0)
+        value = block_positivity_sample(phi, samples=600, seed=0)
+        assert value >= -ROUNDOFF * np.max(np.abs(phi.choi.data))
+
     def test_refine_does_not_crawl(self, monkeypatch):
         # maps drawn as the certify_search benchmark draws them, each refined
         # from 600 samples: no refinement takes more than 24 seesaw steps (two

@@ -257,6 +257,34 @@ class TestArcs:
         assert arc_of(math.pi / 3 + 2 * ROUNDOFF) is Arc.PLUS
 
 
+class TestLargeAngles:
+    """Every reader of theta reduces it by an exact 2 pi, as the phases
+    np.exp(1j * theta) do; a reduction by the float 2 pi/3 or tau drifts
+    from theirs as |theta| grows."""
+
+    THETAS = [10.0**e + offset for e in range(2, 17) for offset in (0.1, 0.3, 1.0, 2.0, 4.0)]
+
+    def test_families_read_ppt_with_a_type_of_the_table(self):
+        table = {(StateType(5, 5), StateType(8, 6)), (StateType(4, 4), StateType(7, 6))}
+        for th in self.THETAS:
+            R, S = rho(1, th), sigma(1, th)
+            assert is_ppt(R) and is_ppt(S), th
+            assert (state_type(R), state_type(S)) in table, th
+
+    @pytest.mark.parametrize("th", [1e10 + 0.1, 1e13 + 0.1, 3e15])
+    def test_kernel_vectors_span_the_kernel(self, th):
+        V = np.column_stack(kernel_vectors_w(1, th))
+        _, _, p, _, K = eigh_oracle(rho(1, th).data)
+        assert V.shape[1] == 9 - p == 4
+        assert np.linalg.norm(K @ V - V) <= 1e-9 * np.linalg.norm(V)
+
+    def test_arc_reads_the_exactly_reduced_angle(self):
+        rng = np.random.default_rng(13)
+        thetas = [1e15 + 1, *(rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(3, 17, 3000))]
+        for th in thetas:
+            assert arc_of(th) is arc_of(math.atan2(math.sin(th), math.cos(th))), th
+
+
 class TestCombine:
     def test_single(self):
         X = rho(2, 1.0)
