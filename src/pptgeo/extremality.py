@@ -11,10 +11,12 @@ basis of Y and H hermitian on its min(p, q) coordinates, leaves one
 condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the kernel of
 Y^Gamma; the intersection is the kernel of that real
 (2 mn (mn - max(p, q))) x min(p, q)^2 system, whose singular values give its
-dimension.  The system is assembled from D and F alone by
-:func:`_face_system`, one contraction over the tensor indices followed by one
-product with the basis of Herm(min(p, q)), without forming any Z.  X lies in
-its own face, so an extreme X is its own generator.
+dimension.  Its coordinates are a real r x r matrix X, r = min(p, q), with
+H = sym X + i antisym X: the map is an isometry onto Herm(r), so
+X = Re H + Im H, and the diagonal of X is that of H.  The system is
+assembled from D and F alone by :func:`_face_system`, one contraction over
+the tensor indices and its transpose, without forming any Z or any basis of
+Herm(r).  X lies in its own face, so an extreme X is its own generator.
 D, F, the bases of :func:`face_of` and Y's own coordinates, which check
 that Y satisfies the system, are read off the spectra and ranks that each
 state caches, so no basis is computed or checked twice.  Every spectrum
@@ -32,7 +34,6 @@ import numpy as np
 
 from .linalg import (
     ROUNDOFF,
-    hermitian_basis,
     NumericalError,
     orthonormal_system_rank,
     unit_scaled,
@@ -49,10 +50,11 @@ class ExtremalityReport:
     generator: Optional[BipartiteMatrix]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceSpec:
     """Orthonormal bases (columns) of the two range subspaces defining a
-    face: read-only views of the states' cached eigenvectors."""
+    face: read-only views of the states' cached eigenvectors.  It compares
+    and hashes by identity."""
 
     D: np.ndarray
     E: np.ndarray
@@ -90,7 +92,7 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     r = min(p, q)
     D, F = Y.spectrum[1][:, :r], YT.spectrum[1][:, max(p, q):]
     M = _face_system(D, F, X.m, X.n)
-    # D, F and the Herm(r) basis are orthonormal, so ||M|| <= 1.
+    # D and F are orthonormal and X -> H an isometry, so ||M|| <= 1.
     dim = r * r - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
     # X lies in its own face, so Y must satisfy the system up to what the
     # cutoff drops; its coordinates are read off its spectrum
@@ -105,11 +107,10 @@ def _membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray) -> tuple
     Y's coordinates c; Y lies in its own face system when the first is at
     most the second.
 
-    c_k = Re Tr(B_k D^dagger U D), U = Y 2^-e with e the ``math.frexp``
-    exponent of Y's largest eigenvalue, is read off Y's spectrum: D holds
-    Y's own eigenvectors, so D^dagger U D is diag(w_D) 2^-e, and the first
-    r elements B_k of the Herm(r) basis are the diagonal units, so c is
-    w_D 2^-e on the first r columns of M and 0 on the rest.
+    c = Re C + Im C for the compression C = D^dagger U D, U = Y 2^-e with e
+    the ``math.frexp`` exponent of Y's largest eigenvalue, is read off Y's
+    spectrum: D holds Y's own eigenvectors, so C is diag(w_D) 2^-e, and c is
+    w_D 2^-e on the r diagonal columns s r + s of M and 0 on the rest.
     M c = [Re; Im] F^dagger (P_D U P_D)^Gamma is nonzero only by the
     eigenvalues range_mask drops from U and from U^Gamma (a partial
     transpose keeps the Frobenius norm), scaled before the norm so that it
@@ -127,7 +128,7 @@ def _membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray) -> tuple
     c = w[:r]
     slack = _norm(w[r:])
     slack += slack if YT is Y else _norm(np.ldexp(YT.spectrum[0][YT._rank:], -e))
-    return _norm(M[:, :r] @ c), slack + ROUNDOFF * _norm(c)
+    return _norm(M[:, ::r + 1] @ c), slack + ROUNDOFF * _norm(c)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -137,13 +138,16 @@ def _norm(x: np.ndarray) -> float:
 
 def _face_system(D: np.ndarray, F: np.ndarray, m: int, n: int) -> np.ndarray:
     """The real face system of :func:`is_extreme_in_T`: the matrix of
-    H -> [Re; Im] F^dagger (D H D^dagger)^Gamma over the hermitian basis B_k
-    of Herm(r), r = D.shape[1], with rows (part, f, j, b) and one column per k.
+    X -> [Re; Im] F^dagger (D H D^dagger)^Gamma, H = sym X + i antisym X, over
+    the real r x r matrices X, r = D.shape[1], with rows (part, f, j, b) and
+    column s r + t for X[s, t].
 
     With i, j indexing the first factor and a, b the second,
     F^dagger (D H D^dagger)^Gamma [f, (j, b)] = sum_{s,t} H[s, t] N[(f, j, b), (s, t)],
     N[(f, j, b), (s, t)] = sum_{i,a} conj(F[(i, a), f]) D[(j, a), s] conj(D[(i, b), t]),
-    contracted first over a and then over i, and then with the basis."""
+    contracted first over a and then over i.  A unit X[s, t] gives H the
+    entries (1 + i)/2 at (s, t) and (1 - i)/2 at (t, s), so its column is
+    ((1 + i) N + (1 - i) N^T) / 2 with N^T[(s, t)] = N[(t, s)]."""
     r, f = D.shape[1], F.shape[1]
     D3 = D.reshape(m, n, r)
     # G[(i, f), (j, s)] = sum_a conj(F[(i, a), f]) D[(j, a), s]
@@ -151,8 +155,8 @@ def _face_system(D: np.ndarray, F: np.ndarray, m: int, n: int) -> np.ndarray:
     G = Fc @ D3.transpose(1, 0, 2).reshape(n, m * r)
     # N[(f, j, s), (b, t)] = sum_i G[(i, f), (j, s)] conj(D[(i, b), t])
     N = G.reshape(m, f * m * r).T @ D3.conj().reshape(m, n * r)
-    N = N.reshape(f, m, r, n, r).transpose(0, 1, 3, 2, 4).reshape(f * m * n, r * r)
-    W = N @ hermitian_basis(r).reshape(r * r, r * r).T
+    N = N.reshape(f, m, r, n, r).transpose(0, 1, 3, 2, 4).reshape(f * m * n, r, r)
+    W = ((1 + 1j) * N + (1 - 1j) * N.transpose(0, 2, 1)).reshape(f * m * n, r * r) / 2
     return np.concatenate([W.real, W.imag])
 
 
@@ -303,8 +307,8 @@ def basis_span_rank(mats: list[np.ndarray]) -> int:
     imaginary parts of its entries make one row of a values-only SVD, ranked
     by :func:`orthonormal_system_rank` (a nonzero row's largest entry lies in
     [1/2, 1), so the scale is 1).  For hermitian matrices the rows are an
-    isometric image of the coordinates Tr(B_k H) over
-    :func:`~pptgeo.linalg.hermitian_basis`, so the singular values are theirs."""
+    isometric image of the real coordinates Re H + Im H of the face system,
+    so the singular values are theirs."""
     rows = unit_scaled(mats)[0]
     if rows.ndim != 3:
         raise ValueError(f"expected a stack of matrices, got shape {rows.shape}")

@@ -1,10 +1,7 @@
 """Dense complex hermitian linear algebra under one tolerance policy.
 
 All matrices are small (at most 81x81 here), so everything is plain dense
-numpy.  Hermitian space has one fixed orthonormal real basis, documented and
-built at :func:`hermitian_basis`: the real coordinates of a hermitian H are
-Tr(B_k H) over it, and the extremality test writes its face system and
-its membership check in them.
+numpy.
 
 Every numerical decision in the package uses one of two cutoffs, each relative
 to the largest magnitude involved, so that no verdict changes when an input is
@@ -13,7 +10,6 @@ rescaled: :data:`CUTOFF` for rank, kernel and definiteness decisions and
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -123,30 +119,3 @@ def has_orthonormal_columns(B: np.ndarray) -> bool:
 def zero_level(Q: np.ndarray) -> float:
     """ROUNDOFF * max|Q|: a product vector is a zero of the PSD form Q at or below it."""
     return ROUNDOFF * np.max(np.abs(Q))
-
-
-@functools.lru_cache(maxsize=16)
-def hermitian_basis(dim: int) -> np.ndarray:
-    """The fixed orthonormal real basis of Herm(dim) as a (dim^2, dim, dim)
-    stack, in this order:
-      1. diagonal units E_ii, i = 0..dim-1;
-      2. symmetric off-diagonals (E_ij + E_ji)/sqrt(2), i < j, row-major;
-      3. antisymmetric off-diagonals i(E_ij - E_ji)/sqrt(2), i < j, row-major.
-
-    The basis is orthonormal under Tr(XY), so the coordinates Tr(B_k H) of a
-    hermitian H are an isometry onto R^(dim^2), and element k is the
-    hermitian matrix with coordinate vector e_k.  Memoised per dim and
-    returned read-only."""
-    B = np.zeros((dim * dim, dim, dim), dtype=complex)
-    d = np.arange(dim)
-    B[d, d, d] = 1.0
-    r, c = np.triu_indices(dim, k=1)
-    sym = dim + np.arange(r.size)
-    anti = sym + r.size
-    h = 1 / np.sqrt(2.0)
-    B[sym, r, c] = B[sym, c, r] = h
-    B[anti, r, c] = 1j * h
-    B[anti, c, r] = -1j * h
-    B.flags.writeable = False
-    return B
-

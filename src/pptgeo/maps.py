@@ -32,9 +32,10 @@ class ChoiMap:
     n = property(lambda self: self.choi.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecomposableSpec:
-    """Generators of a decomposable map: sum_i phi_{V_i} + sum_j phi^{W_j}."""
+    """Generators of a decomposable map: sum_i phi_{V_i} + sum_j phi^{W_j}.
+    It holds arrays, so it compares and hashes by identity."""
 
     Vs: tuple = field(default_factory=tuple)
     Ws: tuple = field(default_factory=tuple)
@@ -78,9 +79,12 @@ def pairing(rho: BipartiteMatrix, phi: ChoiMap) -> float:
 
 def phi_theta_coefficients(theta: float, t: float):
     """The diagonal coefficients (a, b, c) of the one-parameter positive map
-    family; they always sum to p_theta and are finite at every finite t > 0."""
+    family; they always sum to p_theta and are finite at every finite t > 0.
+    An infinite t raises; a nan t gives nan, which the Choi matrix rejects."""
     if t <= 0:
         raise ValueError("t must be positive")
+    if t == math.inf:
+        raise ValueError("t must be finite")
     p = p_theta(theta)
     if t * t < math.inf:
         den = 1.0 - t + t * t

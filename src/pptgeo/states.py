@@ -52,7 +52,7 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteMatrix:
     """An mn x mn hermitian matrix tagged with its local dimensions.
 
@@ -61,7 +61,8 @@ class BipartiteMatrix:
     grid op reads more than once (the rank and the PSD verdict), are
     computed at most once per object and cached; every per-state decision
     reads them.  What a caller reads once, a range mask or unit-scaled
-    data, it computes by the linalg rule itself.
+    data, it computes by the linalg rule itself.  It compares and hashes by
+    identity.
 
     Hermiticity is checked once, where data enters: this constructor
     validates it through :func:`~pptgeo.linalg.as_hermitian` (finite,
@@ -282,8 +283,8 @@ def kernel_vectors_w(b: float, theta: float) -> list[np.ndarray]:
     multiple of pi/3, two cosines tie, and the neighbouring k is taken too.
     That gives 9 - p vectors for rho's type (p, p): five at the odd
     multiples of pi/3 and four elsewhere."""
-    if b <= 0:
-        raise ValueError("b must be positive")
+    if not 0 < b < math.inf:
+        raise ValueError("b must be positive and finite")
     t = _turn(theta)
     e = np.exp(1j * theta)
     vecs = [

@@ -16,8 +16,11 @@ proves nothing.  as_hermitian_oracle is the hermiticity check as first
 written, stacks included, and appendix_basis_X_formula / _Y_formula build
 the appendix bases from their printed formulas, one dense matrix unit at a
 time.
-hermitian_to_real_vector gives the coordinates Tr(B_k H) over the package's
-Herm(d) basis, on which phi_D and phi_E act, and numerical_rank ranks a
+hermitian_to_real_vector gives the real coordinates X = Re H + Im H of a
+hermitian H, raveled row by row, on which phi_D and phi_E act and in which
+the package poses its face system; H = sym X + i antisym X maps them back,
+and _unit_hermitians stacks the images of the matrix units, the orthonormal
+basis of Herm(d) that X holds the coordinates over.  numerical_rank ranks a
 rectangular matrix by the spectrum rule on its singular values; the package
 ranks the appendix spans off the real entries of the stack instead.
 json_vector reads a vector the CLI prints, a JSON list of [re, im] pairs.
@@ -28,7 +31,6 @@ from pptgeo.extremality import _check_appendix_b
 from pptgeo.linalg import (
     CUTOFF,
     ROUNDOFF,
-    hermitian_basis,
     orthonormal_system_rank,
     range_mask,
     spectrum_rank,
@@ -101,16 +103,13 @@ def d_side_face_dim(X: BipartiteMatrix) -> int:
 
 
 def compression_coordinates(Y: BipartiteMatrix):
-    """(c, e): Y's coordinates c_k = Re Tr(B_k D^dagger U D) over all r^2
-    elements of the Herm(r) basis, read from the compression of U = Y 2^-e,
-    unit-scaled, onto the range D of Y, as the membership check of
-    is_extreme_in_T first read them."""
+    """(c, e): Y's r^2 real coordinates, read from the compression of
+    U = Y 2^-e, unit-scaled, onto the range D of Y, as the membership check
+    of is_extreme_in_T first read them."""
     U, e = unit_scaled(Y.data)
     w, V = Y.spectrum
     D = V[:, range_mask(w)]
-    r = D.shape[1]
-    C = D.conj().T @ U @ D
-    return (C.T.ravel() @ hermitian_basis(r).reshape(r * r, r * r).T).real, e
+    return hermitian_to_real_vector(D.conj().T @ U @ D), e
 
 
 def compression_membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray):
@@ -124,24 +123,30 @@ def compression_membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarra
 
 def z_stack_face_system(D: np.ndarray, F: np.ndarray, m: int, n: int, pt=_pt) -> np.ndarray:
     """The real face system [Re; Im] F^dagger Z_k^Gamma, one column per
-    hermitian basis element B_k of Herm(r), built from the stack of the r^2
-    mn x mn matrices Z_k = D B_k D^dagger, partially transposed by pt (the
-    package's first-factor transpose unless given)."""
-    r = D.shape[1]
-    Z = D @ hermitian_basis(r) @ D.conj().T
+    unit hermitian H_k of :func:`_unit_hermitians`, built from the stack of
+    the r^2 mn x mn matrices Z_k = D H_k D^dagger, partially transposed by pt
+    (the package's first-factor transpose unless given)."""
+    Z = D @ _unit_hermitians(D.shape[1]) @ D.conj().T
     W = F.conj().T @ pt(Z, m, n)
-    return np.concatenate([W.real, W.imag], axis=1).reshape(r * r, -1).T
+    return np.concatenate([W.real, W.imag], axis=1).reshape(len(Z), -1).T
 
 
 def hermitian_to_real_vector(H: np.ndarray) -> np.ndarray:
-    """Coordinates Tr(B_k H) of hermitian H over the :func:`hermitian_basis`
-    stack B, or of each matrix of a (..., d, d) stack along the last axis.
-    The map is an isometry: Tr(XY) equals the Euclidean dot product of the
-    coordinate vectors."""
+    """Real coordinates Re H + Im H of hermitian H, raveled row by row, or of
+    each matrix of a (..., d, d) stack along the last axis.  The map is an
+    isometry: Tr(XY) equals the Euclidean dot product of the coordinate
+    vectors."""
     H = as_hermitian_oracle(H)
-    d = H.shape[-1]
-    cols = np.swapaxes(H, -2, -1).reshape(*H.shape[:-2], d * d)
-    return (cols @ hermitian_basis(d).reshape(d * d, d * d).T).real
+    return (H.real + H.imag).reshape(*H.shape[:-2], -1)
+
+
+def _unit_hermitians(d: int) -> np.ndarray:
+    """The (d^2, d, d) stack of H_k = sym E_st + i antisym E_st, k = s d + t:
+    the hermitian matrix with coordinate vector e_k, so that
+    ``np.tensordot(v, _unit_hermitians(d), axes=1)`` maps coordinates back."""
+    E = np.eye(d * d).reshape(d * d, d, d)
+    ET = np.swapaxes(E, -2, -1)
+    return (E + ET + 1j * (E - ET)) / 2
 
 
 def json_vector(entries) -> np.ndarray:
@@ -157,9 +162,11 @@ def numerical_rank(M: np.ndarray) -> int:
 
 def _operator(f, dim: int) -> np.ndarray:
     """Real dim^2 x dim^2 matrix of a real-linear map f on Herm(dim), with f
-    applied to the whole basis stack at once."""
-    B = hermitian_basis(dim)
-    return np.einsum("jab,kba->jk", B, f(B)).real
+    applied to the whole :func:`_unit_hermitians` stack at once.  Its images
+    are hermitian only up to rounding, so their coordinates Re + Im are taken
+    unchecked."""
+    F = f(_unit_hermitians(dim))
+    return (F.real + F.imag).reshape(dim * dim, dim * dim).T
 
 
 def phi_D_operator(D: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ from pptgeo.extremality import (
 from pptgeo.linalg import (
     ROUNDOFF,
     NumericalError,
-    hermitian_basis,
     unit_scaled,
 )
 from pptgeo.seesaw import _model_map
@@ -485,7 +484,7 @@ class TestCachedSpectrum:
                     for a in (*folds, *rest)]
         plans = (*minors, *macaulay, *_model_map(3, 3))
         zero = BipartiteMatrix(2, 2, np.zeros((4, 4))).spectrum
-        for arr in (w, V, *zero, hermitian_basis(5), *plans):
+        for arr in (w, V, *zero, *plans):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -542,14 +541,31 @@ class TestCachedSpectrum:
 
     def test_coordinates_are_the_scaled_range_eigenvalues(self):
         # Y's coordinates from its compression D^dagger U D onto its own
-        # eigenvectors are its range eigenvalues on the diagonal units, the
-        # first r of the Herm(r) basis, and 0 on the rest
+        # eigenvectors are its range eigenvalues on the diagonal, the
+        # coordinates s r + s, and 0 on the rest
         for Y, _, _ in self.membership_systems():
             c_old, e = compression_coordinates(Y)
             c = np.zeros_like(c_old)
             w = Y.spectrum[0]
-            c[:Y._rank] = np.ldexp(w[linalg.range_mask(w)], -e)
+            c[::Y._rank + 1] = np.ldexp(w[linalg.range_mask(w)], -e)
             assert np.linalg.norm(c - c_old) <= ROUNDOFF * np.linalg.norm(c_old)
+
+    def test_face_system_is_the_z_stack_system(self):
+        # the contraction gives the oracle's system of explicit Z_k =
+        # D H_k D^dagger entry by entry, with column s r + t for the
+        # coordinate X[s, t]: the diagonal columns that _membership reads
+        # are those of the diagonal units E_ss
+        near = near_boundary_states()
+        near += [BipartiteMatrix(3, 3, X.data * 2.0**e) for X in near for e in (300, -300)]
+        eps = np.finfo(float).eps
+        for X in self.decided_states() + near:
+            t, XT = state_type(X), partial_transpose(X)
+            Y, YT = (X, XT) if t.p <= t.q else (XT, X)
+            D, F = range_and_kernel(Y, YT)
+            M = extremality._face_system(D, F, X.m, X.n)
+            oracle = z_stack_face_system(D, F, X.m, X.n)
+            assert M.shape == oracle.shape
+            assert np.abs(M - oracle).max() <= 8 * eps * np.linalg.norm(M, 2)
 
     def test_membership_reads_as_the_compression_form(self):
         # the two residuals differ by rounding; where the dropped eigenvalues
@@ -644,6 +660,23 @@ class TestCachedSpectrum:
             call()
             assert sorted(key for key in seen if key in (data, choi, spectrum)) == sorted(2 * keys)
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["dim"] == 5
+
+
+class TestRecordEquality:
+    """The records that hold arrays (a state, a face, a decomposable spec)
+    compare and hash by identity, so the records that hold them compare and
+    hash without raising."""
+
+    def test_identity(self):
+        X, Y = rho(2, math.pi / 6), rho(2, math.pi / 6)
+        pairs = [(X, Y), (face_of(X), face_of(X)),
+                 (maps.trace_map_decomposition_33(), maps.trace_map_decomposition_33()),
+                 (is_extreme_in_T(X), is_extreme_in_T(X)), (maps.ChoiMap(X), maps.ChoiMap(Y))]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert a in {a} and b not in {a}
+            assert hash(a) == hash(a)
+        assert maps.ChoiMap(X) == maps.ChoiMap(X)
 
 
 class TestAppendixBases:

@@ -12,7 +12,6 @@ from pptgeo.linalg import (
     as_hermitian,
     eigh_descending,
     has_orthonormal_columns,
-    hermitian_basis,
     orthonormal_system_rank,
     range_mask,
     spectrum_is_pd,
@@ -20,7 +19,7 @@ from pptgeo.linalg import (
     spectrum_rank,
     unit_scaled,
 )
-from oracles import as_hermitian_oracle, hermitian_to_real_vector, numerical_rank
+from oracles import _unit_hermitians, as_hermitian_oracle, hermitian_to_real_vector, numerical_rank
 from pptgeo.states import BipartiteMatrix, p_theta, rho
 
 
@@ -353,20 +352,21 @@ class TestRangeProjection:
 
 
 class TestVectorization:
-    """The order and orthonormality of hermitian_basis, read through the
-    coordinates Tr(B_k H) of the tests' oracle hermitian_to_real_vector."""
+    """The order and isometry of the real coordinates X = Re H + Im H of the
+    tests' oracle hermitian_to_real_vector, and the unit hermitians
+    sym E_st + i antisym E_st that map them back."""
 
     def test_e11_in_m2(self):
         E11 = np.diag([1.0, 0.0])
         assert_allclose(hermitian_to_real_vector(E11), [1, 0, 0, 0])
 
     @pytest.mark.parametrize("H,coords", [
-        ([[0, 1], [1, 0]], [0, 0, math.sqrt(2), 0]),
-        ([[0, -1j], [1j, 0]], [0, 0, 0, -math.sqrt(2)]),
-        ([[1, 0], [0, -1]], [1, -1, 0, 0]),
+        ([[0, 1], [1, 0]], [0, 1, 1, 0]),
+        ([[0, -1j], [1j, 0]], [0, -1, 1, 0]),
+        ([[1, 0], [0, -1]], [1, 0, 0, -1]),
     ], ids=["sigma_x", "sigma_y", "sigma_z"])
     def test_documented_order(self, H, coords):
-        # diagonal units, then (E_ij + E_ji)/sqrt(2), then i(E_ij - E_ji)/sqrt(2)
+        # the entries of Re H + Im H, row by row
         assert_allclose(hermitian_to_real_vector(np.array(H)), coords, atol=1e-15)
 
     def test_round_trip(self):
@@ -374,7 +374,7 @@ class TestVectorization:
         for _ in range(10):
             H = random_hermitian(4, rng)
             v = hermitian_to_real_vector(H)
-            assert_allclose(np.tensordot(v, hermitian_basis(4), axes=1), H, atol=1e-13)
+            assert_allclose(np.tensordot(v, _unit_hermitians(4), axes=1), H, atol=1e-13)
 
     def test_isometry(self):
         rng = np.random.default_rng(17)
@@ -387,7 +387,7 @@ class TestVectorization:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 9])
     def test_basis_stack(self, d):
-        B = hermitian_basis(d)
+        B = _unit_hermitians(d)
         for k, e in enumerate(np.eye(d * d)):
             assert_allclose(hermitian_to_real_vector(B[k]), e, atol=1e-15)
         gram = np.einsum("jab,kba->jk", B, B)

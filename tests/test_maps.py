@@ -156,6 +156,16 @@ class TestPhiTheta:
         with pytest.raises(ValueError):
             phi_theta_coefficients(0.0, 0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: phi_theta_coefficients(0.3, math.inf),
+        lambda: phi_theta_t(0.3, math.inf),
+        lambda: antipodal_sum_choi(0.3, math.inf, 1.0),
+        lambda: antipodal_sum_choi(0.3, 1.0, math.inf),
+    ], ids=["coefficients", "phi", "antipodal t", "antipodal s"])
+    def test_infinite_t_rejected(self, call):
+        with pytest.raises(ValueError, match="t must be finite"):
+            call()
+
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
     def test_matches_action_oracle(self, t):
         for k in range(-12, 13):

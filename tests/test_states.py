@@ -481,6 +481,8 @@ class TestInputErrors:
         (lambda: arc_of(-math.inf), "theta must be finite"),
         (lambda: arc_of(math.nan), "theta must be finite"),
         (lambda: kernel_vectors_w(0.0, 0.3), "b must be positive"),
+        (lambda: kernel_vectors_w(math.nan, 0.3), "b must be positive and finite"),
+        (lambda: kernel_vectors_w(math.inf, 0.3), "b must be positive and finite"),
         (lambda: kernel_vectors_w(1.0, math.inf), "theta must be finite"),
         (lambda: combine([], []), "need at least one state"),
         (lambda: combine([rho(1, 0)], [0.5, 0.5]), "one weight per state required"),
@@ -494,7 +496,8 @@ class TestInputErrors:
         (lambda: search_product_vector_in_subspace(2 * np.eye(4), 2, 2), "orthonormal columns"),
         (lambda: search_product_vector_in_subspace(np.full((4, 1), math.nan), 2, 2), "orthonormal columns"),
         (lambda: BipartiteMatrix(1, 2, np.diag([math.inf, 1.0])), "matrix entries must be finite"),
-    ], ids=["p_theta inf", "p_theta nan", "arc_of -inf", "arc_of nan", "kernel b zero", "kernel theta inf",
+    ], ids=["p_theta inf", "p_theta nan", "arc_of -inf", "arc_of nan", "kernel b zero", "kernel b nan",
+            "kernel b inf", "kernel theta inf",
             "combine empty", "combine weight count", "combine mixed dims",
             "decomposition weight zero", "decomposition zero vector", "search D rows",
             "search D not orthonormal", "search D not finite", "infinite entry"])
