@@ -38,7 +38,8 @@ from .linalg import (
     orthonormal_system_rank,
     unit_scaled,
 )
-from .states import BipartiteMatrix, _pt, is_ppt, normalize, partial_transpose, rho, state_type
+from .states import (BipartiteMatrix, _positive, _pt, _turn, is_ppt, normalize, partial_transpose, rho,
+                     state_type)
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,10 @@ def _face_system(D: np.ndarray, F: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _check_appendix_b(b: float) -> None:
-    """b > 0, and NumericalError unless b^2 and 1/b^2, held by the bases, are finite."""
-    if b <= 0:
-        raise ValueError("b must be positive")
+    """b in the domain of :func:`~pptgeo.states._positive`, and
+    NumericalError unless b^2 and 1/b^2, held by the bases, are finite: the
+    one floating-point range of the appendix."""
+    _positive("b", b)
     if not 0 < b * b < math.inf or 1 / (b * b) == math.inf:
         raise NumericalError(f"appendix basis out of floating-point range at b={b!r}")
 
@@ -276,8 +278,7 @@ def _coefficients(b: float, theta: float) -> np.ndarray:
 def _appendix_basis(table, b: float, theta: float) -> list[np.ndarray]:
     """The 25 matrices of a term table at (b, theta), scattered at once."""
     _check_appendix_b(b)
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    _turn(theta)
     element, row, col, code = table
     out = np.zeros((25, 9, 9), dtype=complex)
     out[element, row, col] = _coefficients(b, theta)[code]
@@ -373,25 +374,22 @@ def verify_appendix(b: float, theta: float) -> AppendixReport:
     The membership residuals are max ||P_D M P_D - M||_F / ||M||_F over the
     X basis and max ||(P_E M^Gamma P_E)^Gamma - M||_F / ||M||_F over the Y
     basis; the real vectorization is an isometry, so they equal the norms of
-    phi_D and phi_E applied to the unit basis elements.  The bases hold b^2
-    and 1/b^2 and the norms square them, so a b that leaves the
-    floating-point range raises NumericalError instead of reporting an
-    infinite residual."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            X = rho(b, theta)
-            face = face_of(X)
-            P_D = face.D @ face.D.conj().T
-            P_E = face.E @ face.E.conj().T
-            xs = np.array(appendix_basis_X(b, theta))
-            ys = np.array(appendix_basis_Y(b, theta))
-            x_norms, y_norms = (np.linalg.norm(B, axis=(1, 2)) for B in (xs, ys))
-            x_res = (np.linalg.norm(P_D @ xs @ P_D - xs, axis=(1, 2)) / x_norms).max()
-            ys_E = _pt(P_E @ _pt(ys, X.m, X.n) @ P_E, X.m, X.n)
-            y_res = (np.linalg.norm(ys_E - ys, axis=(1, 2)) / y_norms).max()
-            ident = _combination_identity(X.data, xs, ys, theta)
-    except ArithmeticError as exc:
-        raise NumericalError(f"appendix check out of floating-point range at b={b!r}") from exc
+    phi_D and phi_E applied to the unit basis elements.  They are taken on
+    the unit-scaled stacks, each element scaled by its own power of two,
+    which moves neither ratio, so every b that the bases themselves hold
+    (:func:`_check_appendix_b`) reports finite residuals."""
+    X = rho(b, theta)
+    face = face_of(X)
+    P_D = face.D @ face.D.conj().T
+    P_E = face.E @ face.E.conj().T
+    xs = np.array(appendix_basis_X(b, theta))
+    ys = np.array(appendix_basis_Y(b, theta))
+    (xu, _), (yu, _) = unit_scaled(xs), unit_scaled(ys)
+    x_norms, y_norms = (np.linalg.norm(B, axis=(1, 2)) for B in (xu, yu))
+    x_res = (np.linalg.norm(P_D @ xu @ P_D - xu, axis=(1, 2)) / x_norms).max()
+    yu_E = _pt(P_E @ _pt(yu, X.m, X.n) @ P_E, X.m, X.n)
+    y_res = (np.linalg.norm(yu_E - yu, axis=(1, 2)) / y_norms).max()
+    ident = _combination_identity(X.data, xs, ys, theta)
     return AppendixReport(
         float(x_res),
         float(y_res),

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import seesaw
 from .linalg import ROUNDOFF, NumericalError, spectrum_is_pd, unit_scaled, zero_level
-from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern,
+from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern, _positive,
                      is_interior_of_S_sufficient, p_theta)
 
 
@@ -79,12 +79,9 @@ def pairing(rho: BipartiteMatrix, phi: ChoiMap) -> float:
 
 def phi_theta_coefficients(theta: float, t: float):
     """The diagonal coefficients (a, b, c) of the one-parameter positive map
-    family; they always sum to p_theta and are finite at every finite t > 0.
-    An infinite t raises; a nan t gives nan, which the Choi matrix rejects."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if t == math.inf:
-        raise ValueError("t must be finite")
+    family; they always sum to p_theta and are finite at every t in the
+    domain 0 < t < inf that :func:`~pptgeo.states._positive` checks."""
+    _positive("t", t)
     p = p_theta(theta)
     if t * t < math.inf:
         den = 1.0 - t + t * t

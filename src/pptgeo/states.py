@@ -153,23 +153,36 @@ class StateType:
     q: int
 
 
-def _turn(theta: float) -> float:
-    """theta reduced by an exact 2 pi into [-pi, pi], as np.exp(1j * theta)
-    reduces it: theta itself where |theta| <= pi, else atan2(sin, cos), whose
-    sine and cosine reduce exactly.  p_theta, arc_of and kernel_vectors_w
-    read theta through it; the phases reduce exactly by themselves."""
+def _positive(name: str, x: float) -> None:
+    """ValueError unless 0 < x < inf: the domain of b, t and the weights."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _turn(theta: float) -> tuple[int, float, bool]:
+    """(j, r, tie) with theta = r + 2 pi j/3 (mod 2 pi), j in {0, 1, 2} and
+    r in [-pi/3, pi/3]: theta is reduced by an exact 2 pi into [-pi, pi], as
+    np.exp(1j * theta) reduces it (theta itself where |theta| <= pi, else
+    atan2(sin, cos), whose sine and cosine reduce exactly), then by
+    math.remainder, which is exact, modulo 2 pi/3.  tie holds where
+    pi/3 - |r| <= ROUNDOFF, at an odd multiple of pi/3, where the two
+    reductions r and r -+ 2 pi/3 tie; the subtraction is exact (Sterbenz).
+    Every reader of theta's arc reads it here; the phases reduce exactly by
+    themselves."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    return theta if abs(theta) <= math.pi else math.atan2(math.sin(theta), math.cos(theta))
+    t = theta if abs(theta) <= math.pi else math.atan2(math.sin(theta), math.cos(theta))
+    step = 2.0 * math.pi / 3.0
+    r = math.remainder(t, step)
+    return round((t - r) / step) % 3, r, math.pi / 3.0 - abs(r) <= ROUNDOFF
 
 
 def p_theta(theta: float) -> float:
     """The smallest a making the 3x3 circulant with off-diagonals -e^{+-i theta}
     positive semidefinite; equals max_k 2cos(theta + 2k pi/3), in [1, 2].
     The largest of the three cosines is the one whose angle lies nearest a
-    multiple of 2 pi, so one cosine is taken, of :func:`_turn`'s angle
-    reduced into [-pi/3, pi/3]; on that arc both reductions return theta."""
-    return 2.0 * math.cos(math.remainder(_turn(theta), 2.0 * math.pi / 3.0))
+    multiple of 2 pi, so it is 2 cos r for the r of :func:`_turn`."""
+    return 2.0 * math.cos(_turn(theta)[1])
 
 
 def _positions(*pairs) -> np.ndarray:
@@ -210,8 +223,7 @@ def _cyclic_pattern(diag, theta: float, positions) -> BipartiteMatrix:
 
 
 def _family(b: float, theta: float, positions) -> BipartiteMatrix:
-    if b <= 0:
-        raise ValueError("b must be positive")
+    _positive("b", b)
     return _cyclic_pattern((p_theta(theta), 1 / b, b), theta, positions)
 
 
@@ -259,17 +271,13 @@ def is_ppt(X: BipartiteMatrix) -> bool:
 
 
 def arc_of(theta: float) -> Arc:
-    """Classify theta, reduced by :func:`_turn`, into the three open arcs, or
-    BOUNDARY within ROUNDOFF (radians) of n*pi/3."""
-    t = _turn(theta)
-    if abs(math.remainder(t, math.pi / 3.0)) <= ROUNDOFF:
+    """Classify theta into the three open arcs by :func:`_turn`'s j, or
+    BOUNDARY within ROUNDOFF (radians) of n*pi/3: where r ties or lies within
+    ROUNDOFF of 0."""
+    j, r, tie = _turn(theta)
+    if tie or abs(r) <= ROUNDOFF:
         return Arc.BOUNDARY
-    # t = +-pi, the ends of the reduction, returned BOUNDARY above.
-    if t < -math.pi / 3.0:
-        return Arc.MINUS
-    if t < math.pi / 3.0:
-        return Arc.ZERO
-    return Arc.PLUS
+    return (Arc.ZERO, Arc.PLUS, Arc.MINUS)[j]
 
 
 def kernel_vectors_w(b: float, theta: float) -> list[np.ndarray]:
@@ -277,31 +285,25 @@ def kernel_vectors_w(b: float, theta: float) -> list[np.ndarray]:
     each Fourier vector f_k = |00> + w^k |11> + w^2k |22>, w = e^{2 pi i/3},
     with 2cos(theta + 2k pi/3) = p_theta.
 
-    k is read off the reduction that :func:`p_theta` takes: theta + 2k pi/3 =
-    r = remainder(_turn(theta), 2 pi/3) (mod 2 pi).  Where |r| lies within
-    ROUNDOFF of pi/3, the tolerance of :func:`arc_of`, theta is an odd
-    multiple of pi/3, two cosines tie, and the neighbouring k is taken too.
-    That gives 9 - p vectors for rho's type (p, p): five at the odd
-    multiples of pi/3 and four elsewhere."""
-    if not 0 < b < math.inf:
-        raise ValueError("b must be positive and finite")
-    t = _turn(theta)
+    k is read off :func:`_turn`, the reduction that :func:`p_theta` takes:
+    theta + 2k pi/3 = r (mod 2 pi) for k = -j mod 3.  Where r ties, as
+    :func:`arc_of` reads BOUNDARY at an odd multiple of pi/3, two cosines
+    tie and the neighbouring k is taken too.  That gives 9 - p vectors for
+    rho's type (p, p): five at the odd multiples of pi/3 and four elsewhere."""
+    _positive("b", b)
+    j, r, tie = _turn(theta)
     e = np.exp(1j * theta)
     vecs = [
         np.array([0, b, 0, e, 0, 0, 0, 0, 0], dtype=complex),
         np.array([0, 0, 0, 0, 0, b, 0, e, 0], dtype=complex),
         np.array([0, 0, e, 0, 0, 0, b, 0, 0], dtype=complex),
     ]
-    step = 2.0 * math.pi / 3.0
-    r = math.remainder(t, step)
-    k = -round((t - r) / step) % 3
-    ks = {k}
-    if abs(r) >= math.pi / 3.0 - ROUNDOFF:
-        ks.add((k - 1 if r > 0 else k + 1) % 3)
+    k = -j % 3
+    ks = {k, (k - 1 if r > 0 else k + 1) % 3} if tie else {k}
     w = np.exp(2j * math.pi / 3.0)
     phases = ((1, 1), (w, np.conj(w)), (np.conj(w), w))
-    for j in sorted(ks):
-        u, v = phases[j]
+    for i in sorted(ks):
+        u, v = phases[i]
         vecs.append(np.array([1, 0, 0, 0, u, 0, 0, 0, v], dtype=complex))
     return vecs
 
@@ -401,8 +403,7 @@ def verify_product_decomposition(X: BipartiteMatrix, parts) -> bool:
     U, e = unit_scaled(X.data)
     acc = np.zeros_like(U)
     for xi, eta, weight in parts:
-        if not 0 < weight < math.inf:
-            raise ValueError("weights must be positive and finite")
+        _positive("weights", weight)
         v, k = _unit_kron(xi, eta)
         w, j = math.frexp(weight)
         t = 2 * k + j - e

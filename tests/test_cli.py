@@ -19,6 +19,7 @@ from pptgeo.serialize import (
     spec_to_json,
     vector_to_json,
 )
+from pptgeo.extremality import appendix_basis_X, appendix_basis_Y, basis_span_rank
 from pptgeo.maps import ChoiMap, DecomposableSpec, trace_map_decomposition_2n, trace_map_decomposition_33
 from pptgeo.states import BipartiteMatrix, normalize, rho
 from test_extremality import oracle_states
@@ -327,14 +328,25 @@ class TestExtremalityCommand:
         assert ax["y_combination_residual_last_x7"] > 1e-2
         assert "extreme=True" in err
 
-    @pytest.mark.parametrize("b", ["1.3407807929942597e+154", "3.338330822182424e+84",
-                                   "2.4538424900209123e-217"])
+    @pytest.mark.parametrize("b", ["1.3407807929942597e+154", "2.4538424900209123e-217"])
     def test_verify_appendix_out_of_float_range(self, capsys, b):
+        # b^2 or 1/b^2, which the bases hold, leaves the floating-point range
         code, out, err = run(capsys, "extremality", "--family", "rho", "--b", b,
                              "--theta", "0", "--verify-appendix")
         assert code == 3
         assert out == ""
         assert "floating-point range" in err
+
+    @pytest.mark.parametrize("b", ["3.338330822182424e+84"])
+    def test_verify_appendix_in_range(self, capsys, b):
+        # b^4 overflows, but the residuals' norms are taken unit-scaled
+        code, out, _ = run(capsys, "extremality", "--family", "rho", "--b", b,
+                           "--theta", "0", "--verify-appendix")
+        assert code == 0
+        ax = json.loads(out)["appendix"]
+        assert all(math.isfinite(v) for v in ax.values())
+        assert (ax["x_span_rank"], ax["y_span_rank"]) == tuple(
+            basis_span_rank(basis(float(b), 0.0)) for basis in (appendix_basis_X, appendix_basis_Y))
 
     def test_verify_appendix_usage_errors(self, capsys, tmp_path):
         path = tmp_path / "state.json"

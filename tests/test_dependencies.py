@@ -5,8 +5,9 @@ rules to a state's spectrum only in the state's cached decisions and in the
 kernel of a state that may be indefinite, caches per state only the spectrum,
 the partial transpose and the two decisions a grid op reads more than once,
 skips the hermiticity check only where it derives a matrix exactly
-hermitian, reaches each public name through its defining module alone, and
-reads every public name somewhere in the package."""
+hermitian, checks b, t and theta by one rule each, reaches each public
+name through its defining module alone, and reads every public name
+somewhere in the package."""
 import ast
 import os
 import subprocess
@@ -186,6 +187,29 @@ def test_unchecked_constructor_serves_only_the_derivation_sites():
         ("states", "_cyclic_pattern"),
         ("states", "BipartiteMatrix._partial_transpose"),
         ("states", "normalize"),
+    }
+
+
+def test_each_paper_parameter_has_one_rule():
+    # b, t and the weights of a product decomposition are checked by one
+    # domain rule, and theta is reduced, and its arc and ties read, by one
+    # reduction
+    readers = {(path.stem, scope) for path, tree in package_trees()
+               for scope in readers_of(("_positive",), tree)}
+    assert readers == {
+        ("states", "_family"),
+        ("states", "kernel_vectors_w"),
+        ("states", "verify_product_decomposition"),
+        ("maps", "phi_theta_coefficients"),
+        ("extremality", "_check_appendix_b"),
+    }
+    readers = {(path.stem, scope) for path, tree in package_trees()
+               for scope in readers_of(("_turn",), tree)}
+    assert readers == {
+        ("states", "p_theta"),
+        ("states", "arc_of"),
+        ("states", "kernel_vectors_w"),
+        ("extremality", "_appendix_basis"),
     }
 
 

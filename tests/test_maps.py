@@ -163,7 +163,7 @@ class TestPhiTheta:
         lambda: antipodal_sum_choi(0.3, 1.0, math.inf),
     ], ids=["coefficients", "phi", "antipodal t", "antipodal s"])
     def test_infinite_t_rejected(self, call):
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
             call()
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 import pptgeo.states as states
 from oracles import eigh_oracle, seesaw_product_vector_search
 from pptgeo.linalg import CUTOFF, ROUNDOFF, NumericalError, as_hermitian, range_mask
-from pptgeo.maps import phi_theta_t
+from pptgeo.extremality import appendix_basis_X, appendix_basis_Y, verify_appendix, verify_combination_identity
+from pptgeo.maps import antipodal_sum_choi, phi_theta_coefficients, phi_theta_t
 from pptgeo.states import (
     Arc,
     BipartiteMatrix,
@@ -231,6 +232,30 @@ class TestKernelVectors:
         assert len(kernel_vectors_w(1, math.pi / 3 + 2 * ROUNDOFF)) == 4
         assert len(kernel_vectors_w(1, 0.0)) == 4
 
+    def test_one_tie_rule_with_arc_of(self):
+        # near an odd multiple of pi/3 the neighbouring Fourier vector is taken
+        # exactly where arc_of reads BOUNDARY; near an even one it never is.
+        # The listed angles lie one ulp inside k pi/3 +- ROUNDOFF, where
+        # |r| >= pi/3 - ROUNDOFF, a tie rule of its own, rounds the other way.
+        thetas = [1.0471975511955975, 1.0471975511975977, -1.0471975511955975, -1.0471975511975977,
+                  5.235987755981989, 5.235987755983989, -5.235987755981989, -5.235987755983989]
+        for k in range(-15, 16):
+            for edge in (k * math.pi / 3 + ROUNDOFF, k * math.pi / 3 - ROUNDOFF):
+                for direction in (math.inf, -math.inf):
+                    th = edge
+                    for _ in range(6):
+                        thetas.append(th)
+                        th = math.nextafter(th, direction)
+        rng = np.random.default_rng(38)
+        k = rng.integers(-15, 16, 3000)
+        thetas += list(k * math.pi / 3 + rng.normal(0.0, ROUNDOFF, 3000))
+        for th in thetas:
+            n = len(kernel_vectors_w(2, th))
+            if round(th / (math.pi / 3)) % 2:
+                assert (n == 5) == (arc_of(th) is Arc.BOUNDARY), th
+            else:
+                assert n == 4, th
+
 
 class TestArcs:
     @pytest.mark.parametrize("theta,expected", [
@@ -361,14 +386,9 @@ class TestExactDerivations:
             assert not Y.data.flags.writeable
             assert as_hermitian(Y.data).tobytes() == Y.data.tobytes()
 
-    @pytest.mark.parametrize("call", [
-        lambda: rho(math.inf, 1.0),
-        lambda: rho(math.nan, 1.0),
-        lambda: sigma(math.inf, 0.0),
-        lambda: sigma(math.nan, 2.0),
-        lambda: rho(1e-320, 1.0),
-        lambda: phi_theta_t(1.0, math.nan),
-    ], ids=["rho b inf", "rho b nan", "sigma b inf", "sigma b nan", "rho 1/b overflows", "phi t nan"])
+    # a subnormal b passes the parameter domain, and its 1/b reaches the
+    # pattern's own finiteness check (TestParameterDomain holds the rest)
+    @pytest.mark.parametrize("call", [lambda: rho(1e-320, 1.0)], ids=["rho 1/b overflows"])
     def test_non_finite_pattern_rejected(self, call):
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             call()
@@ -378,6 +398,35 @@ class TestExactDerivations:
         X = BipartiteMatrix(1, 3, np.diag([1.0, -1.0, 1e-310]))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="matrix entries must be finite"):
             normalize(X)
+
+
+class TestParameterDomain:
+    """Every public entry point that takes b, t or s names it, in one
+    message, for each value outside 0 < x < inf."""
+
+    ENTRIES = {
+        ("rho", "b"): lambda x: rho(x, 1.0),
+        ("sigma", "b"): lambda x: sigma(x, 1.0),
+        ("kernel", "b"): lambda x: kernel_vectors_w(x, 1.0),
+        ("appendix X", "b"): lambda x: appendix_basis_X(x, 0.3),
+        ("appendix Y", "b"): lambda x: appendix_basis_Y(x, 0.3),
+        ("combination", "b"): lambda x: verify_combination_identity(x, 0.3),
+        ("verify_appendix", "b"): lambda x: verify_appendix(x, 0.3),
+        ("coefficients", "t"): lambda x: phi_theta_coefficients(0.3, x),
+        ("phi", "t"): lambda x: phi_theta_t(1.0, x),
+        ("antipodal", "t"): lambda x: antipodal_sum_choi(0.3, x, 1.0),
+        # s is the t of the map at theta + pi
+        ("antipodal", "s"): lambda x: antipodal_sum_choi(0.3, 1.0, x),
+    }
+    BAD = {"0": 0.0, "-1": -1.0, "nan": math.nan, "inf": math.inf}
+
+    @pytest.mark.parametrize("entry,value", list(itertools.product(ENTRIES, BAD)),
+                             ids=[f"{name} {param} {value}"
+                                  for (name, param), value in itertools.product(ENTRIES, BAD)])
+    def test_rejected(self, entry, value):
+        message = "t" if entry[1] == "s" else entry[1]
+        with pytest.raises(ValueError, match=f"^{message} must be positive and finite$"):
+            self.ENTRIES[entry](self.BAD[value])
 
 
 class TestCovariance:
