@@ -337,12 +337,8 @@ def verify_combination_identity(b: float, theta: float) -> CombinationIdentityRe
     the Frobenius norm of rho, is within ROUNDOFF.  The norms are taken with
     rho and the three differences unit-scaled together, so they stay finite
     wherever the bases do."""
-    return _combination_identity(rho(b, theta).data, appendix_basis_X(b, theta),
-                                 appendix_basis_Y(b, theta), theta)
-
-
-def _combination_identity(target, xs, ys, theta: float) -> CombinationIdentityReport:
-    """:func:`verify_combination_identity` on rho's data and the two bases."""
+    target = rho(b, theta).data
+    xs, ys = appendix_basis_X(b, theta), appendix_basis_Y(b, theta)
     c, s = np.cos(theta), np.sin(theta)
     combo_x = c * (xs[0] + xs[1] + xs[2]) + s * xs[3] - xs[4] - xs[5] - xs[6]
     y_head = c * (ys[0] + ys[1] + ys[2]) - s * ys[3] - ys[4] - ys[5]
@@ -377,7 +373,8 @@ def verify_appendix(b: float, theta: float) -> AppendixReport:
     phi_D and phi_E applied to the unit basis elements.  They are taken on
     the unit-scaled stacks, each element scaled by its own power of two,
     which moves neither ratio, so every b that the bases themselves hold
-    (:func:`_check_appendix_b`) reports finite residuals."""
+    (:func:`_check_appendix_b`) reports finite residuals.  The combination
+    residuals are those of :func:`verify_combination_identity`."""
     X = rho(b, theta)
     face = face_of(X)
     P_D = face.D @ face.D.conj().T
@@ -389,7 +386,7 @@ def verify_appendix(b: float, theta: float) -> AppendixReport:
     x_res = (np.linalg.norm(P_D @ xu @ P_D - xu, axis=(1, 2)) / x_norms).max()
     yu_E = _pt(P_E @ _pt(yu, X.m, X.n) @ P_E, X.m, X.n)
     y_res = (np.linalg.norm(yu_E - yu, axis=(1, 2)) / y_norms).max()
-    ident = _combination_identity(X.data, xs, ys, theta)
+    ident = verify_combination_identity(b, theta)
     return AppendixReport(
         float(x_res),
         float(y_res),

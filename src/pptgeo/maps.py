@@ -107,7 +107,8 @@ def antipodal_sum_choi(theta: float, t: float, s: float) -> ChoiMap:
     The off-diagonal phases cancel, leaving a diagonal Choi matrix with
     strictly positive entries: a sufficient certificate for the interior of
     the positive-map cone; the sum is checked by that rule, then made exactly diagonal.
-    """
+    s is checked under its own name, t by :func:`phi_theta_t`."""
+    _positive("s", s)
     C = BipartiteMatrix(3, 3, phi_theta_t(theta, t).choi.data
                         + phi_theta_t(theta + math.pi, s).choi.data)
     if not is_interior_of_S_sufficient(C):

@@ -204,10 +204,8 @@ def _cyclic_pattern(diag, theta: float, positions) -> BipartiteMatrix:
     rho and sigma use (p_theta, 1/b, b); the generalized Choi map's Choi
     matrix is sigma's pattern with (a, c, b).  Each entry is written next
     to its conjugate, bitwise as :func:`~pptgeo.linalg.as_hermitian` would
-    return it, so only finiteness is checked: of the diagonal here, and of
-    theta by :func:`p_theta` in every caller."""
-    if not all(map(math.isfinite, diag)):
-        raise ValueError("matrix entries must be finite")
+    return it, and every caller has checked its parameters, so the diagonal
+    and theta are finite and nothing is checked here."""
     # adding 0 turns a -0 into +0, as the halving in as_hermitian does here:
     # to a diagonal -0 (an underflowed coefficient of phi_theta_t), and to
     # the imaginary part of -e^{i theta} or of its conjugate at theta = +-0,
@@ -223,7 +221,10 @@ def _cyclic_pattern(diag, theta: float, positions) -> BipartiteMatrix:
 
 
 def _family(b: float, theta: float, positions) -> BipartiteMatrix:
+    """rho or sigma; NumericalError where 1/b overflows (a subnormal b)."""
     _positive("b", b)
+    if 1 / b == math.inf:
+        raise NumericalError(f"state family out of floating-point range at b={b!r}")
     return _cyclic_pattern((p_theta(theta), 1 / b, b), theta, positions)
 
 
@@ -332,17 +333,18 @@ def normalize(X: BipartiteMatrix) -> BipartiteMatrix:
     """Scale to unit trace.  X is unit-scaled before its trace is taken and
     divided by, so the result stays finite at any scale of X; the trace must
     be positive.  A power of two and a positive real divisor keep every
-    conjugate pair of entries exact, so only finiteness is checked again
-    (a trace far below the largest entry, as a non-PSD X can have, can
-    overflow the quotient)."""
+    conjugate pair of entries exact.  A trace far below the largest entry,
+    as a non-PSD X can have, can overflow the quotient: NumPy divides the
+    complex data by multiplying with 1/tr, and the unit-scaled entries lie
+    below 1, so the quotient overflows exactly where 1/tr does.  That is
+    decided before dividing and is a NumericalError."""
     A = unit_scaled(X.data)[0]
-    tr = np.trace(A).real
+    tr = float(np.trace(A).real)
     if tr <= 0:
         raise ValueError("trace must be positive to normalize")
-    N = A / tr
-    if not np.isfinite(N).all():
-        raise ValueError("matrix entries must be finite")
-    return BipartiteMatrix._exact(X.m, X.n, N)
+    if 1 / tr == math.inf:
+        raise NumericalError("normalized state out of floating-point range")
+    return BipartiteMatrix._exact(X.m, X.n, A / tr)
 
 
 _PHASE_U = np.diag([1.0, np.exp(-2j * math.pi / 3.0), np.exp(2j * math.pi / 3.0)])
@@ -582,15 +584,20 @@ def _cost(p: int, q: int, s: int, v: int, deg: int) -> int:
 
 
 @functools.cache
-def _minor_plan(p: int, q: int, s: int):
-    """The s x s minors of a p x q matrix M, expanded along their last column
-    one size t = 2..s at a time: one (entry, sub) per t, with minor k of
-    size t equal to sum_i (-1)**(i + t - 1) M[entry[k, i]] (minor sub[k, i]
-    of size t - 1).  Entries are composite indices row * q + col, and the
-    minors of size 1 are the entries themselves.  Size t lists the minors on
-    every t-subset of the rows and every t-subset of the first q - s + t
-    columns (the leading t columns of the s-subsets), rows major, so the
-    last size lists every s x s minor; read-only."""
+def _minor_plan(p: int, q: int, s: int, v: int):
+    """The s x s minors of a p x q matrix M of linear forms in v variables,
+    expanded along their last column one size t = 2..s at a time: one
+    (entry, sub, fold) per t, with minor k of size t equal to
+    sum_i (-1)**(i + t - 1) M[entry[k, i]] (minor sub[k, i] of size t - 1).
+    Entries are composite indices row * q + col, and the minors of size 1
+    are the entries themselves.  Size t lists the minors on every t-subset
+    of the rows and every t-subset of the first q - s + t columns (the
+    leading t columns of the s-subsets), rows major, so the last size lists
+    every s x s minor.  fold is a signed 0/1 matrix, the last with a
+    trailing zero column: the t products of a size-(t - 1) minor and an
+    entry (forms of degree t - 1 and 1), raveled as outer products of their
+    coefficients, times fold give the minor's coefficients, the Laplace
+    signs included.  All read-only."""
     index = {((r,), (j,)): r * q + j for r, j in itertools.product(range(p), range(q))}
     plan = []
     for t in range(2, s + 1):
@@ -599,8 +606,13 @@ def _minor_plan(p: int, q: int, s: int):
         entry = np.array([[r * q + C[-1] for r in R] for R, C in keys], dtype=int).reshape(-1, t)
         sub = np.array([[index[R[:i] + R[i + 1:], C[:-1]] for i in range(t)] for R, C in keys],
                        dtype=int).reshape(-1, t)
-        entry.flags.writeable = sub.flags.writeable = False
-        plan.append((entry, sub))
+        shift = _shift_columns(v, t)
+        fold = np.zeros((shift.shape[1], v, len(_monomials(v, t)) + (t == s)))
+        fold[np.arange(shift.shape[1]), np.arange(v)[:, None], shift] = 1
+        sign = (-1.0) ** (np.arange(t) + t - 1)
+        fold = (sign[:, None, None, None] * fold).reshape(-1, fold.shape[2])
+        entry.flags.writeable = sub.flags.writeable = fold.flags.writeable = False
+        plan.append((entry, sub, fold))
         index = {key: i for i, key in enumerate(keys)}
     return tuple(plan)
 
@@ -623,46 +635,33 @@ def _shift_columns(d: int, deg: int) -> np.ndarray:
 
 @functools.cache
 def _macaulay_plan(d: int, deg: int, s: int):
-    """(folds, spread, shifts) for the degree-deg Macaulay matrix of forms of
+    """(spread, shifts) for the degree-deg Macaulay matrix of forms of
     degree s in d variables, built on first use.
 
-    folds holds one signed 0/1 matrix per minor size t = 2..s, the last with
-    a trailing zero column: the t products of a size-(t - 1) minor and an
-    entry (a form of degree t - 1 and a linear form) that expand a size-t
-    minor along its last column (:func:`_minor_plan`), raveled as outer
-    products of their coefficients, times folds[t - 2] give the coefficients
-    of the minor, the Laplace signs (-1)**(i + t - 1) included.  spread
-    (rows, cols) holds, at (beta, alpha) for a monomial beta of degree
-    deg - s and one alpha of degree deg, the degree-s monomial alpha - beta,
-    or the trailing 0 where alpha - beta is none, so that
-    coefficients[:, spread] is the forms times each beta.  shifts (d, r)
-    holds the columns of c_k times each monomial of degree deg - 1.  All
-    read-only."""
-    folds = []
-    for t in range(2, s + 1):
-        shift = _shift_columns(d, t)
-        fold = np.zeros((shift.shape[1], d, len(_monomials(d, t)) + (t == s)))
-        fold[np.arange(shift.shape[1]), np.arange(d)[:, None], shift] = 1
-        sign = (-1.0) ** (np.arange(t) + t - 1)
-        folds.append((sign[:, None, None, None] * fold).reshape(-1, fold.shape[2]))
+    spread (rows, cols) holds, at (beta, alpha) for a monomial beta of
+    degree deg - s and one alpha of degree deg, the degree-s monomial
+    alpha - beta, or the trailing 0 where alpha - beta is none, so that
+    coefficients[:, spread] is the forms times each beta (the coefficients
+    of :func:`_minor_forms` end in that 0).  shifts (d, r) holds the
+    columns of c_k times each monomial of degree deg - 1.  Both read-only;
+    the minors' own folds are in :func:`_minor_plan`."""
     forms, cols = _monomials(d, s), _monomials(d, deg)
     spread = np.full((len(_monomials(d, deg - s)), len(cols)), len(forms))
     for (beta, r), gamma in itertools.product(_monomials(d, deg - s).items(), forms):
         spread[r, cols[tuple(np.add(beta, gamma))]] = forms[gamma]
     shifts = _shift_columns(d, deg)
-    for a in (*folds, spread, shifts):
-        a.flags.writeable = False
-    return tuple(folds), spread, shifts
+    spread.flags.writeable = shifts.flags.writeable = False
+    return spread, shifts
 
 
-def _minor_forms(L: np.ndarray, p: int, q: int, s: int, folds) -> np.ndarray:
+def _minor_forms(L: np.ndarray, p: int, q: int, s: int) -> np.ndarray:
     """The coefficients of the s x s minors of a p x q matrix of linear forms
-    in v variables, whose entry (row, col) has the coefficients
+    in v = L.shape[1] variables, whose entry (row, col) has the coefficients
     L[row * q + col]: one row per minor, as :func:`_minor_plan` lists them,
-    on the monomials of degree s and a trailing 0 (folds from
-    :func:`_macaulay_plan`)."""
+    on the monomials of degree s and a trailing 0, read through the one
+    plan of that minor shape."""
     F = L
-    for (entry, sub), fold in zip(_minor_plan(p, q, s), folds):
+    for entry, sub, fold in _minor_plan(p, q, s, L.shape[1]):
         F = (F[sub][..., None] * L[entry][:, :, None, :]).reshape(len(entry), len(fold)) @ fold
     return F
 
@@ -692,9 +691,9 @@ def _points(L: np.ndarray, p: int, q: int, s: int, degrees, rng: np.random.Gener
     for deg in degrees:
         if _macaulay_entries(p, q, s, v, deg) > _MACAULAY_ENTRIES:
             raise NumericalError(f"the degree-{deg} Macaulay matrix is too large to decide this subspace")
-        folds, spread, shifts = _macaulay_plan(v, deg, s)
+        spread, shifts = _macaulay_plan(v, deg, s)
         if F is None:
-            F = _minor_forms(L, p, q, s, folds)
+            F = _minor_forms(L, p, q, s)
         cols = spread.shape[1]
         M = F[:, spread].reshape(-1, cols)
         _, sv, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < cols)

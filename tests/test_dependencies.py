@@ -117,7 +117,6 @@ UNREAD = {
     ("states", "verify_product_decomposition"),
     ("states", "product_decomposition_rho_1_pi"),
     ("maps", "block_positivity_sample"),
-    ("extremality", "verify_combination_identity"),
     # item 16: the subspace search, which the certify_search benchmark calls
     ("states", "search_product_vector_in_subspace"),
 }
@@ -191,7 +190,7 @@ def test_unchecked_constructor_serves_only_the_derivation_sites():
 
 
 def test_each_paper_parameter_has_one_rule():
-    # b, t and the weights of a product decomposition are checked by one
+    # b, t, s and the weights of a product decomposition are checked by one
     # domain rule, and theta is reduced, and its arc and ties read, by one
     # reduction
     readers = {(path.stem, scope) for path, tree in package_trees()
@@ -201,6 +200,7 @@ def test_each_paper_parameter_has_one_rule():
         ("states", "kernel_vectors_w"),
         ("states", "verify_product_decomposition"),
         ("maps", "phi_theta_coefficients"),
+        ("maps", "antipodal_sum_choi"),
         ("extremality", "_check_appendix_b"),
     }
     readers = {(path.stem, scope) for path, tree in package_trees()

@@ -478,10 +478,9 @@ class TestCachedSpectrum:
         X = rho(2, math.pi / 6)
         w, V = X.spectrum
         # the index plans of both sides of the product-vector search
-        minors = [a for plan in (_minor_plan(3, 3, 2), _minor_plan(4, 3, 3))
+        minors = [a for plan in (_minor_plan(3, 3, 2, 4), _minor_plan(4, 3, 3, 3))
                   for level in plan for a in level]
-        macaulay = [a for folds, *rest in (_macaulay_plan(4, 3, 2), _macaulay_plan(3, 3, 3))
-                    for a in (*folds, *rest)]
+        macaulay = [a for plan in (_macaulay_plan(4, 3, 2), _macaulay_plan(3, 3, 3)) for a in plan]
         plans = (*minors, *macaulay, *_model_map(3, 3))
         zero = BipartiteMatrix(2, 2, np.zeros((4, 4))).spectrum
         for arr in (w, V, *zero, *plans):

@@ -156,14 +156,14 @@ class TestPhiTheta:
         with pytest.raises(ValueError):
             phi_theta_coefficients(0.0, 0.0)
 
-    @pytest.mark.parametrize("call", [
-        lambda: phi_theta_coefficients(0.3, math.inf),
-        lambda: phi_theta_t(0.3, math.inf),
-        lambda: antipodal_sum_choi(0.3, math.inf, 1.0),
-        lambda: antipodal_sum_choi(0.3, 1.0, math.inf),
+    @pytest.mark.parametrize("call,name", [
+        (lambda: phi_theta_coefficients(0.3, math.inf), "t"),
+        (lambda: phi_theta_t(0.3, math.inf), "t"),
+        (lambda: antipodal_sum_choi(0.3, math.inf, 1.0), "t"),
+        (lambda: antipodal_sum_choi(0.3, 1.0, math.inf), "s"),
     ], ids=["coefficients", "phi", "antipodal t", "antipodal s"])
-    def test_infinite_t_rejected(self, call):
-        with pytest.raises(ValueError, match="t must be positive and finite"):
+    def test_infinite_t_rejected(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
             call()
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])

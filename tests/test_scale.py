@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pptgeo.cli import main
-from pptgeo.extremality import appendix_basis_X, appendix_basis_Y, verify_combination_identity
+from pptgeo.extremality import appendix_basis_X, appendix_basis_Y, verify_appendix, verify_combination_identity
 from pptgeo.linalg import NumericalError
 from pptgeo.maps import ChoiMap, decomposable_map, pairing, phi_theta_t
 from pptgeo.serialize import bipartite_to_json, choi_to_json
@@ -81,10 +81,13 @@ def test_combination_identity_at_the_range_edge(b):
     assert rep.y_residual_last_x7 == pytest.approx(0.816496580927726, rel=1e-12)
 
 
-@pytest.mark.parametrize("b", [1e155, 1e-155, 1e-160])
-@pytest.mark.parametrize("call", [appendix_basis_X, appendix_basis_Y, verify_combination_identity])
+@pytest.mark.parametrize("b", [1e155, 1e-155, 1e-160, 1e200, 1e-320])
+@pytest.mark.parametrize("call", [appendix_basis_X, appendix_basis_Y, verify_combination_identity,
+                                  verify_appendix])
 def test_appendix_beyond_the_range_edge(call, b):
-    # The bases hold b^2 and 1/b^2; past 1e+-154 one of them leaves the range.
+    # The bases hold b^2 and 1/b^2; past 1e+-154 one of them leaves the range,
+    # and at a subnormal b rho's 1/b does.  Either is decided before any
+    # array overflows, so no warning is raised.
     with pytest.raises(NumericalError, match="floating-point range"):
         call(b, 0.3)
 

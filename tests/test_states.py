@@ -386,18 +386,24 @@ class TestExactDerivations:
             assert not Y.data.flags.writeable
             assert as_hermitian(Y.data).tobytes() == Y.data.tobytes()
 
-    # a subnormal b passes the parameter domain, and its 1/b reaches the
-    # pattern's own finiteness check (TestParameterDomain holds the rest)
-    @pytest.mark.parametrize("call", [lambda: rho(1e-320, 1.0)], ids=["rho 1/b overflows"])
-    def test_non_finite_pattern_rejected(self, call):
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
-            call()
+    # a subnormal b passes the parameter domain, but its 1/b overflows:
+    # the family's range, decided before the pattern is built
+    # (TestParameterDomain holds the rest)
+    @pytest.mark.parametrize("family,b", [(rho, 1e-320), (rho, 5e-324), (sigma, 1e-320), (sigma, 5e-324)],
+                             ids=["rho 1/b overflows", "rho 5e-324", "sigma 1e-320", "sigma 5e-324"])
+    def test_non_finite_pattern_rejected(self, family, b):
+        with pytest.raises(NumericalError, match=f"^state family out of floating-point range at b={b!r}$"):
+            family(b, 1.0)
 
     def test_overflowing_normalization_rejected(self):
-        # a non-PSD X can have a trace far below its largest entry
-        X = BipartiteMatrix(1, 3, np.diag([1.0, -1.0, 1e-310]))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="matrix entries must be finite"):
-            normalize(X)
+        # a non-PSD X can have a trace far below its largest entry; the
+        # range is decided before dividing, so no warning is raised.  At
+        # 8e-309 the largest entry over the trace is still finite, but 1/tr,
+        # which NumPy multiplies the complex data by, is not
+        for tr in (1e-310, 8e-309):
+            X = BipartiteMatrix(1, 3, np.diag([1.0, -1.0, tr]))
+            with pytest.raises(NumericalError, match="^normalized state out of floating-point range$"):
+                normalize(X)
 
 
 class TestParameterDomain:
@@ -415,7 +421,6 @@ class TestParameterDomain:
         ("coefficients", "t"): lambda x: phi_theta_coefficients(0.3, x),
         ("phi", "t"): lambda x: phi_theta_t(1.0, x),
         ("antipodal", "t"): lambda x: antipodal_sum_choi(0.3, x, 1.0),
-        # s is the t of the map at theta + pi
         ("antipodal", "s"): lambda x: antipodal_sum_choi(0.3, 1.0, x),
     }
     BAD = {"0": 0.0, "-1": -1.0, "nan": math.nan, "inf": math.inf}
@@ -424,8 +429,7 @@ class TestParameterDomain:
                              ids=[f"{name} {param} {value}"
                                   for (name, param), value in itertools.product(ENTRIES, BAD)])
     def test_rejected(self, entry, value):
-        message = "t" if entry[1] == "s" else entry[1]
-        with pytest.raises(ValueError, match=f"^{message} must be positive and finite$"):
+        with pytest.raises(ValueError, match=f"^{entry[1]} must be positive and finite$"):
             self.ENTRIES[entry](self.BAD[value])
 
 
