@@ -161,12 +161,14 @@ def boundary_witness_search(
     generators unit-scaled together (largest real or imaginary magnitude in
     [1/2, 1)) so that it is finite at any scale.  When Q is positive definite
     (:func:`~pptgeo.linalg.spectrum_is_pd`), the pairing has no zero at all
-    and the result is None, a proof that no witness exists, reached
-    without drawing a start; the trace maps, with Q = I, are such
-    forms.  Otherwise Q is minimised by
-    :func:`~pptgeo.seesaw.minimize` from ``restarts`` seeded starts, and the
-    result is (xi, eta, residual) when :func:`product_pairing` of the scaled
-    spec at (xi, eta) is at most :func:`~pptgeo.linalg.zero_level` of Q, the
+    and the result is None, a proof that no witness exists, reached without
+    drawing a start; the trace maps, with Q = I, are such forms.  Otherwise
+    :func:`~pptgeo.seesaw.minimize` runs on restart 0 of the seeded starts
+    (:func:`~pptgeo.seesaw.starts`), then, only if that value is above
+    :func:`~pptgeo.linalg.zero_level` of Q, on the other ``restarts - 1``
+    (rows 1: of one draw) as one stack; the lower value is kept, restart 0
+    on a tie.  The result is (xi, eta, residual) when the scaled spec's
+    :func:`product_pairing` at (xi, eta) is at most the zero level, the
     residual being that pairing over max|Q|; else None, which is inconclusive.
     """
     m, n = spec.shape
@@ -177,9 +179,13 @@ def boundary_witness_search(
     Q = _pairing_form(spec)
     if spectrum_is_pd(np.linalg.eigvalsh(Q.reshape(m * n, m * n))):
         return None
-    xi, eta, _ = seesaw.minimize(Q, seesaw.starts(restarts, n, seed))
+    reach = zero_level(Q)
+    xi, eta, v = seesaw.minimize(Q, seesaw.starts(1, n, seed))
+    if v > reach and restarts > 1:
+        rest = seesaw.minimize(Q, seesaw.starts(restarts, n, seed)[1:])
+        xi, eta = min((xi, eta, v), rest, key=lambda best: best[2])[:2]
     value = product_pairing(spec, xi, eta)
-    if value <= zero_level(Q):
+    if value <= reach:
         return xi, eta, value / (np.max(np.abs(Q)) or 1.0)  # max|Q| is 0 only for an all-zero spec
     return None
 

@@ -1,8 +1,8 @@
 """The seesaw over product vectors: minimise <xi (x) eta| Q |xi (x) eta>, for a
 hermitian form Q of shape (m, n, m, n), over unit xi in C^m and eta in C^n.
-The boundary-witness and block-positivity searches each hand one form to
-:func:`minimize`; block positivity first scores every sample by
-:func:`partial_minima`, in closed form for m = 3.  This is the only module
+The searches of :mod:`pptgeo.maps` hand forms and starts to :func:`minimize`
+and keep their restart policies; block positivity first scores every sample
+by :func:`partial_minima`, in closed form for m = 3.  This is the only module
 that reshapes a form for contraction; product vectors in a subspace are
 decided by linear algebra in :mod:`pptgeo.states` instead."""
 from __future__ import annotations
@@ -106,8 +106,8 @@ def _sq(z: np.ndarray) -> np.ndarray:
 
 def minimize(Q: np.ndarray, eta: np.ndarray):
     """Minimise <xi (x) eta| Q |xi (x) eta> over unit product vectors by
-    alternating bottom-eigenvector updates with damped Newton steps, all
-    restarts advanced as one stack.
+    alternating bottom-eigenvector updates with damped Newton steps, the
+    given restarts advanced as one stack.
 
     Q is a hermitian form of shape (m, n, m, n) and eta (R, n) holds the
     starts (:func:`starts`); each step sets xi from eta, then eta from xi,
@@ -119,11 +119,10 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
     curvature of the model, so a restart crossing an indefinite region keeps
     moving.  Neither half of a step ever loses (up to rounding), and a Newton
     step is kept only where it lowers the value, so a restart's last value
-    is its best.  Restart 0 runs alone, then the rest run together; all
-    stop once a stopped restart's value reaches :func:`zero_level`
-    (restarts are judged only once stopped, far below that level, not at its
-    edge).  Returns the best (xi, eta, value) of those run, the pair and
-    value of one seesaw step.
+    is its best.  All stop once a stopped restart's value reaches
+    :func:`zero_level` (restarts are judged only once stopped, far below
+    that level, not at its edge).  Returns the best (xi, eta, value) of the
+    stopped restarts, the pair and value of one seesaw step.
     """
     m, n = Q.shape[:2]
     reach = zero_level(Q)
@@ -133,25 +132,20 @@ def minimize(Q: np.ndarray, eta: np.ndarray):
     to_xi = _xi_map(Q)
     to_eta = Q.transpose(0, 2, 1, 3).reshape(m * m, n * n)
     best = (None, None, np.inf)
-    for e in (eta[:1], eta[1:]):
-        if not len(e):
-            break
-        v = np.full(len(e), np.inf)
-        mu = np.full(len(e), CUTOFF)  # each restart's Newton damping, relative to max|Q|
-        for i in range(200):
-            Ux = np.linalg.eigh((_gram_rows(e) @ to_xi).reshape(-1, m, m))[1]
-            w, U = np.linalg.eigh((_gram_rows(Ux[:, :, 0]) @ to_eta).reshape(-1, n, n))
-            stopped = (v - w[:, 0] <= settled) | (i == 199)
-            if stopped.any():
-                best = _lowest(best, Ux[stopped, :, 0], U[stopped, :, 0], w[stopped, 0])
-                if best[2] <= reach or stopped.all():
-                    break
-                Ux, U, w, mu = Ux[~stopped], U[~stopped], w[~stopped], mu[~stopped]
-            v, e = w[:, 0], U[:, :, 0]
-            if i and scale:  # Q = 0 has nothing to polish
-                v, e, mu = _newton_step(Q, Ux, U, mu, scale)
-        if best[2] <= reach:
-            break
+    v = np.full(len(eta), np.inf)
+    mu = np.full(len(eta), CUTOFF)  # each restart's Newton damping, relative to max|Q|
+    for i in range(200):
+        Ux = np.linalg.eigh((_gram_rows(eta) @ to_xi).reshape(-1, m, m))[1]
+        w, U = np.linalg.eigh((_gram_rows(Ux[:, :, 0]) @ to_eta).reshape(-1, n, n))
+        stopped = (v - w[:, 0] <= settled) | (i == 199)
+        if stopped.any():
+            best = _lowest(best, Ux[stopped, :, 0], U[stopped, :, 0], w[stopped, 0])
+            if best[2] <= reach or stopped.all():
+                break
+            Ux, U, w, mu = Ux[~stopped], U[~stopped], w[~stopped], mu[~stopped]
+        v, eta = w[:, 0], U[:, :, 0]
+        if i and scale:  # Q = 0 has nothing to polish
+            v, eta, mu = _newton_step(Q, Ux, U, mu, scale)
     return best
 
 

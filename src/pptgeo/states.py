@@ -372,7 +372,7 @@ def is_interior_of_S_sufficient(X: BipartiteMatrix) -> bool:
     the positive-map cone): off-diagonal entries within ROUNDOFF times the
     largest entry and a positive definite diagonal.  False means undecided,
     not "boundary"."""
-    A = X.data
+    A = unit_scaled(X.data)[0]
     off = A - np.diag(np.diag(A))
     return bool(np.max(np.abs(off)) <= ROUNDOFF * np.max(np.abs(A))) and spectrum_is_pd(np.diag(A).real)
 

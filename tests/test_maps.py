@@ -425,7 +425,16 @@ class TestBoundaryWitness:
         calls, minimize = [], pptgeo.seesaw.minimize
         monkeypatch.setattr(pptgeo.seesaw, "minimize", lambda *args: calls.append(args) or minimize(*args))
         assert boundary_witness_search(spec, restarts=50) is None
-        assert len(calls) == 1
+        # restart 0 alone misses, so the other 49 run as one stack
+        assert [len(args[1]) for args in calls] == [1, 49]
+
+    def test_restart_zero_decides_alone(self, monkeypatch):
+        # restart 0 reaches the zero level on a generic spec, so the other 99
+        # starts are never drawn
+        calls, starts = [], pptgeo.seesaw.starts
+        monkeypatch.setattr(pptgeo.seesaw, "starts", lambda *args: calls.append(args) or starts(*args))
+        assert boundary_witness_search(_generic_spec(0), restarts=100, seed=3) is not None
+        assert calls == [(1, 3, 3)]
 
     def test_zero_spec_is_a_witness(self):
         xi, eta, res = boundary_witness_search(DecomposableSpec((np.zeros((2, 3)),)), restarts=5)

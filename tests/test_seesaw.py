@@ -66,6 +66,14 @@ def rho_kernel_complement():
     return (np.eye(9) - K @ K.conj().T).reshape(3, 3, 3, 3)
 
 
+def spec_of_form(Q):
+    """A spec of V's alone whose pairing form is the PSD Q (m, n, m, n): one
+    V per nonzero eigenpair (w, u) of Q, sqrt(w) u reshaped to (m, n)."""
+    m, n = Q.shape[:2]
+    w, U = np.linalg.eigh(Q.reshape(m * n, m * n))
+    return DecomposableSpec(tuple(np.sqrt(w[k]) * U[:, k].reshape(m, n) for k in np.flatnonzero(w > 1e-9)))
+
+
 def generic_spec(rng):
     g = lambda: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))  # noqa: E731
     return DecomposableSpec((g(),), (g(), g()))
@@ -120,60 +128,75 @@ class TestSeesawKernel:
         assert form_value(Q, xi_k, eta_k) == pytest.approx(val_k, abs=1e-10)
 
     def test_restart_schedule(self, monkeypatch):
-        sizes = []
+        # the witness search runs restart 0 alone, then the rest as one stack
+        sizes, values = [], []
         eigh = np.linalg.eigh
 
         def counting(A):
             sizes.append(len(A))
             return eigh(A)
 
+        def recording(Q, eta):
+            out = minimize(Q, eta)
+            values.append(out[2] / np.max(np.abs(Q)))
+            return out
+
+        # the complement of a projector onto a space holding a product vector,
+        # and that of the kernel of rho(2, pi/6), which holds none
+        v = np.kron([1.0, 1j, 0.0], [0.0, 1.0, 1.0]) / 2
+        hit = spec_of_form((np.eye(9) - np.outer(v, v.conj())).reshape(3, 3, 3, 3))
+        Q = rho_kernel_complement()
+        spec = spec_of_form(Q)
         monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(seesaw, "minimize", recording)
         # the eta half of the (xi, eta) start pairs that seed 0 once drew, which
         # the counts below were taken on
         eta = np.random.default_rng(0).standard_normal((50, 6, 2)).view(complex)[:, 3:, 0]
-        # the complement of a projector onto a space holding a product vector:
-        # restart 0 reaches the zero level alone and the other 49 never run
-        v = np.kron([1.0, 1j, 0.0], [0.0, 1.0, 1.0]) / 2
-        Q = (np.eye(9) - np.outer(v, v.conj())).reshape(3, 3, 3, 3)
-        assert minimize(Q, eta)[2] <= 1e-14
-        assert set(sizes) == {1}
-        # the kernel of rho(2, pi/6) holds no product vector, so restart 0
-        # stops above the zero level and the other 49 follow as one stack,
-        # which only shrinks as its restarts converge
-        Q = rho_kernel_complement()
-        sizes.clear()
-        # a Newton step after every seesaw step from the second on: 46 eigh
-        # calls where the seesaw alone made 441, for the same best value.
-        # Holding Newton back until a restart's gain ratio passed 1/10 took 64,
-        # and refusing steps across this form's indefinite region until mu
-        # outgrew the negative curvature, instead of shifting past it, 142
-        assert minimize(Q, eta)[2] == pytest.approx(0.10239322565748317, abs=1e-12)
-        assert len(sizes) <= 50
-        k = sizes.index(49)
-        assert set(sizes[:k]) == {1}
-        assert all(a >= b for a, b in zip(sizes[k:], sizes[k + 1:]))
+        with monkeypatch.context() as patch:
+            patch.setattr(seesaw, "starts", lambda restarts, n, seed: eta[:restarts])
+            # restart 0 reaches the zero level alone and the other 49 never run
+            assert boundary_witness_search(hit, restarts=50) is not None
+            assert set(sizes) == {1}
+            # restart 0 stops above the zero level and the other 49 follow as
+            # one stack, which only shrinks as its restarts converge
+            sizes.clear()
+            values.clear()
+            # a Newton step after every seesaw step from the second on: 46 eigh
+            # calls where the seesaw alone made 441, for the same best value.
+            # Holding Newton back until a restart's gain ratio passed 1/10 took 64,
+            # and refusing steps across this form's indefinite region until mu
+            # outgrew the negative curvature, instead of shifting past it, 142
+            assert boundary_witness_search(spec, restarts=50) is None
+            best = 0.10239322565748317 / np.max(np.abs(Q))
+            assert min(values) == pytest.approx(best, abs=1e-12)
+            assert len(sizes) <= 50
+            k = sizes.index(49)
+            assert set(sizes[:k]) == {1}
+            assert all(a >= b for a, b in zip(sizes[k:], sizes[k + 1:]))
         # one draw pins one path; over the eta starts of seeds 0-9 the same
         # search took 52-82 eigh calls, 65.2 on average, when these bounds
         # were set, so they hold the Newton schedule rather than a draw
         calls = []
         for seed in range(10):
             sizes.clear()
-            assert minimize(Q, starts(50, 3, seed))[2] == pytest.approx(0.10239322565748317, abs=1e-12)
+            values.clear()
+            assert boundary_witness_search(spec, restarts=50, seed=seed) is None
+            assert min(values) == pytest.approx(best, abs=1e-12)
             calls.append(len(sizes))
         assert max(calls) <= 82
         assert sum(calls) <= 652  # a mean of 65.2 over the ten seeds
 
     def test_step_limit_stops_each_restart(self, monkeypatch):
         # eigh lowers each eta-form's eigenvalues by 1e-9 times its call count,
-        # so no step's gain settles: each of the two restarts runs to its
-        # 200th step, which stops it, and the search returns the lower of the
-        # two 200th steps' pairs and values, as those steps produced them
+        # so no step's gain settles: the two restarts, one stack, run to their
+        # 200th step, which stops them, and the search returns the lower of the
+        # two 200th-step pairs and values, as that step produced them
         out = []
         eigh = np.linalg.eigh
 
         def unsettling(A):
             w, U = eigh(A)
-            if len(out) % 2:  # the eta-form's: the step's value
+            if len(out) % 2:  # the eta-forms': the step's values
                 w = w - 1e-9 * len(out)
             out.append((w, U))
             return w, U
@@ -181,11 +204,11 @@ class TestSeesawKernel:
         Q = rho_kernel_complement()
         monkeypatch.setattr(np.linalg, "eigh", unsettling)
         xi, eta, val = minimize(Q, starts(2, 3, seed=0))
-        assert len(out) == 800
-        ends = [(out[k - 1][1][0, :, 0], out[k][1][0, :, 0], out[k][0][0, 0]) for k in (399, 799)]
+        assert len(out) == 400 and {len(w) for w, _ in out} == {2}
+        ends = [(out[398][1][r, :, 0], out[399][1][r, :, 0], out[399][0][r, 0]) for r in (0, 1)]
         want = min(ends, key=lambda end: end[2])
         assert val == want[2] and np.array_equal(xi, want[0]) and np.array_equal(eta, want[1])
-        assert val > 0.1  # far above the zero level: restart 0's limit did not end the search
+        assert val > 0.1  # far above the zero level: the step limit ended the search
 
     def test_mean_steps_per_search(self, monkeypatch):
         # seesaw steps (two eigh calls each) per minimize call, over the

@@ -476,6 +476,14 @@ class TestInterior:
         assert is_interior_of_S_sufficient(X)
         assert is_interior_of_S_sufficient(identity_state())
         assert not is_interior_of_S_sufficient(rho(2, math.pi / 6))
+        # the rule reads unit-scaled entries: a rescaled diagonal keeps its
+        # verdict, and entries whose moduli overflow are not read as inf <= inf
+        for c in (2.0**-300, 2.0**300):
+            assert is_interior_of_S_sufficient(BipartiteMatrix(3, 3, c * X.data))
+            assert not is_interior_of_S_sufficient(BipartiteMatrix(3, 3, c * rho(2, math.pi / 6).data))
+        big = 1.5e308
+        Y = BipartiteMatrix(1, 2, [[big, big * (1 + 1j)], [big * (1 - 1j), big]])
+        assert not is_ppt(Y) and not is_interior_of_S_sufficient(Y)
 
     @pytest.mark.parametrize("k", [-12, 0, 12])
     def test_diagonal_floor_is_cutoff(self, k):
