@@ -18,6 +18,9 @@ import numpy as np
 CUTOFF = 1e-9
 #: A deviation at most ROUNDOFF times the scale is rounding.
 ROUNDOFF = 1e-12
+#: The dense-size budget: the most entries (complex, 32 MiB) of a matrix the
+#: package builds; one past it is a NumericalError before anything is allocated.
+MAX_DENSE_ENTRIES = 2**21
 
 
 class NumericalError(RuntimeError):

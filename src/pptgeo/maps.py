@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seesaw
-from .linalg import ROUNDOFF, NumericalError, spectrum_is_pd, unit_scaled, zero_level
+from .linalg import MAX_DENSE_ENTRIES, ROUNDOFF, NumericalError, spectrum_is_pd, unit_scaled, zero_level
 from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern, _positive,
                      is_interior_of_S_sufficient, p_theta)
 
@@ -193,9 +193,15 @@ def boundary_witness_search(
 def trace_map_decomposition_2n(mu: int) -> DecomposableSpec:
     """Generators on the 2 (x) 2mu system whose decomposable sum is exactly
     the trace map X -> Tr(X) I: identity blocks for the V's and rotated
-    blocks [[0, -1], [1, 0]] for the W's."""
+    blocks [[0, -1], [1, 0]] for the W's.  A mu whose decomposable map's
+    Choi matrix, with (4 mu)^2 entries, is past the dense-size budget
+    :data:`~pptgeo.linalg.MAX_DENSE_ENTRIES` (mu > 362) is a NumericalError,
+    raised before anything is allocated."""
     if mu < 1:
         raise ValueError("mu must be a positive integer")
+    if (4 * mu) ** 2 > MAX_DENSE_ENTRIES:
+        raise NumericalError(f"the Choi matrix at mu={mu} has {(4 * mu) ** 2} entries, "
+                             f"more than the dense-size budget of {MAX_DENSE_ENTRIES}")
     J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     Vs, Ws = [], []
     for i in range(mu):

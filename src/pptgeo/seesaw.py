@@ -34,15 +34,6 @@ def _xi_map(Q: np.ndarray) -> np.ndarray:
     return Q.transpose(1, 3, 0, 2).reshape(n * n, m * m)
 
 
-def _values(Q: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The form value y^dagger Q y / y^dagger y, shape (R,), at each product
-    row y = xi_r (x) eta_r of rows xi (R, m) and eta (R, n)."""
-    m, n = Q.shape[:2]
-    y = (xi[:, :, None] * eta[:, None, :]).reshape(len(xi), m * n)
-    yc = y.conj()
-    return ((yc @ Q.reshape(m * n, m * n)) * y).sum(1).real / (yc * y).sum(1).real
-
-
 def partial_minima(Q: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The minimum of the form value over xi at each row of eta (R, n): the
     bottom eigenvalue of the xi-form at eta_r over |eta_r|^2.  For m = 3 it
@@ -155,10 +146,11 @@ def _newton_model(Q, Ux, U):
     tangent steps s = (a, c) to (x + Bx a, e + Be c), where Bx = Ux[:, :, 1:]
     and Be = U[:, :, 1:] span the complements of x and e.
 
-    Returns (f, g, H) with f(z) = f + 2 g.z + z.H z + O(|z|^3) in the real
-    coordinates z = s.view(float), (Re s_0, Im s_0, Re s_1, ...).  All three
-    are entries of G, Q in the product basis Ux (x) U; each entry of g and H
-    is at most two of them with sign +-1, the selection :func:`_model_map`."""
+    Returns (G, g, H): G (R, mn, mn) is Q in the product basis Ux (x) U, and
+    f(z) = f + 2 g.z + z.H z + O(|z|^3) in the real coordinates
+    z = s.view(float), (Re s_0, Im s_0, Re s_1, ...), for f = Re G[:, 0, 0].
+    Each entry of g and H is at most two entries of G with sign +-1, the
+    selection :func:`_model_map`."""
     R, m = Ux.shape[:2]
     n = U.shape[1]
     W = (Ux[:, :, None, :, None] * U[:, None, :, None, :]).reshape(R, m * n, m * n)
@@ -166,7 +158,7 @@ def _newton_model(Q, Ux, U):
     index, sign = _model_map(m, n)
     gH = (G.view(float).reshape(R, -1)[:, index] * sign).sum(1)
     k = 2 * (m + n - 2)
-    return G[:, 0, 0].real, gH[:, :k], gH[:, k:].reshape(R, k, k)
+    return G, gH[:, :k], gH[:, k:].reshape(R, k, k)
 
 
 @functools.cache
@@ -213,20 +205,26 @@ def _newton_step(Q, Ux, U, mu, scale):
     step the shift shrinks tenfold, down to CUTOFF; after a step that did not
     lower the value it grows tenfold.  Returns (v, e, mu): the value and a
     nonzero multiple of eta at the kept step, else the seesaw's value and e
-    itself, which is all the next seesaw step reads."""
+    itself, which is all the next seesaw step reads.
+
+    The trial pair (x + Bx a, e + Be c) is W y for the unitary W = Ux (x) U
+    and y = (1, a) (x) (1, c), so its value y^dagger G y / y^dagger y is read
+    off the model's G, and Q is contracted once."""
     R, m = Ux.shape[:2]
-    v, g, H = _newton_model(Q, Ux, U)
+    G, g, H = _newton_model(Q, Ux, U)
+    v = G[:, 0, 0].real
     k = H.shape[1]
     H = H / scale
     mu = np.maximum(mu, -2 * np.linalg.eigvalsh(H)[:, 0])
     H.reshape(R, -1)[:, ::k + 1] += mu[:, None]
     z = np.linalg.solve(H, -g[:, :, None] / scale)[..., 0]
-    s = z.view(complex)
-    # the trial pair, unnormalised: |xt|^2 = 1 + |a|^2 and |et|^2 = 1 + |c|^2
-    xt = Ux[:, :, 0] + (Ux[:, :, 1:] @ s[:, :m - 1, None])[..., 0]
-    et = U[:, :, 0] + (U[:, :, 1:] @ s[:, m - 1:, None])[..., 0]
-    ft = _values(Q, xt, et)
+    s, t = z.view(complex), np.ones((R, m + U.shape[1]), complex)
+    t[:, 1:m], t[:, m + 1:] = s[:, :m - 1], s[:, m - 1:]  # (1, a, 1, c)
+    y = (t[:, :m, None] * t[:, None, m:]).reshape(R, -1)
+    yc = y.conj()
+    ft = ((yc[:, None] @ G)[:, 0] * y).sum(1).real / (yc * y).sum(1).real
     keep = ft < v
+    et = U[:, :, 0] + (U[:, :, 1:] @ s[:, m - 1:, None])[..., 0]
     return (np.where(keep, ft, v), np.where(keep[:, None], et, U[:, :, 0]),
             np.where(keep, np.maximum(mu / 10, CUTOFF), 10 * mu))
 

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    MAX_DENSE_ENTRIES,
     ROUNDOFF,
     NumericalError,
     as_hermitian,
@@ -444,7 +445,8 @@ def search_product_vector_in_subspace(
     enumerates, and it must meet the product-zero rule
     <xi (x) eta| I - P |xi (x) eta> <= :func:`~pptgeo.linalg.zero_level`
     of I - P, else NumericalError.  So is a span whose span side needs a
-    Macaulay matrix of more than 2**21 entries and whose complement side,
+    Macaulay matrix of more than :data:`~pptgeo.linalg.MAX_DENSE_ENTRIES`
+    (2**21) entries and whose complement side,
     counted by :func:`_cost`, is over that too (a full 6 (x) 6 span), even
     where any product vector would be an answer.
     """
@@ -490,7 +492,7 @@ def _product_vectors(D: np.ndarray, m: int, n: int, rng: np.random.Generator) ->
     # the complement has n x n minors (c >= n) when m, n > 1, as the span has 2x2 ones
     cost = _cost(c, n, n, m, n) if 1 < n <= c else math.inf
     found = None
-    if cost <= _MACAULAY_ENTRIES and cost < _cost(m, n, 2, k, 3):
+    if cost <= MAX_DENSE_ENTRIES and cost < _cost(m, n, 2, k, 3):
         found = _complement_vectors(Q[:, k:], m, n, rng)
     return _span_vectors(Q[:, :k], m, n, rng) if found is None else found
 
@@ -560,10 +562,6 @@ def _complement_vectors(K: np.ndarray, m: int, n: int, rng: np.random.Generator)
         return list(zip((U @ P).T, Vh[:, -1].conj()))
 
     return _points(L, c, n, n, (n,), rng, read)[0]
-
-
-#: The largest Macaulay matrix :func:`_points` builds (2**21 complex entries, 32 MiB).
-_MACAULAY_ENTRIES = 2**21
 
 
 def _macaulay_entries(p: int, q: int, s: int, v: int, deg: int) -> int:
@@ -683,13 +681,13 @@ def _points(L: np.ndarray, p: int, q: int, s: int, degrees, rng: np.random.Gener
     which shows as the rows of K at c_0 times the degree-(deg - 1) monomials
     having rank N (Stetter, Numerical Polynomial Algebra, SIAM 2004).  The
     points are then read off the eigenvectors of a random multiplication
-    map on K.  A Macaulay matrix of more than _MACAULAY_ENTRIES entries is a
+    map on K.  A Macaulay matrix of more than MAX_DENSE_ENTRIES entries is a
     NumericalError.
     """
     v = L.shape[1]
     nulls, F = [], None
     for deg in degrees:
-        if _macaulay_entries(p, q, s, v, deg) > _MACAULAY_ENTRIES:
+        if _macaulay_entries(p, q, s, v, deg) > MAX_DENSE_ENTRIES:
             raise NumericalError(f"the degree-{deg} Macaulay matrix is too large to decide this subspace")
         spread, shifts = _macaulay_plan(v, deg, s)
         if F is None:

@@ -490,6 +490,13 @@ class TestMapCommands:
         assert code == 3
         assert out == "" and err.startswith(message) and "Traceback" not in err
 
+    def test_trace_decomp_past_the_size_budget_is_numerical(self, capsys):
+        # its Choi matrix would have (4 mu)^2 entries; the size is named, not allocated
+        code, out, err = run(capsys, "map", "trace-decomp", "--m", "2", "--mu", "100000")
+        assert code == 3
+        assert out == "" and err == ("error: the Choi matrix at mu=100000 has 160000000000 entries, "
+                                     "more than the dense-size budget of 2097152\n")
+
     def test_phi_theta_at_huge_t(self, capsys):
         # t * t overflows past about 1.34e154; the coefficients stay finite
         code, out, _ = run(capsys, "map", "phi-theta", "--theta", "1", "--t", "1e160")

@@ -1,8 +1,9 @@
 """The package imports nothing outside the standard library but NumPy, no
 private name of the seesaw, writes no tolerance literal outside the few that
-are documented, reads CUTOFF only through the linalg rules, applies those
-rules to a state's spectrum only in the state's cached decisions and in the
-kernel of a state that may be indefinite, caches per state only the spectrum,
+are documented, reads CUTOFF only through the linalg rules, defines its
+dense-size budget once, in linalg, applies the spectrum rules to a state's
+spectrum only in the state's cached decisions and in the kernel of a state
+that may be indefinite, caches per state only the spectrum,
 the partial transpose and the two decisions a grid op reads more than once,
 skips the hermiticity check only where it derives a matrix exactly
 hermitian, checks b, t and theta by one rule each, reaches each public
@@ -81,6 +82,20 @@ def test_cutoff_is_read_outside_linalg_only_by_the_newton_damping():
     # every rank, definiteness and kernel decision goes through a linalg rule;
     # the seesaw's Newton damping starts at CUTOFF and never drops below it
     assert readers_outside_linalg("CUTOFF") == {("seesaw", "minimize"), ("seesaw", "_newton_step")}
+
+
+def test_dense_size_budget_has_one_definition_and_its_readers():
+    # the Macaulay matrices of the subspace search and the Choi matrix of the
+    # 2 (x) 2mu trace decomposition are held to one budget, defined in linalg
+    assert readers_outside_linalg("MAX_DENSE_ENTRIES") == {
+        ("states", "_product_vectors"),
+        ("states", "_points"),
+        ("maps", "trace_map_decomposition_2n"),
+    }
+    defined = [path.stem for path, tree in package_trees() for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id.endswith("_ENTRIES")
+                                                       for t in node.targets)]
+    assert defined == ["linalg"]
 
 
 def test_spectrum_rules_are_applied_to_a_state_only_by_its_cached_decisions():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 import pptgeo.seesaw
 from oracles import apply_map, choi_of, identity_map, trace_map, transpose_map
 from pptgeo.krawtchouk import krawtchouk_sum
-from pptgeo.linalg import ROUNDOFF, NumericalError, spectrum_is_psd, zero_level
+from pptgeo.linalg import MAX_DENSE_ENTRIES, ROUNDOFF, NumericalError, spectrum_is_psd, zero_level
 from pptgeo.maps import (
     ChoiMap,
     DecomposableSpec,
@@ -260,6 +261,22 @@ class TestDecomposable:
     def test_trace_map_2n_needs_positive_mu(self):
         with pytest.raises(ValueError, match="mu must be a positive integer"):
             trace_map_decomposition_2n(0)
+
+    def test_trace_map_2n_past_the_size_budget(self):
+        # the Choi matrix has (4 mu)^2 entries, so mu = 362 is the last within
+        # MAX_DENSE_ENTRIES; past it the check comes before any allocation,
+        # so a huge mu fails at once instead of exhausting memory
+        assert (4 * 362) ** 2 <= MAX_DENSE_ENTRIES < (4 * 363) ** 2
+        assert len(trace_map_decomposition_2n(362).Vs) == 362
+        for mu in (363, 10**5, 10**30):
+            tracemalloc.start()
+            try:
+                with pytest.raises(NumericalError, match=f" has {(4 * mu) ** 2} entries, more than the dense-size"):
+                    trace_map_decomposition_2n(mu)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from pptgeo.maps import (
 )
 from pptgeo.linalg import CUTOFF, range_mask
 import pptgeo.seesaw as seesaw
-from pptgeo.seesaw import _newton_model, _values, minimize, partial_minima, starts
+from pptgeo.seesaw import _newton_model, _newton_step, minimize, partial_minima, starts
 from pptgeo.states import rho
 
 
@@ -311,19 +311,27 @@ EDGE_FORMS = {
 class TestContractions:
     @pytest.mark.parametrize("name", MODEL_FORMS)
     def test_values_match_form_value(self, name):
-        # the normalised value at unnormalised rows against the dense kron of
-        # the normalised pair; a form scaled by 2^+-300 scales every value
-        # exactly, since no step of the contraction leaves the float range
+        # the Newton trial is judged on G, the form in the product basis
+        # Ux (x) U: at the product row y = (1, a) (x) (1, c) the normalised
+        # value y^dagger G y / y^dagger y is the dense value at the pair
+        # (Ux (1, a), U (1, c)), normalised; a form scaled by 2^+-300 scales
+        # G exactly, since no step of the contraction leaves the float range
         rng = np.random.default_rng(8)
         Q = MODEL_FORMS[name](rng)
         m, n = Q.shape[:2]
-        xi = rng.normal(size=(7, m)) + 1j * rng.normal(size=(7, m))
-        eta = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
-        got = _values(Q, xi, eta)
+        Ux = np.concatenate([random_frame(m, rng) for _ in range(7)])
+        U = np.concatenate([random_frame(n, rng) for _ in range(7)])
+        a = rng.normal(size=(7, m)) + 1j * rng.normal(size=(7, m))
+        c = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+        a[:, 0], c[:, 0] = 1, 1
+        G = _newton_model(Q, Ux, U)[0]
+        y = (a[:, :, None] * c[:, None, :]).reshape(7, m * n)
+        got = (np.einsum("ri,rij,rj->r", y.conj(), G, y) / np.einsum("ri,ri->r", y.conj(), y)).real
+        xi, eta = (Ux @ a[..., None])[..., 0], (U @ c[..., None])[..., 0]
         want = [form_value(Q, x / np.linalg.norm(x), e / np.linalg.norm(e)) for x, e in zip(xi, eta)]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(Q))
         for k in (-300, 300):
-            assert np.array_equal(_values(Q * 2.0**k, xi, eta), got * 2.0**k)
+            assert np.array_equal(_newton_model(Q * 2.0**k, Ux, U)[0], G * 2.0**k)
 
     @pytest.mark.parametrize("name", list(MODEL_FORMS) + list(EDGE_FORMS))
     def test_partial_minima_match_dense_xi_forms(self, name):
@@ -371,8 +379,8 @@ class TestNewtonStep:
         t = 1e-4
         for _ in range(3):
             Ux, U = random_frame(m, rng), random_frame(n, rng)
-            f, g, H = _newton_model(Q, Ux, U)
-            assert f[0] == pytest.approx(tangent_value(Q, Ux, U, np.zeros(g.shape[1])), abs=1e-14)
+            G, g, H = _newton_model(Q, Ux, U)
+            assert G[0, 0, 0].real == pytest.approx(tangent_value(Q, Ux, U, np.zeros(g.shape[1])), abs=1e-14)
             E = t * np.eye(g.shape[1])
             val = lambda z: tangent_value(Q, Ux, U, z)  # noqa: E731
             grad = [(val(d) - val(-d)) / (2 * t) for d in E]
@@ -427,7 +435,8 @@ class TestNewtonStep:
             minimize(Q, starts(20, n, seed=3))
         negative, lowered = [], []
         for (Q, Ux, U, mu, scale), (v, e_out, mu_out) in calls:
-            f, g, H = _newton_model(Q, Ux, U)
+            G, g, H = _newton_model(Q, Ux, U)
+            f = G[:, 0, 0].real
             for i in range(len(f)):
                 lam = np.linalg.eigvalsh(H[i] / scale)[0]
                 shift = max(mu[i], -2 * lam)
@@ -446,6 +455,24 @@ class TestNewtonStep:
                     assert trial >= f[i] - 1e-13 * scale
                     assert mu_out[i] == pytest.approx(10 * shift, rel=1e-12, abs=1e-13)
         assert any(negative) and any(lowered) and not all(lowered)
+
+    @pytest.mark.parametrize("name", MODEL_FORMS)
+    def test_step_is_exact_under_power_of_two_scaling(self, name):
+        # G is linear in Q, the step divides g and H by scale, and the trial
+        # value is read off G, so a form scaled by 2^+-300 takes the same step:
+        # its value scaled exactly, and eta and mu bitwise, since no step of
+        # the contraction leaves the float range
+        rng = np.random.default_rng(8)
+        Q = MODEL_FORMS[name](rng)
+        m, n = Q.shape[:2]
+        Ux = np.concatenate([random_frame(m, rng) for _ in range(7)])
+        U = np.concatenate([random_frame(n, rng) for _ in range(7)])
+        mu, scale = np.geomspace(CUTOFF, 1.0, 7), np.max(np.abs(Q))
+        v, eta, mu_out = _newton_step(Q, Ux, U, mu, scale)
+        for k in (-300, 300):
+            vk, eta_k, mu_k = _newton_step(Q * 2.0**k, Ux, U, mu, scale * 2.0**k)
+            assert np.array_equal(vk, v * 2.0**k)
+            assert np.array_equal(eta_k, eta) and np.array_equal(mu_k, mu_out)
 
     @pytest.mark.parametrize("name,build", CASES, ids=[c[0] for c in CASES])
     def test_no_step_raises_the_value(self, name, build, monkeypatch):
