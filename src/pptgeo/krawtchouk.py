@@ -28,14 +28,26 @@ class KrawtchoukSolution:
 
 
 def krawtchouk_sum(k: int, l: int, m: int) -> int:
-    """sum over r + s = m - 1, r, s >= 0 of (-1)^r C(k, r) C(l, s), exactly."""
+    """sum over r + s = m - 1, r, s >= 0 of (-1)^r C(k, r) C(l, s), exactly.
+
+    Only the nonzero terms, r from max(0, m - 1 - l) to min(k, m - 1), are
+    summed, each from the last by running binomials:
+    C(k, r + 1) C(l, s - 1) = C(k, r) C(l, s) (k - r) s / ((r + 1) (l - s + 1)),
+    one multiplication and one exact division."""
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
     if m < 1:
         raise ValueError("m must be at least 1")
-    return sum(
-        (-1) ** r * math.comb(k, r) * math.comb(l, m - 1 - r) for r in range(m)
-    )
+    low, high = max(0, m - 1 - l), min(k, m - 1)
+    if low > high:
+        return 0
+    term = (-1) ** low * math.comb(k, low) * math.comb(l, m - 1 - low)
+    total = term
+    for r in range(low, high):
+        s = m - 1 - r
+        term = -term * ((k - r) * s) // ((r + 1) * (l - s + 1))
+        total += term
+    return total
 
 
 def solve(m: int, n: int) -> list[KrawtchoukSolution]:

@@ -18,13 +18,22 @@ import numpy as np
 CUTOFF = 1e-9
 #: A deviation at most ROUNDOFF times the scale is rounding.
 ROUNDOFF = 1e-12
-#: The dense-size budget: the most entries (complex, 32 MiB) of a matrix the
-#: package builds; one past it is a NumericalError before anything is allocated.
+#: The dense-size budget: the most entries (complex, 32 MiB) of an array whose
+#: size a caller sets; :func:`check_dense` refuses one past it.
 MAX_DENSE_ENTRIES = 2**21
 
 
 class NumericalError(RuntimeError):
     """A computation failed to meet its numerical contract."""
+
+
+def check_dense(entries: int, what: str) -> None:
+    """Raise NumericalError, naming ``what`` and its size, when an array of
+    ``entries`` entries would pass the dense-size budget
+    :data:`MAX_DENSE_ENTRIES`; called before anything is allocated."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise NumericalError(f"{what} has {entries} entries, "
+                             f"more than the dense-size budget of {MAX_DENSE_ENTRIES}")
 
 
 def as_hermitian(A) -> np.ndarray:

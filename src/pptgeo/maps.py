@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seesaw
-from .linalg import MAX_DENSE_ENTRIES, ROUNDOFF, NumericalError, spectrum_is_pd, unit_scaled, zero_level
+from .linalg import ROUNDOFF, NumericalError, check_dense, spectrum_is_pd, unit_scaled, zero_level
 from .states import (_SIGMA_PHASE_POSITIONS, BipartiteMatrix, _cyclic_pattern, _positive,
                      is_interior_of_S_sufficient, p_theta)
 
@@ -170,10 +170,15 @@ def boundary_witness_search(
     on a tie.  The result is (xi, eta, residual) when the scaled spec's
     :func:`product_pairing` at (xi, eta) is at most the zero level, the
     residual being that pairing over max|Q|; else None, which is inconclusive.
+    The Newton steps of those later restarts build one (mn, mn) product-basis
+    form each, so restarts past the dense-size budget for that stack
+    (:func:`~pptgeo.linalg.check_dense`; above 25891 on 3 (x) 3) are a
+    NumericalError, raised before any start is drawn.
     """
     m, n = spec.shape
     if restarts < 1:
         raise ValueError("need at least one start pair")
+    check_dense((restarts - 1) * (m * n) ** 2, f"the form stack of {restarts - 1} later restarts")
     G = unit_scaled(np.concatenate(spec.Vs + spec.Ws))[0].reshape(-1, m, n)
     spec = DecomposableSpec(tuple(G[:len(spec.Vs)]), tuple(G[len(spec.Vs):]))
     Q = _pairing_form(spec)
@@ -195,13 +200,11 @@ def trace_map_decomposition_2n(mu: int) -> DecomposableSpec:
     the trace map X -> Tr(X) I: identity blocks for the V's and rotated
     blocks [[0, -1], [1, 0]] for the W's.  A mu whose decomposable map's
     Choi matrix, with (4 mu)^2 entries, is past the dense-size budget
-    :data:`~pptgeo.linalg.MAX_DENSE_ENTRIES` (mu > 362) is a NumericalError,
+    (:func:`~pptgeo.linalg.check_dense`, mu > 362) is a NumericalError,
     raised before anything is allocated."""
     if mu < 1:
         raise ValueError("mu must be a positive integer")
-    if (4 * mu) ** 2 > MAX_DENSE_ENTRIES:
-        raise NumericalError(f"the Choi matrix at mu={mu} has {(4 * mu) ** 2} entries, "
-                             f"more than the dense-size budget of {MAX_DENSE_ENTRIES}")
+    check_dense((4 * mu) ** 2, f"the Choi matrix at mu={mu}")
     J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     Vs, Ws = [], []
     for i in range(mu):
@@ -236,8 +239,13 @@ def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -
     floating-point range is an error.  Deterministic per seed; a value below
     -ROUNDOFF times the largest entry of the Choi matrix (the form's zero
     level, scaled back) certifies non-positivity, while a positive map may
-    read a little below 0 from rounding."""
+    read a little below 0 from rounding.  Scoring builds an n x n Gram matrix
+    and an m x m xi-form per sample, so samples past the dense-size budget
+    for max(m, n)^2 entries each
+    (:func:`~pptgeo.linalg.check_dense`; above 233016 on 3 (x) 3) are a
+    NumericalError, raised before anything is drawn."""
     m, n = phi.m, phi.n
+    check_dense(samples * max(m, n) ** 2, f"the form stack of {samples} samples")
     C, e = unit_scaled(phi.choi.data)
     Q, eta = C.reshape(m, n, m, n), seesaw.starts(samples, n, seed)
     k = np.argmin(seesaw.partial_minima(Q, eta))

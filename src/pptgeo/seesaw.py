@@ -36,18 +36,21 @@ def _xi_map(Q: np.ndarray) -> np.ndarray:
 
 def partial_minima(Q: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The minimum of the form value over xi at each row of eta (R, n): the
-    bottom eigenvalue of the xi-form at eta_r over |eta_r|^2.  For m = 3 it
-    is read in closed form (:func:`_bottom_eigenvalues_3`) from the forms of
-    the unit-scaled Q, so no step leaves the float range, and scaled back;
-    for any other m, one batched eigvalsh of all rows."""
+    bottom eigenvalue of the xi-form at eta_r over |eta_r|^2.  The forms are
+    those of the unit-scaled Q, so no step leaves the float range, and the
+    minima are scaled back.  For m = 3 they are read in closed form
+    (:func:`_bottom_eigenvalues_3`); for any other m, by one batched
+    eigvalsh of all rows."""
     m, n = Q.shape[:2]
     norms = np.einsum("ij,ij->i", eta.conj(), eta).real
-    if m != 3:
-        return np.linalg.eigvalsh((_gram_rows(eta) @ _xi_map(Q)).reshape(-1, m, m))[:, 0] / norms
     Q, e = unit_scaled(Q.reshape(m * n, m * n))
-    # the entries 00, 11, 22, 01, 02, 12 of every xi-form, one row each
-    A = _xi_map(Q.reshape(m, n, m, n))[:, [0, 4, 8, 1, 2, 5]].T @ _gram_rows(eta).T
-    return np.ldexp(_bottom_eigenvalues_3(A), e) / norms
+    to_xi = _xi_map(Q.reshape(m, n, m, n))
+    if m == 3:
+        # the entries 00, 11, 22, 01, 02, 12 of every xi-form, one row each
+        low = _bottom_eigenvalues_3(to_xi[:, [0, 4, 8, 1, 2, 5]].T @ _gram_rows(eta).T)
+    else:
+        low = np.linalg.eigvalsh((_gram_rows(eta) @ to_xi).reshape(-1, m, m))[:, 0]
+    return np.ldexp(low / norms, e)
 
 
 def _bottom_eigenvalues_3(A: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .linalg import (
     ROUNDOFF,
     NumericalError,
     as_hermitian,
+    check_dense,
     eigh_descending,
     has_orthonormal_columns,
     orthonormal_system_rank,
@@ -681,14 +682,13 @@ def _points(L: np.ndarray, p: int, q: int, s: int, degrees, rng: np.random.Gener
     which shows as the rows of K at c_0 times the degree-(deg - 1) monomials
     having rank N (Stetter, Numerical Polynomial Algebra, SIAM 2004).  The
     points are then read off the eigenvectors of a random multiplication
-    map on K.  A Macaulay matrix of more than MAX_DENSE_ENTRIES entries is a
-    NumericalError.
+    map on K.  A Macaulay matrix past the dense-size budget is a
+    NumericalError (:func:`~pptgeo.linalg.check_dense`).
     """
     v = L.shape[1]
     nulls, F = [], None
     for deg in degrees:
-        if _macaulay_entries(p, q, s, v, deg) > MAX_DENSE_ENTRIES:
-            raise NumericalError(f"the degree-{deg} Macaulay matrix is too large to decide this subspace")
+        check_dense(_macaulay_entries(p, q, s, v, deg), f"the degree-{deg} Macaulay matrix")
         spread, shifts = _macaulay_plan(v, deg, s)
         if F is None:
             F = _minor_forms(L, p, q, s)

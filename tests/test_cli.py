@@ -600,6 +600,19 @@ class TestMapCommands:
         assert code == 0
         assert json.loads(out) == {"found": False}
 
+    def test_boundary_witness_restarts_past_the_size_budget(self, capsys, tmp_path, monkeypatch):
+        # the later restarts' forms would have (restarts - 1) 81 entries on
+        # 3 (x) 3; the size is named, and no start is drawn
+        monkeypatch.setattr(maps.seesaw, "starts", lambda *args: pytest.fail("a start was drawn"))
+        rng = np.random.default_rng(0)
+        g = lambda: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))  # noqa: E731
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(DecomposableSpec((g(),), (g(), g())))))
+        code, out, err = run(capsys, "map", "boundary-witness", "--spec", str(path), "--restarts", "25892")
+        assert code == 3
+        assert out == "" and err == ("error: the form stack of 25891 later restarts has 2097171 entries, "
+                                     "more than the dense-size budget of 2097152\n")
+
     @pytest.mark.parametrize("restarts", ["0", "-3", "many"])
     def test_boundary_witness_bad_restarts_is_usage(self, capsys, tmp_path, restarts):
         path = tmp_path / "spec.json"

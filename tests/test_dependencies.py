@@ -1,7 +1,7 @@
 """The package imports nothing outside the standard library but NumPy, no
 private name of the seesaw, writes no tolerance literal outside the few that
 are documented, reads CUTOFF only through the linalg rules, defines its
-dense-size budget once, in linalg, applies the spectrum rules to a state's
+dense-size budget and the one check against it in linalg, applies the spectrum rules to a state's
 spectrum only in the state's cached decisions and in the kernel of a state
 that may be indefinite, caches per state only the spectrum,
 the partial transpose and the two decisions a grid op reads more than once,
@@ -85,17 +85,25 @@ def test_cutoff_is_read_outside_linalg_only_by_the_newton_damping():
 
 
 def test_dense_size_budget_has_one_definition_and_its_readers():
-    # the Macaulay matrices of the subspace search and the Choi matrix of the
-    # 2 (x) 2mu trace decomposition are held to one budget, defined in linalg
-    assert readers_outside_linalg("MAX_DENSE_ENTRIES") == {
-        ("states", "_product_vectors"),
+    # one budget and one check against it, both in linalg: the check refuses
+    # the Macaulay matrices of the subspace search, the Choi matrix of the
+    # 2 (x) 2mu trace decomposition and the form stacks whose size the callers
+    # of the two map searches set; the product-vector solver reads the budget
+    # itself only to choose a side
+    assert readers_outside_linalg("MAX_DENSE_ENTRIES") == {("states", "_product_vectors")}
+    assert readers_outside_linalg("check_dense") == {
         ("states", "_points"),
         ("maps", "trace_map_decomposition_2n"),
+        ("maps", "boundary_witness_search"),
+        ("maps", "block_positivity_sample"),
     }
     defined = [path.stem for path, tree in package_trees() for node in ast.walk(tree)
                if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id.endswith("_ENTRIES")
                                                        for t in node.targets)]
     assert defined == ["linalg"]
+    raised = [path.stem for path, tree in package_trees() for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              for part in ast.walk(node) if isinstance(part, ast.Constant) and "budget" in str(part.value)]
+    assert raised == ["linalg"]
 
 
 def test_spectrum_rules_are_applied_to_a_state_only_by_its_cached_decisions():

@@ -52,6 +52,14 @@ class TestSum:
         with pytest.raises(ValueError):
             krawtchouk_sum(0, 0, 0)
 
+    def test_matches_brute_force_at_random_orders(self):
+        # the running binomials against every term of the definition, with
+        # orders m past k + l + 1 (an empty sum) and past either of k, l
+        rng = np.random.default_rng(5)
+        for k, l, m in zip(rng.integers(0, 90, 500), rng.integers(0, 90, 500), rng.integers(1, 120, 500)):
+            k, l, m = int(k), int(l), int(m)
+            assert krawtchouk_sum(k, l, m) == brute_force_sum(k, l, m), (k, l, m)
+
     def test_exact_big_integers(self):
         # large arguments stay exact (no floats anywhere)
         v = krawtchouk_sum(60, 60, 5)
@@ -85,6 +93,12 @@ class TestSolve:
                 total = m + n - 2
                 want = [(k, total - k) for k in range(total + 1) if krawtchouk_sum(k, total - k, m) == 0]
                 assert [(s.k, s.l) for s in solve(m, n)] == want, (m, n)
+
+    def test_large_symmetric_scan(self):
+        # at m = n the zeros are exactly the odd k; each is checked by its
+        # nonzero terms alone, so 499 checks of up to 500 terms stay well
+        # under a second
+        assert [(s.k, s.l) for s in solve(500, 500)] == [(k, 998 - k) for k in range(1, 998, 2)]
 
     def test_solution_validation(self):
         with pytest.raises(ValueError):

@@ -453,6 +453,27 @@ class TestBoundaryWitness:
         assert boundary_witness_search(_generic_spec(0), restarts=100, seed=3) is not None
         assert calls == [(1, 3, 3)]
 
+    def test_restarts_past_the_size_budget(self, monkeypatch):
+        # the later restarts' product-basis forms hold (restarts - 1) (mn)^2
+        # entries, so 25891 restarts are the most within MAX_DENSE_ENTRIES on
+        # 3 (x) 3; restart 0 decides this spec, so that count runs at once,
+        # and one more is refused before any start is drawn
+        assert 25890 * 81 <= MAX_DENSE_ENTRIES < 25891 * 81
+        calls, starts = [], pptgeo.seesaw.starts
+        monkeypatch.setattr(pptgeo.seesaw, "starts", lambda *args: calls.append(args) or starts(*args))
+        assert boundary_witness_search(_generic_spec(0), restarts=25891) is not None
+        assert calls == [(1, 3, 0)]
+        calls.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="^the form stack of 25891 later restarts has 2097171 entries, "
+                                                     "more than the dense-size budget of 2097152$"):
+                boundary_witness_search(_generic_spec(0), restarts=25892)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and calls == []
+
     def test_zero_spec_is_a_witness(self):
         xi, eta, res = boundary_witness_search(DecomposableSpec((np.zeros((2, 3)),)), restarts=5)
         assert res == 0.0
@@ -534,6 +555,23 @@ class TestBlockPositivity:
         phi = ChoiMap(BipartiteMatrix(3, 3, -1e308 * np.ones((9, 9))))
         with pytest.raises(NumericalError, match="floating-point range"):
             block_positivity_sample(phi, samples=50)
+
+    def test_samples_past_the_size_budget(self):
+        # scoring builds max(m, n)^2 entries per sample, so 233016 samples are
+        # the most within MAX_DENSE_ENTRIES on 3 (x) 3; one more is refused
+        # before anything is drawn
+        assert 233016 * 9 <= MAX_DENSE_ENTRIES < 233017 * 9
+        phi = phi_theta_t(math.pi / 6, 1.0)
+        assert abs(block_positivity_sample(phi, samples=233016)) <= zero_level(phi.choi.data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="^the form stack of 233017 samples has 2097153 entries, "
+                                                     "more than the dense-size budget of 2097152$"):
+                block_positivity_sample(phi, samples=233017)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_invalid_samples(self):
         with pytest.raises(ValueError, match="need at least one start pair"):

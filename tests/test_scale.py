@@ -7,14 +7,16 @@ leaves a product state bitwise unchanged.
 """
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pptgeo.cli import main
 from pptgeo.extremality import appendix_basis_X, appendix_basis_Y, verify_appendix, verify_combination_identity
-from pptgeo.linalg import NumericalError
-from pptgeo.maps import ChoiMap, decomposable_map, pairing, phi_theta_t
+from pptgeo.linalg import NumericalError, unit_scaled
+from pptgeo.maps import ChoiMap, DecomposableSpec, decomposable_map, pairing, phi_theta_t
+from pptgeo.seesaw import partial_minima, starts
 from pptgeo.serialize import bipartite_to_json, choi_to_json
 from pptgeo.states import (
     FAMILIES,
@@ -133,3 +135,20 @@ class TestPowerOfTwoExactness:
             assert np.array_equal(product_state(2.0**j * xi, eta).data, P.data)
             phi = decomposable_map(spec)
             assert pairing(scaled(P, 2.0**j), phi) == math.ldexp(pairing(P, phi), j)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
+def test_partial_minima_scale_exactly(m, n):
+    # the minima over xi of a decomposable map's unit-scaled form, for 600
+    # sampled eta, scale by exactly 2^k for every m: the form is unit-scaled
+    # before its xi-forms are contracted, so even 2^1023 leaves no step out
+    # of the float range and raises no warning
+    rng = np.random.default_rng(3)
+    g = lambda: rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    C = decomposable_map(DecomposableSpec((g(),), (g(), g()))).choi.data
+    Q, eta = unit_scaled(C)[0].reshape(m, n, m, n), starts(600, n, seed=0)
+    want = partial_minima(Q, eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-600, 600, 1000, 1023):
+            assert np.array_equal(partial_minima(Q * 2.0**k, eta), np.ldexp(want, k))
