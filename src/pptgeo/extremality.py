@@ -17,11 +17,13 @@ X = Re H + Im H, and the diagonal of X is that of H.  The system is
 assembled from D and F alone by :func:`_face_system`, one contraction over
 the tensor indices and its transpose, without forming any Z or any basis of
 Herm(r).  X lies in its own face, so an extreme X is its own generator.
-D, F, the bases of :func:`face_of` and Y's own coordinates, which check
-that Y satisfies the system, are read off the spectra and ranks that each
-state caches, so no basis is computed or checked twice.  Every spectrum
-read here is PSD and descending, so its range is its first rank entries and
-its kernel the rest: each basis is a slice of the cached eigenvectors.
+D, F, the bases of :func:`face_of` and Y's own coordinates are read off the
+spectra and ranks that each state caches, so no basis is computed twice.  Y
+must satisfy its system to within ROUNDOFF: a rank decision that drops an
+eigenvalue above rounding leaves a smaller face, which reads more extreme,
+so it raises NumericalError instead.  Every spectrum read here is PSD and
+descending, so its range is its first rank entries and its kernel the rest:
+each basis is a slice of the cached eigenvectors.
 """
 from __future__ import annotations
 
@@ -95,41 +97,35 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     M = _face_system(D, F, X.m, X.n)
     # D and F are orthonormal and X -> H an isometry, so ||M|| <= 1.
     dim = r * r - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
-    # X lies in its own face, so Y must satisfy the system up to what the
-    # cutoff drops; its coordinates are read off its spectrum
-    residual, bound = _membership(Y, YT, M)
+    # X lies in its own face, so Y must satisfy the system up to rounding;
+    # its coordinates are read off its spectrum
+    residual, bound = _membership(Y, M)
     if residual > bound:
-        raise NumericalError("the state is not in its own face system")
+        raise NumericalError("the state is not in its own face system: a rank decision dropped "
+                             "an eigenvalue above rounding, so the face is undecided")
     return ExtremalityReport(p * p, q * q, dim, dim == 1, normalize(X) if dim == 1 else None)
 
 
-def _membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray) -> tuple[float, float]:
-    """(||M c||, bound) for the face system M of :func:`is_extreme_in_T` and
-    Y's coordinates c; Y lies in its own face system when the first is at
-    most the second.
+def _membership(Y: BipartiteMatrix, M: np.ndarray) -> tuple[float, float]:
+    """(||M c||, ROUNDOFF ||c||) for the face system M of
+    :func:`is_extreme_in_T` and Y's coordinates c; Y lies in its own face
+    system when the first is at most the second, the ROUNDOFF rule.
 
     c = Re C + Im C for the compression C = D^dagger U D, U = Y 2^-e with e
     the ``math.frexp`` exponent of Y's largest eigenvalue, is read off Y's
     spectrum: D holds Y's own eigenvectors, so C is diag(w_D) 2^-e, and c is
-    w_D 2^-e on the r diagonal columns s r + s of M and 0 on the rest.
+    w_D 2^-e on the r diagonal columns s r + s of M and 0 on the rest.  The
+    scaling keeps the norms from overflowing; a power of two scales exactly,
+    so e moves both by one factor and not the verdict.
     M c = [Re; Im] F^dagger (P_D U P_D)^Gamma is nonzero only by the
-    eigenvalues range_mask drops from U and from U^Gamma (a partial
-    transpose keeps the Frobenius norm), scaled before the norm so that it
-    cannot overflow; the bound is their norms plus ROUNDOFF ||c||.  A power
-    of two scales exactly, so e moves both by one factor and not the verdict.
-
-    Both spectra are PSD and descending, so w_D is the first r = rank Y
-    eigenvalues, w[0] the largest magnitude, and the dropped ones are the
-    rest.  Y^Gamma is Y itself for every rho, whose slack term is then
-    taken once and doubled.  Each norm is sqrt(x . x), what np.linalg.norm
-    takes of a real vector."""
+    eigenvalues that the rank decisions drop from U and from U^Gamma, so it
+    passes the bound when one of them lies above rounding: the face is then
+    undecided.  The spectrum is PSD and descending, so w_D is the first
+    r = rank Y eigenvalues and w[0] the largest magnitude.  Each norm is
+    sqrt(x . x), what np.linalg.norm takes of a real vector."""
     w, r = Y.spectrum[0], Y._rank
-    e = math.frexp(w[0])[1]
-    w = np.ldexp(w, -e)
-    c = w[:r]
-    slack = _norm(w[r:])
-    slack += slack if YT is Y else _norm(np.ldexp(YT.spectrum[0][YT._rank:], -e))
-    return _norm(M[:, ::r + 1] @ c), slack + ROUNDOFF * _norm(c)
+    c = np.ldexp(w[:r], -math.frexp(w[0])[1])
+    return _norm(M[:, ::r + 1] @ c), ROUNDOFF * _norm(c)
 
 
 def _norm(x: np.ndarray) -> float:

@@ -177,7 +177,7 @@ def boundary_witness_search(
     """
     m, n = spec.shape
     if restarts < 1:
-        raise ValueError("need at least one start pair")
+        raise ValueError("restarts must be at least 1")
     check_dense((restarts - 1) * (m * n) ** 2, f"the form stack of {restarts - 1} later restarts")
     G = unit_scaled(np.concatenate(spec.Vs + spec.Ws))[0].reshape(-1, m, n)
     spec = DecomposableSpec(tuple(G[:len(spec.Vs)]), tuple(G[len(spec.Vs):]))
@@ -245,6 +245,8 @@ def block_positivity_sample(phi: ChoiMap, samples: int = 10000, seed: int = 0) -
     (:func:`~pptgeo.linalg.check_dense`; above 233016 on 3 (x) 3) are a
     NumericalError, raised before anything is drawn."""
     m, n = phi.m, phi.n
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     check_dense(samples * max(m, n) ** 2, f"the form stack of {samples} samples")
     C, e = unit_scaled(phi.choi.data)
     Q, eta = C.reshape(m, n, m, n), seesaw.starts(samples, n, seed)

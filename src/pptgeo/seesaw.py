@@ -19,7 +19,7 @@ def starts(restarts: int, n: int, seed: int):
     default_rng(seed) as complex gaussians, not normalized (their directions
     are uniform); :func:`minimize` sets each start's xi from its eta."""
     if restarts < 1:
-        raise ValueError("need at least one start pair")
+        raise ValueError("restarts must be at least 1")
     return np.random.default_rng(seed).standard_normal((restarts, n, 2)).view(complex)[..., 0]
 
 

@@ -6,9 +6,9 @@ kernels are the hermitian matrices supported on a face's two ranges; the
 kernel dimension of is_extreme_in_T is checked against the intersection of
 their kernels, and against d_side_face_dim, the face system always posed on
 the range of X and built by z_stack_face_system from a stack of r^2 mn x mn
-matrices Z_k; compression_membership is its membership check as first
-written, with Y's coordinates read from its compression onto its range
-(compression_coordinates).  Rank and kernel cuts use the package's CUTOFF.  choi_of
+matrices Z_k; compression_membership is its membership check, the
+ROUNDOFF rule, with Y's coordinates read from its compression onto its
+range (compression_coordinates).  Rank and kernel cuts use the package's CUTOFF.  choi_of
 builds a Choi matrix one matrix unit at a time, from a map's action.
 seesaw_product_vector_search is the multi-start seesaw that searched a
 subspace for a product vector before the Macaulay solver; a None from it
@@ -112,13 +112,12 @@ def compression_coordinates(Y: BipartiteMatrix):
     return hermitian_to_real_vector(D.conj().T @ U @ D), e
 
 
-def compression_membership(Y: BipartiteMatrix, YT: BipartiteMatrix, M: np.ndarray):
-    """The membership check of is_extreme_in_T as first written, for the face
-    system M posed on the range of Y, on the coordinates of
-    :func:`compression_coordinates`: (c, ||M c||, bound)."""
-    c, e = compression_coordinates(Y)
-    slack = sum(np.linalg.norm(np.ldexp(S.spectrum[0][~range_mask(S.spectrum[0])], -e)) for S in (Y, YT))
-    return c, np.linalg.norm(M @ c), slack + ROUNDOFF * np.linalg.norm(c)
+def compression_membership(Y: BipartiteMatrix, M: np.ndarray):
+    """The membership check of is_extreme_in_T for the face system M posed
+    on the range of Y, on the coordinates of :func:`compression_coordinates`:
+    (c, ||M c||, ROUNDOFF ||c||)."""
+    c = compression_coordinates(Y)[0]
+    return c, np.linalg.norm(M @ c), ROUNDOFF * np.linalg.norm(c)
 
 
 def z_stack_face_system(D: np.ndarray, F: np.ndarray, m: int, n: int, pt=_pt) -> np.ndarray:

@@ -377,6 +377,19 @@ class TestExtremalityCommand:
         assert rep["is_extreme"] is False
         assert rep["generator"] is None
 
+    @pytest.mark.parametrize("family,b,theta", [
+        ("sigma", "1e5", "0.3"),
+        ("rho", "1e10", "0.3"),
+        ("rho", "2", "1.0471975512965976"),
+    ], ids=["sigma large b", "rho large b", "rho pi/3 + 1e-10"])
+    def test_misread_rank_is_refused(self, capsys, family, b, theta):
+        # each rank decision drops an eigenvalue above rounding, and the
+        # smaller face it leaves would read "extreme" or the wrong dimension
+        code, out, err = run(capsys, "extremality", "--family", family, "--b", b, "--theta", theta)
+        assert code == 3
+        assert out == ""
+        assert "not in its own face system" in err
+
 
 class TestCombineCommand:
     def test_interior_mixture(self, capsys):

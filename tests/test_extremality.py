@@ -126,11 +126,28 @@ def grid_states():
             for b in (0.25, 0.5, 1.0, 2.0, 4.0) for k in range(24)]
 
 
-def near_boundary_states():
+# The gaps g at which rho and sigma at (2, pi/3 +- g) drop an eigenvalue
+# above rounding: the type reads (4, 4) and (7, 6), and is_extreme_in_T
+# refuses the face.
+REFUSED_GAPS = (1e-10, 1e-11)
+
+
+def near_boundary_states(gaps=(1e-6, 1e-9, 1e-13)):
     """Both families at b = 2 and theta = pi/3 +- g, where the type is a
-    cutoff decision for the smallest g."""
+    cutoff decision for the smallest g.  At the default gaps the face is
+    decided: the dropped eigenvalue of g = 1e-13 lies under rounding."""
     return [family(2, math.pi / 3 + sign * g) for family in (rho, sigma)
-            for g in (1e-6, 1e-9, 1e-11, 1e-13) for sign in (1, -1)]
+            for g in gaps for sign in (1, -1)]
+
+
+def refused_states():
+    """States whose rank decision drops an eigenvalue above rounding, so
+    that Y does not lie in its own face system: the near-boundary states at
+    REFUSED_GAPS, sigma at b from about 3.2e4 to 1e6 or 1e-6 to 3.2e-5,
+    where its 1/b entries fall under CUTOFF but not under ROUNDOFF, and rho
+    at b = 1e10, where its circulant block does."""
+    return (near_boundary_states(REFUSED_GAPS)
+            + [sigma(1e5, 0.3), sigma(5e4, 1.0), sigma(1e-5, 2.0), rho(1e10, 0.3)])
 
 
 def pt_oracle(X):
@@ -251,7 +268,7 @@ class TestExtremality:
         states = grid_states() + near_boundary_states()
         types = [state_type(X) for X in states]
         states += [partial_transpose(X) for X, t in zip(states, types) if t.q < t.p]
-        assert len(states) == 240 + 16 + 128
+        assert len(states) == 240 + 12 + 126
         non_square = non_square_separable_states()
         states += non_square + [partial_transpose(X) for X in non_square]
         uneven = {(X.m, X.n) for X in non_square if state_type(X).p == state_type(X).q + 1}
@@ -289,19 +306,67 @@ class TestExtremality:
 
     @pytest.mark.parametrize("family,eps,ty,dims", [
         (rho, 1e-9, (5, 5), (25, 25, 1)),
-        (rho, 1e-11, (4, 4), (16, 16, 1)),
+        (rho, 1e-10, (4, 4), None),
+        (rho, 1e-11, (4, 4), None),
         (sigma, 1e-9, (8, 6), (64, 36, 19)),
-        (sigma, 1e-11, (7, 6), (49, 36, 13)),
-    ], ids=["rho 1e-9", "rho 1e-11", "sigma 1e-9", "sigma 1e-11"])
+        (sigma, 1e-10, (7, 6), None),
+        (sigma, 1e-11, (7, 6), None),
+    ], ids=["rho 1e-9", "rho 1e-10", "rho 1e-11", "sigma 1e-9", "sigma 1e-10", "sigma 1e-11"])
     def test_near_boundary_verdicts(self, family, eps, ty, dims):
         # The fifth eigenvalue of rho is about 1.15 * eps of the largest, so
-        # at eps = 1e-11 it falls under CUTOFF and the type drops; the
-        # intersection dimensions read from singular values follow it.
+        # at eps = 1e-10 and 1e-11 it falls under CUTOFF and the type drops.
+        # It still lies above rounding, so the state is not in the smaller
+        # face that the dropped type gives, and is_extreme_in_T refuses it
+        # rather than read an extremality verdict off that face.
         X = family(2, math.pi / 3 + eps)
         assert state_type(X) == StateType(*ty)
+        if dims is None:
+            with pytest.raises(NumericalError, match="not in its own face system"):
+                is_extreme_in_T(X)
+            return
         rep = is_extreme_in_T(X)
         assert (rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection) == dims
         assert rep.is_extreme == (family is rho)
+
+    def test_misread_ranks_are_refused(self):
+        # each of these reads a smaller face than its type table gives, most
+        # of them with dimension 1, "extreme"; the partial transpose poses the
+        # same system and is refused too
+        for X in refused_states():
+            for Z in (X, partial_transpose(X)):
+                with pytest.raises(NumericalError, match="not in its own face system"):
+                    is_extreme_in_T(Z)
+
+    @staticmethod
+    def local_condition(rng, kappa):
+        """A random 3 x 3 matrix of singular values 1, kappa^-1/2, kappa^-1."""
+        U, V = (np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+                for _ in range(2))
+        return U @ np.diag(np.geomspace(1, 1 / kappa, 3)) @ V
+
+    def test_local_invertible_maps(self):
+        # (A (x) B) X (A (x) B)^dagger keeps the type, the face dimensions and
+        # the verdict.  At kappa = 300 and 1000 the rank decisions misread
+        # some mapped grid states; each of those must raise, not report.
+        rng = np.random.default_rng(43)
+
+        def read(X):
+            t, rep = state_type(X), is_extreme_in_T(X)
+            return t, rep.dim_ker_D, rep.dim_ker_E, rep.dim_intersection, rep.is_extreme
+
+        grid = grid_states()
+        want = [read(X) for X in grid]
+        refused = dict.fromkeys((10, 100, 300, 1000), 0)
+        for kappa in refused:
+            L = np.kron(self.local_condition(rng, kappa), self.local_condition(rng, kappa))
+            for X, w in zip(grid, want):
+                try:
+                    got = read(BipartiteMatrix(3, 3, L @ X.data @ L.conj().T))
+                except NumericalError:
+                    refused[kappa] += 1
+                else:
+                    assert got == w
+        assert refused[10] == refused[100] == 0 and refused[1000] > 0
 
     def test_one_by_one_state(self):
         # p = q = 1 leaves an empty 0 x 1 face system: no singular value, dimension 1
@@ -508,8 +573,7 @@ class TestCachedSpectrum:
 
     def test_range_is_the_rank_prefix_of_a_psd_spectrum(self):
         # face_of and is_extreme_in_T slice their bases by rank on this
-        near = near_boundary_states() + [family(2, math.pi / 3 + sign * 1e-10)
-                                         for family in (rho, sigma) for sign in (1, -1)]
+        near = near_boundary_states() + near_boundary_states(REFUSED_GAPS)
         near += [BipartiteMatrix(3, 3, X.data * 2.0**e) for X in near for e in (300, -300)]
         for X in self.decided_states() + near:
             for Y in (X, partial_transpose(X)):
@@ -517,7 +581,7 @@ class TestCachedSpectrum:
                 assert np.array_equal(linalg.range_mask(Y.spectrum[0]), np.arange(Y.m * Y.n) < Y._rank)
 
     def test_face_bases_are_read_only_views_of_the_spectrum(self):
-        for X in grid_states() + near_boundary_states():
+        for X in grid_states() + near_boundary_states() + near_boundary_states(REFUSED_GAPS):
             face = face_of(X)
             for B, Y in ((face.D, X), (face.E, partial_transpose(X))):
                 w, V = Y.spectrum
@@ -528,21 +592,20 @@ class TestCachedSpectrum:
 
     @staticmethod
     def membership_systems():
-        """(Y, Y^Gamma, face system) as is_extreme_in_T poses them, for the
-        decided states and for rho and sigma at (2, pi/3 +- g), where the
-        dropped eigenvalues set the membership bound."""
-        near = [family(2, math.pi / 3 + sign * g) for family in (rho, sigma)
-                for g in (1e-6, 1e-9, 1e-10, 1e-11, 1e-13) for sign in (1, -1)]
+        """(Y, face system) as is_extreme_in_T poses them, for the decided
+        states, for rho and sigma at (2, pi/3 +- g) and for the refused
+        states, whose dropped eigenvalues above rounding fail the check."""
+        near = near_boundary_states() + refused_states()
         for X in TestCachedSpectrum.decided_states() + near:
             t, XT = state_type(X), partial_transpose(X)
             Y, YT = (X, XT) if t.p <= t.q else (XT, X)
-            yield Y, YT, extremality._face_system(*range_and_kernel(Y, YT), X.m, X.n)
+            yield Y, extremality._face_system(*range_and_kernel(Y, YT), X.m, X.n)
 
     def test_coordinates_are_the_scaled_range_eigenvalues(self):
         # Y's coordinates from its compression D^dagger U D onto its own
         # eigenvectors are its range eigenvalues on the diagonal, the
         # coordinates s r + s, and 0 on the rest
-        for Y, _, _ in self.membership_systems():
+        for Y, _ in self.membership_systems():
             c_old, e = compression_coordinates(Y)
             c = np.zeros_like(c_old)
             w = Y.spectrum[0]
@@ -554,7 +617,7 @@ class TestCachedSpectrum:
         # D H_k D^dagger entry by entry, with column s r + t for the
         # coordinate X[s, t]: the diagonal columns that _membership reads
         # are those of the diagonal units E_ss
-        near = near_boundary_states()
+        near = near_boundary_states() + near_boundary_states(REFUSED_GAPS)
         near += [BipartiteMatrix(3, 3, X.data * 2.0**e) for X in near for e in (300, -300)]
         eps = np.finfo(float).eps
         for X in self.decided_states() + near:
@@ -567,25 +630,19 @@ class TestCachedSpectrum:
             assert np.abs(M - oracle).max() <= 8 * eps * np.linalg.norm(M, 2)
 
     def test_membership_reads_as_the_compression_form(self):
-        # the two residuals differ by rounding; where the dropped eigenvalues
-        # set the bound, far above rounding, the ratio agrees to 1e-5
+        # the two residuals differ by rounding, and both forms give the same
+        # verdict: every decided state lies in its face and every refused
+        # state, some 6 to 400 times its bound away, in neither
         eps = np.finfo(float).eps
-        for Y, YT, M in self.membership_systems():
-            c_old, residual_old, bound_old = compression_membership(Y, YT, M)
-            residual, bound = extremality._membership(Y, YT, M)
-            assert residual <= bound
+        verdicts = []
+        for Y, M in self.membership_systems():
+            c_old, residual_old, bound_old = compression_membership(Y, M)
+            residual, bound = extremality._membership(Y, M)
             assert abs(residual - residual_old) <= 8 * eps * np.linalg.norm(c_old)
-            if bound_old > 1e-10 * np.linalg.norm(c_old):
-                assert abs(residual / bound - residual_old / bound_old) <= 1e-5
-        # sigma at pi/3 +- 1e-10 reads 0.987 of its bound under both forms
-        for sign in (1, -1):
-            X = sigma(2, math.pi / 3 + sign * 1e-10)
-            Y, YT = partial_transpose(X), X
-            M = extremality._face_system(*range_and_kernel(Y, YT), 3, 3)
-            _, residual_old, bound_old = compression_membership(Y, YT, M)
-            residual, bound = extremality._membership(Y, YT, M)
-            assert 0.98 < residual / bound < 1 and 0.98 < residual_old / bound_old < 1
-            assert is_extreme_in_T(X).dim_intersection > 1
+            assert (residual <= bound) == (residual_old <= bound_old)
+            verdicts.append(residual <= bound)
+        n = len(refused_states())
+        assert all(verdicts[:-n]) and not any(verdicts[-n:])
 
     @staticmethod
     def count_rules(monkeypatch, names, modules):

@@ -381,7 +381,7 @@ class TestBoundaryWitness:
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_nonpositive_restarts(self, restarts):
-        with pytest.raises(ValueError, match="need at least one start pair"):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
             boundary_witness_search(trace_map_decomposition_33(), restarts=restarts)
 
     def test_positive_definite_form_is_proved_without_the_seesaw(self, monkeypatch):
@@ -574,5 +574,6 @@ class TestBlockPositivity:
         assert peak < 2**20
 
     def test_invalid_samples(self):
-        with pytest.raises(ValueError, match="need at least one start pair"):
-            block_positivity_sample(identity_map(2), samples=0)
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                block_positivity_sample(identity_map(2), samples=samples)
