@@ -20,7 +20,7 @@ from . import krawtchouk as kw
 from . import maps as mp
 from . import serialize as ser
 from . import states as st
-from .linalg import NumericalError, range_mask
+from .linalg import NumericalError, range_mask, spectrum_is_clean
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -94,6 +94,12 @@ def _state_from_args(args) -> tuple[st.BipartiteMatrix, float | None]:
 
 
 def _classification(X: st.BipartiteMatrix, theta: float | None) -> dict:
+    """The classification block of a state; NumericalError when an
+    eigenvalue of X or X^Gamma lies between the ROUNDOFF and CUTOFF levels,
+    where rounding could move the type read off the cached spectra."""
+    if not all(spectrum_is_clean(Y.spectrum[0]) for Y in (X, st.partial_transpose(X))):
+        raise NumericalError("the type is undecided: an eigenvalue of the state or of its partial "
+                             "transpose lies between rounding and the rank cutoff")
     ppt = st.is_ppt(X)
     ty = st.state_type(X)
     return {

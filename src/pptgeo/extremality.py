@@ -10,8 +10,11 @@ smaller range (X when p <= q).  Writing Z = D H D^dagger, with D the range
 basis of Y and H hermitian on its min(p, q) coordinates, leaves one
 condition, F^dagger Z^Gamma = 0 with F an orthonormal basis of the kernel of
 Y^Gamma; the intersection is the kernel of that real
-(2 mn (mn - max(p, q))) x min(p, q)^2 system, whose singular values give its
-dimension.  Its coordinates are a real r x r matrix X, r = min(p, q), with
+(2 mn (mn - max(p, q))) x min(p, q)^2 system.  An extreme verdict is
+certified by one Cholesky factorisation (:func:`~pptgeo.linalg.has_full_rank`
+of the system with Y's own coordinates appended), and the singular values of
+one values-only SVD count every other dimension.  Its coordinates are a real
+r x r matrix X, r = min(p, q), with
 H = sym X + i antisym X: the map is an isometry onto Herm(r), so
 X = Re H + Im H, and the diagonal of X is that of H.  The system is
 assembled from D and F alone by :func:`_face_system`, one contraction over
@@ -37,6 +40,7 @@ import numpy as np
 from .linalg import (
     ROUNDOFF,
     NumericalError,
+    has_full_rank,
     orthonormal_system_rank,
     unit_scaled,
 )
@@ -77,7 +81,19 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
 
     dim_ker_D and dim_ker_E are p^2 and q^2, the real dimensions of the
     hermitian matrices supported on D and on E.  The generator of an extreme
-    X is normalize(X); NumericalError if the face system does not contain X."""
+    X is normalize(X); NumericalError if the face system does not contain X.
+
+    The dimension is r^2 minus the rank of the face system M, r = min(p, q).
+    An extreme verdict needs no singular values: when M has at least
+    r^2 - 1 rows, :func:`~pptgeo.linalg.has_full_rank` is asked of A, M with
+    Y's coordinates c appended as one more row.  Appending a row interlaces
+    the singular values, so sigma_{r^2-1}(M) >= sigma_min(A), which a True
+    puts above CUTOFF max(1, ||A||) >= CUTOFF max(1, ||M||); and the
+    membership check gives sigma_min(M) <= ||M c|| / ||c|| <= ROUNDOFF, below
+    it.  So the SVD would count exactly r^2 - 1: the dimension is 1 and no
+    SVD runs.  Otherwise one values-only SVD of M counts it; sigma's 18 x 36
+    system is too wide to be certified, and a non-extreme X fails the
+    certificate."""
     if not is_ppt(X):
         raise ValueError("is_extreme_in_T requires a PPT input")
     XT = partial_transpose(X)
@@ -95,21 +111,29 @@ def is_extreme_in_T(X: BipartiteMatrix) -> ExtremalityReport:
     r = min(p, q)
     D, F = Y.spectrum[1][:, :r], YT.spectrum[1][:, max(p, q):]
     M = _face_system(D, F, X.m, X.n)
-    # D and F are orthonormal and X -> H an isometry, so ||M|| <= 1.
-    dim = r * r - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
     # X lies in its own face, so Y must satisfy the system up to rounding;
     # its coordinates are read off its spectrum
-    residual, bound = _membership(Y, M)
+    residual, bound, c = _membership(Y, M)
     if residual > bound:
         raise NumericalError("the state is not in its own face system: a rank decision dropped "
                              "an eigenvalue above rounding, so the face is undecided")
+    # c is a null vector of M up to rounding: when M with c appended as a row
+    # has full rank, the rest of M has too (see the docstring)
+    if len(M) >= r * r - 1:
+        A = np.zeros((len(M) + 1, r * r))
+        A[:-1], A[-1, ::r + 1] = M, c
+        if has_full_rank(A):
+            return ExtremalityReport(p * p, q * q, 1, True, normalize(X))
+    # D and F are orthonormal and X -> H an isometry, so ||M|| <= 1.
+    dim = r * r - orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
     return ExtremalityReport(p * p, q * q, dim, dim == 1, normalize(X) if dim == 1 else None)
 
 
-def _membership(Y: BipartiteMatrix, M: np.ndarray) -> tuple[float, float]:
-    """(||M c||, ROUNDOFF ||c||) for the face system M of
-    :func:`is_extreme_in_T` and Y's coordinates c; Y lies in its own face
-    system when the first is at most the second, the ROUNDOFF rule.
+def _membership(Y: BipartiteMatrix, M: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(||M c||, ROUNDOFF ||c||, c_D) for the face system M of
+    :func:`is_extreme_in_T` and Y's coordinates c, whose nonzero entries are
+    c_D; Y lies in its own face system when the first is at most the
+    second, the ROUNDOFF rule.
 
     c = Re C + Im C for the compression C = D^dagger U D, U = Y 2^-e with e
     the ``math.frexp`` exponent of Y's largest eigenvalue, is read off Y's
@@ -125,7 +149,7 @@ def _membership(Y: BipartiteMatrix, M: np.ndarray) -> tuple[float, float]:
     sqrt(x . x), what np.linalg.norm takes of a real vector."""
     w, r = Y.spectrum[0], Y._rank
     c = np.ldexp(w[:r], -math.frexp(w[0])[1])
-    return _norm(M[:, ::r + 1] @ c), ROUNDOFF * _norm(c)
+    return _norm(M[:, ::r + 1] @ c), ROUNDOFF * _norm(c), c
 
 
 def _norm(x: np.ndarray) -> float:
@@ -301,17 +325,23 @@ def basis_span_rank(mats: list[np.ndarray]) -> int:
     complex matrices; for hermitian ones, their span in Herm(d).  Each matrix
     is unit-scaled, so that the rank does not depend on how the elements'
     sizes compare (the appendix bases hold b^2 next to 1), and the real and
-    imaginary parts of its entries make one row of a values-only SVD, ranked
-    by :func:`orthonormal_system_rank` (a nonzero row's largest entry lies in
-    [1/2, 1), so the scale is 1).  For hermitian matrices the rows are an
-    isometric image of the real coordinates Re H + Im H of the face system,
-    so the singular values are theirs."""
+    imaginary parts of its entries make one row.  A nonzero row's largest
+    entry lies in [1/2, 1), but the rows are not orthonormal: the largest
+    singular value of the X basis at (2, pi/6) is about 3.0, so the rule's
+    max(1, s[0]) is s[0] there.  Rows of full rank under
+    :func:`orthonormal_system_rank` are certified by
+    :func:`~pptgeo.linalg.has_full_rank`, with no SVD; any others are ranked
+    by that rule on the values of one SVD.  For hermitian matrices the rows
+    are an isometric image of the real coordinates Re H + Im H of the face
+    system, so the singular values are theirs."""
     rows = unit_scaled(mats)[0]
     if rows.ndim != 3:
         raise ValueError(f"expected a stack of matrices, got shape {rows.shape}")
     rows = rows.reshape(len(rows), -1).view(float)
     if not np.isfinite(rows).all():
         raise ValueError("matrix entries must be finite")
+    if has_full_rank(rows):
+        return min(rows.shape)
     return orthonormal_system_rank(np.linalg.svd(rows, compute_uv=False))
 
 

@@ -123,6 +123,40 @@ def orthonormal_system_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > CUTOFF * max(1.0, s[0] if len(s) else 0.0)))
 
 
+def has_full_rank(A: np.ndarray) -> bool:
+    """True proves that the real matrix A has full rank under the
+    :func:`orthonormal_system_rank` rule: every singular value lies above
+    CUTOFF * max(1, s[0]), so the rule would count min(A.shape) of them.
+    False decides nothing.
+
+    The proof is one Cholesky factorisation of the Gram matrix G on A's
+    smaller side (A^T A if A is tall, else A A^T), shifted down by
+    ROUNDOFF * max(1, tr G) on its diagonal, that completes with a finite
+    factor; ``np.linalg.cholesky`` returns a non-finite factor of non-finite
+    input without raising, so NaN or inf in A gives False (inf with NumPy's
+    invalid-value warning).  Forming G and factorising it are backward
+    stable (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3): at this package's sizes they round by at most
+    about 1e-13 ||A||_F^2 = 1e-13 tr G, so a completed factorisation puts
+    the smallest eigenvalue of the exact G above about
+    0.9 ROUNDOFF max(1, ||A||_F^2), and the smallest singular value above
+    about 1e-6 max(1, ||A||_F) >= 1e-6 max(1, s[0]), far above the cutoff."""
+    G = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
+    G.flat[::len(G) + 1] -= ROUNDOFF * max(1.0, G.trace())
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(G)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def spectrum_is_clean(w: np.ndarray) -> bool:
+    """True iff no |w| of a descending w lies in (ROUNDOFF, CUTOFF] times
+    max |w|: each eigenvalue that the CUTOFF rules drop is rounding, so no
+    rank or type read off w hangs on the cut."""
+    a, top = np.abs(w), _largest_magnitude(w)
+    return not np.any((a > ROUNDOFF * top) & (a <= CUTOFF * top))
+
+
 def has_orthonormal_columns(B: np.ndarray) -> bool:
     """max |B^dagger B - I| <= ROUNDOFF: no columns pass, non-finite ones fail."""
     return bool(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1])), initial=0.0) <= ROUNDOFF)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import pptgeo.maps as maps
 from oracles import eigh_oracle, json_vector, trace_map
-from pptgeo.cli import build_parser, format_theta, main, parse_theta
+from pptgeo.cli import _classification, build_parser, format_theta, main, parse_theta
 from pptgeo.serialize import (
     bipartite_from_json,
     bipartite_to_json,
@@ -22,7 +22,7 @@ from pptgeo.serialize import (
 from pptgeo.extremality import appendix_basis_X, appendix_basis_Y, basis_span_rank
 from pptgeo.maps import ChoiMap, DecomposableSpec, trace_map_decomposition_2n, trace_map_decomposition_33
 from pptgeo.states import BipartiteMatrix, normalize, rho
-from test_extremality import oracle_states
+from test_extremality import grid_states, oracle_states
 
 
 def run(capsys, *argv):
@@ -141,6 +141,30 @@ class TestStateCommands:
         rep = json.loads(out)
         assert rep["type"] == [4, 4]
         assert rep["arc"] == "boundary"
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "classify", "--family", "sigma", "--b", "1e5", "--theta", "0.3"],
+        ["state", "classify", "--family", "rho", "--b", "2", "--theta", "1.0471975512965976"],
+        ["combine", "--spec", '[{"family": "sigma", "b": 1e5, "theta": 0.3, "weight": 1}]'],
+    ], ids=["sigma large b", "rho pi/3 + 1e-10", "combine"])
+    def test_undecided_type_is_refused(self, capsys, argv):
+        # an eigenvalue of the state or its partial transpose lies between
+        # the ROUNDOFF and CUTOFF levels (three of sigma's, one of rho's), so
+        # rounding could move the type read off the cut spectrum
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "the type is undecided" in err
+
+    def test_grid_and_mixtures_classify(self, capsys):
+        # every spectrum of the paper's grid and of criterion 5's mixtures
+        # is clean: nothing lies between the two levels
+        for X in grid_states():
+            assert _classification(X, None)["type"] in ([5, 5], [4, 4], [8, 6], [7, 6])
+        for other in ("5pi/6", "pi/12"):
+            spec = json.dumps([{"family": "rho", "b": 2, "theta": "pi/6", "weight": 0.5},
+                               {"family": "rho", "b": 1, "theta": other, "weight": 0.5}])
+            assert run(capsys, "combine", "--spec", spec)[0] == 0, other
 
     def test_classify_large_angle(self, capsys):
         # theta is reduced by an exact 2 pi, as its phases are

@@ -280,6 +280,26 @@ class TestExtremality:
             assert (rep_t.dim_ker_D, rep_t.dim_ker_E, rep_t.dim_intersection) == \
                 (rep.dim_ker_E, rep.dim_ker_D, rep.dim_intersection)
 
+    def test_dims_match_the_svd_count_of_the_oracle_system(self):
+        # an extreme verdict skips the SVD only where its count would be
+        # r^2 - 1: each dimension is the rank rule on the z-stack system,
+        # the certified states and the fallbacks alike, among them the (4, 4)
+        # states and rho(1e9, .), whose face-system singular values between
+        # ROUNDOFF and CUTOFF read dimensions 4 and 6
+        fours = [rho(b, k * math.pi / 3) for b in (0.25, 1.0, 7.3) for k in (1, 3, 5)]
+        assert {state_type(X) for X in fours} == {StateType(4, 4)}
+        grey = [rho(1e9, 0.3), rho(1e9, 2.0)]
+        states = grid_states() + near_boundary_states() + fours + grey
+        dims = []
+        for X in states:
+            t, XT = state_type(X), partial_transpose(X)
+            Y, YT = (X, XT) if t.p <= t.q else (XT, X)
+            M = z_stack_face_system(*range_and_kernel(Y, YT), X.m, X.n)
+            r = min(t.p, t.q)
+            dims.append(is_extreme_in_T(X).dim_intersection)
+            assert dims[-1] == r * r - linalg.orthonormal_system_rank(np.linalg.svd(M, compute_uv=False))
+        assert dims[-2:] == [4, 6]
+
     def test_sigma_not_extreme(self):
         rep = is_extreme_in_T(sigma(2, math.pi / 6))
         assert not rep.is_extreme
@@ -506,38 +526,51 @@ class TestCachedSpectrum:
             assert len(calls) == 1
 
     def test_singular_vectors_and_faces_per_grid_state(self, monkeypatch):
-        """One SVD per state, singular values only, of the system on the
-        smaller range: every grid state and the near-boundary states read
-        their dimension from the values, and the generator of an extreme
-        state is the state itself.  The face is built once per op, by
-        face_of; is_extreme_in_T reads the cached spectra and builds none."""
-        with_vectors, shapes, faces = [], [], []
-        svd, face_spec = np.linalg.svd, extremality.FaceSpec
+        """An extreme state, whose system on the smaller range has at least
+        r^2 - 1 rows, takes one Cholesky factorisation of the r^2 x r^2 Gram
+        matrix and no SVD; a non-extreme rho takes that factorisation and one
+        SVD, singular values only, and a sigma, whose system is too wide,
+        only the SVD.  The generator of an extreme state is the state
+        itself.  The face is built once per op, by face_of; is_extreme_in_T
+        reads the cached spectra and builds none."""
+        with_vectors, shapes, grams, faces = [], [], [], []
+        svd, cholesky, face_spec = np.linalg.svd, np.linalg.cholesky, extremality.FaceSpec
 
         def counted_svd(*args, **kwargs):
             with_vectors.append(kwargs.get("compute_uv", True))
             shapes.append(args[0].shape)
             return svd(*args, **kwargs)
 
+        def counted_cholesky(G):
+            grams.append(G.shape)
+            return cholesky(G)
+
         def counted_face(*args):
             faces.append(1)
             return face_spec(*args)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(extremality, "FaceSpec", counted_face)
+        kinds = set()
         for X in grid_states() + near_boundary_states():
             with_vectors.clear()
             shapes.clear()
+            grams.clear()
             faces.clear()
             is_ppt(X)
             t = state_type(X)
             face = face_of(X)
-            is_extreme_in_T(X)
+            report = is_extreme_in_T(X)
             assert isinstance(face, FaceSpec)
             assert len(faces) == 1
-            assert with_vectors == [False]
             # the system is posed on the smaller range
-            assert shapes == [(2 * 9 * (9 - max(t.p, t.q)), min(t.p, t.q) ** 2)]
+            rows, r = 2 * 9 * (9 - max(t.p, t.q)), min(t.p, t.q)
+            assert grams == ([(r * r, r * r)] if rows >= r * r - 1 else [])
+            assert with_vectors == ([] if report.is_extreme else [False])
+            assert shapes == ([] if report.is_extreme else [(rows, r * r)])
+            kinds.add((report.is_extreme, len(grams), len(shapes)))
+        assert kinds == {(True, 1, 0), (False, 1, 1), (False, 0, 1)}
 
     def test_cached_arrays_read_only(self):
         X = rho(2, math.pi / 6)
@@ -637,9 +670,15 @@ class TestCachedSpectrum:
         verdicts = []
         for Y, M in self.membership_systems():
             c_old, residual_old, bound_old = compression_membership(Y, M)
-            residual, bound = extremality._membership(Y, M)
+            residual, bound, c = extremality._membership(Y, M)
             assert abs(residual - residual_old) <= 8 * eps * np.linalg.norm(c_old)
             assert (residual <= bound) == (residual_old <= bound_old)
+            # c is Y's unit coordinates on the diagonal columns, which the
+            # extreme verdict appends to M as a row
+            r = Y._rank
+            assert 0.5 <= c.max() < 1
+            assert residual == np.linalg.norm(M[:, ::r + 1] @ c)
+            assert_allclose(c / np.linalg.norm(c), c_old[::r + 1] / np.linalg.norm(c_old), atol=8 * eps)
             verdicts.append(residual <= bound)
         n = len(refused_states())
         assert all(verdicts[:-n]) and not any(verdicts[-n:])
@@ -831,23 +870,34 @@ class TestBasisSpanRank:
     """basis_span_rank reads the span off the real entries of the unit-scaled
     stack, an isometric image of its Herm(d) coordinates."""
 
-    def test_one_svd_and_no_hermiticity_check(self, monkeypatch):
+    def test_no_svd_for_a_full_rank_stack_and_no_hermiticity_check(self, monkeypatch):
+        # a full-rank stack is certified by one Cholesky factorisation; a
+        # deficient one, each element twice, takes that and one SVD
         calls = []
-        svd, check = np.linalg.svd, linalg.as_hermitian
+        svd, cholesky, check = np.linalg.svd, np.linalg.cholesky, linalg.as_hermitian
 
         def counted_svd(*args, **kwargs):
             calls.append("svd")
             return svd(*args, **kwargs)
 
+        def counted_cholesky(G):
+            calls.append("cholesky")
+            return cholesky(G)
+
         def counted_check(A):
             calls.append("as_hermitian")
             return check(A)
 
-        xs = appendix_basis_X(2.0, math.pi / 6)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(linalg, "as_hermitian", counted_check)
-        assert basis_span_rank(xs) == 25
-        assert calls == ["svd"]
+        for xs in (appendix_basis_X(2.0, math.pi / 6), appendix_basis_Y(2.0, math.pi / 6)):
+            calls.clear()
+            assert basis_span_rank(xs) == 25
+            assert calls == ["cholesky"]
+            calls.clear()
+            assert basis_span_rank(xs + xs) == 25
+            assert calls == ["cholesky", "svd"]
 
     @pytest.mark.parametrize("b", [1e-8, 1e-3, 0.25, 1.0, 4.0, 1e3, 1e8])
     def test_matches_the_coordinate_rank_on_appendix_stacks(self, b):

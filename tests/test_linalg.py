@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from numpy.testing import assert_allclose
 
 from pptgeo.linalg import (
@@ -11,9 +13,11 @@ from pptgeo.linalg import (
     NumericalError,
     as_hermitian,
     eigh_descending,
+    has_full_rank,
     has_orthonormal_columns,
     orthonormal_system_rank,
     range_mask,
+    spectrum_is_clean,
     spectrum_is_pd,
     spectrum_is_psd,
     spectrum_rank,
@@ -458,6 +462,72 @@ class TestCutoff:
     @pytest.mark.parametrize("shape", [(3, 4), (0, 4), (4, 0)])
     def test_numerical_rank_of_zero_or_empty(self, shape):
         assert numerical_rank(np.zeros(shape)) == 0
+
+    @pytest.mark.parametrize("k", [-12, 0, 12])
+    def test_clean_spectrum_switches_at_both_levels(self, k):
+        # an eigenvalue of magnitude in (ROUNDOFF, CUTOFF] times the largest
+        # makes a spectrum unclean, on either side of zero
+        s = 10.0**k
+        for tail, clean in ((0.99 * ROUNDOFF, True), (1.01 * ROUNDOFF, False),
+                            (0.99 * CUTOFF, False), (1.01 * CUTOFF, True), (0.0, True)):
+            for w in ([1.0, tail, 0.0], [1.0, 0.0, -tail], [tail, 0.0, -1.0]):
+                assert spectrum_is_clean(s * np.array(w)) is clean, (w, clean)
+        assert spectrum_is_clean(np.zeros(3)) and spectrum_is_clean(np.zeros(0))
+
+
+# derandomize: the same examples on every run, and no example database.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@hs.composite
+def planted_matrices(draw):
+    """(A, k): a real matrix, tall or wide, of random singular vectors and
+    singular values in [s_min, s[0]], the smallest planted at
+    s_min = 10^k max(1, s[0])."""
+    rows, cols = draw(hs.integers(1, 30)), draw(hs.integers(1, 30))
+    if draw(hs.booleans()):
+        rows, cols = cols, rows
+    k = draw(hs.sampled_from([-15, -12, -9, -8, -7, -6, -5, -3]))
+    top = 2.0 ** draw(hs.integers(-20, 20))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    n = min(rows, cols)
+    U = np.linalg.qr(rng.normal(size=(rows, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(cols, n)))[0]
+    low = 10.0**k * max(1.0, top)
+    s = np.sort(rng.uniform(low, max(low, top), size=n))[::-1]
+    s[0], s[-1] = max(top, low), low
+    return (U * s) @ V.T, k
+
+
+class TestFullRankCertificate:
+    """has_full_rank is True only where the orthonormal_system_rank rule
+    counts min(A.shape) singular values, and True from a planted smallest
+    singular value of 1e-5 times the scale up."""
+
+    @PROPERTY
+    @given(planted_matrices())
+    def test_true_only_for_full_svd_count(self, planted):
+        A, k = planted
+        count = orthonormal_system_rank(np.linalg.svd(A, compute_uv=False))
+        if has_full_rank(A):
+            assert count == min(A.shape), k
+        if k >= -5:
+            assert has_full_rank(A), k
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(73, 25), (25, 162), (5, 5)])
+    def test_non_finite_entry_gives_false(self, bad, shape):
+        A = np.random.default_rng(3).normal(size=shape)
+        A[2, 3] = bad
+        # the Gram matrix of an infinite entry subtracts inf from inf
+        with np.errstate(invalid="ignore"):
+            assert not has_full_rank(A)
+
+    def test_zero_or_rank_deficient_gives_false(self):
+        A = np.random.default_rng(4).normal(size=(9, 4))
+        assert has_full_rank(A) and has_full_rank(A.T)
+        for deficient in (np.zeros((9, 4)), np.hstack([A, A[:, :1]]), np.vstack([A.T, A.T[:1]])):
+            assert not has_full_rank(deficient)
 
 
 class TestIsPsd:
